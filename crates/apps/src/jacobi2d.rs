@@ -477,31 +477,6 @@ fn run_jacobi_inner(
     c.inject_broadcast(0, aid, go, Bytes::new());
     let report = c.run();
     layer.assert_contract_clean(&mut c);
-    if std::env::var("JAC_DEBUG").is_ok() {
-        eprintln!(
-            "jac debug: sent={} delivered={} events={} handlers={}",
-            report.stats.msgs_sent,
-            report.stats.msgs_delivered,
-            report.stats.events,
-            report.stats.handlers_run
-        );
-        for i in 0..(nb * nb) as u64 {
-            let st: &BlockState = c.element(aid, i);
-            eprintln!(
-                "  block {i}: has_go={} edges {}/{}",
-                st.has_go, st.edges_got, st.edges_expected
-            );
-        }
-        if let LayerKind::Mpi(_) = layer {
-            let l: &mut lrts_mpi::MpiLayer = c.layer_mut();
-            for pe in 0..num_pes {
-                let n = l.mpi().unexpected_len(pe);
-                if n > 0 {
-                    eprintln!("  pe {pe}: {n} unmatched MPI messages");
-                }
-            }
-        }
-    }
 
     // Reassemble the grid.
     let n = cfg.n as usize;

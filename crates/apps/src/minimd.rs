@@ -126,11 +126,7 @@ pub fn run_minimd(
     cores_per_node: u32,
     cfg: &MdConfig,
 ) -> MdResult {
-    let mut c = if std::env::var("MD_TRACE").is_ok() {
-        layer.cluster_traced(num_pes, cores_per_node, 1_000_000)
-    } else {
-        layer.cluster(num_pes, cores_per_node)
-    };
+    let mut c = layer.cluster(num_pes, cores_per_node);
 
     let patches = cfg
         .patches
@@ -327,9 +323,6 @@ pub fn run_minimd(
     c.inject_broadcast(0, patch_aid, patch_go, Bytes::from(first));
     let report = c.run();
 
-    if std::env::var("MD_TRACE").is_ok() {
-        eprintln!("{}", c.trace().render_profile());
-    }
     let ctl = c.user::<Ctl>(0);
     MdResult {
         ms_per_step: sim_core::time::to_ms(ctl.total) / cfg.steps as f64,

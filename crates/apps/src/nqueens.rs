@@ -246,16 +246,6 @@ fn run_on_cluster(c: &mut Cluster, cfg: &NqConfig) -> NqResult {
     });
     ssse.seed(c, 0, 0, wire::pack_u64s(&[0, 0, 0, 0]));
     let report = c.run();
-    if std::env::var("NQ_DEBUG").is_ok() {
-        eprintln!(
-            "nq debug: events={} kinds={:?} handlers={} sent={} delivered={}",
-            report.stats.events,
-            report.stats.event_kinds,
-            report.stats.handlers_run,
-            report.stats.msgs_sent,
-            report.stats.msgs_delivered
-        );
-    }
     let total = charm_rt::ssse::sum_stats::<NqPe>(c, |u| &u.stats);
     let end = c.trace().end_time().max(report.end_time);
     NqResult {

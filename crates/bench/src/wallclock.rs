@@ -424,12 +424,12 @@ pub fn wallclock_suite(e: &Effort) -> WallSuite {
 /// bit-exact, so a drift at `threads > 1` is a determinism bug, not a
 /// perf artifact.
 pub fn wallclock_suite_threads(e: &Effort, threads: u32) -> WallSuite {
-    // Forced: the point of the sweep is to measure the parallel engine's
-    // overhead even when the host has fewer cores than `threads` — the
-    // auto-cap would silently fall back to the sequential engine.
-    charm_rt::prelude::set_default_threads_forced(threads);
+    // The count is used as given: the point of the sweep is to measure
+    // the parallel engine's overhead even when the host has fewer cores
+    // than `threads`.
+    charm_rt::prelude::set_default_threads(threads);
     let suite = wallclock_suite_inner(e, threads);
-    charm_rt::prelude::set_default_threads_forced(1);
+    charm_rt::prelude::set_default_threads(1);
     suite
 }
 

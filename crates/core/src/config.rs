@@ -1,0 +1,121 @@
+//! Cluster-wide configuration, the per-thread defaults harnesses steer it
+//! with, and the parallel engine's barrier-wait meter.
+
+use sim_core::Time;
+use std::cell::Cell;
+
+thread_local! {
+    /// Default for [`ClusterCfg::threads`] (see [`set_default_threads`]).
+    static DEFAULT_THREADS: Cell<u32> = const { Cell::new(1) };
+    /// Default for [`ClusterCfg::batch_windows`] (see
+    /// [`set_default_batch_windows`]).
+    static DEFAULT_BATCH_WINDOWS: Cell<u32> = const { Cell::new(4) };
+    /// Default for [`ClusterCfg::handoff_min_events`] (see
+    /// [`set_default_handoff_min_events`]).
+    static DEFAULT_HANDOFF_MIN: Cell<u32> = const { Cell::new(16) };
+    /// Barrier-wait nanoseconds accumulated by parallel runs on this
+    /// thread since the last [`take_sync_overhead_ns`].
+    static SYNC_OVERHEAD: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Set the worker count newly built [`ClusterCfg`]s default to (clamped to
+/// at least 1). Thread-local, so harnesses running independent simulations
+/// on a thread pool don't race: each harness thread configures its own
+/// default and every app built on it inherits `--threads` with zero churn.
+///
+/// The count is taken as given, even beyond
+/// `std::thread::available_parallelism()`: the differential suites and the
+/// wallclock sweep pin virtual results (and meter sync overhead) at thread
+/// counts the host may not physically have.
+pub fn set_default_threads(n: u32) {
+    DEFAULT_THREADS.with(|c| c.set(n.max(1)));
+}
+
+/// Set the window-batch depth newly built [`ClusterCfg`]s default to
+/// (clamped to at least 1). See [`ClusterCfg::batch_windows`].
+pub fn set_default_batch_windows(k: u32) {
+    DEFAULT_BATCH_WINDOWS.with(|c| c.set(k.max(1)));
+}
+
+/// Set the hand-off work floor newly built [`ClusterCfg`]s default to.
+/// See [`ClusterCfg::handoff_min_events`]; 0 hands off every eligible
+/// window (the determinism suites use this to keep the worker path fully
+/// exercised on tiny configurations).
+pub fn set_default_handoff_min_events(n: u32) {
+    DEFAULT_HANDOFF_MIN.with(|c| c.set(n));
+}
+
+/// Drain this thread's accumulated parallel-sync overhead meter: the
+/// nanoseconds runs since the last call spent waiting at pool barriers
+/// (as opposed to executing events). Always 0 for sequential runs.
+pub fn take_sync_overhead_ns() -> u64 {
+    SYNC_OVERHEAD.with(|c| c.replace(0))
+}
+
+/// Credit one parallel run's barrier waits to this thread's meter.
+pub(crate) fn add_sync_overhead_ns(ns: u64) {
+    SYNC_OVERHEAD.with(|c| c.set(c.get().saturating_add(ns)));
+}
+
+/// Cluster-wide configuration.
+#[derive(Debug, Clone)]
+pub struct ClusterCfg {
+    pub num_pes: u32,
+    pub cores_per_node: u32,
+    /// Converse scheduler cost per executed handler (dequeue + dispatch).
+    pub sched_overhead: Time,
+    /// Converse-level cost of issuing one send (envelope setup), excluding
+    /// everything the machine layer charges.
+    pub send_overhead: Time,
+    /// Timeline bucket width for Fig.-12-style profiles (None = totals only).
+    pub trace_bucket: Option<Time>,
+    /// Safety valve for runaway simulations.
+    pub max_events: u64,
+    /// Seed for all per-PE deterministic RNGs.
+    pub seed: u64,
+    /// Chaos knob: the fault plan active in the machine layer's fabric (the
+    /// inert default injects nothing). Kept here so drivers and reports can
+    /// see at the cluster level whether a run was a chaos run.
+    pub fault: gemini_net::FaultPlan,
+    /// Worker threads for [`crate::cluster::Cluster::run`]: 1 = sequential
+    /// engine, N > 1 = conservative parallel execution over node
+    /// partitions (bit-identical results — see DESIGN.md §10). Defaults to
+    /// the value last given to [`set_default_threads`] (initially 1).
+    pub threads: u32,
+    /// Consecutive lookahead windows a worker may execute per barrier
+    /// crossing (≥ 1). Workers publish a per-partition frontier once per
+    /// window and bound themselves by the other partitions' frontiers
+    /// plus the lookahead, so deeper batches amortize the barrier without
+    /// changing any virtual timestamp (DESIGN.md §10). Defaults to the
+    /// value last given to [`set_default_batch_windows`] (initially 4).
+    pub batch_windows: u32,
+    /// Minimum events queued across the window's ready partitions before
+    /// the driver wakes the worker pool; smaller windows execute inline
+    /// on the driver thread in the same canonical order (bit-identical,
+    /// just cheaper than a barrier round-trip for a handful of events).
+    /// Defaults to the value last given to
+    /// [`set_default_handoff_min_events`] (initially 16).
+    pub handoff_min_events: u32,
+}
+
+impl ClusterCfg {
+    pub fn new(num_pes: u32, cores_per_node: u32) -> Self {
+        ClusterCfg {
+            num_pes,
+            cores_per_node,
+            sched_overhead: 200,
+            send_overhead: 100,
+            trace_bucket: None,
+            max_events: 2_000_000_000,
+            seed: 0xC0FFEE,
+            fault: gemini_net::FaultPlan::default(),
+            threads: DEFAULT_THREADS.with(Cell::get),
+            batch_windows: DEFAULT_BATCH_WINDOWS.with(Cell::get),
+            handoff_min_events: DEFAULT_HANDOFF_MIN.with(Cell::get),
+        }
+    }
+
+    pub fn num_nodes(&self) -> u32 {
+        self.num_pes.div_ceil(self.cores_per_node)
+    }
+}

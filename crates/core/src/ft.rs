@@ -672,7 +672,7 @@ fn ck_fns<T: Checkpoint + Send + 'static>() -> (SaveFn, LoadFn) {
 }
 
 /// Restore a PE's own snapshot: elements, wave counters, user state.
-fn restore_snapshot(st: &mut crate::cluster::PeState, ft: &FtCore, snap: &FtSnapshot) {
+fn restore_snapshot(st: &mut crate::kernel::PeState, ft: &FtCore, snap: &FtSnapshot) {
     for (aid, idx, data) in &snap.elements {
         let load = match ft.savers.get(aid) {
             Some((_, l)) => l.clone(),
@@ -692,7 +692,7 @@ fn restore_snapshot(st: &mut crate::cluster::PeState, ft: &FtCore, snap: &FtSnap
 
 /// Adopt a dead PE's snapshot onto its buddy holder (redistribute mode):
 /// elements and wave counters migrate; the dead PE's user state does not.
-fn adopt_snapshot(st: &mut crate::cluster::PeState, ft: &FtCore, snap: &FtSnapshot) {
+fn adopt_snapshot(st: &mut crate::kernel::PeState, ft: &FtCore, snap: &FtSnapshot) {
     for (aid, idx, data) in &snap.elements {
         let load = match ft.savers.get(aid) {
             Some((_, l)) => l.clone(),

@@ -6,7 +6,8 @@
 //! * [`charm`] — chare arrays, entry methods, broadcast, reductions;
 //! * [`ssse`] — the state-space search engine used by N-Queens;
 //! * [`cluster`] — the Converse scheduler per PE plus the discrete-event
-//!   driver that binds everything to virtual time;
+//!   engines that bind everything to virtual time (one event-semantics
+//!   kernel, a sequential and a conservative parallel caller);
 //! * [`lrts`] — the Lower-level RunTime System interface a machine layer
 //!   implements (`LrtsInit` / `LrtsSyncSend` / `LrtsNetworkEngine` /
 //!   persistent messages);
@@ -45,10 +46,14 @@
 pub mod am;
 pub mod charm;
 pub mod cluster;
+mod config;
+mod ctx;
 pub mod ft;
 pub mod ideal;
+mod kernel;
 pub mod lrts;
 pub mod msg;
+mod par;
 pub mod pe_table;
 pub mod qd;
 pub mod ssse;
@@ -59,10 +64,8 @@ pub mod prelude {
     pub use crate::am::{AmConfig, AmData, AmId};
     pub use crate::charm::{ArrayId, EntryId, RedOp, CHARM_HANDLER};
     pub use crate::cluster::{
-        default_batch_windows, default_handoff_min_events, default_threads,
         set_default_batch_windows, set_default_handoff_min_events, set_default_threads,
-        set_default_threads_forced, take_sync_overhead_ns, Cluster, ClusterCfg, ClusterStats,
-        MachineCtx, PeCtx, RunReport,
+        take_sync_overhead_ns, Cluster, ClusterCfg, ClusterStats, MachineCtx, PeCtx, RunReport,
     };
     pub use crate::ft::{Checkpoint, FtConfig, FtReport};
     pub use crate::ideal::IdealLayer;

@@ -16,7 +16,7 @@
 //! unobservable — the same invariant the fabric's `LazyVec` tables rely
 //! on, which is what keeps every pinned virtual time bit-identical.
 
-use crate::cluster::PeState;
+use crate::kernel::PeState;
 
 /// PEs per lazily materialized page. [`PeState`] is a few hundred bytes
 /// of headers, so pages are kept small enough that a sparse job touching

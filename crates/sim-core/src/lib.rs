@@ -31,8 +31,3 @@ pub use lazy::{LazySlab, LazyVec};
 pub use queue::EventQueue;
 pub use rng::DetRng;
 pub use time::Time;
-
-/// True when the `legacy-heap` feature swapped [`EventQueue`] back to the
-/// single binary heap. The parallel driver forces `threads = 1` in that
-/// configuration (the legacy queue predates queue-ownership splitting).
-pub const LEGACY_HEAP: bool = cfg!(feature = "legacy-heap");

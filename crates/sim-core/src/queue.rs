@@ -5,31 +5,22 @@
 //! what makes every simulation in this workspace deterministic and therefore
 //! testable — identical inputs produce identical virtual-time results.
 //!
-//! Two implementations share that contract:
-//!
-//! * [`TwoLevelQueue`] — the default. A calendar-queue-style structure: a
-//!   small binary heap for the *active* time window, a ring of FIFO
-//!   buckets for the near horizon (push is O(1) there), and a far heap
-//!   for distant timers. Discrete-event simulators (SST/macro, Charm++'s
-//!   own BigSim) use this shape because event populations cluster tightly
-//!   around the current virtual time.
-//! * [`HeapQueue`] — the original single `BinaryHeap`. Kept for
-//!   differential testing and as an escape hatch: building the workspace
-//!   with the sim-core feature `legacy-heap` swaps the [`EventQueue`]
-//!   alias back to it. Virtual-time results are bit-for-bit identical
-//!   either way; only wall-clock differs.
+//! [`TwoLevelQueue`] is the queue the simulators run on: a
+//! calendar-queue-style structure with a small binary heap for the
+//! *active* time window, a ring of FIFO buckets for the near horizon (push
+//! is O(1) there), and a far heap for distant timers. Discrete-event
+//! simulators (SST/macro, Charm++'s own BigSim) use this shape because
+//! event populations cluster tightly around the current virtual time.
+//! [`HeapQueue`], a single `BinaryHeap`, is the reference model of the
+//! contract: the differential tests require the two to pop identical
+//! sequences.
 
 use crate::time::Time;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// The event queue used by the simulators. Default: [`TwoLevelQueue`];
-/// with the `legacy-heap` feature: [`HeapQueue`].
-#[cfg(not(feature = "legacy-heap"))]
+/// The event queue used by the simulators.
 pub type EventQueue<E> = TwoLevelQueue<E>;
-/// The event queue used by the simulators (legacy-heap build).
-#[cfg(feature = "legacy-heap")]
-pub type EventQueue<E> = HeapQueue<E>;
 
 #[derive(Debug)]
 struct Entry<E> {
@@ -55,15 +46,12 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// A min-heap of timestamped events with FIFO tie-breaking (the original,
-/// single-level engine).
+/// A min-heap of timestamped events with FIFO tie-breaking: the reference
+/// model [`TwoLevelQueue`] is tested against.
 #[derive(Debug)]
 pub struct HeapQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
     seq: u64,
-    /// High-water mark of queue length, useful for harness diagnostics.
-    peak_len: usize,
-    pushed: u64,
 }
 
 impl<E> Default for HeapQueue<E> {
@@ -78,68 +66,34 @@ impl<E> HeapQueue<E> {
         Self {
             heap: BinaryHeap::new(),
             seq: 0,
-            peak_len: 0,
-            pushed: 0,
-        }
-    }
-
-    /// An empty queue with pre-reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self {
-            heap: BinaryHeap::with_capacity(cap),
-            seq: 0,
-            peak_len: 0,
-            pushed: 0,
         }
     }
 
     /// Schedule `event` at absolute time `time`.
-    #[inline]
     pub fn push(&mut self, time: Time, event: E) {
         let seq = self.seq;
         self.seq += 1;
-        self.pushed += 1;
         self.heap.push(Reverse(Entry { time, seq, event }));
-        self.peak_len = self.peak_len.max(self.heap.len());
     }
 
     /// Remove and return the earliest event, or `None` when empty.
-    #[inline]
     pub fn pop(&mut self) -> Option<(Time, E)> {
         self.heap.pop().map(|Reverse(e)| (e.time, e.event))
     }
 
     /// Timestamp of the earliest pending event.
-    #[inline]
     pub fn peek_time(&self) -> Option<Time> {
         self.heap.peek().map(|Reverse(e)| e.time)
     }
 
     /// Number of pending events.
-    #[inline]
     pub fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// True when no events are pending.
-    #[inline]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Largest number of simultaneously pending events seen so far.
-    pub fn peak_len(&self) -> usize {
-        self.peak_len
-    }
-
-    /// Total events ever pushed.
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// Drop all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
@@ -366,152 +320,68 @@ impl<E> TwoLevelQueue<E> {
 mod tests {
     use super::*;
 
-    // The whole suite runs against both implementations.
-    fn each_impl(f: impl Fn(QueueKind)) {
-        f(QueueKind::Heap);
-        f(QueueKind::TwoLevel);
-    }
-
-    #[derive(Clone, Copy)]
-    enum QueueKind {
-        Heap,
-        TwoLevel,
-    }
-
-    enum AnyQueue<E> {
-        Heap(HeapQueue<E>),
-        TwoLevel(TwoLevelQueue<E>),
-    }
-
-    impl<E> AnyQueue<E> {
-        fn new(kind: QueueKind) -> Self {
-            match kind {
-                QueueKind::Heap => AnyQueue::Heap(HeapQueue::new()),
-                QueueKind::TwoLevel => AnyQueue::TwoLevel(TwoLevelQueue::new()),
-            }
-        }
-        fn push(&mut self, t: Time, e: E) {
-            match self {
-                AnyQueue::Heap(q) => q.push(t, e),
-                AnyQueue::TwoLevel(q) => q.push(t, e),
-            }
-        }
-        fn pop(&mut self) -> Option<(Time, E)> {
-            match self {
-                AnyQueue::Heap(q) => q.pop(),
-                AnyQueue::TwoLevel(q) => q.pop(),
-            }
-        }
-        fn peek_time(&self) -> Option<Time> {
-            match self {
-                AnyQueue::Heap(q) => q.peek_time(),
-                AnyQueue::TwoLevel(q) => q.peek_time(),
-            }
-        }
-        fn len(&self) -> usize {
-            match self {
-                AnyQueue::Heap(q) => q.len(),
-                AnyQueue::TwoLevel(q) => q.len(),
-            }
-        }
-        fn is_empty(&self) -> bool {
-            match self {
-                AnyQueue::Heap(q) => q.is_empty(),
-                AnyQueue::TwoLevel(q) => q.is_empty(),
-            }
-        }
-        fn peak_len(&self) -> usize {
-            match self {
-                AnyQueue::Heap(q) => q.peak_len(),
-                AnyQueue::TwoLevel(q) => q.peak_len(),
-            }
-        }
-        fn total_pushed(&self) -> u64 {
-            match self {
-                AnyQueue::Heap(q) => q.total_pushed(),
-                AnyQueue::TwoLevel(q) => q.total_pushed(),
-            }
-        }
-        fn clear(&mut self) {
-            match self {
-                AnyQueue::Heap(q) => q.clear(),
-                AnyQueue::TwoLevel(q) => q.clear(),
-            }
-        }
-    }
-
     #[test]
     fn pops_in_time_order() {
-        each_impl(|k| {
-            let mut q = AnyQueue::new(k);
-            q.push(30, "c");
-            q.push(10, "a");
-            q.push(20, "b");
-            assert_eq!(q.pop(), Some((10, "a")));
-            assert_eq!(q.pop(), Some((20, "b")));
-            assert_eq!(q.pop(), Some((30, "c")));
-            assert_eq!(q.pop(), None);
-        });
+        let mut q = TwoLevelQueue::new();
+        q.push(30, "c");
+        q.push(10, "a");
+        q.push(20, "b");
+        assert_eq!(q.pop(), Some((10, "a")));
+        assert_eq!(q.pop(), Some((20, "b")));
+        assert_eq!(q.pop(), Some((30, "c")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn ties_break_fifo() {
-        each_impl(|k| {
-            let mut q = AnyQueue::new(k);
-            for i in 0..100 {
-                q.push(42, i);
-            }
-            for i in 0..100 {
-                assert_eq!(q.pop(), Some((42, i)));
-            }
-        });
+        let mut q = TwoLevelQueue::new();
+        for i in 0..100 {
+            q.push(42, i);
+        }
+        for i in 0..100 {
+            assert_eq!(q.pop(), Some((42, i)));
+        }
     }
 
     #[test]
     fn peek_does_not_consume() {
-        each_impl(|k| {
-            let mut q = AnyQueue::new(k);
-            q.push(5, ());
-            assert_eq!(q.peek_time(), Some(5));
-            assert_eq!(q.len(), 1);
-            assert!(!q.is_empty());
-            q.pop();
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-        });
+        let mut q = TwoLevelQueue::new();
+        q.push(5, ());
+        assert_eq!(q.peek_time(), Some(5));
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
+        q.pop();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
     fn bookkeeping_counters() {
-        each_impl(|k| {
-            let mut q = AnyQueue::new(k);
-            q.push(1, ());
-            q.push(2, ());
-            q.pop();
-            q.push(3, ());
-            assert_eq!(q.total_pushed(), 3);
-            assert_eq!(q.peak_len(), 2);
-            q.clear();
-            assert!(q.is_empty());
-            // peak and pushed survive clear
-            assert_eq!(q.peak_len(), 2);
-            assert_eq!(q.total_pushed(), 3);
-        });
+        let mut q = TwoLevelQueue::new();
+        q.push(1, ());
+        q.push(2, ());
+        q.pop();
+        q.push(3, ());
+        assert_eq!(q.total_pushed(), 3);
+        assert_eq!(q.peak_len(), 2);
+        q.clear();
+        assert!(q.is_empty());
+        // peak and pushed survive clear
+        assert_eq!(q.peak_len(), 2);
+        assert_eq!(q.total_pushed(), 3);
     }
 
     #[test]
     fn interleaved_push_pop_stays_sorted() {
-        each_impl(|k| {
-            let mut q = AnyQueue::new(k);
-            q.push(100, 100u64);
-            q.push(50, 50);
-            assert_eq!(q.pop(), Some((50, 50)));
-            q.push(75, 75);
-            q.push(25, 25);
-            assert_eq!(q.pop(), Some((25, 25)));
-            assert_eq!(q.pop(), Some((75, 75)));
-            assert_eq!(q.pop(), Some((100, 100)));
-        });
+        let mut q = TwoLevelQueue::new();
+        q.push(100, 100u64);
+        q.push(50, 50);
+        assert_eq!(q.pop(), Some((50, 50)));
+        q.push(75, 75);
+        q.push(25, 25);
+        assert_eq!(q.pop(), Some((25, 25)));
+        assert_eq!(q.pop(), Some((75, 75)));
+        assert_eq!(q.pop(), Some((100, 100)));
     }
 
     #[test]
@@ -615,8 +485,8 @@ mod proptests {
             }
         }
 
-        /// Differential: the two-level queue pops *exactly* what the legacy
-        /// heap pops, for arbitrary interleaved push/pop traces spanning
+        /// Differential: the two-level queue pops *exactly* what the
+        /// reference heap pops, for arbitrary interleaved push/pop traces spanning
         /// the active window, the ring, and the far horizon (time deltas
         /// up to several horizons).
         #[test]

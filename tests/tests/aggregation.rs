@@ -24,12 +24,12 @@ fn thread_counts() -> Vec<u32> {
 
 fn differential<R>(f: impl Fn() -> R, check: impl Fn(&R, &R, u32)) {
     set_default_handoff_min_events(0);
-    set_default_threads_forced(1);
+    set_default_threads(1);
     let seq = f();
     for t in thread_counts() {
-        set_default_threads_forced(t);
+        set_default_threads(t);
         let par = f();
-        set_default_threads_forced(1);
+        set_default_threads(1);
         check(&seq, &par, t);
     }
 }

@@ -8,9 +8,7 @@
 use charm_apps::jacobi2d::{run_jacobi, run_jacobi_ft, JacobiConfig, JacobiResult};
 use charm_apps::pingpong::run_pingpong_ft;
 use charm_apps::LayerKind;
-use charm_rt::prelude::{
-    set_default_handoff_min_events, set_default_threads_forced, FtConfig, FtReport,
-};
+use charm_rt::prelude::{set_default_handoff_min_events, set_default_threads, FtConfig, FtReport};
 use gemini_net::{FaultPlan, LinkDownWindow, NodeCrashWindow};
 
 /// One node-1 crash at 80us. `restart_after` picks between restart-in-
@@ -111,12 +109,12 @@ fn crash_identical_under_parallel_driver_threads() {
     // event), so any thread count must reproduce the sequential run to
     // the bit.
     set_default_handoff_min_events(0);
-    set_default_threads_forced(1);
+    set_default_threads(1);
     let (seq, seq_ft) = crashed_jacobi(Some(40_000));
     for threads in thread_counts() {
-        set_default_threads_forced(threads);
+        set_default_threads(threads);
         let (par, par_ft) = crashed_jacobi(Some(40_000));
-        set_default_threads_forced(1);
+        set_default_threads(1);
         assert_eq!(seq.time_ns, par.time_ns, "threads={threads}");
         assert_eq!(seq.events, par.events, "threads={threads}");
         assert_eq!(seq.grid, par.grid, "threads={threads}");

@@ -56,13 +56,13 @@ fn bandwidth_window_replays_bit_for_bit() {
     }
 }
 
-/// The two-level queue must pop the exact sequence the legacy heap pops —
+/// The two-level queue must pop the exact sequence the reference heap pops —
 /// this is the engine-level guarantee behind every pinned virtual time in
 /// this file. A deterministic trace shaped like real simulator traffic:
 /// bursts of same-time events (scheduler cascades), short hops (protocol
 /// charges), and long timer jumps (retry horizons).
 #[test]
-fn two_level_queue_matches_legacy_heap_on_simulator_shaped_trace() {
+fn two_level_queue_matches_reference_heap_on_simulator_shaped_trace() {
     let mut heap = HeapQueue::new();
     let mut two = TwoLevelQueue::new();
     let mut clock: u64 = 0;
@@ -127,7 +127,7 @@ fn two_level_queue_matches_legacy_heap_on_simulator_shaped_trace() {
 proptest! {
     /// Random (time, seq) interleavings: the two-level queue pops a
     /// FIFO-stable sort regardless of push pattern, and agrees with the
-    /// legacy heap at every step.
+    /// reference heap at every step.
     #[test]
     fn two_level_queue_pops_fifo_stable(
         ops in proptest::collection::vec(

@@ -16,7 +16,7 @@ use charm_apps::kneighbor::kneighbor_report;
 use charm_apps::one_to_all::one_to_all_latency;
 use charm_apps::pingpong::{charm_bandwidth, charm_one_way_report};
 use charm_apps::LayerKind;
-use charm_rt::prelude::{set_default_handoff_min_events, set_default_threads_forced, RunReport};
+use charm_rt::prelude::{set_default_handoff_min_events, set_default_threads, RunReport};
 use gemini_net::{FaultPlan, LinkDownWindow};
 
 /// Parallel thread counts each case compares against the sequential run.
@@ -35,12 +35,12 @@ fn differential<R>(f: impl Fn() -> R, check: impl Fn(&R, &R, u32)) {
     // Hand off every eligible window: these configurations are small, and
     // the point is to exercise the worker path, not to run fast.
     set_default_handoff_min_events(0);
-    set_default_threads_forced(1);
+    set_default_threads(1);
     let seq = f();
     for t in thread_counts() {
-        set_default_threads_forced(t);
+        set_default_threads(t);
         let par = f();
-        set_default_threads_forced(1);
+        set_default_threads(1);
         check(&seq, &par, t);
     }
 }
@@ -204,7 +204,7 @@ fn ugni_contract_stays_clean_under_parallel_driver() {
 
     set_default_handoff_min_events(0);
     for threads in [2u32, 4] {
-        set_default_threads_forced(threads);
+        set_default_threads(threads);
         let layer = LayerKind::ugni().with_fault(plan());
         let mut c = layer.cluster(16, 4);
         c.init_user(|_| 0u64);
@@ -221,7 +221,7 @@ fn ugni_contract_stays_clean_under_parallel_driver() {
         });
         c.inject(0, 0, kick, Bytes::new());
         let report = c.run();
-        set_default_threads_forced(1);
+        set_default_threads(1);
         assert!(report.end_time > 0);
         layer.assert_contract_clean(&mut c);
     }

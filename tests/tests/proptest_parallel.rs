@@ -11,8 +11,7 @@
 use bytes::Bytes;
 use charm_apps::LayerKind;
 use charm_rt::prelude::{
-    set_default_batch_windows, set_default_handoff_min_events, set_default_threads_forced,
-    ClusterStats,
+    set_default_batch_windows, set_default_handoff_min_events, set_default_threads, ClusterStats,
 };
 use gemini_net::{FaultPlan, LinkDownWindow};
 use lrts_ugni::UgniConfig;
@@ -134,11 +133,11 @@ proptest! {
         let (layer, pes) = make_layer((dx, dy, dz), cores, 0.0, None);
         prop_assume!(pes > 2);
         set_default_handoff_min_events(0);
-        set_default_threads_forced(1);
+        set_default_threads(1);
         let seq = traffic(&layer, pes, cores, &sizes);
-        set_default_threads_forced(threads);
+        set_default_threads(threads);
         let par = traffic(&layer, pes, cores, &sizes);
-        set_default_threads_forced(1);
+        set_default_threads(1);
         prop_assert_eq!(seq, par, "threads={} diverged", threads);
     }
 
@@ -157,11 +156,11 @@ proptest! {
             make_layer((dx, dy, 1), cores, drop_p, Some((down_node, down_dim, down_from)));
         prop_assume!(pes > 2);
         set_default_handoff_min_events(0);
-        set_default_threads_forced(1);
+        set_default_threads(1);
         let seq = traffic(&layer, pes, cores, &sizes);
-        set_default_threads_forced(4);
+        set_default_threads(4);
         let par = traffic(&layer, pes, cores, &sizes);
-        set_default_threads_forced(1);
+        set_default_threads(1);
         prop_assert_eq!(seq, par, "faulty parallel run diverged");
     }
 
@@ -183,15 +182,15 @@ proptest! {
         let (layer, pes) = make_layer((dx, dy, dz), cores, drop_p, None);
         prop_assume!(pes > 2);
         set_default_handoff_min_events(0);
-        set_default_threads_forced(1);
+        set_default_threads(1);
         let seq = traffic_full(&layer, pes, cores, &sizes, true);
-        set_default_threads_forced(threads);
+        set_default_threads(threads);
         set_default_batch_windows(1);
         let unbatched = traffic_full(&layer, pes, cores, &sizes, true);
         set_default_batch_windows(k);
         let batched = traffic_full(&layer, pes, cores, &sizes, true);
         set_default_batch_windows(4);
-        set_default_threads_forced(1);
+        set_default_threads(1);
         prop_assert_eq!(&seq, &unbatched, "unbatched parallel diverged from sequential");
         prop_assert_eq!(&unbatched, &batched, "batch_windows={} diverged", k);
     }

@@ -24,7 +24,7 @@ fn read_seed() -> u32 {
     WORKER_SEED
 }
 
-pub fn exec_local_event(x: u32) -> u32 {
+pub fn pe_run(x: u32) -> u32 {
     let a = helper(x);
     let b = apply_effect(a);
     a + b + read_seed()

@@ -49,12 +49,13 @@ pub const WORKER_OK_MARKER: &str = "worker-ok:";
 /// Line escape for `charge-coverage` findings.
 pub const CHARGE_OK_MARKER: &str = "charge-ok:";
 
-/// Worker entry points by function name: the functions that execute
-/// `PeRun`/`Deliver` events inside a parallel window, plus the typed-AM
-/// batch dispatcher — it is registered as a `dyn Fn` Converse handler
-/// (invisible to name resolution) but runs on workers, walking batch
-/// envelopes and invoking every constituent's typed handler.
-const WORKER_ROOT_FNS: &[&str] = &["exec_local_event", "phase_run", "am_dispatch"];
+/// Worker entry points by function name: the worker's window loop, the
+/// two event-kernel functions it executes `Deliver`/`PeRun` events with
+/// (rooted by name too, so renaming the loop cannot unroot the kernel),
+/// plus the typed-AM batch dispatcher — it is registered as a `dyn Fn`
+/// Converse handler (invisible to name resolution) but runs on workers,
+/// walking batch envelopes and invoking every constituent's typed handler.
+const WORKER_ROOT_FNS: &[&str] = &["phase_run", "deliver", "pe_run", "am_dispatch"];
 
 /// Worker entry points by receiver type: handlers run on workers and
 /// `PeCtx` is the entire capability surface they are handed.

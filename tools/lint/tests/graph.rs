@@ -49,7 +49,7 @@ fn worker_purity_fixture_fires() {
     // Thread primitive two calls below the entry point, witness chain
     // from the root through the helper.
     let chain = chain_of(&f, "`Mutex`");
-    assert!(chain[0].contains("exec_local_event"), "chain: {chain:?}");
+    assert!(chain[0].contains("pe_run"), "chain: {chain:?}");
     assert!(
         chain.last().unwrap().contains("log_stat"),
         "chain: {chain:?}"
@@ -87,7 +87,7 @@ fn worker_purity_escapes_and_mutations_go_quiet() {
     assert!(f.is_empty(), "findings: {f:?}");
 
     // Rename the entry point: no root, no reachability, no findings.
-    let unrooted = src.replace("exec_local_event", "some_local_event");
+    let unrooted = src.replace("pe_run", "some_run");
     let f = analyze_src("graph_worker_impure.rs", &unrooted);
     assert!(f.is_empty(), "findings: {f:?}");
 }
