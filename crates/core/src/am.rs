@@ -297,7 +297,7 @@ impl Cluster {
         }
         let h = self.register_handler(am_dispatch);
         self.am.dispatch = Some(h);
-        self.system_handlers.insert(h.0);
+        self.system_handlers.insert(h);
     }
 
     /// Coalescing-buffer pool counters for one PE (test diagnostics).

@@ -12,7 +12,7 @@
 use crate::charm::CharmRegistry;
 use crate::ctx::McBack;
 use crate::ft::FtCore;
-use crate::kernel::{self, Delivered, ExecEnv, Gate, Globals, Handler, PeRun};
+use crate::kernel::{self, Delivered, ExecEnv, Gate, Globals, Handler, PeRun, SystemHandlers};
 use crate::lrts::MachineLayer;
 use crate::msg::{Envelope, HandlerId, PeId};
 use crate::pe_table::PeTable;
@@ -58,7 +58,7 @@ pub struct Cluster {
     /// Handlers whose traffic is excluded from quiescence counting and
     /// from the membership-epoch gate (QD's control messages and the FT
     /// control plane — heartbeats and detector ticks are epoch-agnostic).
-    pub(crate) system_handlers: std::collections::HashSet<u16>,
+    pub(crate) system_handlers: SystemHandlers,
     pub(crate) qd: Option<QdState>,
     /// Per-node liveness under the fault plan's crash windows: a down
     /// node's events are discarded at dispatch (its cores are dead).
@@ -102,7 +102,7 @@ impl Cluster {
             trace,
             stats: ClusterStats::default(),
             stopped: false,
-            system_handlers: std::collections::HashSet::new(),
+            system_handlers: SystemHandlers::default(),
             qd: None,
             node_down,
             crash_gate,
@@ -172,7 +172,7 @@ impl Cluster {
     pub(crate) fn install_qd(&mut self, st: QdState, system: &[HandlerId]) {
         self.qd = Some(st);
         for h in system {
-            self.system_handlers.insert(h.0);
+            self.system_handlers.insert(*h);
         }
     }
 
@@ -180,7 +180,7 @@ impl Cluster {
     pub fn inject(&mut self, at: Time, dst: PeId, handler: HandlerId, payload: Bytes) {
         let env = Envelope::new(dst, dst, handler, payload);
         // Balance the quiescence ledger: an injection is an external send.
-        if !self.system_handlers.contains(&handler.0) {
+        if !self.system_handlers.contains(handler) {
             self.pes.get_mut(dst as usize).qd.sent += 1;
         }
         self.events.push(at, Event::Deliver(dst, env.encode()));
@@ -220,6 +220,15 @@ impl Cluster {
     /// denominator for [`Self::materialized_pe_pages`].
     pub fn total_pe_pages(&self) -> usize {
         (self.cfg.num_pes as usize).div_ceil(crate::pe_table::PE_PAGE_LEN)
+    }
+
+    /// Largest number of events ever pending at once in the sequential
+    /// engine's central queue — the depth its cost per pop must not depend
+    /// on (sim-core's queue.rs). A parallel run drains this queue into
+    /// per-partition ones it does not see, so there it reports little more
+    /// than the initial injects.
+    pub fn peak_queue_len(&self) -> usize {
+        self.events.peak_len()
     }
 
     pub fn now(&self) -> Time {
@@ -453,6 +462,18 @@ mod tests {
         assert!(r.end_time >= 4_000, "end {}", r.end_time);
         assert_eq!(r.stats.msgs_delivered, 5); // inject + 4 hops
         assert_eq!(r.stats.handlers_run, 5);
+    }
+
+    #[test]
+    fn peak_queue_len_sees_a_same_instant_burst() {
+        let mut c = cluster(8);
+        let h = c.register_handler(|_, _| {});
+        for pe in 0..8 {
+            c.inject(0, pe, h, Bytes::new());
+        }
+        assert!(c.peak_queue_len() >= 8);
+        c.run();
+        assert!(c.peak_queue_len() >= 8);
     }
 
     #[test]

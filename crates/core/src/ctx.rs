@@ -5,7 +5,7 @@
 use crate::charm::{CharmPe, CharmRegistry};
 use crate::config::ClusterCfg;
 use crate::ft::FtCore;
-use crate::kernel::{ClusterStats, Cmd, Event, PeState};
+use crate::kernel::{ClusterStats, Cmd, Event, PeState, SystemHandlers};
 use crate::lrts::PersistentHandle;
 use crate::msg::{Envelope, HandlerId, PeId, DEFAULT_PRIO};
 use crate::par::PartData;
@@ -251,7 +251,7 @@ pub struct PeCtx<'a> {
     pub(crate) stats: &'a mut ClusterStats,
     pub(crate) qd_pe: &'a mut QdPe,
     pub(crate) qd_global: &'a mut Option<QdState>,
-    pub(crate) system_handlers: &'a std::collections::HashSet<u16>,
+    pub(crate) system_handlers: &'a SystemHandlers,
     /// FT subsystem state (None when FT is off — FT forces the sequential
     /// engine, so parallel execution always sees None here).
     pub(crate) ft_global: &'a mut Option<FtCore>,
@@ -310,7 +310,7 @@ impl PeCtx<'_> {
         priority: u16,
         via: Option<PersistentHandle>,
     ) {
-        if !self.system_handlers.contains(&handler.0) {
+        if !self.system_handlers.contains(handler) {
             self.qd_pe.sent += 1;
         }
         let msg = Envelope::new(self.pe, dst, handler, payload)

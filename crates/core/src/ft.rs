@@ -224,7 +224,7 @@ impl Cluster {
             // FT control traffic is outside quiescence accounting and the
             // membership-epoch gate (a recovery must not kill the
             // detector's own self-scheduling chains).
-            self.system_handlers.insert(h.0);
+            self.system_handlers.insert(h);
         }
 
         // Heartbeats only need to cover the window in which a crash can
@@ -564,7 +564,6 @@ impl Cluster {
             } else {
                 self.pes.get(pe as usize).ft_local.clone()
             };
-            let sys = self.system_handlers.clone();
             let st = self.pes.get_mut(pe as usize);
             if restart && dead_range {
                 // Fresh incarnation: nothing before `t` happened on it.
@@ -578,7 +577,7 @@ impl Cluster {
                 .queue
                 .drain()
                 .map(|r| r.0)
-                .filter(|p| sys.contains(&p.env.handler.0))
+                .filter(|p| self.system_handlers.contains(p.env.handler))
                 .collect();
             for p in kept {
                 st.queue.push(std::cmp::Reverse(p));

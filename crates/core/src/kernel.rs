@@ -24,14 +24,14 @@ use crate::config::ClusterCfg;
 use crate::ctx::{MachineCtx, PeCtx};
 use crate::ft::{FtCore, FtSnapshot};
 use crate::lrts::{MachineLayer, PersistentHandle};
-use crate::msg::{Envelope, PeId};
+use crate::msg::{Envelope, HandlerId, PeId};
 use crate::qd::{QdPe, QdState};
 use bytes::Bytes;
 use gemini_net::NodeId;
 use sim_core::{DetRng, Time};
 use std::any::Any;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 /// Commands from application handlers to the machine layer, executed at
@@ -276,6 +276,27 @@ impl Ord for PrioEnv {
     }
 }
 
+/// The handlers whose traffic is runtime-internal, as a dense table over
+/// [`HandlerId`] (ids are indices into `Cluster::handlers`): `deliver` and
+/// every send ask once per message.
+#[derive(Default)]
+pub(crate) struct SystemHandlers(Vec<bool>);
+
+impl SystemHandlers {
+    pub(crate) fn insert(&mut self, h: HandlerId) {
+        let i = h.0 as usize;
+        if self.0.len() <= i {
+            self.0.resize(i + 1, false);
+        }
+        self.0[i] = true;
+    }
+
+    #[inline]
+    pub(crate) fn contains(&self, h: HandlerId) -> bool {
+        self.0.get(h.0 as usize).copied().unwrap_or(false)
+    }
+}
+
 /// A registered Converse handler.
 pub(crate) type Handler = Arc<dyn Fn(&mut PeCtx, Envelope) + Send + Sync>;
 
@@ -287,7 +308,7 @@ pub(crate) struct ExecEnv<'a> {
     pub(crate) charm_reg: &'a CharmRegistry,
     pub(crate) am_reg: &'a crate::am::AmRegistry,
     /// See `Cluster::system_handlers`.
-    pub(crate) system_handlers: &'a HashSet<u16>,
+    pub(crate) system_handlers: &'a SystemHandlers,
 }
 
 /// Cluster-global state a handler reaches through its [`PeCtx`]. Both
@@ -343,7 +364,7 @@ pub(crate) fn deliver(
         stats.ft_dead_drops += 1;
         return Delivered::DroppedDead;
     }
-    let system = env.system_handlers.contains(&menv.handler.0);
+    let system = env.system_handlers.contains(menv.handler);
     if menv.epoch < gate.epoch && !system {
         stats.ft_stale_drops += 1;
         return Delivered::DroppedStale;
@@ -526,7 +547,6 @@ pub(crate) fn layer_event(layer: &mut dyn MachineLayer, ctx: &mut MachineCtx, ev
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::HandlerId;
 
     const USER: HandlerId = HandlerId(0);
     const SYSTEM: HandlerId = HandlerId(1);
@@ -541,7 +561,7 @@ mod tests {
         handlers: Vec<Handler>,
         charm: CharmRegistry,
         am: crate::am::AmRegistry,
-        system: HashSet<u16>,
+        system: SystemHandlers,
     }
 
     impl Fixture {
@@ -554,12 +574,14 @@ mod tests {
                     ctx.stop();
                 }
             });
+            let mut system = SystemHandlers::default();
+            system.insert(SYSTEM);
             Fixture {
                 cfg: ClusterCfg::new(8, 4),
                 handlers: vec![user, Arc::new(|_, _| {})],
                 charm: CharmRegistry::default(),
                 am: crate::am::AmRegistry::default(),
-                system: HashSet::from([SYSTEM.0]),
+                system,
             }
         }
 

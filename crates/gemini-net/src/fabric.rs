@@ -8,7 +8,7 @@ use crate::fault::FaultKind;
 use crate::lazy::{LazySlab, LazyVec};
 use crate::links::LinkTable;
 use crate::params::{GeminiParams, Mechanism, RdmaOp};
-use crate::reg::RegTable;
+use crate::reg::{Addr, DeregError, MemHandle, RegTable};
 use crate::topology::{LinkId, NodeId, Torus};
 use sim_core::{DetRng, Time};
 use std::collections::{HashMap, VecDeque};
@@ -197,6 +197,18 @@ impl Fabric {
         self.reg.get_mut(node as usize)
     }
 
+    /// Register memory on `node` under this fabric's own cost parameters.
+    pub fn register(&mut self, node: NodeId, addr: Addr, bytes: u64) -> (MemHandle, Time) {
+        self.reg
+            .get_mut(node as usize)
+            .register(&self.params, addr, bytes)
+    }
+
+    /// Release a registration on `node`; returns the CPU cost.
+    pub fn deregister(&mut self, node: NodeId, h: MemHandle) -> Result<Time, DeregError> {
+        self.reg.get_mut(node as usize).deregister(&self.params, h)
+    }
+
     /// Read-only view of a node's registration table. A node that never
     /// registered anything reads as an empty table (the shared pristine
     /// default) without materializing its slot.
@@ -244,11 +256,11 @@ impl Fabric {
 
     /// Roll the fault dice for one transaction. Draws from the fault RNG
     /// only when a probability is actually nonzero.
-    fn fault_decide(&mut self, drop_p: f64, corrupt_p: f64) -> Option<FaultKind> {
+    fn fault_decide(rng: &mut DetRng, drop_p: f64, corrupt_p: f64) -> Option<FaultKind> {
         if drop_p <= 0.0 && corrupt_p <= 0.0 {
             return None;
         }
-        let u = self.fault_rng.unit();
+        let u = rng.unit();
         if u < drop_p {
             Some(FaultKind::Dropped)
         } else if u < drop_p + corrupt_p {
@@ -334,7 +346,7 @@ impl Fabric {
             });
         }
         let (drop_p, corrupt_p) = (self.params.fault.smsg_drop, self.params.fault.smsg_corrupt);
-        let fault = self.fault_decide(drop_p, corrupt_p);
+        let fault = Self::fault_decide(&mut self.fault_rng, drop_p, corrupt_p);
 
         let p = &self.params;
         // SMSG packets interleave with bulk FMA traffic (sub-chunk sized),
@@ -433,7 +445,7 @@ impl Fabric {
             });
         }
         let (drop_p, corrupt_p) = (self.params.fault.smsg_drop, self.params.fault.smsg_corrupt);
-        let fault = self.fault_decide(drop_p, corrupt_p);
+        let fault = Self::fault_decide(&mut self.fault_rng, drop_p, corrupt_p);
 
         let p = &self.params;
         let nic_ready = (now + cpu).max(self.fma_tx.get(src as usize));
@@ -486,7 +498,7 @@ impl Fabric {
         mech: Mechanism,
         op: RdmaOp,
     ) -> RdmaOutcome {
-        let p = self.params.clone();
+        let p = &self.params;
         self.stats.rdma_bytes += bytes;
         match mech {
             Mechanism::Fma => self.stats.fma_transactions += 1,
@@ -540,7 +552,7 @@ impl Fabric {
             Mechanism::Fma => (p.fault.fma_drop, p.fault.fma_corrupt),
             Mechanism::Bte => (p.fault.bte_drop, p.fault.bte_corrupt),
         };
-        let fault = self.fault_decide(drop_p, corrupt_p);
+        let fault = Self::fault_decide(&mut self.fault_rng, drop_p, corrupt_p);
         if fault.is_some() {
             self.stats.faults_rdma += 1;
         }
@@ -1203,9 +1215,7 @@ mod lazy_equivalence {
                 )
             }
             Op::Register { node, addr, bytes } => {
-                let p = f.params.clone();
-                let t = f.reg_table(node % nodes);
-                format!("{:?}", t.register(&p, Addr(addr), bytes))
+                format!("{:?}", f.register(node % nodes, Addr(addr), bytes))
             }
         }
     }

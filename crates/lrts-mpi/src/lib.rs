@@ -112,9 +112,8 @@ impl MachineLayer for MpiLayer {
         // "If CHARM++ is implemented on MPI, an extra memory copy between
         // CHARM++ and MPI memory space may be needed" (paper §I) — charged
         // here for eager-sized messages.
-        let params = self.cfg.params.clone();
         if (msg.len() as u64) < self.cfg.rndv_threshold {
-            ctx.charge_overhead(src_pe, params.memcpy_cost(msg.len() as u64));
+            ctx.charge_overhead(src_pe, self.cfg.params.memcpy_cost(msg.len() as u64));
         }
         // The send hits MPI once the PE's charged work is done.
         let now = ctx.pe_free_at(src_pe).max(ctx.now());

@@ -369,7 +369,6 @@ impl MpiSim {
             wakes: Vec::new(),
         };
         let bytes = data.len() as u64;
-        let p = self.cfg.params.clone();
 
         // Intra-node path.
         if self.node_of(src) == self.node_of(dst) && src != dst {
@@ -382,7 +381,7 @@ impl MpiSim {
                     now + self.cfg.xpmem_sync + self.cfg.shm_notice,
                 )
             } else {
-                let c = p.memcpy_cost(bytes);
+                let c = self.cfg.params.memcpy_cost(bytes);
                 (c, now + c + self.cfg.shm_notice)
             };
             fx.cpu += send_cost;
@@ -396,7 +395,7 @@ impl MpiSim {
             // Small eager: copy into the internal buffer, one SMSG. The
             // blocking send absorbs credit exhaustion and fabric faults.
             self.stats.eager_msgs += 1;
-            fx.cpu += p.memcpy_cost(bytes);
+            fx.cpu += self.cfg.params.memcpy_cost(bytes);
             let ep = self.ep(src, dst);
             let (ok, end) = self.smsg_send_blocking(now + fx.cpu, ep, TAG_EAGER, data.clone());
             fx.cpu = end - now;
@@ -410,7 +409,7 @@ impl MpiSim {
             // Medium eager: copy into internal registered buffer, PUT into
             // the receiver's eager slots, tiny notify SMSG.
             self.stats.eager_msgs += 1;
-            fx.cpu += p.memcpy_cost(bytes);
+            fx.cpu += self.cfg.params.memcpy_cost(bytes);
             let xid = self.next_xid;
             self.next_xid += 1;
             let src_node = self.node_of(src);
@@ -475,7 +474,7 @@ impl MpiSim {
             let cache = &mut self.udreg[src as usize];
             let table = self.gni.fabric_mut().reg_table(src_node);
             let before = cache.hits;
-            let r = cache.acquire(&p, table, buf, bytes);
+            let r = cache.acquire(&self.cfg.params, table, buf, bytes);
             if cache.hits > before {
                 self.stats.udreg_hits += 1;
             } else {
@@ -594,14 +593,13 @@ impl MpiSim {
     ) -> Option<RecvOutcome> {
         let idx = self.match_unexpected(now, rank, src, tag)?;
         let (_, u) = self.unexpected[rank as usize].remove(idx).unwrap();
-        let p = self.cfg.params.clone();
         // Matching re-scans the unexpected list up to the hit.
         let base = now + self.cfg.call_overhead + (idx as Time + 1) * self.cfg.match_scan_per_entry;
         match u {
             Unexp::Eager { src, tag, data } | Unexp::Shm { src, tag, data } => {
                 // Copy out of MPI internal (or shared) memory into the user
                 // buffer.
-                let done = base + p.memcpy_cost(data.len() as u64);
+                let done = base + self.cfg.params.memcpy_cost(data.len() as u64);
                 Some(RecvOutcome {
                     data,
                     done_at: done,
@@ -623,7 +621,7 @@ impl MpiSim {
                     let cache = &mut self.udreg[rank as usize];
                     let table = self.gni.fabric_mut().reg_table(node);
                     let before = cache.hits;
-                    let r = cache.acquire(&p, table, recv_buf, bytes);
+                    let r = cache.acquire(&self.cfg.params, table, recv_buf, bytes);
                     if cache.hits > before {
                         self.stats.udreg_hits += 1;
                     } else {

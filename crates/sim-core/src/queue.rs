@@ -5,19 +5,52 @@
 //! what makes every simulation in this workspace deterministic and therefore
 //! testable — identical inputs produce identical virtual-time results.
 //!
-//! [`TwoLevelQueue`] is the queue the simulators run on: a
-//! calendar-queue-style structure with a small binary heap for the
-//! *active* time window, a ring of FIFO buckets for the near horizon (push
-//! is O(1) there), and a far heap for distant timers. Discrete-event
-//! simulators (SST/macro, Charm++'s own BigSim) use this shape because
-//! event populations cluster tightly around the current virtual time.
+//! [`TwoLevelQueue`] is the queue the sequential engine runs on: two rungs
+//! of one mechanism — an occupancy bitmap over FIFO slots — in front of a
+//! far heap for distant timers. The coarse rung is a ring of 64 buckets of
+//! 1 μs covering the near horizon; the fine rung splits the *active*
+//! microsecond into 1,024 slots of 1 ns, one per representable instant.
+//! Push into either rung is an append; pop is "first set bit, front of
+//! that slot". Neither compares, sifts, nor depends on how many events are
+//! pending — which matters because a whole-machine run holds hundreds of
+//! thousands of events inside one microsecond (every PE of a ring exchange
+//! acts at the same virtual instants: 306,432 pending on the 153,216-PE
+//! `hopper_dense` benchmark workload against 6,144 on the 64-PE ones).
+//!
+//! # Why FIFO slots give exact `(time, seq)` order without a sort
+//!
+//! A tick holds one instant, so order within it is `seq` order, and every
+//! source already feeds a tick in `seq` order:
+//!
+//! * *Direct pushes* carry the queue's own increasing `seq`.
+//! * *Ring buckets.* `far` only ever holds events at or beyond the horizon
+//!   (`advance` re-establishes that each time `base` moves), and a direct
+//!   push lands in a ring bucket only once its window is inside the
+//!   horizon. So each window's bucket is filled in two phases that cannot
+//!   interleave: first the one `advance` that brings the window inside the
+//!   horizon drains every far entry for it — the far heap pops those in
+//!   `(time, seq)` order — and only afterwards can direct pushes, with
+//!   larger `seq`s, append. Restricted to any one instant the bucket is
+//!   therefore in `seq` order, and handing it to the ticks front to back
+//!   keeps it so.
+//! * *A far jump* (ring empty, `base` leaps to the far minimum) drains far
+//!   entries of the new active window straight into the ticks, again in
+//!   `(time, seq)` order and before any direct push can reach that window.
+//!
+//! A `debug_assert!` on each tick's tail `seq` pins the argument. The
+//! simulator never pushes below `base` (pushes are ≥ now ≥ `base`), but
+//! the contract allows it: such stragglers go to a small `below` heap that
+//! pops before everything else.
+//!
 //! [`HeapQueue`], a single `BinaryHeap`, is the reference model of the
-//! contract: the differential tests require the two to pop identical
-//! sequences.
+//! contract — the differential tests require the two to pop identical
+//! sequences — and the right queue for the thousands of shallow (depth
+//! 0–4) per-endpoint queues in `ugni`, where a 32 KiB tick table each
+//! would be absurd.
 
 use crate::time::Time;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// The event queue used by the simulators.
 pub type EventQueue<E> = TwoLevelQueue<E>;
@@ -106,30 +139,43 @@ const BUCKET_NS: Time = 1 << BUCKET_BITS;
 /// `NUM_BUCKETS * BUCKET_NS` = 64 μs past the active window's start.
 const NUM_BUCKETS: usize = 64;
 const HORIZON_NS: Time = (NUM_BUCKETS as Time) << BUCKET_BITS;
+/// Fine rung: one FIFO slot per nanosecond of the active window.
+const TICKS: usize = BUCKET_NS as usize;
+const TICK_WORDS: usize = TICKS / 64;
+/// A slot (tick or ring bucket) that empties keeps its buffer for reuse
+/// only up to this many entries: a whole-machine burst parks 150k events
+/// (11 MiB of `Cluster` events) in one slot, and 1,088 slots must not each
+/// pin their high-water mark for the rest of the run.
+const SLOT_KEEP_CAP: usize = 1024;
 
-/// Two-level (calendar-queue-style) event queue with exact `(time, seq)`
-/// FIFO ordering.
+/// Two-rung (calendar-queue-style) event queue with exact `(time, seq)`
+/// FIFO ordering and depth-independent push and pop.
 ///
 /// Invariants, with `base` the start of the active window (a multiple of
 /// [`BUCKET_NS`]):
 ///
-/// * `active` holds every pending event with `time < base + BUCKET_NS`
-///   (including stragglers pushed below `base`, so arbitrary push times
-///   remain correct) — its min is therefore always the global min;
+/// * `below` holds stragglers pushed with `time < base`; when non-empty
+///   its min is the global min;
+/// * tick `i ∈ 0..TICKS` holds every pending event at exactly `base + i`,
+///   in `seq` order; bit `i` of `tick_occ` says the tick is non-empty;
 /// * ring bucket `j ∈ 1..NUM_BUCKETS` holds events in
-///   `[base + j·W, base + (j+1)·W)`, unsorted (sorted lazily when the
-///   bucket becomes active); bit `j` of `occ` says the bucket is
-///   non-empty;
+///   `[base + j·W, base + (j+1)·W)`, each instant's events in `seq` order
+///   (see the module doc); bit `j` of `occ` says the bucket is non-empty;
 /// * `far` holds everything at or beyond `base + HORIZON_NS`, and is
 ///   re-bucketed whenever `base` advances.
 #[derive(Debug)]
 pub struct TwoLevelQueue<E> {
-    active: BinaryHeap<Reverse<Entry<E>>>,
-    /// Lazily allocated ring; empty until the first beyond-window push,
-    /// so the many tiny per-endpoint queues in `ugni` stay cheap.
+    below: BinaryHeap<Reverse<Entry<E>>>,
+    /// Lazily allocated tick table (32 KiB of slot headers); empty until
+    /// the first push into the active window.
+    ticks: Vec<VecDeque<Entry<E>>>,
+    tick_occ: [u64; TICK_WORDS],
+    /// Events currently in `ticks`.
+    in_ticks: usize,
+    /// Lazily allocated ring; empty until the first beyond-window push.
     ring: Vec<Vec<Entry<E>>>,
     /// Physical index of logical bucket 0 (the active window's slot; its
-    /// vec is always empty because contents live in `active`).
+    /// vec is always empty because contents live in `ticks`).
     head: usize,
     /// Bit `j` set ⇔ logical ring bucket `j` is non-empty.
     occ: u64,
@@ -139,7 +185,6 @@ pub struct TwoLevelQueue<E> {
     len: usize,
     seq: u64,
     peak_len: usize,
-    pushed: u64,
 }
 
 impl<E> Default for TwoLevelQueue<E> {
@@ -152,7 +197,10 @@ impl<E> TwoLevelQueue<E> {
     /// An empty queue.
     pub fn new() -> Self {
         Self {
-            active: BinaryHeap::new(),
+            below: BinaryHeap::new(),
+            ticks: Vec::new(),
+            tick_occ: [0; TICK_WORDS],
+            in_ticks: 0,
             ring: Vec::new(),
             head: 0,
             occ: 0,
@@ -161,14 +209,18 @@ impl<E> TwoLevelQueue<E> {
             len: 0,
             seq: 0,
             peak_len: 0,
-            pushed: 0,
         }
     }
 
-    /// An empty queue with pre-reserved capacity (in the active heap).
+    /// An empty queue expecting about `cap` pending events: both slot
+    /// tables are built up front instead of on first use, and the far heap
+    /// — the one tier that is a single allocation — reserves `cap`. Slots
+    /// size themselves; how deep each gets depends on the timestamps.
     pub fn with_capacity(cap: usize) -> Self {
         let mut q = Self::new();
-        q.active.reserve(cap);
+        q.ticks.resize_with(TICKS, VecDeque::new);
+        q.ring.resize_with(NUM_BUCKETS, Vec::new);
+        q.far.reserve(cap);
         q
     }
 
@@ -177,15 +229,37 @@ impl<E> TwoLevelQueue<E> {
         (self.head + logical) & (NUM_BUCKETS - 1)
     }
 
+    /// Append to the tick of `entry.time`, which the caller guarantees is
+    /// inside the active window.
+    #[inline]
+    fn place_tick(&mut self, entry: Entry<E>) {
+        if self.ticks.is_empty() {
+            self.ticks.resize_with(TICKS, VecDeque::new);
+        }
+        let i = (entry.time - self.base) as usize;
+        let slot = &mut self.ticks[i];
+        debug_assert!(
+            slot.back().is_none_or(|tail| tail.seq < entry.seq),
+            "tick {i} fed out of seq order"
+        );
+        slot.push_back(entry);
+        self.tick_occ[i / 64] |= 1 << (i % 64);
+        self.in_ticks += 1;
+    }
+
+    #[inline]
     fn place(&mut self, entry: Entry<E>) {
-        let t = entry.time;
-        if t < self.base + BUCKET_NS {
-            self.active.push(Reverse(entry));
-        } else if t - self.base < HORIZON_NS {
+        let Some(ahead) = entry.time.checked_sub(self.base) else {
+            self.below.push(Reverse(entry));
+            return;
+        };
+        if ahead < BUCKET_NS {
+            self.place_tick(entry);
+        } else if ahead < HORIZON_NS {
             if self.ring.is_empty() {
                 self.ring.resize_with(NUM_BUCKETS, Vec::new);
             }
-            let j = ((t - self.base) >> BUCKET_BITS) as usize;
+            let j = (ahead >> BUCKET_BITS) as usize;
             debug_assert!((1..NUM_BUCKETS).contains(&j));
             let slot = self.phys(j);
             self.ring[slot].push(entry);
@@ -200,16 +274,16 @@ impl<E> TwoLevelQueue<E> {
     pub fn push(&mut self, time: Time, event: E) {
         let seq = self.seq;
         self.seq += 1;
-        self.pushed += 1;
         self.len += 1;
         self.peak_len = self.peak_len.max(self.len);
         self.place(Entry { time, seq, event });
     }
 
     /// Advance `base` to the window holding the earliest pending event and
-    /// refill `active`. Caller guarantees `active` is empty and `len > 0`.
+    /// refill the ticks. Caller guarantees `below` and the ticks are empty
+    /// and `len > 0`.
     fn advance(&mut self) {
-        debug_assert!(self.active.is_empty());
+        debug_assert!(self.below.is_empty() && self.in_ticks == 0);
         let next = if self.occ != 0 {
             let j = self.occ.trailing_zeros() as u64;
             self.base + j * BUCKET_NS
@@ -231,16 +305,16 @@ impl<E> TwoLevelQueue<E> {
             self.head = self.phys(shift as usize);
             self.occ >>= shift;
         }
-        // Move the now-active bucket's contents into the active heap.
+        // Hand the now-active bucket to the ticks, front to back.
         if self.occ & 1 != 0 {
             self.occ &= !1;
-            let slot = self.head;
-            // Rebuild the active heap inside the drained heap's own
-            // allocation: one window's vector is recycled into the next,
-            // so steady-state advancing allocates nothing.
-            let mut items = std::mem::take(&mut self.active).into_vec();
-            items.extend(self.ring[slot].drain(..).map(Reverse));
-            self.active = BinaryHeap::from(items);
+            let mut bucket = std::mem::take(&mut self.ring[self.head]);
+            for entry in bucket.drain(..) {
+                self.place_tick(entry);
+            }
+            if bucket.capacity() <= SLOT_KEEP_CAP {
+                self.ring[self.head] = bucket;
+            }
         }
         // The horizon moved: re-bucket far events that now fall inside it.
         while self
@@ -254,25 +328,56 @@ impl<E> TwoLevelQueue<E> {
         }
     }
 
+    /// Index of the earliest non-empty tick.
+    #[inline]
+    fn first_tick(&self) -> Option<usize> {
+        let w = self.tick_occ.iter().position(|&word| word != 0)?;
+        Some(w * 64 + self.tick_occ[w].trailing_zeros() as usize)
+    }
+
+    /// Pop the front of the earliest non-empty tick.
+    #[inline]
+    fn pop_tick(&mut self) -> Option<Entry<E>> {
+        let i = self.first_tick()?;
+        let slot = &mut self.ticks[i];
+        let entry = slot.pop_front()?;
+        if slot.is_empty() {
+            self.tick_occ[i / 64] &= !(1 << (i % 64));
+            if slot.capacity() > SLOT_KEEP_CAP {
+                *slot = VecDeque::new();
+            }
+        }
+        self.in_ticks -= 1;
+        Some(entry)
+    }
+
     /// Remove and return the earliest event, or `None` when empty.
     #[inline]
     pub fn pop(&mut self) -> Option<(Time, E)> {
         if self.len == 0 {
             return None;
         }
-        if self.active.is_empty() {
-            self.advance();
-        }
-        // panic-ok: advance() always refills active when len > 0
-        let Reverse(e) = self.active.pop().expect("advance refills active");
+        let e = match self.below.pop() {
+            Some(Reverse(straggler)) => straggler,
+            None => {
+                if self.in_ticks == 0 {
+                    self.advance();
+                }
+                // panic-ok: advance() always refills the ticks when len > 0
+                self.pop_tick().expect("advance refills the ticks")
+            }
+        };
         self.len -= 1;
         Some((e.time, e.event))
     }
 
     /// Timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<Time> {
-        if let Some(Reverse(e)) = self.active.peek() {
+        if let Some(Reverse(e)) = self.below.peek() {
             return Some(e.time);
+        }
+        if let Some(i) = self.first_tick() {
+            return Some(self.base + i as Time);
         }
         if self.occ != 0 {
             let j = self.occ.trailing_zeros() as usize;
@@ -297,22 +402,6 @@ impl<E> TwoLevelQueue<E> {
     /// Largest number of simultaneously pending events seen so far.
     pub fn peak_len(&self) -> usize {
         self.peak_len
-    }
-
-    /// Total events ever pushed.
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// Drop all pending events.
-    pub fn clear(&mut self) {
-        self.active.clear();
-        for b in &mut self.ring {
-            b.clear();
-        }
-        self.occ = 0;
-        self.far.clear();
-        self.len = 0;
     }
 }
 
@@ -362,13 +451,36 @@ mod tests {
         q.push(2, ());
         q.pop();
         q.push(3, ());
-        assert_eq!(q.total_pushed(), 3);
+        assert_eq!(q.len(), 2);
         assert_eq!(q.peak_len(), 2);
-        q.clear();
-        assert!(q.is_empty());
-        // peak and pushed survive clear
+        while q.pop().is_some() {}
+        // The high-water mark survives the drain.
         assert_eq!(q.peak_len(), 2);
-        assert_eq!(q.total_pushed(), 3);
+    }
+
+    #[test]
+    fn same_instant_burst_pops_fifo_and_releases_its_buffer() {
+        // The whole-machine shape: every PE acts at one instant. One burst
+        // lands in the active window directly, one arrives through a ring
+        // bucket; both must pop in push order and neither slot may keep
+        // its multi-megabyte buffer afterwards.
+        const N: u32 = 200_000;
+        let later = 7 * BUCKET_NS + 5;
+        let mut q = TwoLevelQueue::new();
+        for i in 0..N {
+            q.push(3, i);
+            q.push(later, N + i);
+        }
+        assert_eq!(q.peak_len(), 2 * N as usize);
+        for i in 0..N {
+            assert_eq!(q.pop(), Some((3, i)));
+        }
+        for i in 0..N {
+            assert_eq!(q.pop(), Some((later, N + i)));
+        }
+        assert_eq!(q.pop(), None);
+        assert!(q.ticks.iter().all(|t| t.capacity() <= SLOT_KEEP_CAP));
+        assert!(q.ring.iter().all(|b| b.capacity() <= SLOT_KEEP_CAP));
     }
 
     #[test]
@@ -486,35 +598,60 @@ mod proptests {
         }
 
         /// Differential: the two-level queue pops *exactly* what the
-        /// reference heap pops, for arbitrary interleaved push/pop traces spanning
-        /// the active window, the ring, and the far horizon (time deltas
-        /// up to several horizons).
+        /// reference heap pops, for arbitrary interleaved push/pop traces
+        /// spanning the ticks, the ring, and the far horizon (time deltas
+        /// up to several horizons). One op in eight is a dense burst, the
+        /// regime the tick wheel exists for: thousands of entries over four
+        /// instants — the current minimum, its neighbour tick, one window
+        /// on (a populated ring bucket) and one horizon on (the far heap)
+        /// — half of which are then popped, so later ops find `base`
+        /// advanced past earlier absolute times (stragglers) and windows
+        /// are crossed with all three tiers occupied.
         #[test]
         fn two_level_matches_heap(
             ops in proptest::collection::vec(
-                proptest::option::of((0u64..(HORIZON_NS * 3), any::<bool>())), 0..400)
+                proptest::option::of((0u64..(HORIZON_NS * 3), 0u8..8)), 0..400)
         ) {
             let mut a = HeapQueue::new();
             let mut b = TwoLevelQueue::new();
             let mut clock = 0u64;
             let mut id = 0u32;
             for op in ops {
+                // `None`: one pop. `Some`: pushes, then `pops` pops.
+                let mut pops = 0;
                 match op {
-                    Some((dt, absolute)) => {
-                        // Mix monotone-from-clock pushes (the simulator's
-                        // pattern) with absolute ones (stragglers).
-                        let t = if absolute { dt } else { clock + dt };
-                        a.push(t, id);
-                        b.push(t, id);
+                    // Absolute push times: stragglers once the clock moved.
+                    Some((dt, 0..=2)) => {
+                        a.push(dt, id);
+                        b.push(dt, id);
                         id += 1;
                     }
-                    None => {
-                        let x = a.pop();
-                        let y = b.pop();
-                        prop_assert_eq!(x, y, "pop diverged");
-                        if let Some((t, _)) = x {
-                            clock = clock.max(t);
+                    // Monotone-from-clock: the simulator's pattern.
+                    Some((dt, 3..=6)) => {
+                        a.push(clock + dt, id);
+                        b.push(clock + dt, id);
+                        id += 1;
+                    }
+                    Some((dt, _)) => {
+                        let min = a.peek_time().unwrap_or(clock);
+                        let times = [min, min + 1, min + BUCKET_NS, min + HORIZON_NS];
+                        let burst = dt % 2048;
+                        for k in 0..burst {
+                            let t = times[(k % 4) as usize];
+                            a.push(t, id);
+                            b.push(t, id);
+                            id += 1;
                         }
+                        pops = burst / 2;
+                    }
+                    None => pops = 1,
+                }
+                for _ in 0..pops {
+                    let x = a.pop();
+                    let y = b.pop();
+                    prop_assert_eq!(x, y, "pop diverged");
+                    if let Some((t, _)) = x {
+                        clock = clock.max(t);
                     }
                 }
                 prop_assert_eq!(a.len(), b.len());

@@ -21,7 +21,8 @@ pub mod types;
 
 use bytes::Bytes;
 use gemini_net::{Addr, Fabric, FaultKind, GeminiParams, Mechanism, MemHandle, NodeId, RdmaOp};
-use sim_core::{EventQueue, Time};
+use sim_core::queue::HeapQueue;
+use sim_core::Time;
 use std::collections::HashMap;
 
 pub use types::*;
@@ -38,7 +39,9 @@ struct Endpoint {
 
 #[derive(Default)]
 struct Cq {
-    events: EventQueue<CqEvent>,
+    /// CQs and mailboxes hold a handful of events each and there are
+    /// thousands of them: a plain heap, not the engine's tick wheel.
+    events: HeapQueue<CqEvent>,
     /// Overrun error state (`GNI_CQ_OVERRUN`): set when an event arrives
     /// past the configured depth, cleared only by [`Gni::cq_resync`].
     overrun: bool,
@@ -54,9 +57,9 @@ pub struct Gni {
     eps: Vec<Endpoint>,
     /// Per-(node, instance) inbound SMSG mailboxes (time-ordered).
     #[allow(clippy::type_complexity)]
-    rx: HashMap<(NodeId, u32), EventQueue<(u8, u32, Bytes)>>,
+    rx: HashMap<(NodeId, u32), HeapQueue<(u8, u32, Bytes)>>,
     /// Per-node shared MSGQ queues: (tag, from_inst, dst_inst, data).
-    msgq_rx: HashMap<NodeId, EventQueue<(u8, u32, u32, Bytes)>>,
+    msgq_rx: HashMap<NodeId, HeapQueue<(u8, u32, u32, Bytes)>>,
     /// Content of simulated buffers, keyed by address (blocks carved from
     /// one registered slab have distinct addresses), for RDMA data
     /// movement.
@@ -177,17 +180,14 @@ impl Gni {
         if self.fabric.reg_fault_roll() {
             return Err(GniError::ResourceError);
         }
-        let p = self.fabric.params.clone();
-        Ok(self.fabric.reg_table(node).register(&p, addr, bytes))
+        Ok(self.fabric.register(node, addr, bytes))
     }
 
     /// `GNI_MemDeregister`: returns the CPU cost. Deregistering an unknown
     /// or already-released handle is reported, not fatal.
     pub fn mem_deregister(&mut self, node: NodeId, h: MemHandle) -> GniResult<Time> {
-        let p = self.fabric.params.clone();
         self.fabric
-            .reg_table(node)
-            .deregister(&p, h)
+            .deregister(node, h)
             .map_err(|_| GniError::InvalidHandle)
     }
 

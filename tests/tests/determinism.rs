@@ -60,7 +60,8 @@ fn bandwidth_window_replays_bit_for_bit() {
 /// this is the engine-level guarantee behind every pinned virtual time in
 /// this file. A deterministic trace shaped like real simulator traffic:
 /// bursts of same-time events (scheduler cascades), short hops (protocol
-/// charges), and long timer jumps (retry horizons).
+/// charges), long timer jumps (retry horizons), and the whole-machine
+/// fan-out where every PE is delivered to and woken at one instant.
 #[test]
 fn two_level_queue_matches_reference_heap_on_simulator_shaped_trace() {
     let mut heap = HeapQueue::new();
@@ -108,6 +109,32 @@ fn two_level_queue_matches_reference_heap_on_simulator_shaped_trace() {
                 assert_eq!(a, b, "pop diverged at round {round}");
                 if let Some((t, _)) = a {
                     clock = clock.max(t);
+                }
+            }
+        }
+        // Same-instant fan-out: one delivery per PE at a single
+        // timestamp; each delivery popped wakes its PE at that same
+        // timestamp, queueing behind every delivery still pending.
+        if round % 500 == 499 {
+            const PES: u32 = 2048;
+            let t = clock + r % 4096;
+            let deliveries = id..id + PES;
+            for _ in 0..PES {
+                heap.push(t, id);
+                two.push(t, id);
+                id += 1;
+            }
+            let mut delivered = 0;
+            while delivered < PES {
+                let a = heap.pop();
+                assert_eq!(a, two.pop(), "fan-out diverged at round {round}");
+                let (at, ev) = a.expect("deliveries pending");
+                clock = clock.max(at);
+                if deliveries.contains(&ev) {
+                    delivered += 1;
+                    heap.push(t, id);
+                    two.push(t, id);
+                    id += 1;
                 }
             }
         }
