@@ -302,7 +302,7 @@ impl Cluster {
 
     /// Coalescing-buffer pool counters for one PE (test diagnostics).
     pub fn am_pool_stats(&mut self, pe: PeId) -> mempool::ObjPoolStats {
-        self.pes.get_mut(pe as usize).am.pool_stats()
+        self.pes.get_mut(pe as usize).cold_mut().am.pool_stats()
     }
 }
 
@@ -323,7 +323,7 @@ impl PeCtx<'_> {
             acfg.flush_delay_ns,
         );
 
-        let mut scratch = self.am_pe.pool.get();
+        let mut scratch = self.cold().am.pool.get();
         data.encode(&mut scratch);
         if 1 + SUBHDR + scratch.len() > max_batch {
             // Too big to ever fit a batch frame: direct send. The scratch
@@ -337,7 +337,8 @@ impl PeCtx<'_> {
         // the SMSG frame.
         let need = SUBHDR + scratch.len();
         let full = self
-            .am_pe
+            .cold()
+            .am
             .bufs
             .get(&dst)
             .is_some_and(|b| !b.data.is_empty() && b.data.len() + need > max_batch);
@@ -347,7 +348,7 @@ impl PeCtx<'_> {
 
         let epoch = self.epoch();
         let arm = {
-            let AmPe { bufs, pool, .. } = &mut *self.am_pe;
+            let AmPe { bufs, pool, .. } = &mut self.cold().am;
             let buf = bufs.entry(dst).or_default();
             if buf.data.is_empty() {
                 buf.data = pool.get();
@@ -363,7 +364,7 @@ impl PeCtx<'_> {
             arm
         };
         scratch.clear();
-        self.am_pe.pool.put(scratch);
+        self.cold().am.pool.put(scratch);
 
         // Constituent-level accounting: the batch envelope is system
         // traffic, so the QD ledger and stats count the AM itself here.
@@ -388,7 +389,12 @@ impl PeCtx<'_> {
     /// order). QD's collect handler calls this before reading the ledger;
     /// apps may call it at phase boundaries.
     pub fn am_flush_all(&mut self) {
-        let first = match self.am_pe.bufs.iter().find(|(_, b)| !b.data.is_empty()) {
+        // Read-only probe first: QD asks every PE, and one that never
+        // aggregated must not materialize its cold state to say "nothing".
+        let Some(cold) = self.cold.as_deref() else {
+            return;
+        };
+        let first = match cold.am.bufs.iter().find(|(_, b)| !b.data.is_empty()) {
             Some((d, _)) => *d,
             None => return,
         };
@@ -396,7 +402,8 @@ impl PeCtx<'_> {
         while let Some(dst) = cur {
             self.am_flush_dst(dst);
             cur = self
-                .am_pe
+                .cold()
+                .am
                 .bufs
                 .range(dst + 1..)
                 .find(|(_, b)| !b.data.is_empty())
@@ -409,7 +416,7 @@ impl PeCtx<'_> {
     /// (charges, stats, outbox routing) but reclaims the coalescing
     /// buffer through the pool instead of dropping it.
     fn am_flush_dst(&mut self, dst: PeId) {
-        let data = match self.am_pe.bufs.get_mut(&dst) {
+        let data = match self.cold().am.bufs.get_mut(&dst) {
             Some(buf) if !buf.data.is_empty() => std::mem::take(&mut buf.data),
             _ => return,
         };
@@ -431,7 +438,7 @@ impl PeCtx<'_> {
         // the sole owner again: reclaim the allocation for the next batch.
         if let Ok(mut v) = env.payload.try_reclaim() {
             v.clear();
-            self.am_pe.pool.put(v);
+            self.cold().am.pool.put(v);
         }
     }
 }
@@ -444,7 +451,7 @@ pub(crate) fn am_dispatch(ctx: &mut PeCtx, env: Envelope) {
     match p[0] {
         OP_TIMER => {
             let dst = PeId::from_le_bytes(p[1..5].try_into().expect("timer payload"));
-            if let Some(buf) = ctx.am_pe.bufs.get_mut(&dst) {
+            if let Some(buf) = ctx.cold().am.bufs.get_mut(&dst) {
                 buf.timer_armed = false;
             }
             ctx.am_flush_dst(dst);
@@ -453,7 +460,7 @@ pub(crate) fn am_dispatch(ctx: &mut PeCtx, env: Envelope) {
             // Sub-header walk into pooled scatter scratch first, then
             // dispatch: constituents may re-enter `am_send`, so no
             // borrow of the AM state survives into the handler calls.
-            let mut segs = ctx.am_pe.scatter.get();
+            let mut segs = ctx.cold().am.scatter.get();
             let mut o = 1usize;
             while o + SUBHDR <= p.len() {
                 let idx = u16::from_le_bytes([p[o], p[o + 1]]);
@@ -479,7 +486,7 @@ pub(crate) fn am_dispatch(ctx: &mut PeCtx, env: Envelope) {
                 h(ctx, env.src_pe, env.payload.slice(a as usize..b as usize));
             }
             segs.clear();
-            ctx.am_pe.scatter.put(segs);
+            ctx.cold().am.scatter.put(segs);
         }
         op => panic!("unknown AM dispatch op {op}"),
     }

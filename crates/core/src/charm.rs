@@ -305,7 +305,7 @@ impl Cluster {
         let mut participants: Vec<PeId> = Vec::new();
         for idx in 0..n {
             let pe = home_pe(idx, num_pes);
-            let st = &mut self.pes.get_mut(pe as usize).charm;
+            let st = &mut self.pes.get_mut(pe as usize).cold_mut().charm;
             st.elements.insert((aid.0, idx), Some(Box::new(ctor(idx))));
             *st.local_count.entry(aid.0).or_insert(0) += 1;
             if !participants.contains(&pe) {
@@ -380,9 +380,8 @@ impl Cluster {
         let pe = self.charm.route.get(home_pe(idx, self.cfg.num_pes));
         self.pes
             .get(pe as usize)
-            .charm
-            .elements
-            .get(&(aid.0, idx))
+            .cold()
+            .and_then(|cold| cold.charm.elements.get(&(aid.0, idx)))
             .expect("no such element")
             .as_ref()
             .expect("element taken")
@@ -409,9 +408,9 @@ impl PeCtx<'_> {
     /// When every element of `aid` has contributed, the combined vector is
     /// delivered to the array's reduction client.
     pub fn contribute(&mut self, aid: ArrayId, vals: &[f64], op: RedOp) {
-        let local = self.charm_pe.local_elements(aid);
+        let local = self.cold().charm.local_elements(aid);
         assert!(local > 0, "contribute from a PE with no elements");
-        let wave = *self.charm_pe.local_wave.entry(aid.0).or_insert(0);
+        let wave = *self.cold().charm.local_wave.entry(aid.0).or_insert(0);
         red_accumulate(self, aid, wave, op, vals, true);
     }
 }
@@ -439,10 +438,11 @@ fn red_accumulate(
     } else {
         Some(participants[tree_parent(rank) as usize])
     };
-    let local_needed = ctx.charm_pe.local_elements(aid);
+    let local_needed = ctx.cold().charm.local_elements(aid);
 
     let st = ctx
-        .charm_pe
+        .cold()
+        .charm
         .reductions
         .entry((aid.0, wave))
         .or_insert(RedState {
@@ -466,14 +466,15 @@ fn red_accumulate(
         return;
     }
     let acc = ctx
-        .charm_pe
+        .cold()
+        .charm
         .reductions
         .remove(&(aid.0, wave))
         .and_then(|s| s.acc)
         .expect("finished reduction with no accumulator");
     // This PE's wave is finished; advance the local wave counter so the
     // next contribute() call on this PE opens the following wave.
-    let w = ctx.charm_pe.local_wave.entry(aid.0).or_insert(0);
+    let w = ctx.cold().charm.local_wave.entry(aid.0).or_insert(0);
     if *w == wave {
         *w = wave + 1;
     }
@@ -554,8 +555,12 @@ pub fn dispatch(ctx: &mut PeCtx, env: Envelope) {
 
 /// Invoke a broadcast entry on each element living on this PE.
 fn bcast_local(ctx: &mut PeCtx, aid: ArrayId, eid: EntryId, user: Bytes) {
-    let mut local: Vec<u64> = ctx
-        .charm_pe
+    // The PE tree spans PEs that own nothing: those stay cold.
+    let Some(cold) = ctx.cold.as_deref() else {
+        return;
+    };
+    let mut local: Vec<u64> = cold
+        .charm
         .elements
         .keys()
         .filter(|(a, _)| *a == aid.0)
@@ -573,14 +578,15 @@ fn invoke_entry(ctx: &mut PeCtx, aid: ArrayId, eid: EntryId, idx: u64, user: Byt
     let f = def.f.clone();
     let pe = ctx.pe();
     let mut state = ctx
-        .charm_pe
+        .cold()
+        .charm
         .elements
         .get_mut(&(aid.0, idx))
         .unwrap_or_else(|| panic!("message for missing element {aid:?}[{idx}] on PE {pe}"))
         .take()
         .expect("reentrant entry on one element");
     f(ctx, state.as_mut(), idx, user);
-    *ctx.charm_pe.elements.get_mut(&(aid.0, idx)).unwrap() = Some(state);
+    *ctx.cold().charm.elements.get_mut(&(aid.0, idx)).unwrap() = Some(state);
 }
 
 // `wire` is re-exported for payload packing in the doc examples.

@@ -2,10 +2,10 @@
 //! application handler sees — the Converse/Charm API) and [`MachineCtx`]
 //! (what a machine layer sees of the cluster).
 
-use crate::charm::{CharmPe, CharmRegistry};
+use crate::charm::CharmRegistry;
 use crate::config::ClusterCfg;
 use crate::ft::FtCore;
-use crate::kernel::{ClusterStats, Cmd, Event, PeState, SystemHandlers};
+use crate::kernel::{ClusterStats, Cmd, Event, PeCold, PeState, SystemHandlers};
 use crate::lrts::PersistentHandle;
 use crate::msg::{Envelope, HandlerId, PeId, DEFAULT_PRIO};
 use crate::par::PartData;
@@ -240,14 +240,13 @@ pub struct PeCtx<'a> {
     pub(crate) cfg: &'a ClusterCfg,
     pub(crate) user: &'a mut Box<dyn Any + Send>,
     pub(crate) rng: &'a mut DetRng,
-    pub(crate) charm_pe: &'a mut CharmPe,
+    /// Chare, AM-aggregation, persistent-channel and FT state: reach it
+    /// through [`PeCtx::cold`], which materializes it on first use.
+    pub(crate) cold: &'a mut Option<Box<PeCold>>,
     pub(crate) charm_reg: &'a CharmRegistry,
-    /// Typed-AM per-PE state (coalescing buffers + recyclers — am.rs).
-    pub(crate) am_pe: &'a mut crate::am::AmPe,
     pub(crate) am_reg: &'a crate::am::AmRegistry,
     pub(crate) outbox: &'a mut Vec<(Time, Event)>,
     pub(crate) stop: &'a mut bool,
-    pub(crate) next_persistent: &'a mut u64,
     pub(crate) stats: &'a mut ClusterStats,
     pub(crate) qd_pe: &'a mut QdPe,
     pub(crate) qd_global: &'a mut Option<QdState>,
@@ -289,6 +288,12 @@ impl PeCtx<'_> {
     /// Per-PE deterministic RNG.
     pub fn rng(&mut self) -> &mut DetRng {
         self.rng
+    }
+
+    /// This PE's cold state (kernel.rs), materialized on first use.
+    #[inline]
+    pub(crate) fn cold(&mut self) -> &mut PeCold {
+        self.cold.get_or_insert_with(Box::default)
     }
 
     /// Typed access to this PE's user state.
@@ -373,8 +378,10 @@ impl PeCtx<'_> {
         // Handles are per-PE namespaced so the value does not depend on the
         // global interleaving of create calls (identical in run and
         // run_parallel).
-        let handle = PersistentHandle(((self.pe as u64) << 32) | *self.next_persistent);
-        *self.next_persistent += 1;
+        let pe = self.pe as u64;
+        let next = &mut self.cold().next_persistent;
+        let handle = PersistentHandle((pe << 32) | *next);
+        *next += 1;
         let cmd = Cmd::CreatePersistent {
             dst,
             max_bytes,

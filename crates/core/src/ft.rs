@@ -401,8 +401,11 @@ impl Cluster {
                 continue;
             }
             let snap = {
-                let st = self.pes.get(pe as usize);
-                let keys = st.charm.element_keys();
+                // The snapshot is stored in this PE's cold part below, so
+                // materializing it here costs nothing extra.
+                let st = self.pes.get_mut(pe as usize);
+                let charm = &st.cold.get_or_insert_with(Box::default).charm;
+                let keys = charm.element_keys();
                 let mut elements = Vec::with_capacity(keys.len());
                 let mut bytes = 0u64;
                 for (aid, idx) in keys {
@@ -415,7 +418,7 @@ impl Cluster {
                              registration (call ft_array)"
                         ),
                     };
-                    let data = save(st.charm.element_state((aid, idx)));
+                    let data = save(charm.element_state((aid, idx)));
                     // 16 bytes of per-element framing in the cost model.
                     bytes += data.len() as u64 + 16;
                     elements.push((aid, idx, data));
@@ -430,7 +433,7 @@ impl Cluster {
                 };
                 Arc::new(FtSnapshot {
                     elements,
-                    local_wave: st.charm.wave_snapshot(),
+                    local_wave: charm.wave_snapshot(),
                     user,
                     bytes,
                 })
@@ -442,8 +445,9 @@ impl Cluster {
             self.trace.record(pe, start, cost, Kind::Checkpoint);
             self.pes.get_mut(pe as usize).busy_until = start + cost;
             let buddy = self.ft_buddy_of(pe, ft);
-            self.pes.get_mut(pe as usize).ft_local = Some(snap.clone());
-            self.pes.get_mut(buddy as usize).ft_buddy.insert(pe, snap);
+            self.pes.get_mut(pe as usize).cold_mut().ft_local = Some(snap.clone());
+            let holder = self.pes.get_mut(buddy as usize).cold_mut();
+            holder.ft_buddy.insert(pe, snap);
         }
         ft.ckpts += 1;
         ft.last_ckpt = t;
@@ -503,7 +507,8 @@ impl Cluster {
                 if self.node_down[(holder / cores) as usize] {
                     continue;
                 }
-                if let Some(s) = self.pes.get(holder as usize).ft_buddy.get(&dead) {
+                let held = self.pes.get(holder as usize).cold();
+                if let Some(s) = held.and_then(|cold| cold.ft_buddy.get(&dead)) {
                     found = Some((holder, s.clone()));
                     break;
                 }
@@ -562,7 +567,8 @@ impl Cluster {
                 }
                 s
             } else {
-                self.pes.get(pe as usize).ft_local.clone()
+                let cold = self.pes.get(pe as usize).cold();
+                cold.and_then(|cold| cold.ft_local.clone())
             };
             let st = self.pes.get_mut(pe as usize);
             if restart && dead_range {
@@ -582,14 +588,16 @@ impl Cluster {
             for p in kept {
                 st.queue.push(std::cmp::Reverse(p));
             }
-            st.charm.clear_reductions();
-            // Buffered (unflushed) typed AMs are pre-rollback sends: the
-            // replay from the checkpoint regenerates them, so delivering
-            // the stale copies too would double-deliver.
-            st.am.wipe();
+            if let Some(cold) = &mut st.cold {
+                cold.charm.clear_reductions();
+                // Buffered (unflushed) typed AMs are pre-rollback sends:
+                // the replay from the checkpoint regenerates them, so
+                // delivering the stale copies too would double-deliver.
+                cold.am.wipe();
+            }
             let mut bytes = 0u64;
             if let Some(snap) = own_snap {
-                st.charm.wipe();
+                st.cold_mut().charm.wipe();
                 restore_snapshot(st, ft, &snap);
                 bytes += snap.bytes;
             }
@@ -618,12 +626,13 @@ impl Cluster {
                 // Shared-read gate first: PEs holding no buddy copies
                 // (including never-materialized ones) are skipped without
                 // forcing their pages into existence.
-                if self.pes.get(pe as usize).ft_buddy.is_empty() {
+                let held = self.pes.get(pe as usize).cold();
+                if held.is_none_or(|cold| cold.ft_buddy.is_empty()) {
                     continue;
                 }
-                let st = self.pes.get_mut(pe as usize);
+                let cold = self.pes.get_mut(pe as usize).cold_mut();
                 for dead in lo..hi {
-                    st.ft_buddy.remove(&dead);
+                    cold.ft_buddy.remove(&dead);
                 }
             }
         }
@@ -679,10 +688,10 @@ fn restore_snapshot(st: &mut crate::kernel::PeState, ft: &FtCore, snap: &FtSnaps
             // registration lifetime bug. panic-ok: unrecoverable by design.
             None => panic!("checkpointed array {aid} lost its Checkpoint registration"),
         };
-        st.charm.insert_element((*aid, *idx), load(data));
+        st.cold_mut().charm.insert_element((*aid, *idx), load(data));
     }
     for (aid, w) in &snap.local_wave {
-        st.charm.merge_wave(*aid, *w);
+        st.cold_mut().charm.merge_wave(*aid, *w);
     }
     if let (Some((_, load)), Some(data)) = (&ft.user_ck, &snap.user) {
         st.user = load(data);
@@ -699,10 +708,10 @@ fn adopt_snapshot(st: &mut crate::kernel::PeState, ft: &FtCore, snap: &FtSnapsho
             // registration lifetime bug. panic-ok: unrecoverable by design.
             None => panic!("checkpointed array {aid} lost its Checkpoint registration"),
         };
-        st.charm.insert_element((*aid, *idx), load(data));
+        st.cold_mut().charm.insert_element((*aid, *idx), load(data));
     }
     for (aid, w) in &snap.local_wave {
-        st.charm.merge_wave(*aid, *w);
+        st.cold_mut().charm.merge_wave(*aid, *w);
     }
 }
 

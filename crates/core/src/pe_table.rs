@@ -124,7 +124,7 @@ mod tests {
         assert_eq!(t.materialized_pages(), 0);
         // Shared reads see pristine state and allocate nothing.
         assert_eq!(t.get(999_999).busy_until, 0);
-        assert!(t.get(0).ft_local.is_none());
+        assert!(t.get(0).cold().is_none());
         assert_eq!(t.materialized_pages(), 0);
     }
 
