@@ -323,7 +323,8 @@ impl PeCtx<'_> {
             acfg.flush_delay_ns,
         );
 
-        let mut scratch = self.cold().am.pool.get();
+        let am_pe = &mut self.cold().am;
+        let mut scratch = am_pe.pool.get();
         data.encode(&mut scratch);
         if 1 + SUBHDR + scratch.len() > max_batch {
             // Too big to ever fit a batch frame: direct send. The scratch
@@ -336,9 +337,7 @@ impl PeCtx<'_> {
         // Size-triggered flush before appending, so a batch never exceeds
         // the SMSG frame.
         let need = SUBHDR + scratch.len();
-        let full = self
-            .cold()
-            .am
+        let full = am_pe
             .bufs
             .get(&dst)
             .is_some_and(|b| !b.data.is_empty() && b.data.len() + need > max_batch);
@@ -347,24 +346,21 @@ impl PeCtx<'_> {
         }
 
         let epoch = self.epoch();
-        let arm = {
-            let AmPe { bufs, pool, .. } = &mut self.cold().am;
-            let buf = bufs.entry(dst).or_default();
-            if buf.data.is_empty() {
-                buf.data = pool.get();
-                buf.data.push(OP_BATCH);
-            }
-            buf.data.extend_from_slice(&am.idx.to_le_bytes());
-            buf.data
-                .extend_from_slice(&(scratch.len() as u16).to_le_bytes());
-            buf.data.extend_from_slice(&epoch.to_le_bytes());
-            buf.data.extend_from_slice(&scratch);
-            let arm = !buf.timer_armed;
-            buf.timer_armed = true;
-            arm
-        };
+        let AmPe { bufs, pool, .. } = &mut self.cold().am;
+        let buf = bufs.entry(dst).or_default();
+        if buf.data.is_empty() {
+            buf.data = pool.get();
+            buf.data.push(OP_BATCH);
+        }
+        buf.data.extend_from_slice(&am.idx.to_le_bytes());
+        buf.data
+            .extend_from_slice(&(scratch.len() as u16).to_le_bytes());
+        buf.data.extend_from_slice(&epoch.to_le_bytes());
+        buf.data.extend_from_slice(&scratch);
+        let arm = !buf.timer_armed;
+        buf.timer_armed = true;
         scratch.clear();
-        self.cold().am.pool.put(scratch);
+        pool.put(scratch);
 
         // Constituent-level accounting: the batch envelope is system
         // traffic, so the QD ledger and stats count the AM itself here.

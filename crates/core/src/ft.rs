@@ -681,6 +681,7 @@ fn ck_fns<T: Checkpoint + Send + 'static>() -> (SaveFn, LoadFn) {
 
 /// Restore a PE's own snapshot: elements, wave counters, user state.
 fn restore_snapshot(st: &mut crate::kernel::PeState, ft: &FtCore, snap: &FtSnapshot) {
+    let charm = &mut st.cold_mut().charm;
     for (aid, idx, data) in &snap.elements {
         let load = match ft.savers.get(aid) {
             Some((_, l)) => l.clone(),
@@ -688,10 +689,10 @@ fn restore_snapshot(st: &mut crate::kernel::PeState, ft: &FtCore, snap: &FtSnaps
             // registration lifetime bug. panic-ok: unrecoverable by design.
             None => panic!("checkpointed array {aid} lost its Checkpoint registration"),
         };
-        st.cold_mut().charm.insert_element((*aid, *idx), load(data));
+        charm.insert_element((*aid, *idx), load(data));
     }
     for (aid, w) in &snap.local_wave {
-        st.cold_mut().charm.merge_wave(*aid, *w);
+        charm.merge_wave(*aid, *w);
     }
     if let (Some((_, load)), Some(data)) = (&ft.user_ck, &snap.user) {
         st.user = load(data);
@@ -701,6 +702,7 @@ fn restore_snapshot(st: &mut crate::kernel::PeState, ft: &FtCore, snap: &FtSnaps
 /// Adopt a dead PE's snapshot onto its buddy holder (redistribute mode):
 /// elements and wave counters migrate; the dead PE's user state does not.
 fn adopt_snapshot(st: &mut crate::kernel::PeState, ft: &FtCore, snap: &FtSnapshot) {
+    let charm = &mut st.cold_mut().charm;
     for (aid, idx, data) in &snap.elements {
         let load = match ft.savers.get(aid) {
             Some((_, l)) => l.clone(),
@@ -708,10 +710,10 @@ fn adopt_snapshot(st: &mut crate::kernel::PeState, ft: &FtCore, snap: &FtSnapsho
             // registration lifetime bug. panic-ok: unrecoverable by design.
             None => panic!("checkpointed array {aid} lost its Checkpoint registration"),
         };
-        st.cold_mut().charm.insert_element((*aid, *idx), load(data));
+        charm.insert_element((*aid, *idx), load(data));
     }
     for (aid, w) in &snap.local_wave {
-        st.cold_mut().charm.merge_wave(*aid, *w);
+        charm.merge_wave(*aid, *w);
     }
 }
 

@@ -18,6 +18,12 @@
 //! whose [`ClusterStats`] is counted into — is the caller's business:
 //! the sequential loop (cluster.rs), the parallel worker and the parallel
 //! driver (par.rs) are three callers of this one kernel.
+//!
+//! [`PeState`] is laid out for the kernel's access pattern: `deliver` and
+//! `pe_run` touch one per event, and at whole-machine scale each touch is
+//! a cache miss, so it holds only what they need (152 bytes); the rest is
+//! [`PeCold`], behind a pointer that stays `None` on PEs that never use
+//! it.
 
 use crate::charm::{CharmPe, CharmRegistry};
 use crate::config::ClusterCfg;

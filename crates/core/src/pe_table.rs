@@ -3,11 +3,15 @@
 //! A whole-machine job at Hopper scale (153,216 PEs) or beyond must not
 //! pay O(num_pes) heap structures at construction: the driver's per-PE
 //! [`PeState`] — scheduler queue, parked machine events, deterministic
-//! RNG, Charm element tables — is built page-by-page the first time a PE
-//! is actually touched. An untouched PE costs one page-table slot
+//! RNG, QD counters — is built page-by-page the first time a PE is
+//! actually touched. An untouched PE costs one page-table slot
 //! (`Option<Box<[PeState]>>` = 8 bytes amortized over [`PE_PAGE_LEN`]
 //! neighbors), and reads through `&self` see a shared pristine flyweight
-//! that is field-for-field identical to a fresh state.
+//! that is field-for-field identical to a fresh state. The same idea
+//! applies once more inside a state: what only chare arrays, AM
+//! aggregation, persistent channels and fault tolerance use (`PeCold`,
+//! kernel.rs) sits behind an `Option<Box<_>>` that stays `None` until
+//! one of them touches the PE, so a page is 16 × 152 B = 2.4 KiB.
 //!
 //! Correctness hinges on materialization being *pure*: a fresh
 //! [`PeState`] is a function of `(seed, pe)` only (the RNG is
@@ -18,9 +22,9 @@
 
 use crate::kernel::PeState;
 
-/// PEs per lazily materialized page. [`PeState`] is a few hundred bytes
-/// of headers, so pages are kept small enough that a sparse job touching
-/// scattered PEs does not materialize large dead spans around each.
+/// PEs per lazily materialized page: small enough that a sparse job
+/// touching scattered PEs does not materialize large dead spans around
+/// each.
 pub const PE_PAGE_LEN: usize = 16;
 
 /// Paged flyweight table of per-PE driver state.
@@ -47,8 +51,8 @@ impl PeTable {
     }
 
     /// Shared view of a PE's state; untouched PEs read as the pristine
-    /// flyweight (empty queue, `Box<()>` user state, default Charm
-    /// tables — exactly what a fresh state would contain).
+    /// flyweight (empty queue, `Box<()>` user state, no cold part —
+    /// exactly what a fresh state would contain).
     pub(crate) fn get(&self, pe: usize) -> &PeState {
         // panic-ok: an out-of-range PE id is a driver bug, not a runtime fault
         assert!(pe < self.len, "PE {pe} out of range ({} PEs)", self.len);

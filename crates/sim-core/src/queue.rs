@@ -142,6 +142,8 @@ const HORIZON_NS: Time = (NUM_BUCKETS as Time) << BUCKET_BITS;
 /// Fine rung: one FIFO slot per nanosecond of the active window.
 const TICKS: usize = BUCKET_NS as usize;
 const TICK_WORDS: usize = TICKS / 64;
+// `tick_words` summarizes `tick_occ` one bit per word.
+const _: () = assert!(TICK_WORDS == u16::BITS as usize);
 /// A slot (tick or ring bucket) that empties keeps its buffer for reuse
 /// only up to this many entries: a whole-machine burst parks 150k events
 /// (11 MiB of `Cluster` events) in one slot, and 1,088 slots must not each
@@ -157,7 +159,8 @@ const SLOT_KEEP_CAP: usize = 1024;
 /// * `below` holds stragglers pushed with `time < base`; when non-empty
 ///   its min is the global min;
 /// * tick `i ∈ 0..TICKS` holds every pending event at exactly `base + i`,
-///   in `seq` order; bit `i` of `tick_occ` says the tick is non-empty;
+///   in `seq` order; bit `i` of `tick_occ` says the tick is non-empty,
+///   bit `w` of `tick_words` that word `w` of `tick_occ` has a bit set;
 /// * ring bucket `j ∈ 1..NUM_BUCKETS` holds events in
 ///   `[base + j·W, base + (j+1)·W)`, each instant's events in `seq` order
 ///   (see the module doc); bit `j` of `occ` says the bucket is non-empty;
@@ -170,8 +173,9 @@ pub struct TwoLevelQueue<E> {
     /// the first push into the active window.
     ticks: Vec<VecDeque<Entry<E>>>,
     tick_occ: [u64; TICK_WORDS],
-    /// Events currently in `ticks`.
-    in_ticks: usize,
+    /// Bit `w` set ⇔ `tick_occ[w]` is non-zero: the first set bit is two
+    /// `trailing_zeros` away instead of a scan over sixteen words.
+    tick_words: u16,
     /// Lazily allocated ring; empty until the first beyond-window push.
     ring: Vec<Vec<Entry<E>>>,
     /// Physical index of logical bucket 0 (the active window's slot; its
@@ -200,7 +204,7 @@ impl<E> TwoLevelQueue<E> {
             below: BinaryHeap::new(),
             ticks: Vec::new(),
             tick_occ: [0; TICK_WORDS],
-            in_ticks: 0,
+            tick_words: 0,
             ring: Vec::new(),
             head: 0,
             occ: 0,
@@ -212,14 +216,12 @@ impl<E> TwoLevelQueue<E> {
         }
     }
 
-    /// An empty queue expecting about `cap` pending events: both slot
-    /// tables are built up front instead of on first use, and the far heap
-    /// — the one tier that is a single allocation — reserves `cap`. Slots
-    /// size themselves; how deep each gets depends on the timestamps.
+    /// An empty queue expecting about `cap` pending events. Only the far
+    /// heap — the one tier that is a single allocation — can reserve for
+    /// them; the FIFO slots size themselves, since how deep each gets
+    /// depends on the timestamps.
     pub fn with_capacity(cap: usize) -> Self {
         let mut q = Self::new();
-        q.ticks.resize_with(TICKS, VecDeque::new);
-        q.ring.resize_with(NUM_BUCKETS, Vec::new);
         q.far.reserve(cap);
         q
     }
@@ -244,7 +246,7 @@ impl<E> TwoLevelQueue<E> {
         );
         slot.push_back(entry);
         self.tick_occ[i / 64] |= 1 << (i % 64);
-        self.in_ticks += 1;
+        self.tick_words |= 1 << (i / 64);
     }
 
     #[inline]
@@ -283,7 +285,7 @@ impl<E> TwoLevelQueue<E> {
     /// refill the ticks. Caller guarantees `below` and the ticks are empty
     /// and `len > 0`.
     fn advance(&mut self) {
-        debug_assert!(self.below.is_empty() && self.in_ticks == 0);
+        debug_assert!(self.below.is_empty() && self.tick_words == 0);
         let next = if self.occ != 0 {
             let j = self.occ.trailing_zeros() as u64;
             self.base + j * BUCKET_NS
@@ -331,7 +333,10 @@ impl<E> TwoLevelQueue<E> {
     /// Index of the earliest non-empty tick.
     #[inline]
     fn first_tick(&self) -> Option<usize> {
-        let w = self.tick_occ.iter().position(|&word| word != 0)?;
+        if self.tick_words == 0 {
+            return None;
+        }
+        let w = self.tick_words.trailing_zeros() as usize;
         Some(w * 64 + self.tick_occ[w].trailing_zeros() as usize)
     }
 
@@ -343,11 +348,13 @@ impl<E> TwoLevelQueue<E> {
         let entry = slot.pop_front()?;
         if slot.is_empty() {
             self.tick_occ[i / 64] &= !(1 << (i % 64));
+            if self.tick_occ[i / 64] == 0 {
+                self.tick_words &= !(1 << (i / 64));
+            }
             if slot.capacity() > SLOT_KEEP_CAP {
                 *slot = VecDeque::new();
             }
         }
-        self.in_ticks -= 1;
         Some(entry)
     }
 
@@ -360,7 +367,7 @@ impl<E> TwoLevelQueue<E> {
         let e = match self.below.pop() {
             Some(Reverse(straggler)) => straggler,
             None => {
-                if self.in_ticks == 0 {
+                if self.tick_words == 0 {
                     self.advance();
                 }
                 // panic-ok: advance() always refills the ticks when len > 0
