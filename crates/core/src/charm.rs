@@ -12,8 +12,8 @@
 use crate::cluster::{Cluster, PeCtx};
 use crate::msg::{Envelope, HandlerId, PeId};
 use bytes::{BufMut, Bytes, BytesMut};
+use sim_core::DetHashMap;
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The reserved Converse handler that dispatches all Charm traffic.
@@ -148,13 +148,13 @@ impl CharmRegistry {
 pub struct CharmPe {
     /// Element states; `Option` so dispatch can take one out while the
     /// entry runs (an entry may send to a co-located element).
-    elements: HashMap<(u16, u64), Option<Box<dyn Any + Send>>>,
+    elements: DetHashMap<(u16, u64), Option<Box<dyn Any + Send>>>,
     /// Elements living on this PE, per array.
-    local_count: HashMap<u16, u64>,
+    local_count: DetHashMap<u16, u64>,
     /// In-flight reduction partials keyed by (array, wave).
-    reductions: HashMap<(u16, u64), RedState>,
+    reductions: DetHashMap<(u16, u64), RedState>,
     /// Next local contribution wave per array.
-    local_wave: HashMap<u16, u64>,
+    local_wave: DetHashMap<u16, u64>,
 }
 
 struct RedState {

@@ -10,8 +10,8 @@ use crate::links::LinkTable;
 use crate::params::{GeminiParams, Mechanism, RdmaOp};
 use crate::reg::{Addr, DeregError, MemHandle, RegTable};
 use crate::topology::{LinkId, NodeId, Torus};
-use sim_core::{DetRng, Time};
-use std::collections::{HashMap, VecDeque};
+use sim_core::{DetHashMap, DetRng, Time};
+use std::collections::VecDeque;
 
 /// Why an SMSG send could not be accepted right now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,7 +111,7 @@ pub struct Fabric {
     /// Lazily created per-connection SMSG state. Connections are between
     /// *processes* (PEs), not nodes — the paper: "It requires each
     /// peer-to-peer connection to create mailboxes for its both ends".
-    conns: HashMap<(u32, u32), SmsgConn>,
+    conns: DetHashMap<(u32, u32), SmsgConn>,
     /// Per-node registration tables, materialized on first registration.
     reg: LazySlab<RegTable>,
     /// How many nodes this job actually spans (sets the SMSG size limit).
@@ -140,7 +140,7 @@ impl Fabric {
             fma_rx: LazyVec::new(n as usize, 0),
             bte_tx: LazyVec::new(n as usize, 0),
             bte_rx: LazyVec::new(n as usize, 0),
-            conns: HashMap::new(),
+            conns: DetHashMap::default(),
             reg: LazySlab::new(n as usize),
             links,
             topo,

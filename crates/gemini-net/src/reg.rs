@@ -8,8 +8,8 @@
 
 use crate::params::GeminiParams;
 use serde::{Deserialize, Serialize};
-use sim_core::Time;
-use std::collections::{BTreeMap, HashMap};
+use sim_core::{DetHashMap, Time};
+use std::collections::BTreeMap;
 
 /// Opaque simulated memory address: identifies a buffer for registration
 /// caching. Buffers allocated at different times get distinct addresses
@@ -33,7 +33,7 @@ pub struct DeregError {
 #[derive(Debug, Default)]
 pub struct RegTable {
     next: u64,
-    regions: HashMap<MemHandle, (Addr, u64)>,
+    regions: DetHashMap<MemHandle, (Addr, u64)>,
     registered_bytes: u64,
     /// Lifetime counters for diagnostics / assertions in tests.
     pub total_registrations: u64,
@@ -248,6 +248,45 @@ mod tests {
         let before = c.misses;
         c.acquire(&p, &mut t, Addr(2), 4096);
         assert_eq!(c.misses, before + 1);
+    }
+
+    #[test]
+    fn eviction_order_is_least_recently_used_first() {
+        // 3 x capacity acquires, every third followed by a hit on the
+        // second-oldest entry: the victims, read off the registration
+        // table, must come out in exactly LRU order.
+        let p = p();
+        let mut t = RegTable::new();
+        const CAP: u64 = 4;
+        let mut c = RegCache::new(CAP as usize, 0);
+        let mut handle_of = std::collections::BTreeMap::new();
+        let mut model: Vec<u64> = Vec::new(); // LRU first
+        let mut evicted = Vec::new();
+        for i in 0..3 * CAP {
+            let (h, _) = c.acquire(&p, &mut t, Addr(i), 4096);
+            handle_of.insert(i, h);
+            if model.len() as u64 == CAP {
+                evicted.push(model.remove(0));
+            }
+            model.push(i);
+            if i % 3 == 2 {
+                // Touch the second-oldest: it becomes the youngest.
+                let touched = model.remove(1);
+                let (h, cost) = c.acquire(&p, &mut t, Addr(touched), 4096);
+                assert_eq!((h, cost), (handle_of[&touched], 0), "hit keeps the handle");
+                model.push(touched);
+            }
+        }
+        assert_eq!(evicted, [0, 2, 1, 4, 5, 3, 7, 8]);
+        assert_eq!(model, [6, 10, 11, 9]);
+        for i in 0..3 * CAP {
+            assert_eq!(
+                t.is_registered(handle_of[&i]),
+                model.contains(&i),
+                "buffer {i}: evicted <=> deregistered"
+            );
+        }
+        assert_eq!(t.total_deregistrations, evicted.len() as u64);
     }
 
     #[test]

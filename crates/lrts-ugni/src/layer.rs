@@ -26,9 +26,9 @@ use charm_rt::lrts::{MachineLayer, PersistentHandle};
 use charm_rt::msg::PeId;
 use gemini_net::{Addr, MemHandle, RdmaOp};
 use mempool::{Block, MemPool};
-use sim_core::{LazyVec, Time};
+use sim_core::{DetHashMap, DetHashSet, LazyVec, Time};
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use ugni::{CqEvent, CqHandle, EpHandle, Gni, GniError, GniResult, PostDescriptor, SmsgSendOk};
 
 // With the `verify` feature every uGNI call goes through the CheckedGni
@@ -146,6 +146,35 @@ struct ConnBacklog {
     backoff: Time,
 }
 
+/// The sequence numbers one connection has delivered (chaos mode): all of
+/// `0..next`, plus any that arrived ahead of a gap. A connection numbers
+/// its messages in order and a failed send is retried before anything
+/// queued behind it, so arrivals are in order with duplicates and `ahead`
+/// stays empty: what is kept no longer grows with the messages carried.
+/// Only a number that is never delivered (its message died in a crashed
+/// node's backlog) leaves a gap, behind which `ahead` grows as the set of
+/// everything delivered used to.
+#[derive(Default)]
+struct SeqSeen {
+    next: u64,
+    ahead: DetHashSet<u64>,
+}
+
+impl SeqSeen {
+    /// Record `seq` as delivered; `false` when it already was (a duplicate
+    /// to drop). Any arrival order gives the answers a set of every number
+    /// ever delivered would.
+    fn insert(&mut self, seq: u64) -> bool {
+        if seq < self.next || !self.ahead.insert(seq) {
+            return false;
+        }
+        while self.ahead.remove(&self.next) {
+            self.next += 1;
+        }
+        true
+    }
+}
+
 struct PersistChan {
     src_pe: PeId,
     dst_pe: PeId,
@@ -201,28 +230,28 @@ pub struct UgniLayer {
     /// so first-touch creation order is unobservable).
     cqs: BTreeMap<PeId, CqHandle>,
     /// Lazily created endpoints per (src_pe, dst_pe).
-    eps: HashMap<(PeId, PeId), EpHandle>,
+    eps: DetHashMap<(PeId, PeId), EpHandle>,
     /// One message pool per PE (per process, as in non-SMP Charm++),
     /// created on first allocation from the PE's fixed address window.
     pools: BTreeMap<PeId, MemPool>,
     /// Per-connection send backlog (credit exhaustion + fabric faults).
-    backlog: HashMap<(PeId, PeId), ConnBacklog>,
-    sends: HashMap<u64, PendingSend>,
-    recvs: HashMap<u64, PendingRecv>,
-    persists: HashMap<PersistentHandle, PersistChan>,
+    backlog: DetHashMap<(PeId, PeId), ConnBacklog>,
+    sends: DetHashMap<u64, PendingSend>,
+    recvs: DetHashMap<u64, PendingRecv>,
+    persists: DetHashMap<PersistentHandle, PersistChan>,
     /// In-flight persistent payloads keyed by xid.
-    persist_data: HashMap<u64, (Bytes, PeId)>,
+    persist_data: DetHashMap<u64, (Bytes, PeId)>,
     /// Persistent PUTs awaiting a CQ completion (chaos mode only).
-    persist_pending: HashMap<u64, PendingPut>,
+    persist_pending: DetHashMap<u64, PendingPut>,
     /// True when the configured fault plan can inject anything. All
     /// recovery bookkeeping that would perturb timing (sequence headers,
     /// CQ-reaped PUT completions) is gated on this so fault-free runs stay
     /// bit-identical to the pre-chaos code.
     chaos: bool,
     /// Next small-path sequence number per connection (chaos mode).
-    seq_tx: HashMap<(PeId, PeId), u64>,
+    seq_tx: DetHashMap<(PeId, PeId), u64>,
     /// Sequence numbers already delivered per connection (chaos mode).
-    seq_seen: HashMap<(PeId, PeId), HashSet<u64>>,
+    seq_seen: DetHashMap<(PeId, PeId), SeqSeen>,
     /// SMP mode: per-node comm-thread availability.
     comm_busy: Vec<Time>,
     /// Earliest armed poll event per PE (coalescing: one in-flight
@@ -242,17 +271,17 @@ impl UgniLayer {
             cfg,
             gni: None,
             cqs: BTreeMap::new(),
-            eps: HashMap::new(),
+            eps: DetHashMap::default(),
             pools: BTreeMap::new(),
-            backlog: HashMap::new(),
-            sends: HashMap::new(),
-            recvs: HashMap::new(),
-            persists: HashMap::new(),
-            persist_data: HashMap::new(),
-            persist_pending: HashMap::new(),
+            backlog: DetHashMap::default(),
+            sends: DetHashMap::default(),
+            recvs: DetHashMap::default(),
+            persists: DetHashMap::default(),
+            persist_data: DetHashMap::default(),
+            persist_pending: DetHashMap::default(),
             chaos,
-            seq_tx: HashMap::new(),
-            seq_seen: HashMap::new(),
+            seq_tx: DetHashMap::default(),
+            seq_seen: DetHashMap::default(),
             comm_busy: Vec::new(),
             poll_armed: LazyVec::new(0, [Time::MAX; 3]),
             next_xid: 0,
@@ -1294,6 +1323,58 @@ impl MachineLayer for UgniLayer {
         for xid in dead_puts {
             self.persist_pending.remove(&xid);
             self.persist_data.remove(&xid);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::SeqSeen;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+
+    proptest! {
+        /// Any arrival order, gaps and duplicates included, gets the
+        /// accept/drop decisions of the set of everything ever delivered,
+        /// and what is kept beyond the watermark is only what is ahead of
+        /// a gap.
+        #[test]
+        fn seq_seen_decides_like_the_set_of_everything_delivered(
+            arrivals in proptest::collection::vec(0u64..48, 0..200),
+        ) {
+            let (mut seen, mut model) = (SeqSeen::default(), HashSet::new());
+            for seq in arrivals {
+                prop_assert_eq!(seen.insert(seq), model.insert(seq), "seq {}", seq);
+                prop_assert!(!model.contains(&seen.next));
+                prop_assert!(seen.ahead.iter().all(|s| *s > seen.next && model.contains(s)));
+                prop_assert_eq!(seen.next as usize + seen.ahead.len(), model.len());
+            }
+        }
+
+        /// What a connection really produces — every number once, locally
+        /// reordered, some repeated: the window ends up empty.
+        #[test]
+        fn seq_seen_keeps_nothing_once_the_gaps_close(
+            keys in proptest::collection::vec((0u64..8, any::<bool>()), 1..300),
+        ) {
+            // Arrival i carries number i, displaced by up to 8 places;
+            // flagged ones arrive twice.
+            let mut order: Vec<(u64, u64, bool)> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, &(jitter, dup))| (i as u64 + jitter, i as u64, dup))
+                .collect();
+            order.sort_unstable();
+            let (mut seen, mut model) = (SeqSeen::default(), HashSet::new());
+            for &(_, seq, dup) in &order {
+                prop_assert_eq!(seen.insert(seq), model.insert(seq));
+                if dup {
+                    prop_assert!(!seen.insert(seq), "duplicate {} accepted", seq);
+                }
+                prop_assert!(seen.ahead.len() <= 8, "window grew to {}", seen.ahead.len());
+            }
+            prop_assert_eq!(seen.next, keys.len() as u64);
+            prop_assert!(seen.ahead.is_empty());
         }
     }
 }

@@ -126,7 +126,7 @@ pub struct MemPool {
     costs: PoolCosts,
     pub stats: PoolStats,
     #[cfg(debug_assertions)]
-    outstanding: std::collections::HashSet<u64>,
+    outstanding: sim_core::DetHashSet<u64>,
 }
 
 impl MemPool {
@@ -145,7 +145,7 @@ impl MemPool {
             costs,
             stats: PoolStats::default(),
             #[cfg(debug_assertions)]
-            outstanding: std::collections::HashSet::new(),
+            outstanding: sim_core::DetHashSet::default(),
         }
     }
 

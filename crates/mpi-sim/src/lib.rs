@@ -26,8 +26,9 @@
 
 use bytes::Bytes;
 use gemini_net::{Addr, FaultKind, GeminiParams, NodeId, RdmaOp, RegCache};
-use sim_core::Time;
-use std::collections::{HashMap, VecDeque};
+use sim_core::{DetHashMap, Time};
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 use ugni::{CqEvent, CqHandle, EpHandle, Gni, GniError, PostDescriptor, SmsgSendOk};
 
 // With the `verify` feature every uGNI call goes through the CheckedGni
@@ -181,7 +182,7 @@ pub struct MpiSim {
     gni: LGni,
     cores_per_node: u32,
     cqs: Vec<CqHandle>,
-    eps: HashMap<(Rank, Rank), EpHandle>,
+    eps: DetHashMap<(Rank, Rank), EpHandle>,
     /// uDREG per rank.
     udreg: Vec<RegCache>,
     /// Matched-order delivery queue per rank, with the time each entry
@@ -190,8 +191,11 @@ pub struct MpiSim {
     /// Pre-registered internal eager buffers (one per rank).
     eager_addr: Vec<Addr>,
     eager_handle: Vec<gemini_net::MemHandle>,
-    /// In-flight eager-PUT payloads keyed by xid.
-    put_data: HashMap<u64, (Rank, Tag, Bytes)>,
+    /// Rendezvous sends in flight per staged source buffer: the content
+    /// at `buf` leaves [`Gni`] when the last transfer reading it has
+    /// completed, so a buffer re-staged by a later `isend` while an
+    /// earlier one is still unreceived keeps its content.
+    staged: DetHashMap<(NodeId, Addr), u32>,
     next_xid: u64,
     pub stats: MpiStats,
 }
@@ -223,8 +227,8 @@ impl MpiSim {
                 .map(|_| RegCache::new(cfg.udreg_capacity, cfg.udreg_lookup))
                 .collect(),
             unexpected: (0..ranks).map(|_| VecDeque::new()).collect(),
-            eps: HashMap::new(),
-            put_data: HashMap::new(),
+            eps: DetHashMap::default(),
+            staged: DetHashMap::default(),
             next_xid: 0,
             stats: MpiStats::default(),
             cfg,
@@ -449,7 +453,6 @@ impl MpiSim {
                 }
             };
             fx.cpu = (attempt_at - now) + ok.cpu;
-            self.put_data.insert(xid, (src, tag, data.clone()));
             let visible_guess = ok.data_at.max(now + fx.cpu);
             self.unexpected[dst as usize]
                 .push_back((visible_guess, Unexp::Eager { src, tag, data }));
@@ -484,6 +487,7 @@ impl MpiSim {
         };
         fx.cpu += reg_cost;
         self.gni.mem_write(src_node, buf, data);
+        *self.staged.entry((src_node, buf)).or_insert(0) += 1;
         let xid = self.next_xid;
         self.next_xid += 1;
         let mut hdr = Vec::with_capacity(33);
@@ -532,8 +536,10 @@ impl MpiSim {
         tag: Option<Tag>,
     ) -> (Option<ProbeHit>, Time) {
         let mut cpu = self.cfg.call_overhead + self.progress(now, rank);
-        let hit = self.match_unexpected(now, rank, src, tag).map(|i| {
-            let u = &self.unexpected[rank as usize][i].1;
+        let queue = &self.unexpected[rank as usize];
+        let found = self.match_unexpected(now, rank, src, tag);
+        let hit = found.map(|i| {
+            let u = &queue[i].1;
             let (s, t) = u.src_tag();
             ProbeHit {
                 src: s,
@@ -544,13 +550,7 @@ impl MpiSim {
         });
         // Linear scan of the unexpected queue, up to the match (or its
         // full length on a miss).
-        let scanned = match hit {
-            Some(_) => self
-                .match_unexpected(now, rank, src, tag)
-                .map(|i| i + 1)
-                .unwrap_or(0),
-            None => self.unexpected[rank as usize].len(),
-        };
+        let scanned = found.map_or(queue.len(), |i| i + 1);
         cpu += 40 + scanned as Time * self.cfg.match_scan_per_entry;
         (hit, cpu)
     }
@@ -667,6 +667,19 @@ impl MpiSim {
                 let ep_back = self.ep(rank, src);
                 let _ =
                     self.smsg_send_blocking(ok.local_cq_at, ep_back, TAG_DONE, Bytes::from(hdr));
+                // The transfer is over and `data` owns the payload: neither
+                // the landing buffer nor the source buffer needs to hold
+                // content any longer — unless an in-flight send reads it.
+                if !self.staged.contains_key(&(node, recv_buf)) {
+                    self.gni.mem_clear(node, recv_buf);
+                }
+                if let Entry::Occupied(mut sends) = self.staged.entry((self.node_of(src), addr)) {
+                    *sends.get_mut() -= 1;
+                    if *sends.get() == 0 {
+                        let (src_node, _) = sends.remove_entry().0;
+                        self.gni.mem_clear(src_node, addr);
+                    }
+                }
                 let done = ok.local_cq_at + self.cfg.call_overhead;
                 self.stats.blocking_recv_ns += done.saturating_sub(now);
                 Some(RecvOutcome {
@@ -796,6 +809,78 @@ mod tests {
         }
         assert_eq!(m.stats.udreg_hits, 0);
         assert_eq!(m.stats.udreg_misses, 10);
+    }
+
+    /// An instance that has sent `n` messages of `bytes` from rank 0 to
+    /// rank 1 through fresh buffers and received each.
+    fn drained(cores: u32, bytes: usize, n: u32) -> MpiSim {
+        let mut m = mpi(2, cores);
+        let data = Bytes::from(vec![7u8; bytes]);
+        let mut t = 0;
+        for _ in 0..n {
+            let (sbuf, rbuf) = (m.fresh_buf(0), m.fresh_buf(1));
+            let fx = m.isend(t, 0, 1, 0, data.clone(), sbuf);
+            let out = m.recv(fx.wakes[0].1, 1, None, None, rbuf).unwrap();
+            assert_eq!(out.data, data);
+            t = out.done_at + 1_000;
+        }
+        assert_eq!(m.unexpected_len(1), 0);
+        assert!(m.staged.is_empty(), "no rendezvous send is in flight");
+        m
+    }
+
+    #[test]
+    fn retained_content_tracks_what_is_in_flight_not_run_length() {
+        for (class, cores, bytes) in [
+            ("small eager", 1, 64),
+            ("medium eager PUT", 1, 4_000),
+            ("rendezvous", 1, 65_536),
+            ("intra-node double copy", 2, 1_024),
+            ("intra-node XPMEM", 2, 65_536),
+        ] {
+            let retained = |n| drained(cores, bytes, n).gni().contents_len();
+            let (few, many) = (retained(8), retained(32));
+            assert_eq!(few, many, "{class}: retained buffers grew with messages");
+            // The pre-registered eager slot each rank owns is overwritten,
+            // never freed; nothing else may stay.
+            assert!(many <= 2, "{class}: {many} buffers retained by 2 ranks");
+        }
+    }
+
+    #[test]
+    fn two_sends_in_flight_from_one_buffer_both_arrive() {
+        // MPI lets concurrent sends read one buffer. The first transfer to
+        // complete must not take the staged content from under the second.
+        let mut m = mpi(2, 1);
+        let sbuf = m.fresh_buf(0);
+        let data = Bytes::from(vec![5u8; 32_768]);
+        let f1 = m.isend(0, 0, 1, 1, data.clone(), sbuf);
+        let f2 = m.isend(f1.cpu, 0, 1, 2, data.clone(), sbuf);
+        let t = f1.wakes[0].1.max(f2.wakes[0].1);
+        let (r1, r2) = (m.fresh_buf(1), m.fresh_buf(1));
+        let first = m.recv(t, 1, Some(0), Some(1), r1).unwrap();
+        assert_eq!(first.data, data);
+        assert_eq!(m.gni().contents_len(), 1, "still staged for the second");
+        let second = m.recv(first.done_at, 1, Some(0), Some(2), r2).unwrap();
+        assert_eq!(second.data, data);
+        assert_eq!(m.gni().contents_len(), 0);
+        assert!(m.staged.is_empty());
+        // The buffer is free for the same-buffer pingpong to stage again.
+        let f3 = m.isend(second.done_at, 0, 1, 3, data.clone(), sbuf);
+        let third = m.recv(f3.wakes[0].1, 1, None, None, r1).unwrap();
+        assert_eq!((third.tag, third.data), (3, data));
+        assert_eq!(m.gni().contents_len(), 0);
+    }
+
+    #[cfg(feature = "verify")]
+    #[test]
+    fn verifier_sees_no_stale_rendezvous_content() {
+        let report = drained(1, 32_768, 6)
+            .contract_report()
+            .expect("verify feature is on");
+        assert!(report.is_clean(), "{report}");
+        // Without the clear in `recv`: one stale source buffer per message.
+        assert_eq!(report.stale_content(), 0, "{report}");
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //!
 //! The kernel is deliberately tiny and allocation-light: a virtual clock in
 //! nanoseconds ([`Time`]), a stable-ordered event queue ([`EventQueue`]), a
-//! deterministic RNG ([`rng`]) so every experiment is reproducible, and the
+//! deterministic RNG ([`rng`]) so every experiment is reproducible, the one
+//! fixed hash function every look-up table uses ([`hash`]), and the
 //! statistics helpers ([`stats`]) the benchmark harness uses to report the
 //! paper's tables and figures.
 //!
@@ -19,6 +20,7 @@
 //! assert_eq!((t, ev), (1_000, "sooner"));
 //! ```
 
+pub mod hash;
 pub mod lazy;
 pub mod parallel;
 pub mod queue;
@@ -27,6 +29,7 @@ pub mod stats;
 pub mod sync;
 pub mod time;
 
+pub use hash::{DetHashMap, DetHashSet};
 pub use lazy::{LazySlab, LazyVec};
 pub use queue::EventQueue;
 pub use rng::DetRng;

@@ -17,7 +17,8 @@
 //! * consumption clocks (CQ polls, mailbox drains) are monotonic per
 //!   object;
 //! * at `report()` time, live registrations, in-flight posts, undrained
-//!   mailboxes and parked retries are surfaced as *leaks*.
+//!   mailboxes, parked retries and buffer content written but never
+//!   cleared are surfaced as *leaks*.
 //!
 //! Violations carry the offending descriptor/handle and the call site.
 //! In strict mode ([`CheckedGni::set_strict`]) the first violation
@@ -242,6 +243,15 @@ pub enum Leak {
     UndrainedMsgq { node: NodeId, at: Time },
     /// A message parked by `NoCredits` whose retry never fired.
     PendingCreditRetry { ep: EpHandle, tag: u8, len: usize },
+    /// Content stored by `mem_write` (at `site`) that no `mem_clear` has
+    /// released. Pre-registered slots written once per message (eager
+    /// buffers, persistent channels) legitimately show up here; a count
+    /// that grows with the number of messages is a leak of their payloads.
+    StaleContent {
+        node: NodeId,
+        addr: Addr,
+        site: Site,
+    },
 }
 
 impl fmt::Display for Leak {
@@ -268,6 +278,10 @@ impl fmt::Display for Leak {
                 f,
                 "message (tag {tag}, {len} B) parked on {ep:?} by NoCredits was never retried"
             ),
+            Leak::StaleContent { node, addr, site } => write!(
+                f,
+                "content written to {addr:?} on node {node} at {site} was never cleared"
+            ),
         }
     }
 }
@@ -287,6 +301,15 @@ impl ContractReport {
     /// No contract violations (leaks are advisory and do not count).
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
+    }
+
+    /// How many [`Leak::StaleContent`] advisories the report carries: the
+    /// number tests compare across run lengths.
+    pub fn stale_content(&self) -> usize {
+        self.leaks
+            .iter()
+            .filter(|l| matches!(l, Leak::StaleContent { .. }))
+            .count()
     }
 }
 
@@ -371,6 +394,8 @@ pub struct CheckedGni {
     live_addr: BTreeMap<(NodeId, Addr), u32>,
     /// Buffer addresses with no live registration left.
     dead_addr: BTreeMap<(NodeId, Addr), Site>,
+    /// Buffers holding `mem_write` content, with the (latest) writer.
+    content: BTreeMap<(NodeId, Addr), Site>,
     /// Outstanding posts, keyed by (completion queue, descriptor id).
     in_flight: BTreeMap<(CqHandle, u64), Flight>,
     /// Unconsumed completions per CQ (incl. ones stranded by overrun).
@@ -416,6 +441,7 @@ impl CheckedGni {
             dereg: BTreeMap::new(),
             live_addr: BTreeMap::new(),
             dead_addr: BTreeMap::new(),
+            content: BTreeMap::new(),
             in_flight: BTreeMap::new(),
             outstanding: BTreeMap::new(),
             eps: BTreeMap::new(),
@@ -501,6 +527,9 @@ impl CheckedGni {
                 tag: ob.tag,
                 len: ob.len,
             });
+        }
+        for (&(node, addr), &site) in &self.content {
+            leaks.push(Leak::StaleContent { node, addr, site });
         }
         ContractReport {
             violations: self.violations.borrow().clone(),
@@ -620,14 +649,11 @@ impl CheckedGni {
     #[track_caller]
     pub fn mem_write(&mut self, node: NodeId, addr: Addr, data: Bytes) {
         self.tick();
-        if let Some(&dereg_site) = self.dead_addr.get(&(node, addr)) {
-            let _ = dereg_site;
-            self.record(Violation::WriteAfterDereg {
-                node,
-                addr,
-                site: Self::here(),
-            });
+        let site = Self::here();
+        if self.dead_addr.contains_key(&(node, addr)) {
+            self.record(Violation::WriteAfterDereg { node, addr, site });
         }
+        self.content.insert((node, addr), site);
         self.inner.mem_write(node, addr, data);
     }
 
@@ -649,6 +675,7 @@ impl CheckedGni {
     #[track_caller]
     pub fn mem_clear(&mut self, node: NodeId, addr: Addr) {
         self.tick();
+        self.content.remove(&(node, addr));
         self.inner.mem_clear(node, addr)
     }
 

@@ -370,6 +370,45 @@ fn leaks_are_reported_at_finish() {
         .any(|l| matches!(l, Leak::UndrainedMailbox { node: 1, .. })));
 }
 
+/// Advisory: content stored with `mem_write` and never released with
+/// `mem_clear` is listed with its writer's call site, sorted by buffer;
+/// the cleared twin is not, and overwriting a buffer is still one entry.
+#[test]
+fn uncleared_content_is_reported_as_stale() {
+    use ugni_verify::Leak;
+    let mut g = checked(2);
+    let kept = g.alloc_addr(1).unwrap();
+    let freed = g.alloc_addr(0).unwrap();
+    let early = g.alloc_addr(0).unwrap();
+    g.mem_write(1, kept, Bytes::from_static(b"first"));
+    g.mem_write(0, freed, Bytes::from_static(b"transient"));
+    g.mem_write(0, early, Bytes::from_static(b"kept too"));
+    let line = line!() + 1;
+    g.mem_write(1, kept, Bytes::from_static(b"second"));
+    g.mem_clear(0, freed);
+
+    let report = g.finish();
+    assert!(report.is_clean(), "stale content is advisory: {report}");
+    let stale: Vec<_> = report
+        .leaks
+        .iter()
+        .filter_map(|l| match l {
+            Leak::StaleContent { node, addr, site } => Some((*node, *addr, *site)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(stale.len(), 2, "{report}");
+    assert_eq!(
+        (stale[0].0, stale[0].1),
+        (0, early),
+        "sorted by (node, addr)"
+    );
+    assert_eq!((stale[1].0, stale[1].1), (1, kept));
+    assert!(stale[1].2.file.ends_with("mutations.rs"), "{report}");
+    assert_eq!(stale[1].2.line, line, "the latest writer is the one named");
+    assert!(report.to_string().contains("was never cleared"), "{report}");
+}
+
 /// Strict mode: the first violation panics with the offending handle and
 /// call site instead of accumulating.
 #[test]

@@ -22,8 +22,7 @@ pub mod types;
 use bytes::Bytes;
 use gemini_net::{Addr, Fabric, FaultKind, GeminiParams, Mechanism, MemHandle, NodeId, RdmaOp};
 use sim_core::queue::HeapQueue;
-use sim_core::Time;
-use std::collections::HashMap;
+use sim_core::{DetHashMap, Time};
 
 pub use types::*;
 
@@ -57,13 +56,13 @@ pub struct Gni {
     eps: Vec<Endpoint>,
     /// Per-(node, instance) inbound SMSG mailboxes (time-ordered).
     #[allow(clippy::type_complexity)]
-    rx: HashMap<(NodeId, u32), HeapQueue<(u8, u32, Bytes)>>,
+    rx: DetHashMap<(NodeId, u32), HeapQueue<(u8, u32, Bytes)>>,
     /// Per-node shared MSGQ queues: (tag, from_inst, dst_inst, data).
-    msgq_rx: HashMap<NodeId, HeapQueue<(u8, u32, u32, Bytes)>>,
+    msgq_rx: DetHashMap<NodeId, HeapQueue<(u8, u32, u32, Bytes)>>,
     /// Content of simulated buffers, keyed by address (blocks carved from
     /// one registered slab have distinct addresses), for RDMA data
     /// movement.
-    contents: HashMap<(NodeId, Addr), Bytes>,
+    contents: DetHashMap<(NodeId, Addr), Bytes>,
     /// Per-node bump allocator for simulated addresses.
     next_addr: Vec<u64>,
     /// One-shot latch for `FaultPlan::force_cq_overrun_at`.
@@ -86,9 +85,9 @@ impl Gni {
             fabric,
             cqs: Vec::new(),
             eps: Vec::new(),
-            rx: HashMap::new(),
-            msgq_rx: HashMap::new(),
-            contents: HashMap::new(),
+            rx: DetHashMap::default(),
+            msgq_rx: DetHashMap::default(),
+            contents: DetHashMap::default(),
             next_addr: (0..n).map(|i| (i as u64 + 1) << 44).collect(),
             forced_overrun_done: false,
             cq_overruns: 0,
@@ -205,6 +204,12 @@ impl Gni {
     /// Drop a buffer's content (free).
     pub fn mem_clear(&mut self, node: NodeId, addr: Addr) {
         self.contents.remove(&(node, addr));
+    }
+
+    /// Buffers currently holding content (diagnostics: must track what is
+    /// in flight, not how long the run has been going).
+    pub fn contents_len(&self) -> usize {
+        self.contents.len()
     }
 
     /// Effective SMSG payload limit for this job size.

@@ -132,3 +132,66 @@ fn determinism_across_repeated_runs() {
         assert_eq!(a.tasks, b.tasks);
     }
 }
+
+/// A token per PE circling an 8-PE ring on the MPI layer, `iters` hops
+/// each, cycling through the protocol classes (small eager, medium eager
+/// PUT, rendezvous; every other hop stays inside a node). Returns what the
+/// MPI library's uGNI instance still holds afterwards: buffers with
+/// content, and the verifier's stale-content advisories.
+fn mpi_ring_retained(iters: u32) -> (usize, usize) {
+    use bytes::Bytes;
+    use charm_rt::prelude::*;
+    use lrts_mpi::MpiLayer;
+    use std::sync::{Arc, OnceLock};
+
+    const PES: u32 = 8;
+    const SIZES: [usize; 3] = [64, 4_000, 20_000];
+    let token = |hop: u32| {
+        let mut v = vec![0u8; SIZES[hop as usize % SIZES.len()]];
+        v[..4].copy_from_slice(&hop.to_le_bytes());
+        Bytes::from(v)
+    };
+
+    let mut c = Cluster::new(
+        ClusterCfg::new(PES, 2),
+        Box::new(MpiLayer::new(mpi_sim::MpiConfig::default())),
+    );
+    c.init_user(|_| 0u32);
+    let me = Arc::new(OnceLock::new());
+    let me2 = me.clone();
+    let hop_h = c.register_handler(move |ctx, env| {
+        let hop = u32::from_le_bytes(env.payload[..4].try_into().unwrap());
+        assert_eq!(env.payload.len(), SIZES[hop as usize % SIZES.len()]);
+        *ctx.user::<u32>() += 1;
+        if hop + 1 < iters {
+            let h = *me2.get().expect("handler registered");
+            ctx.send((ctx.pe() + 1) % PES, h, token(hop + 1));
+        }
+    });
+    me.set(hop_h).expect("set once");
+    let kick = c.register_handler(move |ctx, _| ctx.send((ctx.pe() + 1) % PES, hop_h, token(0)));
+    for pe in 0..PES {
+        c.inject(0, pe, kick, Bytes::new());
+    }
+    c.run();
+    for pe in 0..PES {
+        assert_eq!(*c.user::<u32>(pe), iters, "pe {pe} lost hops");
+    }
+
+    let layer = c.layer_mut::<MpiLayer>();
+    let report = layer
+        .contract_report()
+        .expect("the tests crate turns the verify feature on");
+    assert!(report.is_clean(), "{report}");
+    (layer.mpi().gni().contents_len(), report.stale_content())
+}
+
+#[test]
+fn mpi_layer_retains_nothing_per_message() {
+    const K: u32 = 12;
+    let (few, many) = (mpi_ring_retained(K), mpi_ring_retained(4 * K));
+    assert_eq!(few, many, "(buffers with content, stale advisories)");
+    // One pre-registered eager slot per rank is all that may stay.
+    assert!(many.0 <= 8 && many.1 <= 8, "{many:?}");
+    assert!(many.0 > 0, "the eager PUT path was not exercised");
+}

@@ -1,5 +1,6 @@
 // Fixture: violates the hashmap-iter rule (not compiled into the
 // workspace; fed to the linter by tools/lint/tests/lint.rs).
+use sim_core::{DetHashMap, DetHashSet};
 use std::collections::{HashMap, HashSet};
 
 pub struct Table {
@@ -28,4 +29,25 @@ pub fn union(a: HashSet<u32>) -> Vec<u32> {
         out.push(*v);
     }
     out
+}
+
+// The fixed-hasher aliases are hash-ordered all the same.
+pub struct Conns {
+    eps: DetHashMap<(u32, u32), u32>,
+}
+
+impl Conns {
+    pub fn first(&self) -> Option<u32> {
+        self.eps.values().next().copied()
+    }
+}
+
+pub fn count_seen() -> usize {
+    let mut seen = DetHashSet::default();
+    seen.insert(1u32);
+    let mut n = 0;
+    for _ in &seen {
+        n += 1;
+    }
+    n
 }

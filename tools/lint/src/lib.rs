@@ -24,8 +24,16 @@
 //!   nondeterministically ordered event loop breaks the bit-for-bit
 //!   replay guarantee every figure rests on, and a hash-ordered lint
 //!   report breaks CI artifact diffing. Use `BTreeMap` or a
-//!   `Vec`-indexed table when order can leak into behavior.
+//!   `Vec`-indexed table when order can leak into behavior. The rule sees
+//!   through the `DetHashMap`/`DetHashSet` aliases of `sim_core::hash`: a
+//!   fixed hasher makes the order repeat, not mean anything.
 //!   Escape: `// hash-ok: <why>`.
+//! * **default-hasher** — no `std::collections::HashMap`/`HashSet` by
+//!   those names in the simulation crates, `mempool` or `core`: every
+//!   look-up table is a `sim_core::DetHashMap`/`DetHashSet`, so the next
+//!   map cannot quietly bring SipHash and a per-process seed back onto the
+//!   per-message path. `sim-core/src/hash.rs`, which defines the aliases,
+//!   is the one file that names the `std` types. No escape.
 //! * **unwrap-in-recovery** — no `.unwrap()` / `.expect(` inside
 //!   fault-recovery functions (name has a `_`-segment equal to `retry`,
 //!   `resync`, `repost`, `recover`, `recovery`, `fallback`, `reap`,
@@ -134,6 +142,20 @@ pub const COPY_OK_MARKER: &str = "copy-ok:";
 
 /// Marker comment that exempts one line from `hashmap-iter`.
 pub const HASH_OK_MARKER: &str = "hash-ok:";
+
+/// Type names `hashmap-iter` treats as hash-ordered containers: the `std`
+/// ones and their fixed-hasher aliases.
+const HASH_TYPES: &[&str] = &["HashMap", "HashSet", "DetHashMap", "DetHashSet"];
+
+/// The `std` names `default-hasher` rejects.
+const DEFAULT_HASHER_TYPES: &[&str] = &["HashMap", "HashSet"];
+
+/// Crates `default-hasher` covers beyond [`SIM_CRATES`]: they hold
+/// per-message look-up tables too (neither needed an exception).
+const DEFAULT_HASHER_EXTRA_CRATES: &[&str] = &["mempool", "core"];
+
+/// The file that defines `DetHashMap`/`DetHashSet` over the `std` types.
+const DET_HASH_FILE: &str = "sim-core/src/hash.rs";
 
 /// Marker comment that exempts one line from `std-time`.
 pub const TIME_OK_MARKER: &str = "time-ok:";
@@ -403,39 +425,38 @@ pub fn name_has_keyword(name: &str, kw: &str) -> bool {
     })
 }
 
+/// Byte offsets at which `pat` occurs in `line` starting at an identifier
+/// boundary (and, for whole-word patterns, ending at one: `HashMap` does
+/// not occur in `DetHashMap`).
+fn boundary_matches<'a>(
+    line: &'a str,
+    pat: &'a str,
+    whole_word: bool,
+) -> impl Iterator<Item = usize> + 'a {
+    line.match_indices(pat)
+        .map(|(at, _)| at)
+        .filter(move |&at| {
+            let left_ok = !line[..at].chars().next_back().is_some_and(is_ident_char);
+            let right = line[at + pat.len()..].chars().next();
+            left_ok && (!whole_word || !right.is_some_and(is_ident_char))
+        })
+}
+
 /// Does `line` contain `pat` starting at an identifier boundary (and, for
 /// whole-word patterns, ending at one)?
 pub(crate) fn boundary_match(line: &str, pat: &str, whole_word: bool) -> bool {
-    let mut from = 0;
-    while let Some(pos) = line[from..].find(pat) {
-        let at = from + pos;
-        from = at + pat.len();
-        let left_ok = line[..at]
-            .chars()
-            .next_back()
-            .is_none_or(|c| !is_ident_char(c));
-        let right_ok = !whole_word
-            || line[at + pat.len()..]
-                .chars()
-                .next()
-                .is_none_or(|c| !is_ident_char(c));
-        if left_ok && right_ok {
-            return true;
-        }
-    }
-    false
+    boundary_matches(line, pat, whole_word).next().is_some()
 }
 
-/// Names in this file bound to a `HashMap`/`HashSet` (fields, lets,
-/// params): `name: HashMap<..>` and `let name = HashMap::new()` forms.
+/// Names in this file bound to a hash container — `HashMap`/`HashSet` or
+/// the `DetHashMap`/`DetHashSet` aliases — as fields, lets or params:
+/// `name: DetHashMap<..>` and `let name = DetHashMap::default()` (or
+/// `::new()`, `::with_capacity(..)`: anything after the type name) forms.
 fn hash_bound_names(lines: &[&str]) -> Vec<String> {
     let mut names = Vec::new();
     for line in lines {
-        for ty in ["HashMap", "HashSet"] {
-            let mut from = 0;
-            while let Some(pos) = line[from..].find(ty) {
-                let at = from + pos;
-                from = at + ty.len();
+        for ty in HASH_TYPES {
+            for at in boundary_matches(line, ty, true) {
                 let head = &line[..at];
                 // `name: HashMap<` — the *binding* colon is single; the
                 // `::` of a path prefix (`std::collections::HashMap`) is
@@ -452,7 +473,7 @@ fn hash_bound_names(lines: &[&str]) -> Vec<String> {
                         names.push(id.to_string());
                     }
                 }
-                // `let [mut] name = HashMap::new()` / `with_capacity`.
+                // `let [mut] name = HashMap::new()` / `::default()` / ...
                 if let Some(eq) = head.rfind('=') {
                     let lhs = head[..eq].trim_end();
                     if let Some(id) = ident_ending_at(line, lhs.len()) {
@@ -683,6 +704,31 @@ pub fn lint_source(crate_dir: &str, file: &str, src: &str) -> Vec<Finding> {
                     ));
                 }
             }
+        }
+    }
+
+    // default-hasher
+    let in_alias_module = file.replace('\\', "/").ends_with(DET_HASH_FILE);
+    if (sim || DEFAULT_HASHER_EXTRA_CRATES.contains(&crate_dir)) && !in_alias_module {
+        for (idx, line) in lines.iter().enumerate() {
+            if in_ranges(&tests, idx) {
+                continue;
+            }
+            let Some(ty) = DEFAULT_HASHER_TYPES
+                .iter()
+                .find(|ty| boundary_match(line, ty, true))
+            else {
+                continue;
+            };
+            out.push(Finding::new(
+                "default-hasher",
+                file,
+                idx + 1,
+                format!(
+                    "`{ty}` with std's default hasher (SipHash, per-process seed) — use \
+                     `sim_core::Det{ty}` (construct with `::default()`)"
+                ),
+            ));
         }
     }
 
@@ -917,7 +963,12 @@ pub fn rule_descriptions() -> Vec<(&'static str, &'static str)> {
     vec![
         (
             "hashmap-iter",
-            "no HashMap/HashSet iteration in sim or self-hosted crates (escape: hash-ok:)",
+            "no HashMap/HashSet iteration, Det* aliases included, in sim or self-hosted crates \
+             (escape: hash-ok:)",
+        ),
+        (
+            "default-hasher",
+            "no std HashMap/HashSet in sim crates, mempool or core: use sim_core::DetHashMap/Set",
         ),
         (
             "unwrap-in-recovery",

@@ -23,9 +23,43 @@ fn rules(findings: &[Finding]) -> Vec<&str> {
 fn hashmap_iteration_fixture_fires() {
     let src = fixture("hashmap_iter.rs");
     let f = lint_source("sim-core", "fixtures/hashmap_iter.rs", &src);
-    assert_eq!(rules(&f), ["hashmap-iter"], "findings: {f:?}");
-    // All three iteration shapes: .iter(), .keys(), for .. in &set.
-    assert!(f.len() >= 3, "expected >= 3 sites, got {f:?}");
+    // (The fixture's std maps also trip default-hasher, tested below.)
+    assert_eq!(rules(&f), ["default-hasher", "hashmap-iter"], "{f:?}");
+    let iter: Vec<&Finding> = f.iter().filter(|x| x.rule == "hashmap-iter").collect();
+    // All three iteration shapes: .iter(), .keys(), for .. in &set — and
+    // the same through the aliases: a `DetHashMap` field's .values(), a
+    // `DetHashSet::default()` local's for .. in &set.
+    assert_eq!(iter.len(), 5, "findings: {iter:?}");
+    assert!(iter.iter().any(|x| x.msg.contains("`eps`")), "{iter:?}");
+    assert!(iter.iter().any(|x| x.msg.contains("`seen`")), "{iter:?}");
+}
+
+#[test]
+fn default_hasher_fixture_fires() {
+    let src = fixture("default_hasher.rs");
+    for crate_dir in ["lrts-ugni", "mempool", "core"] {
+        let f = lint_source(crate_dir, "fixtures/default_hasher.rs", &src);
+        assert_eq!(rules(&f), ["default-hasher"], "{crate_dir}: {f:?}");
+        // Both imports, both fields (bare and path-qualified), the
+        // signature and the constructor — but NOT the aliases, the
+        // BTreeMap, the comment, or the test module.
+        let lines: Vec<usize> = f.iter().map(|x| x.line).collect();
+        assert_eq!(lines, [4, 5, 13, 14, 17, 18], "{crate_dir}: {f:?}");
+        assert!(f[0].msg.contains("DetHashMap"), "{f:?}");
+        assert!(f[1].msg.contains("DetHashSet"), "{f:?}");
+    }
+}
+
+#[test]
+fn default_hasher_rule_exempts_the_alias_module_and_other_crates() {
+    let src = fixture("default_hasher.rs");
+    let f = lint_source("sim-core", "crates/sim-core/src/hash.rs", &src);
+    assert!(f.is_empty(), "the aliases are defined there: {f:?}");
+    // Figure drivers, the verifier and the linter keep what they like.
+    for crate_dir in ["apps", "bench", "ugni-verify", "lint"] {
+        let f = lint_source(crate_dir, "fixtures/default_hasher.rs", &src);
+        assert!(f.is_empty(), "{crate_dir}: {f:?}");
+    }
 }
 
 #[test]
@@ -192,10 +226,11 @@ fn thread_rule_only_applies_to_sim_crates() {
 
 #[test]
 fn test_modules_are_exempt() {
-    let src = "use std::collections::HashMap;\n\
-               pub struct S { m: HashMap<u32, u32> }\n\
+    let src = "use sim_core::DetHashMap;\n\
+               pub struct S { m: DetHashMap<u32, u32> }\n\
                #[cfg(test)]\n\
                mod tests {\n\
+                   use std::collections::HashMap;\n\
                    fn conn_retry() { None::<u32>.unwrap(); }\n\
                    fn f(s: &super::S) { for _ in s.m.keys() {} }\n\
                }\n";
@@ -230,9 +265,9 @@ fn test_exemption_is_brace_accurate() {
 
 #[test]
 fn comments_and_strings_do_not_fire() {
-    let src = "pub struct S { m: std::collections::HashMap<u32, u32> }\n\
-               // for k in self.m.keys() { }\n\
-               pub fn msg() -> &'static str { \"m.iter() via std::time\" }\n";
+    let src = "pub struct S { m: sim_core::DetHashMap<u32, u32> }\n\
+               // for k in self.m.keys() { } over a HashMap\n\
+               pub fn msg() -> &'static str { \"m.iter() via std::time HashSet\" }\n";
     let f = lint_source("sim-core", "inline.rs", src);
     assert!(f.is_empty(), "findings: {f:?}");
 }
