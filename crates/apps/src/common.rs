@@ -72,45 +72,52 @@ impl LayerKind {
         }
     }
 
-    /// Build a cluster of `num_pes` PEs with `cores_per_node` per node.
+    /// Build a cluster on this layer from `cfg` — the one place the
+    /// layer's fault plan is stamped into `cfg.fault`. Everything else
+    /// (`threads`, `trace_bucket`, `seed`, …) is the caller's to set on
+    /// `cfg`; `enable_ft` / `am_config` are calls on the result.
+    pub fn build(&self, mut cfg: ClusterCfg) -> Cluster {
+        cfg.fault = self.fault();
+        Cluster::new(cfg, self.make_layer())
+    }
+
+    /// [`LayerKind::build`] with every knob at its default.
     pub fn cluster(&self, num_pes: u32, cores_per_node: u32) -> Cluster {
-        let mut cfg = ClusterCfg::new(num_pes, cores_per_node);
-        cfg.fault = self.fault();
-        Cluster::new(cfg, self.make_layer())
+        self.build(ClusterCfg::new(num_pes, cores_per_node))
     }
 
-    /// Like [`LayerKind::cluster`] with a Fig.-12-style timeline trace.
-    pub fn cluster_traced(&self, num_pes: u32, cores_per_node: u32, bucket: Time) -> Cluster {
-        let mut cfg = ClusterCfg::new(num_pes, cores_per_node);
-        cfg.trace_bucket = Some(bucket);
-        cfg.fault = self.fault();
-        Cluster::new(cfg, self.make_layer())
+    /// [`LayerKind::build`], run `app` on the cluster, and check the
+    /// layer's uGNI usage afterwards: what the apps' four-argument entry
+    /// points are made of.
+    pub fn run_checked<R>(&self, cfg: ClusterCfg, app: impl FnOnce(&mut Cluster) -> R) -> R {
+        let mut c = self.build(cfg);
+        let r = app(&mut c);
+        assert_contract_clean(&mut c);
+        r
     }
+}
 
-    /// After a run, assert the machine layer's uGNI usage was contract
-    /// clean. With the `verify` feature off (release figure builds) the
-    /// layers report `None` and this is a no-op; under `cargo test` the
-    /// integration-tests crate turns verification on and every app run
-    /// doubles as a contract check.
-    pub fn assert_contract_clean(&self, c: &mut Cluster) {
-        // A crashed endpoint dies mid-protocol by design: its half-open
-        // transactions are exactly what the FT layer exists to absorb, so
-        // contract verification is meaningless under a node-crash plan.
-        if self.fault().has_node_crash() {
-            return;
-        }
-        let report = match self {
-            LayerKind::Ugni(_) => c.layer_mut::<UgniLayer>().contract_report(),
-            LayerKind::Mpi(_) => c.layer_mut::<MpiLayer>().contract_report(),
-            LayerKind::Ideal(_) => None,
-        };
-        if let Some(report) = report {
-            assert!(
-                report.is_clean(),
-                "uGNI contract violations on {}:\n{report}",
-                self.name()
-            );
-        }
+/// After a run, assert the machine layer's uGNI usage was contract clean.
+/// With the `verify` feature off (release figure builds) the layers report
+/// `None` and this is a no-op, as it is on a layer that is neither
+/// [`UgniLayer`] nor [`MpiLayer`]; under `cargo test` the
+/// integration-tests crate turns verification on and every app run doubles
+/// as a contract check.
+pub fn assert_contract_clean(c: &mut Cluster) {
+    // A crashed endpoint dies mid-protocol by design: its half-open
+    // transactions are exactly what the FT layer exists to absorb, so
+    // contract verification is meaningless under a node-crash plan.
+    if c.cfg.fault.has_node_crash() {
+        return;
+    }
+    let report = match c.try_layer_mut::<UgniLayer>() {
+        Some(l) => l.contract_report(),
+        None => c
+            .try_layer_mut::<MpiLayer>()
+            .and_then(|l| l.contract_report()),
+    };
+    if let Some(report) = report {
+        assert!(report.is_clean(), "uGNI contract violations:\n{report}");
     }
 }
 

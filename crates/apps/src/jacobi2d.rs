@@ -276,68 +276,26 @@ pub fn jacobi_sequential(n: u32, iters: u32) -> (Vec<f64>, f64) {
     (interior, res)
 }
 
-/// Run the parallel solver.
+/// Run the parallel solver on a default cluster of `layer`.
 pub fn run_jacobi(
     layer: &LayerKind,
     num_pes: u32,
     cores_per_node: u32,
     cfg: &JacobiConfig,
 ) -> JacobiResult {
-    run_jacobi_inner(layer, num_pes, cores_per_node, cfg, None).0
+    layer.run_checked(ClusterCfg::new(num_pes, cores_per_node), |c| run_on(c, cfg))
 }
 
-/// Run the parallel solver with fault tolerance: in-memory buddy
-/// checkpoints on `ft.ckpt_period` cadence, crash windows from the
-/// layer's [`FaultPlan`] detected and recovered mid-run. The returned
-/// grid is bit-identical to the fault-free run's.
-pub fn run_jacobi_ft(
-    layer: &LayerKind,
-    num_pes: u32,
-    cores_per_node: u32,
-    cfg: &JacobiConfig,
-    ft: FtConfig,
-) -> (JacobiResult, FtReport) {
-    let (r, rep, _) = run_jacobi_inner(layer, num_pes, cores_per_node, cfg, Some(ft));
-    (r, rep)
-}
-
-/// PE-time the trace charged to the FT machinery during a run:
-/// `Kind::Checkpoint` (buddy snapshot waves) and `Kind::Recovery`
-/// (restore + rollback-replay), in virtual ns.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FtCharge {
-    pub checkpoint_ns: Time,
-    pub recovery_ns: Time,
-}
-
-/// Like [`run_jacobi_ft`], additionally reporting what the fault
-/// tolerance cost: the trace's checkpoint/recovery charge totals (the
-/// bench crate's crash sweep plots these against the cadence).
-pub fn run_jacobi_ft_traced(
-    layer: &LayerKind,
-    num_pes: u32,
-    cores_per_node: u32,
-    cfg: &JacobiConfig,
-    ft: FtConfig,
-) -> (JacobiResult, FtReport, FtCharge) {
-    run_jacobi_inner(layer, num_pes, cores_per_node, cfg, Some(ft))
-}
-
-fn run_jacobi_inner(
-    layer: &LayerKind,
-    num_pes: u32,
-    cores_per_node: u32,
-    cfg: &JacobiConfig,
-    ft: Option<FtConfig>,
-) -> (JacobiResult, FtReport, FtCharge) {
+/// Run the parallel solver on a cluster the caller built. When the caller
+/// enabled fault tolerance (`c.enable_ft(..)`) the blocks checkpoint on
+/// its cadence and crash windows in `c.cfg.fault` are detected and
+/// recovered mid-run; the returned grid is bit-identical to the
+/// fault-free run's, and `c.ft_report()` / `c.trace()` say what it cost.
+pub fn run_on(c: &mut Cluster, cfg: &JacobiConfig) -> JacobiResult {
     assert_eq!(cfg.n % cfg.blocks, 0, "blocks must divide n");
     let bs = (cfg.n / cfg.blocks) as usize;
     let nb = cfg.blocks;
-    let mut c = layer.cluster(num_pes, cores_per_node);
-    let ft_on = ft.is_some();
-    if let Some(ftc) = ft {
-        c.enable_ft(ftc);
-    }
+    let ft_on = c.ft_enabled();
 
     let aid = c.create_array("jacobi", (nb * nb) as u64, |idx| {
         let bx = (idx as u32) % nb;
@@ -476,7 +434,6 @@ fn run_jacobi_inner(
 
     c.inject_broadcast(0, aid, go, Bytes::new());
     let report = c.run();
-    layer.assert_contract_clean(&mut c);
 
     // Reassemble the grid.
     let n = cfg.n as usize;
@@ -493,22 +450,14 @@ fn run_jacobi_inner(
             }
         }
     }
-    let charge = FtCharge {
-        checkpoint_ns: c.trace().total_checkpoint(),
-        recovery_ns: c.trace().total_recovery(),
-    };
     let ctl = c.user::<Ctl>(0);
-    (
-        JacobiResult {
-            residual: ctl.residual,
-            time_ns: report.end_time,
-            grid,
-            iterations_run: ctl.iters_run,
-            events: report.stats.events,
-        },
-        c.ft_report(),
-        charge,
-    )
+    JacobiResult {
+        residual: ctl.residual,
+        time_ns: report.end_time,
+        grid,
+        iterations_run: ctl.iters_run,
+        events: report.stats.events,
+    }
 }
 
 #[cfg(test)]
@@ -582,16 +531,17 @@ mod tests {
             at_ns: 80_000,
             restart_after_ns: Some(40_000),
         });
-        let layer = LayerKind::ugni().with_fault(plan);
+        let mut c = LayerKind::ugni().with_fault(plan).cluster(8, 4);
         // Jacobi saturates its PEs in ~30us bursts: the suspicion timeout
         // must sit well above that or load reads as death.
-        let ftc = FtConfig {
+        c.enable_ft(FtConfig {
             hb_period: 20_000,
             hb_timeout: 150_000,
             ckpt_period: 60_000,
             ..FtConfig::default()
-        };
-        let (r, ft) = run_jacobi_ft(&layer, 8, 4, &cfg, ftc);
+        });
+        let r = run_on(&mut c, &cfg);
+        let ft = c.ft_report();
         assert_eq!(ft.recoveries, 1, "the crash was never recovered");
         assert_eq!(r.iterations_run, 20);
         let clean = run_jacobi(&LayerKind::ugni(), 8, 4, &cfg);

@@ -77,8 +77,16 @@ pub fn kneighbor_report(
     bytes: usize,
     iters: u32,
 ) -> (f64, RunReport) {
+    layer.run_checked(ClusterCfg::new(cores, cores_per_node), |c| {
+        run_on(c, k, bytes, iters)
+    })
+}
+
+/// kNeighbor over every PE of a cluster the caller built: the average
+/// per-iteration time in ns measured on PE 0, and the run report.
+pub fn run_on(c: &mut Cluster, k: u32, bytes: usize, iters: u32) -> (f64, RunReport) {
+    let cores = c.cfg.num_pes;
     assert!(cores > 2 * k, "ring too small for k");
-    let mut c = layer.cluster(cores, cores_per_node);
     c.init_user(|_| St {
         data_total: 0,
         ack_total: 0,
@@ -156,13 +164,9 @@ pub fn kneighbor_report(
     (st.total as f64 / iters as f64, report)
 }
 
-/// Fine-grained kNeighbor: each core sends `msgs` 16-byte typed AMs to
-/// each of its 2k ring neighbors per iteration, and every data AM is
-/// acked with an empty AM — the many-tiny-messages shape where SMSG's
-/// fixed per-message cost dominates and destination-batched aggregation
-/// pays (ISSUE 10's `aggregation` figure). Returns the average
-/// per-iteration time and the run report; `aggregate` toggles the AM
-/// coalescing engine, everything else is identical.
+/// [`run_fine_on`] on a default cluster of `layer` under
+/// [`fine_am_config`]; `aggregate` toggles the AM coalescing engine,
+/// everything else is identical.
 pub fn kneighbor_fine_report(
     layer: &LayerKind,
     cores: u32,
@@ -172,15 +176,33 @@ pub fn kneighbor_fine_report(
     iters: u32,
     aggregate: bool,
 ) -> (f64, RunReport) {
-    assert!(cores > 2 * k, "ring too small for k");
-    let mut c = layer.cluster(cores, cores_per_node);
-    c.am_config(AmConfig {
+    layer.run_checked(ClusterCfg::new(cores, cores_per_node), |c| {
+        c.am_config(fine_am_config(aggregate));
+        run_fine_on(c, k, msgs, iters)
+    })
+}
+
+/// The AM policy the fine-grained benchmark is pinned under.
+pub fn fine_am_config(aggregate: bool) -> AmConfig {
+    AmConfig {
         aggregation: aggregate,
         // Tight flush bound: the tiny-AM bursts are latency-sensitive, so
         // straggler constituents must not idle a full default window.
         flush_delay_ns: 1_000,
         ..AmConfig::default()
-    });
+    }
+}
+
+/// Fine-grained kNeighbor on a cluster the caller built: each core sends
+/// `msgs` 16-byte typed AMs to each of its 2k ring neighbors per
+/// iteration, and every data AM is acked with an empty AM — the
+/// many-tiny-messages shape where SMSG's fixed per-message cost dominates
+/// and destination-batched aggregation pays (ISSUE 10's `aggregation`
+/// figure). Returns the average per-iteration time and the run report;
+/// the caller's `c.am_config(..)` decides whether AMs coalesce.
+pub fn run_fine_on(c: &mut Cluster, k: u32, msgs: u32, iters: u32) -> (f64, RunReport) {
+    let cores = c.cfg.num_pes;
+    assert!(cores > 2 * k, "ring too small for k");
     c.init_user(|_| St {
         data_total: 0,
         ack_total: 0,

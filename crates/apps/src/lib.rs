@@ -21,4 +21,4 @@ pub mod nqueens;
 pub mod one_to_all;
 pub mod pingpong;
 
-pub use common::LayerKind;
+pub use common::{assert_contract_clean, LayerKind};

@@ -119,14 +119,20 @@ struct ComputeObj {
     q: u64,
 }
 
-/// Run miniMD; `num_pes` PEs with `cores_per_node` cores per node.
+/// Run miniMD on a default cluster of `layer`: `num_pes` PEs with
+/// `cores_per_node` cores per node.
 pub fn run_minimd(
     layer: &LayerKind,
     num_pes: u32,
     cores_per_node: u32,
     cfg: &MdConfig,
 ) -> MdResult {
-    let mut c = layer.cluster(num_pes, cores_per_node);
+    layer.run_checked(ClusterCfg::new(num_pes, cores_per_node), |c| run_on(c, cfg))
+}
+
+/// Run miniMD on a cluster the caller built.
+pub fn run_on(c: &mut Cluster, cfg: &MdConfig) -> MdResult {
+    let num_pes = c.cfg.num_pes;
 
     let patches = cfg
         .patches

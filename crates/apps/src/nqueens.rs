@@ -139,33 +139,20 @@ struct NqPe {
     stats: SsseStats,
 }
 
-/// Run the search on `num_pes` PEs; returns totals after the job drains.
+/// Run the search on a default cluster of `layer` with `num_pes` PEs.
 pub fn run_nqueens(
     layer: &LayerKind,
     num_pes: u32,
     cores_per_node: u32,
     cfg: &NqConfig,
 ) -> NqResult {
-    let mut c = layer.cluster(num_pes, cores_per_node);
-    run_on_cluster(&mut c, cfg)
+    layer.run_checked(ClusterCfg::new(num_pes, cores_per_node), |c| run_on(c, cfg))
 }
 
-/// Like [`run_nqueens`] with a Fig.-12 timeline trace; returns the result
-/// and the rendered profile.
-pub fn run_nqueens_traced(
-    layer: &LayerKind,
-    num_pes: u32,
-    cores_per_node: u32,
-    cfg: &NqConfig,
-    bucket: Time,
-) -> (NqResult, String) {
-    let mut c = layer.cluster_traced(num_pes, cores_per_node, bucket);
-    let r = run_on_cluster(&mut c, cfg);
-    let profile = c.trace().render_profile();
-    (r, profile)
-}
-
-fn run_on_cluster(c: &mut Cluster, cfg: &NqConfig) -> NqResult {
+/// Run the search on a cluster the caller built; returns totals after the
+/// job drains. For a Fig.-12 timeline build the cluster with
+/// `trace_bucket` set and read `c.trace().render_profile()` afterwards.
+pub fn run_on(c: &mut Cluster, cfg: &NqConfig) -> NqResult {
     c.init_user(|_| NqPe {
         stats: SsseStats::default(),
     });
@@ -437,7 +424,12 @@ mod tests {
             mode: WorkMode::Exact { ns_per_node: 120 },
             seed: 4,
         };
-        let (r, profile) = run_nqueens_traced(&LayerKind::ugni(), 8, 4, &cfg, 100_000);
+        let mut c = LayerKind::ugni().build(ClusterCfg {
+            trace_bucket: Some(100_000),
+            ..ClusterCfg::new(8, 4)
+        });
+        let r = run_on(&mut c, &cfg);
+        let profile = c.trace().render_profile();
         assert_eq!(r.solutions, 352);
         assert!(profile.contains("busy%"));
         assert!(profile.lines().count() > 2);

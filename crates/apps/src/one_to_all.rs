@@ -19,8 +19,16 @@ pub fn one_to_all_latency(
     bytes: usize,
     iters: u32,
 ) -> f64 {
-    let num_pes = nodes * cores_per_node;
-    let mut c = layer.cluster(num_pes, cores_per_node);
+    layer.run_checked(
+        ClusterCfg::new(nodes * cores_per_node, cores_per_node),
+        |c| run_on(c, bytes, iters),
+    )
+}
+
+/// One-to-all on a cluster the caller built: PE 0 to the first core of
+/// every other node; average round latency in ns.
+pub fn run_on(c: &mut Cluster, bytes: usize, iters: u32) -> f64 {
+    let (nodes, cores_per_node) = (c.cfg.num_nodes(), c.cfg.cores_per_node);
     struct St {
         acks: u32,
         rounds_left: u32,

@@ -120,8 +120,9 @@ pub fn raw_mpi_one_way(cfg: &MpiConfig, bytes: u64, iters: u32, same_buffer: boo
     (t - t_measure_start) as f64 / (2.0 * measured)
 }
 
-/// Charm-level ping-pong one-way latency in ns (inter-node when
-/// `cores_per_node == 1`, intra-node when both PEs share a node).
+/// Charm-level ping-pong one-way latency in ns on a default cluster of
+/// `layer` (inter-node when `cores_per_node == 1`, intra-node when both
+/// PEs share a node).
 pub fn charm_one_way(
     layer: &LayerKind,
     cores_per_node: u32,
@@ -129,35 +130,16 @@ pub fn charm_one_way(
     iters: u64,
     persistent: bool,
 ) -> f64 {
-    charm_one_way_with_recovery(layer, cores_per_node, bytes, iters, persistent).0
+    layer
+        .run_checked(ClusterCfg::new(2, cores_per_node), |c| {
+            one_way_on(c, bytes, iters, persistent)
+        })
+        .0
 }
 
-/// Like [`charm_one_way`], but also reports the fraction of the run's
-/// *work* time (busy + overhead + recovery — idle excluded, since
-/// ping-pong is latency-bound) spent on fault recovery, 0.0 on
-/// fault-free runs: `(one_way_ns, recovery_fraction)`.
-pub fn charm_one_way_with_recovery(
-    layer: &LayerKind,
-    cores_per_node: u32,
-    bytes: usize,
-    iters: u64,
-    persistent: bool,
-) -> (f64, f64) {
-    let (lat, rec, _) = charm_one_way_report(layer, cores_per_node, bytes, iters, persistent);
-    (lat, rec)
-}
-
-/// Like [`charm_one_way_with_recovery`], additionally returning the
-/// driver's [`RunReport`] (virtual end time, event/message counts) — the
-/// wallclock benchmark harness uses it to compute events/sec.
-pub fn charm_one_way_report(
-    layer: &LayerKind,
-    cores_per_node: u32,
-    bytes: usize,
-    iters: u64,
-    persistent: bool,
-) -> (f64, f64, RunReport) {
-    let mut c = layer.cluster(2, cores_per_node);
+/// Ping-pong between PEs 0 and 1 of a cluster the caller built: the
+/// one-way latency in ns and the driver's [`RunReport`].
+pub fn one_way_on(c: &mut Cluster, bytes: usize, iters: u64, persistent: bool) -> (f64, RunReport) {
     struct St {
         remaining: u64,
         handle: Option<PersistentHandle>,
@@ -209,11 +191,8 @@ pub fn charm_one_way_report(
     c.inject(0, 1, kick, Bytes::new());
     c.inject(50_000, 0, kick, Bytes::new());
     let report = c.run();
-    layer.assert_contract_clean(&mut c);
     let lat = c.user::<St>(0).elapsed as f64 / (2.0 * iters as f64);
-    let (busy, ovh, rec, _) = c.trace().utilization_with_recovery(Some(report.end_time));
-    let work = busy + ovh + rec;
-    (lat, if work > 0.0 { rec / work } else { 0.0 }, report)
+    (lat, report)
 }
 
 /// One ping-pong endpoint as a chare element: `count` completed rounds.
@@ -235,24 +214,17 @@ impl Checkpoint for PpSt {
     }
 }
 
-/// Fault-tolerant Charm-level ping-pong: element 0 (node 0) rallies with
-/// the element homed on node 1's first PE, checkpointing on the FT
-/// cadence, surviving any crash window in the layer's fault plan that
-/// spares node 0. Returns the rounds completed by each endpoint (both
-/// must equal `rounds` — the exactly-once check), the virtual end time,
-/// and the FT activity report.
-pub fn run_pingpong_ft(
-    layer: &LayerKind,
-    num_pes: u32,
-    cores_per_node: u32,
-    bytes: usize,
-    rounds: u64,
-    ft: FtConfig,
-) -> (u64, u64, Time, FtReport) {
-    assert!(num_pes > cores_per_node, "need a second node to rally with");
-    let peer = cores_per_node as u64;
-    let mut c = layer.cluster(num_pes, cores_per_node);
-    c.enable_ft(ft);
+/// Fault-tolerant Charm-level ping-pong on a cluster the caller built and
+/// called `enable_ft` on: element 0 (node 0) rallies with the element
+/// homed on node 1's first PE, checkpointing on the FT cadence, surviving
+/// any crash window in the cluster's fault plan that spares node 0.
+/// Returns the rounds completed by each endpoint (both must equal
+/// `rounds` — the exactly-once check) and the virtual end time;
+/// `c.ft_report()` has the FT activity.
+pub fn ft_rally_on(c: &mut Cluster, bytes: usize, rounds: u64) -> (u64, u64, Time) {
+    let num_pes = c.cfg.num_pes;
+    assert!(c.cfg.num_nodes() > 1, "need a second node to rally with");
+    let peer = c.cfg.cores_per_node as u64;
     let aid = c.create_array("pp", num_pes as u64, |_| PpSt { count: 0 });
     c.ft_array::<PpSt>(aid);
 
@@ -289,26 +261,25 @@ pub fn run_pingpong_ft(
 
     c.inject_entry(0, aid, 0, serve, Bytes::from(vec![0u8; bytes]));
     let report = c.run();
-    layer.assert_contract_clean(&mut c);
     let c0 = c.element::<PpSt>(aid, 0).count;
     let cp = c.element::<PpSt>(aid, peer).count;
-    (c0, cp, report.end_time, c.ft_report())
+    (c0, cp, report.end_time)
 }
 
-/// Charm-level streaming bandwidth in MB/s: `window` messages of `bytes`
-/// in flight from PE 0 to PE 1, acked in bulk (Fig. 9b).
+/// Charm-level streaming bandwidth in MB/s between two single-core nodes
+/// of `layer` (Fig. 9b).
 pub fn charm_bandwidth(layer: &LayerKind, bytes: usize, window: u32, rounds: u32) -> f64 {
-    charm_bandwidth_report(layer, bytes, window, rounds).0
+    layer
+        .run_checked(ClusterCfg::new(2, 1), |c| {
+            bandwidth_on(c, bytes, window, rounds)
+        })
+        .0
 }
 
-/// [`charm_bandwidth`] plus the driver's [`RunReport`].
-pub fn charm_bandwidth_report(
-    layer: &LayerKind,
-    bytes: usize,
-    window: u32,
-    rounds: u32,
-) -> (f64, RunReport) {
-    let mut c = layer.cluster(2, 1);
+/// Streaming bandwidth on a cluster the caller built: `window` messages
+/// of `bytes` in flight from PE 0 to PE 1, acked in bulk. Returns MB/s
+/// and the driver's [`RunReport`].
+pub fn bandwidth_on(c: &mut Cluster, bytes: usize, window: u32, rounds: u32) -> (f64, RunReport) {
     #[derive(Default)]
     struct St {
         got: u32,
@@ -378,7 +349,6 @@ pub fn charm_bandwidth_report(
     });
     c.inject(0, 0, kick, Bytes::new());
     let report = c.run();
-    layer.assert_contract_clean(&mut c);
     let st = c.user::<St>(0);
     // bytes / ns == GB/s; report MB/s like the paper.
     ((st.total_bytes as f64 / st.total as f64) * 1000.0, report)
@@ -461,18 +431,18 @@ mod tests {
                 at_ns: 50_000,
                 restart_after_ns: restart,
             });
-            let layer = LayerKind::ugni().with_fault(plan);
+            let mut c = LayerKind::ugni().with_fault(plan).cluster(4, 2);
             // Detector sized above the layer's startup transient (the
             // first-touch mempool slab registration stalls each PE ~22us
             // once) so suspicion only fires on the real crash.
-            let ftc = FtConfig {
+            c.enable_ft(FtConfig {
                 hb_period: 20_000,
                 hb_timeout: 150_000,
                 ckpt_period: 40_000,
                 ..FtConfig::default()
-            };
-            let (c0, cp, _t, ft) = run_pingpong_ft(&layer, 4, 2, 256, 100, ftc);
-            assert_eq!(ft.recoveries, 1, "restart={restart:?}");
+            });
+            let (c0, cp, _t) = ft_rally_on(&mut c, 256, 100);
+            assert_eq!(c.ft_report().recoveries, 1, "restart={restart:?}");
             assert_eq!((c0, cp), (100, 100), "restart={restart:?}");
         }
     }

@@ -9,6 +9,7 @@ use charm_apps::one_to_all::one_to_all_latency;
 use charm_apps::pingpong::{
     charm_bandwidth, charm_one_way, raw_mpi_one_way, raw_transaction_latency, raw_ugni_one_way,
 };
+use charm_rt::prelude::{ClusterCfg, FtConfig};
 use gemini_net::{GeminiParams, Mechanism, RdmaOp};
 use lrts_ugni::{IntraNode, UgniConfig};
 use mpi_sim::MpiConfig;
@@ -398,7 +399,11 @@ pub fn fig12(e: &Effort) -> String {
             },
             seed: 12,
         };
-        let (r, profile) = nqueens::run_nqueens_traced(&layer, pes, 24, &cfg, 20_000_000);
+        let mut c = layer.build(ClusterCfg {
+            trace_bucket: Some(20_000_000),
+            ..ClusterCfg::new(pes, 24)
+        });
+        let r = nqueens::run_on(&mut c, &cfg);
         out.push_str(&format!(
             "## Fig 12: {name} on {pes} cores\ntotal {:.1} ms, tasks {}, utilization busy {:.1}% ovhd {:.1}% idle {:.1}%\n{}\n",
             sim_core::time::to_ms(r.time_ns),
@@ -406,7 +411,7 @@ pub fn fig12(e: &Effort) -> String {
             r.utilization.0 * 100.0,
             r.utilization.1 * 100.0,
             r.utilization.2 * 100.0,
-            profile
+            c.trace().render_profile()
         ));
     }
     out
@@ -449,7 +454,7 @@ pub fn fig13(e: &Effort) -> Figure {
 /// ping-pong completes — recovery is exactly-once) and the share of total
 /// PE-time spent on recovery.
 pub fn fault_sweep(e: &Effort) -> Figure {
-    use charm_apps::pingpong::charm_one_way_with_recovery;
+    use charm_apps::pingpong::one_way_on;
     use gemini_net::FaultPlan;
 
     let mut f = Figure::new(
@@ -464,10 +469,14 @@ pub fn fault_sweep(e: &Effort) -> Figure {
         plan.smsg_corrupt = p;
         plan.fma_corrupt = p;
         plan.bte_corrupt = p;
-        let layer = LayerKind::ugni().with_fault(plan);
-        let (ns, frac) = charm_one_way_with_recovery(&layer, 1, 64 * 1024, e.pingpong_iters, false);
+        let mut c = LayerKind::ugni().with_fault(plan).cluster(2, 1);
+        let (ns, report) = one_way_on(&mut c, 64 * 1024, e.pingpong_iters, false);
         lat.push(p, ns / 1000.0);
-        rec.push(p, frac);
+        // Of the run's *work* time: idle is excluded, since ping-pong is
+        // latency-bound.
+        let (busy, ovh, recovery, _) = c.trace().utilization_with_recovery(Some(report.end_time));
+        let work = busy + ovh + recovery;
+        rec.push(p, if work > 0.0 { recovery / work } else { 0.0 });
     }
     f.add(lat);
     f.add(rec);
@@ -482,8 +491,7 @@ pub fn fault_sweep(e: &Effort) -> Figure {
 /// tension the sweep shows is the classic one: tighter cadence costs more
 /// checkpoint time but leaves less work to replay after the crash.
 pub fn crash_sweep(e: &Effort) -> Figure {
-    use charm_apps::jacobi2d::{run_jacobi, run_jacobi_ft_traced, JacobiConfig};
-    use charm_rt::prelude::FtConfig;
+    use charm_apps::jacobi2d::{run_jacobi, run_on, JacobiConfig};
     use gemini_net::{FaultPlan, NodeCrashWindow};
 
     let cfg = if e.full_scale {
@@ -515,19 +523,20 @@ pub fn crash_sweep(e: &Effort) -> Figure {
             at_ns: 80_000,
             restart_after_ns: Some(40_000),
         });
-        let layer = LayerKind::ugni().with_fault(plan);
-        let ftc = FtConfig {
+        let mut c = LayerKind::ugni().with_fault(plan).cluster(8, 4);
+        c.enable_ft(FtConfig {
             hb_period: 20_000,
             hb_timeout: 150_000,
             ckpt_period: period,
             ..FtConfig::default()
-        };
-        let (r, rep, charge) = run_jacobi_ft_traced(&layer, 8, 4, &cfg, ftc);
+        });
+        let r = run_on(&mut c, &cfg);
+        let rep = c.ft_report();
         debug_assert_eq!(rep.recoveries, 1);
         debug_assert_eq!(r.grid, clean.grid);
         let x = period as f64 / 1000.0;
         lat.push(x, r.time_ns.saturating_sub(clean.time_ns) as f64 / 1000.0);
-        cost.push(x, charge.checkpoint_ns as f64 / 1000.0);
+        cost.push(x, c.trace().total_checkpoint() as f64 / 1000.0);
         waves.push(x, rep.ckpts as f64);
     }
     f.add(lat);

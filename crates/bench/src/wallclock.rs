@@ -14,10 +14,10 @@
 //! perf trajectory is machine-readable PR over PR.
 
 use crate::Effort;
-use charm_apps::jacobi2d::{run_jacobi, JacobiConfig};
-use charm_apps::kneighbor::{kneighbor_fine_report, kneighbor_report};
-use charm_apps::pingpong::{charm_bandwidth_report, charm_one_way_report};
-use charm_apps::LayerKind;
+use charm_apps::jacobi2d::JacobiConfig;
+use charm_apps::pingpong::{bandwidth_on, one_way_on};
+use charm_apps::{jacobi2d, kneighbor, LayerKind};
+use charm_rt::prelude::ClusterCfg;
 use std::time::Instant;
 
 /// Aggregate events/sec of the pre-PR engine on this suite (single global
@@ -422,18 +422,14 @@ pub fn wallclock_suite(e: &Effort) -> WallSuite {
 /// parallel mode (1 = the sequential engine). Virtual fingerprints are
 /// pinned identically for every thread count — the parallel engine is
 /// bit-exact, so a drift at `threads > 1` is a determinism bug, not a
-/// perf artifact.
+/// perf artifact. The count is used as given: the point of the sweep is
+/// to measure the parallel engine's overhead even when the host has fewer
+/// cores than `threads`.
 pub fn wallclock_suite_threads(e: &Effort, threads: u32) -> WallSuite {
-    // The count is used as given: the point of the sweep is to measure
-    // the parallel engine's overhead even when the host has fewer cores
-    // than `threads`.
-    charm_rt::prelude::set_default_threads(threads);
-    let suite = wallclock_suite_inner(e, threads);
-    charm_rt::prelude::set_default_threads(1);
-    suite
-}
-
-fn wallclock_suite_inner(e: &Effort, threads: u32) -> WallSuite {
+    let cfg = |pes: u32, cores_per_node: u32| ClusterCfg {
+        threads,
+        ..ClusterCfg::new(pes, cores_per_node)
+    };
     let quick = !e.full_scale;
     let mut runs = Vec::new();
 
@@ -448,14 +444,13 @@ fn wallclock_suite_inner(e: &Effort, threads: u32) -> WallSuite {
         runs.push(measure("pingpong_sweep", tag, quick, || {
             let mut events = 0;
             let mut vend = 0;
-            for &b in sizes {
-                let (_, _, rep) = charm_one_way_report(&layer, 1, b, pp_iters, false);
+            let plain = sizes.iter().map(|&b| (b, false));
+            for (b, persistent) in plain.chain([(65536, true)]) {
+                let (_, rep) =
+                    layer.run_checked(cfg(2, 1), |c| one_way_on(c, b, pp_iters, persistent));
                 events += rep.stats.events;
                 vend += rep.end_time;
             }
-            let (_, _, rep) = charm_one_way_report(&layer, 1, 65536, pp_iters, true);
-            events += rep.stats.events;
-            vend += rep.end_time;
             (events, vend)
         }));
     }
@@ -465,7 +460,8 @@ fn wallclock_suite_inner(e: &Effort, threads: u32) -> WallSuite {
     let (bw_window, bw_rounds) = if quick { (8, 10) } else { (16, 40) };
     for (tag, layer) in layers() {
         runs.push(measure("bandwidth", tag, quick, || {
-            let (_, rep) = charm_bandwidth_report(&layer, 65536, bw_window, bw_rounds);
+            let (_, rep) =
+                layer.run_checked(cfg(2, 1), |c| bandwidth_on(c, 65536, bw_window, bw_rounds));
             (rep.stats.events, rep.end_time)
         }));
     }
@@ -479,7 +475,7 @@ fn wallclock_suite_inner(e: &Effort, threads: u32) -> WallSuite {
     };
     for (tag, layer) in layers() {
         runs.push(measure("jacobi2d_seed", tag, quick, || {
-            let r = run_jacobi(&layer, 8, 4, &seed_cfg);
+            let r = layer.run_checked(cfg(8, 4), |c| jacobi2d::run_on(c, &seed_cfg));
             (r.events, r.time_ns)
         }));
     }
@@ -490,7 +486,7 @@ fn wallclock_suite_inner(e: &Effort, threads: u32) -> WallSuite {
     for (tag, layer) in layers() {
         let gated = layer.with_fault(gemini_net::FaultPlan::none());
         runs.push(measure("jacobi2d_inert", tag, quick, || {
-            let r = run_jacobi(&gated, 8, 4, &seed_cfg);
+            let r = gated.run_checked(cfg(8, 4), |c| jacobi2d::run_on(c, &seed_cfg));
             (r.events, r.time_ns)
         }));
     }
@@ -511,7 +507,7 @@ fn wallclock_suite_inner(e: &Effort, threads: u32) -> WallSuite {
     };
     for (tag, layer) in layers() {
         runs.push(measure("jacobi2d", tag, quick, || {
-            let r = run_jacobi(&layer, 16, 4, &jac_cfg);
+            let r = layer.run_checked(cfg(16, 4), |c| jacobi2d::run_on(c, &jac_cfg));
             (r.events, r.time_ns)
         }));
     }
@@ -524,7 +520,9 @@ fn wallclock_suite_inner(e: &Effort, threads: u32) -> WallSuite {
     };
     for (tag, layer) in layers() {
         runs.push(measure("kneighbor", tag, quick, || {
-            let (_, rep) = kneighbor_report(&layer, kn_cores, 4, kn_k, kn_bytes, kn_iters);
+            let (_, rep) = layer.run_checked(cfg(kn_cores, 4), |c| {
+                kneighbor::run_on(c, kn_k, kn_bytes, kn_iters)
+            });
             (rep.stats.events, rep.end_time)
         }));
     }
@@ -542,8 +540,10 @@ fn wallclock_suite_inner(e: &Effort, threads: u32) -> WallSuite {
     let ugni = LayerKind::ugni();
     for (tag, aggregate) in [("agg_off", false), ("agg_on", true)] {
         runs.push(measure("kneighbor_fine", tag, quick, || {
-            let (_, rep) =
-                kneighbor_fine_report(&ugni, fg_cores, 4, fg_k, fg_msgs, fg_iters, aggregate);
+            let (_, rep) = ugni.run_checked(cfg(fg_cores, 4), |c| {
+                c.am_config(kneighbor::fine_am_config(aggregate));
+                kneighbor::run_fine_on(c, fg_k, fg_msgs, fg_iters)
+            });
             (rep.stats.events, rep.end_time)
         }));
     }

@@ -23,10 +23,7 @@ use gemini_net::NodeId;
 use sim_core::{EventQueue, Time};
 use std::sync::Arc;
 
-pub use crate::config::{
-    set_default_batch_windows, set_default_handoff_min_events, set_default_threads,
-    take_sync_overhead_ns, ClusterCfg,
-};
+pub use crate::config::{take_sync_overhead_ns, ClusterCfg};
 pub use crate::ctx::{MachineCtx, PeCtx};
 pub use crate::kernel::{ClusterStats, Cmd, Event};
 
@@ -189,10 +186,13 @@ impl Cluster {
     /// Direct access to the machine layer (e.g. to read its stats after a
     /// run).
     pub fn layer_mut<T: 'static>(&mut self) -> &mut T {
-        self.layer
-            .as_any()
-            .downcast_mut()
-            .expect("layer type mismatch")
+        self.try_layer_mut().expect("layer type mismatch")
+    }
+
+    /// [`Cluster::layer_mut`] for callers that do not know which layer
+    /// the cluster was built on: `None` when it is not a `T`.
+    pub fn try_layer_mut<T: 'static>(&mut self) -> Option<&mut T> {
+        self.layer.as_any().downcast_mut()
     }
 
     pub fn trace(&self) -> &Trace {

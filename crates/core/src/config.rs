@@ -1,48 +1,13 @@
-//! Cluster-wide configuration, the per-thread defaults harnesses steer it
-//! with, and the parallel engine's barrier-wait meter.
+//! Cluster-wide configuration and the parallel engine's barrier-wait
+//! meter.
 
 use sim_core::Time;
 use std::cell::Cell;
 
 thread_local! {
-    /// Default for [`ClusterCfg::threads`] (see [`set_default_threads`]).
-    static DEFAULT_THREADS: Cell<u32> = const { Cell::new(1) };
-    /// Default for [`ClusterCfg::batch_windows`] (see
-    /// [`set_default_batch_windows`]).
-    static DEFAULT_BATCH_WINDOWS: Cell<u32> = const { Cell::new(4) };
-    /// Default for [`ClusterCfg::handoff_min_events`] (see
-    /// [`set_default_handoff_min_events`]).
-    static DEFAULT_HANDOFF_MIN: Cell<u32> = const { Cell::new(16) };
     /// Barrier-wait nanoseconds accumulated by parallel runs on this
     /// thread since the last [`take_sync_overhead_ns`].
     static SYNC_OVERHEAD: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Set the worker count newly built [`ClusterCfg`]s default to (clamped to
-/// at least 1). Thread-local, so harnesses running independent simulations
-/// on a thread pool don't race: each harness thread configures its own
-/// default and every app built on it inherits `--threads` with zero churn.
-///
-/// The count is taken as given, even beyond
-/// `std::thread::available_parallelism()`: the differential suites and the
-/// wallclock sweep pin virtual results (and meter sync overhead) at thread
-/// counts the host may not physically have.
-pub fn set_default_threads(n: u32) {
-    DEFAULT_THREADS.with(|c| c.set(n.max(1)));
-}
-
-/// Set the window-batch depth newly built [`ClusterCfg`]s default to
-/// (clamped to at least 1). See [`ClusterCfg::batch_windows`].
-pub fn set_default_batch_windows(k: u32) {
-    DEFAULT_BATCH_WINDOWS.with(|c| c.set(k.max(1)));
-}
-
-/// Set the hand-off work floor newly built [`ClusterCfg`]s default to.
-/// See [`ClusterCfg::handoff_min_events`]; 0 hands off every eligible
-/// window (the determinism suites use this to keep the worker path fully
-/// exercised on tiny configurations).
-pub fn set_default_handoff_min_events(n: u32) {
-    DEFAULT_HANDOFF_MIN.with(|c| c.set(n));
 }
 
 /// Drain this thread's accumulated parallel-sync overhead meter: the
@@ -79,22 +44,24 @@ pub struct ClusterCfg {
     pub fault: gemini_net::FaultPlan,
     /// Worker threads for [`crate::cluster::Cluster::run`]: 1 = sequential
     /// engine, N > 1 = conservative parallel execution over node
-    /// partitions (bit-identical results — see DESIGN.md §10). Defaults to
-    /// the value last given to [`set_default_threads`] (initially 1).
+    /// partitions (bit-identical results — see DESIGN.md §10). The count
+    /// is taken as given, even beyond `available_parallelism()`: the
+    /// differential suites and the wallclock sweep pin virtual results at
+    /// thread counts the host may not physically have. Default 1.
     pub threads: u32,
     /// Consecutive lookahead windows a worker may execute per barrier
     /// crossing (≥ 1). Workers publish a per-partition frontier once per
     /// window and bound themselves by the other partitions' frontiers
     /// plus the lookahead, so deeper batches amortize the barrier without
-    /// changing any virtual timestamp (DESIGN.md §10). Defaults to the
-    /// value last given to [`set_default_batch_windows`] (initially 4).
+    /// changing any virtual timestamp (DESIGN.md §10). Default 4.
     pub batch_windows: u32,
     /// Minimum events queued across the window's ready partitions before
     /// the driver wakes the worker pool; smaller windows execute inline
     /// on the driver thread in the same canonical order (bit-identical,
     /// just cheaper than a barrier round-trip for a handful of events).
-    /// Defaults to the value last given to
-    /// [`set_default_handoff_min_events`] (initially 16).
+    /// Default 16; 0 hands off every eligible window (the determinism
+    /// suites use this to keep the worker path exercised on tiny
+    /// configurations).
     pub handoff_min_events: u32,
 }
 
@@ -109,9 +76,9 @@ impl ClusterCfg {
             max_events: 2_000_000_000,
             seed: 0xC0FFEE,
             fault: gemini_net::FaultPlan::default(),
-            threads: DEFAULT_THREADS.with(Cell::get),
-            batch_windows: DEFAULT_BATCH_WINDOWS.with(Cell::get),
-            handoff_min_events: DEFAULT_HANDOFF_MIN.with(Cell::get),
+            threads: 1,
+            batch_windows: 4,
+            handoff_min_events: 16,
         }
     }
 

@@ -313,6 +313,13 @@ impl Cluster {
         ft.resume = Some((handler, pe));
     }
 
+    /// Whether [`Cluster::enable_ft`] was called: apps written against a
+    /// cluster the caller built register their [`Checkpoint`] savers only
+    /// then.
+    pub fn ft_enabled(&self) -> bool {
+        self.ft.is_some()
+    }
+
     /// FT activity summary (all zeros when FT is off).
     pub fn ft_report(&self) -> FtReport {
         match &self.ft {

@@ -64,7 +64,6 @@ pub mod prelude {
     pub use crate::am::{AmConfig, AmData, AmId};
     pub use crate::charm::{ArrayId, EntryId, RedOp, CHARM_HANDLER};
     pub use crate::cluster::{
-        set_default_batch_windows, set_default_handoff_min_events, set_default_threads,
         take_sync_overhead_ns, Cluster, ClusterCfg, ClusterStats, MachineCtx, PeCtx, RunReport,
     };
     pub use crate::ft::{Checkpoint, FtConfig, FtReport};

@@ -182,6 +182,8 @@ pub struct MpiSim {
     gni: LGni,
     cores_per_node: u32,
     cqs: Vec<CqHandle>,
+    /// When each rank's CQ was last polled ([`MpiSim::reap_post`]).
+    cq_polled: Vec<Time>,
     eps: DetHashMap<(Rank, Rank), EpHandle>,
     /// uDREG per rank.
     udreg: Vec<RegCache>,
@@ -234,6 +236,7 @@ impl MpiSim {
             cfg,
             gni,
             cores_per_node,
+            cq_polled: vec![0; cqs.len()],
             cqs,
             eager_addr,
             eager_handle,
@@ -307,19 +310,35 @@ impl MpiSim {
         }
     }
 
-    /// Reap the completion for `user_id` from `cq`, polling from `at`.
-    /// Recovers CQ overruns in place (audit + resync) and discards stale
-    /// completions from earlier eagerly-drained posts. `Ok` carries the
-    /// consume time and any GET payload; `Err` reports a failed post and
-    /// when the failure became observable.
+    /// Reap the completion for `user_id` from `rank`'s CQ, looking from
+    /// `at`. Recovers CQ overruns in place (audit + resync) and discards
+    /// stale completions from earlier eagerly-drained posts. `Ok` carries
+    /// the consume time and any GET payload; `Err` reports a failed post
+    /// and when the failure became observable.
+    ///
+    /// `at` is the rank's view; the NIC is polled no earlier than this CQ
+    /// was last polled. `isend` drains a PUT's completion at its future
+    /// `local_cq_at` and returns at once, so the rank's next post can
+    /// complete before the previous drain's instant (an FMA PUT posted
+    /// behind a BTE PUT): the later poll sees the same queue head, and the
+    /// consume time stays the one the rank would have seen.
     fn reap_post(
         &mut self,
-        cq: CqHandle,
+        rank: Rank,
         user_id: u64,
         mut at: Time,
     ) -> Result<(Time, Option<Bytes>), (FaultKind, Time)> {
+        let cq = self.cqs[rank as usize];
         loop {
-            match self.gni.cq_get_event(cq, at) {
+            let poll = at.max(self.cq_polled[rank as usize]);
+            let head = self.gni.cq_next_ready(cq);
+            let polled = self.gni.cq_get_event(cq, poll);
+            if polled.is_ok() {
+                self.cq_polled[rank as usize] = poll;
+                // Popped at `poll`, ready at `head`: the rank had it then.
+                at = at.max(head.unwrap_or(at));
+            }
+            match polled {
                 Ok(CqEvent::PostDone {
                     user_id: id, data, ..
                 }) if id == user_id => {
@@ -332,8 +351,9 @@ impl MpiSim {
                 }
                 // Stale completion (or error already handled by a retry).
                 Ok(_) => continue,
-                Err(GniError::CqOverrun) => match self.gni.cq_resync(cq, at) {
+                Err(GniError::CqOverrun) => match self.gni.cq_resync(cq, poll) {
                     Ok((cost, _)) => {
+                        self.cq_polled[rank as usize] = poll;
                         self.stats.cq_resyncs += 1;
                         at += cost;
                     }
@@ -342,7 +362,7 @@ impl MpiSim {
                     // degrades rather than aborting.
                     Err(_) => return Err((FaultKind::Dropped, at)),
                 },
-                Err(GniError::NotDone) => match self.gni.cq_next_ready(cq) {
+                Err(GniError::NotDone) => match head {
                     Some(t) if t > at => at = t,
                     // The completion for `user_id` is always pushed (queued
                     // or into the overrun-lost set), so an empty CQ here is
@@ -432,7 +452,6 @@ impl MpiSim {
             };
             // Post the PUT; a failed transaction is re-posted after its
             // error surfaces on the CQ, with capped exponential backoff.
-            let cq = self.cqs[src as usize];
             let mut attempt_at = now + fx.cpu;
             let mut backoff = RETRY_BACKOFF0;
             let ok = loop {
@@ -443,7 +462,7 @@ impl MpiSim {
                 }
                 .expect("eager PUT rejected");
                 // Drain our own CQ entry eagerly (send request completion).
-                match self.reap_post(cq, xid, posted.local_cq_at) {
+                match self.reap_post(src, xid, posted.local_cq_at) {
                     Ok(_) => break posted,
                     Err((_kind, err_at)) => {
                         self.stats.send_retries += 1;
@@ -643,7 +662,6 @@ impl MpiSim {
                 };
                 // Blocking: spin on the CQ until done, re-posting the GET
                 // if the fabric fails it (zero-copy pull is idempotent).
-                let cqh = self.cqs[rank as usize];
                 let mut attempt_at = t0;
                 let mut backoff = RETRY_BACKOFF0;
                 let (ok, data) = loop {
@@ -651,7 +669,7 @@ impl MpiSim {
                         .gni
                         .post_rdma(attempt_at, ep, desc.clone())
                         .expect("rendezvous GET rejected");
-                    match self.reap_post(cqh, xid, posted.local_cq_at) {
+                    match self.reap_post(rank, xid, posted.local_cq_at) {
                         Ok((_, d)) => break (posted, d.expect("rendezvous GET without data")),
                         Err((_kind, err_at)) => {
                             self.stats.send_retries += 1;

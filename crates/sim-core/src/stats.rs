@@ -6,99 +6,6 @@
 
 use crate::time::{to_us, Time};
 
-/// Streaming mean/min/max/variance accumulator (Welford's algorithm).
-#[derive(Debug, Clone, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    pub fn new() -> Self {
-        Self {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Fold in one observation.
-    pub fn add(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Sample variance (n-1 denominator).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Merge another accumulator into this one (parallel-friendly).
-    pub fn merge(&mut self, o: &OnlineStats) {
-        if o.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = o.clone();
-            return;
-        }
-        let n = self.n + o.n;
-        let d = o.mean - self.mean;
-        let mean = self.mean + d * o.n as f64 / n as f64;
-        let m2 = self.m2 + o.m2 + d * d * (self.n as f64 * o.n as f64) / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(o.min);
-        self.max = self.max.max(o.max);
-    }
-}
-
 /// One named curve for a figure: x values with one y per x.
 #[derive(Debug, Clone)]
 pub struct Series {
@@ -220,51 +127,6 @@ pub fn pow2_sizes(lo: u64, hi: u64) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn online_stats_basic() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.add(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-9);
-        assert!((s.stddev() - 2.138089935).abs() < 1e-6);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn empty_stats_are_zero() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.stddev(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i * 7 % 13) as f64).collect();
-        let mut all = OnlineStats::new();
-        for &x in &xs {
-            all.add(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..37] {
-            a.add(x);
-        }
-        for &x in &xs[37..] {
-            b.add(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
-    }
 
     #[test]
     fn pow2_sweep() {

@@ -6,8 +6,9 @@
 //! cargo run --release -p charm-examples --bin jacobi2d [-- N [blocks] [iters]]
 //! ```
 
-use charm_apps::jacobi2d::{jacobi_sequential, run_jacobi, JacobiConfig};
+use charm_apps::jacobi2d::{self, jacobi_sequential, JacobiConfig};
 use charm_apps::LayerKind;
+use charm_rt::prelude::ClusterCfg;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -18,25 +19,27 @@ fn main() {
     let cfg = JacobiConfig { n, blocks, iters };
     println!("Jacobi 2D: {n}x{n} grid, {blocks}x{blocks} blocks, {iters} iterations\n");
 
+    let (seq, _) = jacobi_sequential(n, iters);
     for layer in [LayerKind::ugni(), LayerKind::mpi()] {
-        let r = run_jacobi(&layer, 16, 4, &cfg);
+        // Build the cluster, hand it to the app, read it afterwards.
+        let mut c = layer.build(ClusterCfg::new(16, 4));
+        let r = jacobi2d::run_on(&mut c, &cfg);
+        let (busy, ovh, _idle) = c.trace().utilization(Some(r.time_ns));
         println!(
-            "{:<22} residual {:>12.6e}  virtual time {:>10}",
+            "{:<22} residual {:>12.6e}  virtual time {:>10}  busy {:>4.1}%  runtime {:>4.1}%",
             layer.name(),
             r.residual,
-            sim_core::time::fmt(r.time_ns)
+            sim_core::time::fmt(r.time_ns),
+            busy * 100.0,
+            ovh * 100.0
         );
+        let max_diff = r
+            .grid
+            .iter()
+            .zip(&seq)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0f64, f64::max);
+        assert_eq!(max_diff, 0.0, "parallel result must be bitwise identical");
     }
-
-    let r = run_jacobi(&LayerKind::ugni(), 16, 4, &cfg);
-    let (seq, _) = jacobi_sequential(n, iters);
-    let max_diff = r
-        .grid
-        .iter()
-        .zip(&seq)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f64, f64::max);
-    println!("\nmax |parallel - sequential| = {max_diff:e}");
-    assert_eq!(max_diff, 0.0, "parallel result must be bitwise identical");
     println!("parallel result is bitwise identical to the sequential sweep.");
 }

@@ -5,13 +5,15 @@
 //! cargo run --release -p charm-examples --bin quickstart
 //! ```
 
+use charm_apps::LayerKind;
 use charm_rt::prelude::*;
-use lrts_ugni::{UgniConfig, UgniLayer};
+use lrts_ugni::UgniLayer;
 
 fn main() {
-    // 8 PEs, 2 cores per node -> 4 simulated Gemini nodes.
+    // 8 PEs, 2 cores per node -> 4 simulated Gemini nodes. Every run knob
+    // (threads, trace_bucket, seed, ...) is a field of this value.
     let cfg = ClusterCfg::new(8, 2);
-    let mut cluster = Cluster::new(cfg, Box::new(UgniLayer::new(UgniConfig::optimized())));
+    let mut cluster = LayerKind::ugni().build(cfg);
 
     // A Converse handler: forward the token to the next PE, stop after one
     // full circle.
@@ -46,6 +48,12 @@ fn main() {
         busy * 100.0,
         ovh * 100.0,
         idle * 100.0
+    );
+    // The machine layer is yours to read too.
+    let layer = cluster.layer_mut::<UgniLayer>();
+    println!(
+        "uGNI layer: {} small (SMSG) messages, {} rendezvous",
+        layer.stats.small_msgs, layer.stats.rendezvous_msgs
     );
     assert!(report.stopped_early, "token never completed the ring");
 }

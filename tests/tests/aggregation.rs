@@ -6,51 +6,22 @@
 //! recover through a node crash without losing or doubling a constituent,
 //! and produce identical application results at every flush threshold.
 
+mod common;
+
 use bytes::Bytes;
-use charm_apps::kneighbor::kneighbor_fine_report;
-use charm_apps::LayerKind;
+use charm_apps::{assert_contract_clean, kneighbor, LayerKind};
 use charm_rt::prelude::*;
-use gemini_net::{FaultPlan, LinkDownWindow, NodeCrashWindow};
+use common::{assert_reports_eq, differential, par_cfg, plan};
+use gemini_net::{FaultPlan, NodeCrashWindow};
 use proptest::prelude::*;
 
-/// Parallel thread counts; `CHARM_TEST_THREADS=N` (CI's matrix legs)
-/// narrows the sweep to one count.
-fn thread_counts() -> Vec<u32> {
-    match std::env::var("CHARM_TEST_THREADS") {
-        Ok(v) => vec![v.parse().expect("CHARM_TEST_THREADS must be a number")],
-        Err(_) => vec![2, 4],
-    }
-}
-
-fn differential<R>(f: impl Fn() -> R, check: impl Fn(&R, &R, u32)) {
-    set_default_handoff_min_events(0);
-    set_default_threads(1);
-    let seq = f();
-    for t in thread_counts() {
-        set_default_threads(t);
-        let par = f();
-        set_default_threads(1);
-        check(&seq, &par, t);
-    }
-}
-
-fn assert_reports_eq(a: &RunReport, b: &RunReport, ctx: &str) {
-    assert_eq!(a.end_time, b.end_time, "{ctx}: virtual end time drifted");
-    assert_eq!(a.stats, b.stats, "{ctx}: event statistics drifted");
-    assert_eq!(a.stopped_early, b.stopped_early, "{ctx}: stop flag drifted");
-}
-
-fn plan() -> FaultPlan {
-    let mut f = FaultPlan::uniform_drop(0xD1FF, 1e-3);
-    f.smsg_corrupt = 1e-3;
-    f.link_down.push(LinkDownWindow {
-        node: 0,
-        dim: 0,
-        plus: true,
-        from_ns: 100_000,
-        until_ns: 400_000,
-    });
-    f
+/// Aggregated fine-grained kNeighbor (8 PEs, k = 2, 8 AMs per neighbor,
+/// 10 iterations) on `threads` workers.
+fn fine(layer: &LayerKind, threads: u32) -> (f64, RunReport) {
+    layer.run_checked(par_cfg(8, 4, threads), |c| {
+        c.am_config(kneighbor::fine_am_config(true));
+        kneighbor::run_fine_on(c, 2, 8, 10)
+    })
 }
 
 /// All-to-all scatter of 16-byte typed AMs under `cfg`; returns the
@@ -107,6 +78,7 @@ fn am_scatter(
         xor ^= st.xor;
         hits += c.am_pool_stats(pe).hits;
     }
+    assert_contract_clean(&mut c);
     (count, xor, report.end_time, hits)
 }
 
@@ -114,8 +86,8 @@ fn am_scatter(
 fn aggregated_runs_are_bit_replayable() {
     // Same shape twice: the flush timers are ordinary virtual-time events,
     // so every timestamp and counter must repeat exactly.
-    let a = kneighbor_fine_report(&LayerKind::ugni(), 8, 4, 2, 8, 10, true);
-    let b = kneighbor_fine_report(&LayerKind::ugni(), 8, 4, 2, 8, 10, true);
+    let a = fine(&LayerKind::ugni(), 1);
+    let b = fine(&LayerKind::ugni(), 1);
     assert_eq!(a.0.to_bits(), b.0.to_bits(), "iteration time drifted");
     assert_reports_eq(&a.1, &b.1, "aggregated double-run");
 }
@@ -123,7 +95,7 @@ fn aggregated_runs_are_bit_replayable() {
 #[test]
 fn aggregated_identical_across_parallel_threads() {
     differential(
-        || kneighbor_fine_report(&LayerKind::ugni(), 8, 4, 2, 8, 10, true),
+        |t| fine(&LayerKind::ugni(), t),
         |a, b, t| {
             let ctx = format!("aggregated kneighbor_fine threads={t}");
             assert_eq!(a.0.to_bits(), b.0.to_bits(), "{ctx}: iteration time");
@@ -142,7 +114,7 @@ fn aggregated_identical_across_threads_under_active_fault_plan() {
     // to the sequential engine.
     let layer = LayerKind::ugni().with_fault(plan());
     differential(
-        || kneighbor_fine_report(&layer, 8, 4, 2, 8, 10, true),
+        |t| fine(&layer, t),
         |a, b, t| {
             let ctx = format!("aggregated faulty kneighbor_fine threads={t}");
             assert_eq!(a.0.to_bits(), b.0.to_bits(), "{ctx}: iteration time");

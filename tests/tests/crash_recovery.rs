@@ -5,11 +5,16 @@
 //! Every crash run must also be bit-replayable, and the parallel driver
 //! must agree with the sequential engine to the bit.
 
-use charm_apps::jacobi2d::{run_jacobi, run_jacobi_ft, JacobiConfig, JacobiResult};
-use charm_apps::pingpong::run_pingpong_ft;
+mod common;
+
+use bytes::Bytes;
+use charm_apps::jacobi2d::{self, run_jacobi, JacobiConfig, JacobiResult};
+use charm_apps::pingpong::ft_rally_on;
 use charm_apps::LayerKind;
-use charm_rt::prelude::{set_default_handoff_min_events, set_default_threads, FtConfig, FtReport};
+use charm_rt::prelude::*;
+use common::{differential, par_cfg};
 use gemini_net::{FaultPlan, LinkDownWindow, NodeCrashWindow};
+use std::any::Any;
 
 /// One node-1 crash at 80us. `restart_after` picks between restart-in-
 /// place and gone-for-good (redistribute) recovery.
@@ -43,9 +48,18 @@ fn jacobi_cfg() -> JacobiConfig {
     }
 }
 
+/// FT jacobi on 8 PEs under `plan`, on `threads` workers.
+fn ft_jacobi(plan: FaultPlan, threads: u32) -> (JacobiResult, FtReport) {
+    let mut c = LayerKind::ugni()
+        .with_fault(plan)
+        .build(par_cfg(8, 4, threads));
+    c.enable_ft(ft_config());
+    let r = jacobi2d::run_on(&mut c, &jacobi_cfg());
+    (r, c.ft_report())
+}
+
 fn crashed_jacobi(restart_after: Option<sim_core::Time>) -> (JacobiResult, FtReport) {
-    let layer = LayerKind::ugni().with_fault(crash_plan(restart_after));
-    run_jacobi_ft(&layer, 8, 4, &jacobi_cfg(), ft_config())
+    ft_jacobi(crash_plan(restart_after), 1)
 }
 
 #[test]
@@ -93,33 +107,21 @@ fn crash_runs_are_bit_replayable() {
     }
 }
 
-/// Thread counts for the parallel leg; `CHARM_TEST_THREADS=N` (CI's
-/// matrix legs) narrows the sweep to one count.
-fn thread_counts() -> Vec<u32> {
-    match std::env::var("CHARM_TEST_THREADS") {
-        Ok(v) => vec![v.parse().expect("CHARM_TEST_THREADS must be a number")],
-        Err(_) => vec![2, 4],
-    }
-}
-
 #[test]
 fn crash_identical_under_parallel_driver_threads() {
     // The parallel driver forces crash-window runs through the serial
     // engine (node death is a global membership edge, not a per-partition
     // event), so any thread count must reproduce the sequential run to
     // the bit.
-    set_default_handoff_min_events(0);
-    set_default_threads(1);
-    let (seq, seq_ft) = crashed_jacobi(Some(40_000));
-    for threads in thread_counts() {
-        set_default_threads(threads);
-        let (par, par_ft) = crashed_jacobi(Some(40_000));
-        set_default_threads(1);
-        assert_eq!(seq.time_ns, par.time_ns, "threads={threads}");
-        assert_eq!(seq.events, par.events, "threads={threads}");
-        assert_eq!(seq.grid, par.grid, "threads={threads}");
-        assert_eq!(seq_ft, par_ft, "threads={threads}");
-    }
+    differential(
+        |t| ft_jacobi(crash_plan(Some(40_000)), t),
+        |(seq, seq_ft), (par, par_ft), threads| {
+            assert_eq!(seq.time_ns, par.time_ns, "threads={threads}");
+            assert_eq!(seq.events, par.events, "threads={threads}");
+            assert_eq!(seq.grid, par.grid, "threads={threads}");
+            assert_eq!(seq_ft, par_ft, "threads={threads}");
+        },
+    );
 }
 
 #[test]
@@ -135,8 +137,7 @@ fn crash_inside_link_down_window_still_recovers() {
         from_ns: 60_000,
         until_ns: 160_000,
     });
-    let layer = LayerKind::ugni().with_fault(plan);
-    let (r, ft) = run_jacobi_ft(&layer, 8, 4, &jacobi_cfg(), ft_config());
+    let (r, ft) = ft_jacobi(plan, 1);
     let clean = run_jacobi(&LayerKind::ugni(), 8, 4, &jacobi_cfg());
     assert_eq!(ft.recoveries, 1);
     assert_eq!(r.iterations_run, 20);
@@ -154,10 +155,81 @@ fn pingpong_crash_is_exactly_once() {
             at_ns: 50_000,
             restart_after_ns: restart,
         });
-        let layer = LayerKind::ugni().with_fault(plan);
-        let (c0, cp, end, ft) = run_pingpong_ft(&layer, 4, 2, 256, 100, ft_config());
-        assert_eq!(ft.recoveries, 1, "restart={restart:?}");
+        let mut c = LayerKind::ugni().with_fault(plan).cluster(4, 2);
+        c.enable_ft(ft_config());
+        let (c0, cp, end) = ft_rally_on(&mut c, 256, 100);
+        assert_eq!(c.ft_report().recoveries, 1, "restart={restart:?}");
         assert_eq!((c0, cp), (100, 100), "restart={restart:?}");
         assert!(end > 0, "restart={restart:?}");
     }
+}
+
+/// A pass-through machine layer defined out here, counting what crosses
+/// the LRTS boundary. Persistent channels keep the trait's fall-back to
+/// `sync_send`; jacobi opens none.
+struct Counting {
+    inner: Box<dyn MachineLayer>,
+    sends: u64,
+    node_faults: u64,
+}
+
+impl MachineLayer for Counting {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn as_any(&mut self) -> &mut dyn Any {
+        self
+    }
+
+    fn init(&mut self, ctx: &mut MachineCtx) {
+        self.inner.init(ctx)
+    }
+
+    fn sync_send(&mut self, ctx: &mut MachineCtx, src_pe: PeId, dst_pe: PeId, msg: Bytes) {
+        self.sends += 1;
+        self.inner.sync_send(ctx, src_pe, dst_pe, msg)
+    }
+
+    fn on_event(&mut self, ctx: &mut MachineCtx, pe: PeId, ev: Box<dyn Any + Send>) {
+        self.inner.on_event(ctx, pe, ev)
+    }
+
+    fn lookahead(&self) -> sim_core::Time {
+        self.inner.lookahead()
+    }
+
+    fn node_fault(&mut self, ctx: &mut MachineCtx, node: gemini_net::NodeId) {
+        self.node_faults += 1;
+        self.inner.node_fault(ctx, node)
+    }
+}
+
+#[test]
+fn jacobi_runs_on_a_caller_wrapped_layer_with_ft() {
+    // The caller owns construction: its own decorator around the layer,
+    // FT switched on, and both read back from the cluster afterwards.
+    let layer = LayerKind::ugni().with_fault(crash_plan(Some(40_000)));
+    let cfg = ClusterCfg {
+        fault: layer.fault(),
+        ..ClusterCfg::new(8, 4)
+    };
+    let wrapped = Counting {
+        inner: layer.make_layer(),
+        sends: 0,
+        node_faults: 0,
+    };
+    let mut c = Cluster::new(cfg, Box::new(wrapped));
+    c.enable_ft(ft_config());
+    let r = jacobi2d::run_on(&mut c, &jacobi_cfg());
+
+    let (plain, plain_ft) = crashed_jacobi(Some(40_000));
+    assert_eq!(r.time_ns, plain.time_ns, "the decorator moved virtual time");
+    assert_eq!(r.grid, plain.grid);
+    assert_eq!(c.ft_report(), plain_ft);
+    assert_eq!(c.ft_report().recoveries, 1);
+    let counted = c.layer_mut::<Counting>();
+    assert!(counted.sends > 0, "nothing crossed the LRTS boundary");
+    // Crash onset and restart each reset the node's NIC-side state.
+    assert_eq!(counted.node_faults, 2);
 }

@@ -5,9 +5,10 @@
 //! Gemini fabric.
 
 use charm_apps::jacobi2d::{jacobi_sequential, run_jacobi, JacobiConfig};
-use charm_apps::minimd::{run_minimd, MdConfig};
+use charm_apps::minimd::{self, run_minimd, MdConfig, System};
 use charm_apps::nqueens::{known_solutions, run_nqueens, NqConfig, WorkMode};
-use charm_apps::LayerKind;
+use charm_apps::{assert_contract_clean, LayerKind};
+use lrts_mpi::MpiLayer;
 
 fn layers() -> Vec<LayerKind> {
     vec![LayerKind::ugni(), LayerKind::mpi(), LayerKind::Ideal(1_200)]
@@ -133,65 +134,41 @@ fn determinism_across_repeated_runs() {
     }
 }
 
-/// A token per PE circling an 8-PE ring on the MPI layer, `iters` hops
-/// each, cycling through the protocol classes (small eager, medium eager
-/// PUT, rendezvous; every other hop stays inside a node). Returns what the
-/// MPI library's uGNI instance still holds afterwards: buffers with
-/// content, and the verifier's stale-content advisories.
-fn mpi_ring_retained(iters: u32) -> (usize, usize) {
-    use bytes::Bytes;
-    use charm_rt::prelude::*;
-    use lrts_mpi::MpiLayer;
-    use std::sync::{Arc, OnceLock};
+/// ApoA1 miniMD without load balancing on the MPI layer at 16 PEs × 4;
+/// returns the cluster for the caller to look inside. Each step a rank
+/// posts an FMA eager PUT right behind a BTE one, whose completion it has
+/// already drained at a later instant.
+fn minimd_on_mpi(steps: u32) -> charm_rt::prelude::Cluster {
+    let mut md = MdConfig::for_system(System::Apoa1, steps);
+    md.lb_at_step = None;
+    let mut c = LayerKind::mpi().cluster(16, 4);
+    let r = minimd::run_on(&mut c, &md);
+    assert_eq!(r.steps, steps);
+    c
+}
 
-    const PES: u32 = 8;
-    const SIZES: [usize; 3] = [64, 4_000, 20_000];
-    let token = |hop: u32| {
-        let mut v = vec![0u8; SIZES[hop as usize % SIZES.len()]];
-        v[..4].copy_from_slice(&hop.to_le_bytes());
-        Bytes::from(v)
-    };
-
-    let mut c = Cluster::new(
-        ClusterCfg::new(PES, 2),
-        Box::new(MpiLayer::new(mpi_sim::MpiConfig::default())),
-    );
-    c.init_user(|_| 0u32);
-    let me = Arc::new(OnceLock::new());
-    let me2 = me.clone();
-    let hop_h = c.register_handler(move |ctx, env| {
-        let hop = u32::from_le_bytes(env.payload[..4].try_into().unwrap());
-        assert_eq!(env.payload.len(), SIZES[hop as usize % SIZES.len()]);
-        *ctx.user::<u32>() += 1;
-        if hop + 1 < iters {
-            let h = *me2.get().expect("handler registered");
-            ctx.send((ctx.pe() + 1) % PES, h, token(hop + 1));
-        }
-    });
-    me.set(hop_h).expect("set once");
-    let kick = c.register_handler(move |ctx, _| ctx.send((ctx.pe() + 1) % PES, hop_h, token(0)));
-    for pe in 0..PES {
-        c.inject(0, pe, kick, Bytes::new());
-    }
-    c.run();
-    for pe in 0..PES {
-        assert_eq!(*c.user::<u32>(pe), iters, "pe {pe} lost hops");
-    }
-
-    let layer = c.layer_mut::<MpiLayer>();
-    let report = layer
-        .contract_report()
-        .expect("the tests crate turns the verify feature on");
-    assert!(report.is_clean(), "{report}");
-    (layer.mpi().gni().contents_len(), report.stale_content())
+#[test]
+fn minimd_on_mpi_consumes_each_cq_in_time_order() {
+    assert_contract_clean(&mut minimd_on_mpi(3));
 }
 
 #[test]
 fn mpi_layer_retains_nothing_per_message() {
-    const K: u32 = 12;
-    let (few, many) = (mpi_ring_retained(K), mpi_ring_retained(4 * K));
+    // What the MPI library's uGNI instance still holds after the run:
+    // buffers with content, and the verifier's stale-content advisories.
+    let retained = |steps| {
+        let mut c = minimd_on_mpi(steps);
+        let layer = c.layer_mut::<MpiLayer>();
+        let report = layer
+            .contract_report()
+            .expect("the tests crate turns the verify feature on");
+        let stats = &layer.mpi().stats;
+        assert!(stats.eager_msgs > 0 && stats.rndv_msgs > 0, "{stats:?}");
+        (layer.mpi().gni().contents_len(), report.stale_content())
+    };
+    let (few, many) = (retained(3), retained(12));
     assert_eq!(few, many, "(buffers with content, stale advisories)");
     // One pre-registered eager slot per rank is all that may stay.
-    assert!(many.0 <= 8 && many.1 <= 8, "{many:?}");
+    assert!(many.0 <= 16 && many.1 <= 16, "{many:?}");
     assert!(many.0 > 0, "the eager PUT path was not exercised");
 }

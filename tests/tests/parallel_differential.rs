@@ -11,58 +11,12 @@
 //! path), collective fan-out, and an active fault plan with a mid-run
 //! link-down window (which degrades the lookahead and reroutes traffic).
 
-use charm_apps::jacobi2d::{run_jacobi, JacobiConfig};
-use charm_apps::kneighbor::kneighbor_report;
-use charm_apps::one_to_all::one_to_all_latency;
-use charm_apps::pingpong::{charm_bandwidth, charm_one_way_report};
-use charm_apps::LayerKind;
-use charm_rt::prelude::{set_default_handoff_min_events, set_default_threads, RunReport};
-use gemini_net::{FaultPlan, LinkDownWindow};
+mod common;
 
-/// Parallel thread counts each case compares against the sequential run.
-/// `CHARM_TEST_THREADS=N` (set by CI's matrix legs) narrows the sweep to
-/// one count so the legs split the work instead of repeating it.
-fn thread_counts() -> Vec<u32> {
-    match std::env::var("CHARM_TEST_THREADS") {
-        Ok(v) => vec![v.parse().expect("CHARM_TEST_THREADS must be a number")],
-        Err(_) => vec![2, 4, 8],
-    }
-}
-
-/// Run `f` once sequentially and once per parallel thread count, and hand
-/// each result to the caller's comparator together with a context label.
-fn differential<R>(f: impl Fn() -> R, check: impl Fn(&R, &R, u32)) {
-    // Hand off every eligible window: these configurations are small, and
-    // the point is to exercise the worker path, not to run fast.
-    set_default_handoff_min_events(0);
-    set_default_threads(1);
-    let seq = f();
-    for t in thread_counts() {
-        set_default_threads(t);
-        let par = f();
-        set_default_threads(1);
-        check(&seq, &par, t);
-    }
-}
-
-fn assert_reports_eq(a: &RunReport, b: &RunReport, ctx: &str) {
-    assert_eq!(a.end_time, b.end_time, "{ctx}: virtual end time drifted");
-    assert_eq!(a.stats, b.stats, "{ctx}: event statistics drifted");
-    assert_eq!(a.stopped_early, b.stopped_early, "{ctx}: stop flag drifted");
-}
-
-fn plan() -> FaultPlan {
-    let mut f = FaultPlan::uniform_drop(0xD1FF, 1e-3);
-    f.smsg_corrupt = 1e-3;
-    f.link_down.push(LinkDownWindow {
-        node: 0,
-        dim: 0,
-        plus: true,
-        from_ns: 100_000,
-        until_ns: 400_000,
-    });
-    f
-}
+use charm_apps::jacobi2d::JacobiConfig;
+use charm_apps::pingpong::{bandwidth_on, one_way_on};
+use charm_apps::{assert_contract_clean, jacobi2d, kneighbor, one_to_all, LayerKind};
+use common::{assert_reports_eq, differential, par_cfg, plan};
 
 #[test]
 fn pingpong_straddles_eager_and_rendezvous() {
@@ -70,11 +24,11 @@ fn pingpong_straddles_eager_and_rendezvous() {
         // 64B = SMSG eager, 8K/64K = rendezvous (FMA then BTE).
         for bytes in [64usize, 8192, 65536] {
             differential(
-                || charm_one_way_report(&layer, 1, bytes, 30, false),
+                |t| layer.run_checked(par_cfg(2, 1, t), |c| one_way_on(c, bytes, 30, false)),
                 |a, b, t| {
                     let ctx = format!("{} pingpong {bytes}B threads={t}", layer.name());
                     assert_eq!(a.0.to_bits(), b.0.to_bits(), "{ctx}: latency");
-                    assert_reports_eq(&a.2, &b.2, &ctx);
+                    assert_reports_eq(&a.1, &b.1, &ctx);
                 },
             );
         }
@@ -88,11 +42,11 @@ fn pingpong_persistent_channels() {
     // serialize via the global halt.
     for layer in [LayerKind::ugni(), LayerKind::mpi()] {
         differential(
-            || charm_one_way_report(&layer, 1, 65536, 30, true),
+            |t| layer.run_checked(par_cfg(2, 1, t), |c| one_way_on(c, 65536, 30, true)),
             |a, b, t| {
                 let ctx = format!("{} persistent pingpong threads={t}", layer.name());
                 assert_eq!(a.0.to_bits(), b.0.to_bits(), "{ctx}: latency");
-                assert_reports_eq(&a.2, &b.2, &ctx);
+                assert_reports_eq(&a.1, &b.1, &ctx);
             },
         );
     }
@@ -101,8 +55,11 @@ fn pingpong_persistent_channels() {
 #[test]
 fn bandwidth_window() {
     differential(
-        || charm_bandwidth(&LayerKind::ugni(), 65536, 8, 10),
-        |a, b, t| assert_eq!(a.to_bits(), b.to_bits(), "bandwidth threads={t}"),
+        |t| LayerKind::ugni().run_checked(par_cfg(2, 1, t), |c| bandwidth_on(c, 65536, 8, 10)),
+        |a, b, t| {
+            assert_eq!(a.0.to_bits(), b.0.to_bits(), "bandwidth threads={t}");
+            assert_reports_eq(&a.1, &b.1, &format!("bandwidth threads={t}"));
+        },
     );
 }
 
@@ -115,7 +72,7 @@ fn jacobi2d_grid_and_residual() {
     };
     for layer in [LayerKind::ugni(), LayerKind::mpi()] {
         differential(
-            || run_jacobi(&layer, 8, 2, &cfg),
+            |t| layer.run_checked(par_cfg(8, 2, t), |c| jacobi2d::run_on(c, &cfg)),
             |a, b, t| {
                 let ctx = format!("{} jacobi threads={t}", layer.name());
                 assert_eq!(a.time_ns, b.time_ns, "{ctx}: end time");
@@ -140,7 +97,7 @@ fn jacobi2d_grid_and_residual() {
 fn kneighbor_ring() {
     for layer in [LayerKind::ugni(), LayerKind::mpi()] {
         differential(
-            || kneighbor_report(&layer, 16, 4, 2, 1024, 8),
+            |t| layer.run_checked(par_cfg(16, 4, t), |c| kneighbor::run_on(c, 2, 1024, 8)),
             |a, b, t| {
                 let ctx = format!("{} kneighbor threads={t}", layer.name());
                 assert_eq!(a.0.to_bits(), b.0.to_bits(), "{ctx}: iteration time");
@@ -159,7 +116,7 @@ fn one_to_all_under_active_fault_plan() {
         LayerKind::mpi().with_fault(plan()),
     ] {
         differential(
-            || one_to_all_latency(&layer, 4, 4, 4096, 6),
+            |t| layer.run_checked(par_cfg(16, 4, t), |c| one_to_all::run_on(c, 4096, 6)),
             |a, b, t| {
                 let ctx = format!("{} one_to_all faulty threads={t}", layer.name());
                 assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: latency");
@@ -180,7 +137,7 @@ fn jacobi_under_active_fault_plan() {
         LayerKind::mpi().with_fault(plan()),
     ] {
         differential(
-            || run_jacobi(&layer, 8, 2, &cfg),
+            |t| layer.run_checked(par_cfg(8, 2, t), |c| jacobi2d::run_on(c, &cfg)),
             |a, b, t| {
                 let ctx = format!("{} jacobi faulty threads={t}", layer.name());
                 assert_eq!(a.time_ns, b.time_ns, "{ctx}: end time");
@@ -195,6 +152,33 @@ fn jacobi_under_active_fault_plan() {
     }
 }
 
+/// Found by `proptest_parallel.rs`'s determinism product: once a wire plan's
+/// faults actually fire, two sends issued at one instant from different
+/// partitions can reach the fabric — and its single fault RNG stream — in
+/// an order that depends on how far each worker had run when the window
+/// closed, so *which* message is dropped differs from the sequential
+/// engine's choice and from one parallel run to the next (seed 7: PE 0's
+/// send at 298,186 ns sequentially, PE 4's on about half the parallel
+/// runs). The end time holds; what handlers observe, and sometimes the
+/// event statistics, do not.
+#[test]
+#[ignore = "parallel engine defect, ROADMAP item 1: fails on roughly half the runs"]
+fn same_instant_sends_draw_faults_in_canonical_order() {
+    let layer = LayerKind::ugni().with_fault(gemini_net::FaultPlan::uniform_drop(7, 1e-3));
+    let fine = |t| {
+        layer.run_checked(par_cfg(8, 4, t), |c| {
+            c.am_config(kneighbor::fine_am_config(false));
+            kneighbor::run_fine_on(c, 2, 8, 6)
+        })
+    };
+    let seq = fine(1);
+    for rep in 0..12 {
+        let par = fine(2);
+        assert_eq!(seq.0.to_bits(), par.0.to_bits(), "rep {rep}: PE 0's time");
+        assert_reports_eq(&seq.1, &par.1, &format!("rep {rep}"));
+    }
+}
+
 /// The uGNI contract verifier must stay clean when the cluster runs under
 /// the parallel driver: windowed execution reorders host wall-clock work
 /// but never the virtual-time uGNI call sequence the checker observes.
@@ -202,11 +186,10 @@ fn jacobi_under_active_fault_plan() {
 fn ugni_contract_stays_clean_under_parallel_driver() {
     use bytes::Bytes;
 
-    set_default_handoff_min_events(0);
     for threads in [2u32, 4] {
-        set_default_threads(threads);
-        let layer = LayerKind::ugni().with_fault(plan());
-        let mut c = layer.cluster(16, 4);
+        let mut c = LayerKind::ugni()
+            .with_fault(plan())
+            .build(par_cfg(16, 4, threads));
         c.init_user(|_| 0u64);
         let echo = c.register_handler(|ctx, env| {
             *ctx.user::<u64>() += env.payload.len() as u64;
@@ -221,8 +204,7 @@ fn ugni_contract_stays_clean_under_parallel_driver() {
         });
         c.inject(0, 0, kick, Bytes::new());
         let report = c.run();
-        set_default_threads(1);
         assert!(report.end_time > 0);
-        layer.assert_contract_clean(&mut c);
+        assert_contract_clean(&mut c);
     }
 }

@@ -8,20 +8,22 @@
 //! parallel run against the sequential engine bit for bit, making this a
 //! randomized extension of the pinned differential suite.
 
+mod common;
+
 use bytes::Bytes;
-use charm_apps::LayerKind;
-use charm_rt::prelude::{
-    set_default_batch_windows, set_default_handoff_min_events, set_default_threads, ClusterStats,
-};
-use gemini_net::{FaultPlan, LinkDownWindow};
+use charm_apps::jacobi2d::{self, jacobi_sequential, JacobiConfig};
+use charm_apps::{kneighbor, LayerKind};
+use charm_rt::prelude::{AmConfig, ClusterCfg, ClusterStats, FtConfig};
+use common::par_cfg;
+use gemini_net::{FaultPlan, LinkDownWindow, NodeCrashWindow};
 use lrts_ugni::UgniConfig;
 use proptest::prelude::*;
 
 /// App-shaped traffic: a scatter burst from PE 0 (mixed sizes straddling
 /// the eager/rendezvous switch), then a neighbor-ring echo wave — enough
 /// fan-out to keep several partitions busy inside one window.
-fn traffic(layer: &LayerKind, pes: u32, cores: u32, sizes: &[usize]) -> (u64, u64, u64) {
-    let (end, _, _, seen, xor) = traffic_full(layer, pes, cores, sizes, false);
+fn traffic(layer: &LayerKind, cfg: ClusterCfg, sizes: &[usize]) -> (u64, u64, u64) {
+    let (end, _, _, seen, xor) = traffic_full(layer, cfg, sizes, false);
     (end, seen, xor)
 }
 
@@ -31,12 +33,12 @@ fn traffic(layer: &LayerKind, pes: u32, cores: u32, sizes: &[usize]) -> (u64, u6
 /// digests.
 fn traffic_full(
     layer: &LayerKind,
-    pes: u32,
-    cores: u32,
+    cfg: ClusterCfg,
     sizes: &[usize],
     traced: bool,
 ) -> (u64, ClusterStats, String, u64, u64) {
-    let mut c = layer.cluster(pes, cores);
+    let pes = cfg.num_pes;
+    let mut c = layer.build(cfg);
     if traced {
         c.enable_trace_log();
     }
@@ -132,12 +134,8 @@ proptest! {
     ) {
         let (layer, pes) = make_layer((dx, dy, dz), cores, 0.0, None);
         prop_assume!(pes > 2);
-        set_default_handoff_min_events(0);
-        set_default_threads(1);
-        let seq = traffic(&layer, pes, cores, &sizes);
-        set_default_threads(threads);
-        let par = traffic(&layer, pes, cores, &sizes);
-        set_default_threads(1);
+        let seq = traffic(&layer, par_cfg(pes, cores, 1), &sizes);
+        let par = traffic(&layer, par_cfg(pes, cores, threads), &sizes);
         prop_assert_eq!(seq, par, "threads={} diverged", threads);
     }
 
@@ -155,12 +153,8 @@ proptest! {
         let (layer, pes) =
             make_layer((dx, dy, 1), cores, drop_p, Some((down_node, down_dim, down_from)));
         prop_assume!(pes > 2);
-        set_default_handoff_min_events(0);
-        set_default_threads(1);
-        let seq = traffic(&layer, pes, cores, &sizes);
-        set_default_threads(4);
-        let par = traffic(&layer, pes, cores, &sizes);
-        set_default_threads(1);
+        let seq = traffic(&layer, par_cfg(pes, cores, 1), &sizes);
+        let par = traffic(&layer, par_cfg(pes, cores, 4), &sizes);
         prop_assert_eq!(seq, par, "faulty parallel run diverged");
     }
 
@@ -181,17 +175,93 @@ proptest! {
     ) {
         let (layer, pes) = make_layer((dx, dy, dz), cores, drop_p, None);
         prop_assume!(pes > 2);
-        set_default_handoff_min_events(0);
-        set_default_threads(1);
-        let seq = traffic_full(&layer, pes, cores, &sizes, true);
-        set_default_threads(threads);
-        set_default_batch_windows(1);
-        let unbatched = traffic_full(&layer, pes, cores, &sizes, true);
-        set_default_batch_windows(k);
-        let batched = traffic_full(&layer, pes, cores, &sizes, true);
-        set_default_batch_windows(4);
-        set_default_threads(1);
+        let batch = |batch_windows| ClusterCfg {
+            batch_windows,
+            ..par_cfg(pes, cores, threads)
+        };
+        let seq = traffic_full(&layer, par_cfg(pes, cores, 1), &sizes, true);
+        let unbatched = traffic_full(&layer, batch(1), &sizes, true);
+        let batched = traffic_full(&layer, batch(k), &sizes, true);
         prop_assert_eq!(&seq, &unbatched, "unbatched parallel diverged from sequential");
         prop_assert_eq!(&unbatched, &batched, "batch_windows={} diverged", k);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The determinism product in one place, now that configuration is a
+    /// value: AM aggregation on/off × an active wire fault plan × a
+    /// node-crash window (restart or gone for good) × window batching ×
+    /// thread count. Fine-grained kNeighbor takes every dimension but the
+    /// crash (it has no checkpoints to come back from), FT jacobi takes all
+    /// five; each must match the sequential default-knob run under the
+    /// same faults in end time, statistics and application result, and
+    /// jacobi's grid must still be the sequential solver's.
+    ///
+    /// One cell is left out: kNeighbor on more than one thread under a wire
+    /// plan. This product found that the parallel engine is not bit-exact
+    /// there (`parallel_differential.rs`'s ignored
+    /// `same_instant_sends_draw_faults_in_canonical_order`, ROADMAP item 1).
+    #[test]
+    fn engine_knobs_are_invisible_across_the_fault_product(
+        aggregate in any::<bool>(),
+        wire_seed in proptest::option::of(0u64..1_000),
+        crash in proptest::option::of(
+            (40_000u64..120_000, proptest::option::of(30_000u64..60_000))),
+        deep_batches in any::<bool>(),
+        threads_log2 in 0u32..3,
+    ) {
+        let engine = |pes, cores| ClusterCfg {
+            batch_windows: if deep_batches { 4 } else { 1 },
+            ..par_cfg(pes, cores, 1 << threads_log2)
+        };
+        let mut plan = FaultPlan::default();
+        if let Some(seed) = wire_seed {
+            plan = FaultPlan::uniform_drop(seed, 1e-3);
+            plan.smsg_corrupt = 1e-3;
+            plan.link_down.push(LinkDownWindow {
+                node: 0,
+                dim: 0,
+                plus: true,
+                from_ns: 100_000,
+                until_ns: 400_000,
+            });
+        }
+
+        let fine = |cfg| {
+            LayerKind::ugni().with_fault(plan.clone()).run_checked(cfg, |c| {
+                c.am_config(kneighbor::fine_am_config(aggregate));
+                kneighbor::run_fine_on(c, 2, 8, 6)
+            })
+        };
+        let fine_engine = match wire_seed {
+            Some(_) => ClusterCfg { threads: 1, ..engine(8, 4) },
+            None => engine(8, 4),
+        };
+        let (seq, par) = (fine(ClusterCfg::new(8, 4)), fine(fine_engine));
+        prop_assert_eq!(seq.0.to_bits(), par.0.to_bits(), "kneighbor_fine iteration time");
+        prop_assert_eq!(seq.1.end_time, par.1.end_time, "kneighbor_fine end time");
+        prop_assert_eq!(&seq.1.stats, &par.1.stats, "kneighbor_fine stats");
+
+        let jacobi = |cfg| {
+            let mut plan = plan.clone();
+            if let Some((at_ns, restart_after_ns)) = crash {
+                plan.node_crash.push(NodeCrashWindow { node: 1, at_ns, restart_after_ns });
+            }
+            let mut c = LayerKind::ugni().with_fault(plan).build(cfg);
+            c.am_config(AmConfig { aggregation: aggregate, ..AmConfig::default() });
+            c.enable_ft(FtConfig {
+                hb_period: 20_000,
+                hb_timeout: 150_000,
+                ckpt_period: 60_000,
+                ..FtConfig::default()
+            });
+            let r = jacobi2d::run_on(&mut c, &JacobiConfig { n: 24, blocks: 4, iters: 12 });
+            (r.time_ns, c.stats().clone(), c.ft_report(), r.residual.to_bits(), r.grid)
+        };
+        let (seq, par) = (jacobi(ClusterCfg::new(8, 4)), jacobi(engine(8, 4)));
+        prop_assert_eq!(&seq, &par, "FT jacobi");
+        prop_assert_eq!(&seq.4, &jacobi_sequential(24, 12).0, "FT jacobi grid");
     }
 }
