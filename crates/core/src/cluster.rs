@@ -323,7 +323,7 @@ impl Cluster {
                 };
                 let st = self.pes.get_mut(pe as usize);
                 if let Delivered::Queued { wake_at } =
-                    kernel::deliver(&env, st, t, pe, &bytes, gate, &mut self.stats)
+                    kernel::deliver(&env, st, t, pe, bytes, gate, &mut self.stats)
                 {
                     self.trace.count_msg(pe);
                     if let Some(at) = wake_at {
@@ -594,6 +594,38 @@ mod tests {
         c.inject(0, 0, kick, Bytes::new());
         c.run();
         assert_eq!(c.user::<Vec<u16>>(0), &vec![5, 5, 100, 900]);
+    }
+
+    #[test]
+    fn a_priority_zero_timer_overtakes_a_deep_default_backlog() {
+        // What the FT heartbeat chains rely on (`PeCtx::send_after_prio`):
+        // a timer that fires into a saturated PE runs next, not after the
+        // backlog.
+        const BACKLOG: usize = 10_000;
+        let mut c = cluster(1);
+        c.init_user(|_| Vec::<u16>::new());
+        let record = c.register_handler(|ctx, env| {
+            ctx.charge(1_000);
+            let p = env.priority;
+            ctx.user::<Vec<u16>>().push(p);
+        });
+        let kick = c.register_handler(move |ctx, _| {
+            // Fires 2 ms in: the burst below takes 1 ms to issue and more
+            // than 10 ms to drain, so the timer lands mid-backlog.
+            ctx.send_after_prio(2_000_000, 0, record, Bytes::new(), 0);
+            for _ in 0..BACKLOG {
+                ctx.send(0, record, Bytes::new());
+            }
+        });
+        c.inject(0, 0, kick, Bytes::new());
+        c.run();
+        let ran = c.user::<Vec<u16>>(0);
+        assert_eq!(ran.len(), BACKLOG + 1);
+        let at = ran.iter().position(|&p| p == 0).expect("the timer ran");
+        assert!(
+            (1..BACKLOG / 5).contains(&at),
+            "timer ran as message {at} of {BACKLOG}"
+        );
     }
 
     /// Random fan-out traffic over 4 nodes, run at a given thread count.

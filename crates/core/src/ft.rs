@@ -26,7 +26,7 @@
 //!   replay from the checkpoint keeps execution exactly-once.
 
 use crate::cluster::{Cluster, Event, PeCtx};
-use crate::msg::{wire, Envelope, HandlerId, PeId};
+use crate::msg::{wire, Envelope, HandlerId, Header, PeId};
 use crate::trace::Kind;
 use bytes::Bytes;
 use gemini_net::NodeId;
@@ -585,16 +585,11 @@ impl Cluster {
             // Drop undelivered pre-recovery application messages from the
             // scheduler queue (their sends will be replayed from the
             // checkpoint), but keep FT/QD control envelopes — the
-            // detector's chains must survive recovery.
-            let kept: Vec<_> = st
-                .queue
-                .drain()
-                .map(|r| r.0)
-                .filter(|p| self.system_handlers.contains(p.env.handler))
-                .collect();
-            for p in kept {
-                st.queue.push(std::cmp::Reverse(p));
-            }
+            // detector's chains must survive recovery. (`Header::read`,
+            // not `Envelope::peek`: recovery does not panic.)
+            st.queue.retain(|wire| {
+                Header::read(wire).is_ok_and(|h| self.system_handlers.contains(h.handler))
+            });
             if let Some(cold) = &mut st.cold {
                 cold.charm.clear_reductions();
                 // Buffered (unflushed) typed AMs are pre-rollback sends:
@@ -836,6 +831,46 @@ mod tests {
             assert_eq!(a.1, b.1);
             assert_eq!(a.2, b.2);
         }
+    }
+
+    #[test]
+    fn recovery_drops_the_application_backlog_and_keeps_control_traffic_in_order() {
+        use crate::msg::DEFAULT_PRIO;
+        let mut c = Cluster::new(ClusterCfg::new(8, 2), Box::new(IdealLayer::new(1_000)));
+        c.enable_ft(FtConfig::default());
+        let app = c.register_handler(|_, _| {});
+        let (beat, tick) = {
+            let ft = c.ft.as_ref().unwrap();
+            (ft.beat_h, ft.tick_h)
+        };
+        c.ft_checkpoint(0);
+        // PE 2 survives with a mixed backlog, tagged through `src_pe`.
+        let backlog = [
+            (app, DEFAULT_PRIO),
+            (tick, DEFAULT_PRIO),
+            (beat, 0),
+            (app, 3),
+            (tick, DEFAULT_PRIO),
+            (app, DEFAULT_PRIO + 1),
+            (beat, 0),
+            (app, DEFAULT_PRIO),
+            (tick, DEFAULT_PRIO + 1),
+            (tick, DEFAULT_PRIO),
+        ];
+        for (tag, (h, prio)) in backlog.into_iter().enumerate() {
+            let env = Envelope::new(tag as u32, 2, h, Bytes::new()).with_priority(prio);
+            c.pes.get_mut(2).queue.push(prio, env.encode());
+        }
+        // Node 3 is gone for good: its PEs fold onto their buddies.
+        c.node_down[3] = true;
+        c.ft_recover(100, 3);
+        let q = &mut c.pes.get_mut(2).queue;
+        let left: Vec<_> = std::iter::from_fn(|| q.pop())
+            .map(|w| Envelope::from_wire(w).src_pe)
+            .collect();
+        // Heartbeats first, then default-priority control in arrival
+        // order, then the one below default; tags 0, 3, 5, 7 were the app's.
+        assert_eq!(left, [2, 6, 1, 4, 9, 8]);
     }
 
     #[test]

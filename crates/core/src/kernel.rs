@@ -2,7 +2,8 @@
 //! event *does* (the timing model of DESIGN.md §3).
 //!
 //! Every PE owns a Converse scheduler — a prioritized queue of delivered
-//! envelopes. Handlers are real Rust closures executed at their virtual
+//! wire buffers ([`SchedQueue`]), each decoded when its handler runs.
+//! Handlers are real Rust closures executed at their virtual
 //! start time; they account for computation with [`PeCtx::charge`] and
 //! their sends are timestamped at the PE-local virtual time at which they
 //! were issued. A PE processes one message at a time (`busy_until`);
@@ -21,7 +22,7 @@
 //!
 //! [`PeState`] is laid out for the kernel's access pattern: `deliver` and
 //! `pe_run` touch one per event, and at whole-machine scale each touch is
-//! a cache miss, so it holds only what they need (152 bytes); the rest is
+//! a cache miss, so it holds only what they need (160 bytes); the rest is
 //! [`PeCold`], behind a pointer that stays `None` on PEs that never use
 //! it.
 
@@ -32,12 +33,12 @@ use crate::ft::{FtCore, FtSnapshot};
 use crate::lrts::{MachineLayer, PersistentHandle};
 use crate::msg::{Envelope, HandlerId, PeId};
 use crate::qd::{QdPe, QdState};
+use crate::sched::SchedQueue;
 use bytes::Bytes;
 use gemini_net::NodeId;
 use sim_core::{DetRng, Time};
 use std::any::Any;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// Commands from application handlers to the machine layer, executed at
@@ -172,10 +173,8 @@ impl ClusterStats {
 }
 
 pub(crate) struct PeState {
-    /// Prioritized Converse scheduler queue: (priority, seq) ordering,
-    /// FIFO within a priority (Charm++'s prioritized execution).
-    pub(crate) queue: BinaryHeap<Reverse<PrioEnv>>,
-    queue_seq: u64,
+    /// Prioritized Converse scheduler queue of delivered wire buffers.
+    pub(crate) queue: SchedQueue,
     pub(crate) busy_until: Time,
     pub(crate) run_scheduled: bool,
     /// Machine events deferred while this PE was busy, drained by a single
@@ -195,7 +194,7 @@ pub(crate) struct PeState {
 /// persistent channels and fault tolerance use. It is 368 bytes of mostly
 /// empty container headers, and a whole-machine message-driven run touches
 /// every [`PeState`] once per event with a working set far beyond the
-/// caches — so it lives behind one pointer and a 16-PE page is 2.4 KiB
+/// caches — so it lives behind one pointer and a 16-PE page is 2.5 KiB
 /// instead of 8. `PeCold::default()` is all-empty containers: a missing
 /// cold part and a fresh one are indistinguishable, which keeps a fresh
 /// [`PeState`] a pure function of `(seed, pe)`.
@@ -223,8 +222,7 @@ impl PeState {
     /// a fresh state depends on nothing but its coordinates.
     pub(crate) fn fresh(seed: u64, pe: u64) -> Self {
         PeState {
-            queue: BinaryHeap::new(),
-            queue_seq: 0,
+            queue: SchedQueue::default(),
             busy_until: 0,
             run_scheduled: false,
             parked: VecDeque::new(),
@@ -278,30 +276,6 @@ impl PeState {
     #[cfg(test)]
     pub(crate) fn rng_mut(&mut self) -> &mut DetRng {
         &mut self.rng
-    }
-}
-
-/// Queue entry ordered by (priority, arrival sequence).
-pub(crate) struct PrioEnv {
-    prio: u16,
-    seq: u64,
-    pub(crate) env: Envelope,
-}
-
-impl PartialEq for PrioEnv {
-    fn eq(&self, other: &Self) -> bool {
-        self.prio == other.prio && self.seq == other.seq
-    }
-}
-impl Eq for PrioEnv {}
-impl PartialOrd for PrioEnv {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PrioEnv {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.prio, self.seq).cmp(&(other.prio, other.seq))
     }
 }
 
@@ -374,27 +348,28 @@ pub(crate) enum Delivered {
     Queued { wake_at: Option<Time> },
 }
 
-/// `Deliver`: decode the envelope, gate it against crash windows and the
-/// membership epoch, count it, and queue it on the PE's scheduler.
+/// `Deliver`: read the envelope's header in place, gate it against crash
+/// windows and the membership epoch, count it, and move the wire buffer
+/// onto the PE's scheduler queue.
 #[inline]
 pub(crate) fn deliver(
     env: &ExecEnv,
     st: &mut PeState,
     t: Time,
     pe: PeId,
-    bytes: &Bytes,
+    bytes: Bytes,
     gate: Gate,
     stats: &mut ClusterStats,
 ) -> Delivered {
     stats.count(Event::KIND_DELIVER);
-    let menv = Envelope::decode(bytes);
-    debug_assert_eq!(menv.dst_pe, pe);
+    let hdr = Envelope::peek(&bytes);
+    debug_assert_eq!(hdr.dst_pe, pe);
     if gate.dead {
         stats.ft_dead_drops += 1;
         return Delivered::DroppedDead;
     }
-    let system = env.system_handlers.contains(menv.handler);
-    if menv.epoch < gate.epoch && !system {
+    let system = env.system_handlers.contains(hdr.handler);
+    if hdr.epoch < gate.epoch && !system {
         stats.ft_stale_drops += 1;
         return Delivered::DroppedStale;
     }
@@ -402,13 +377,7 @@ pub(crate) fn deliver(
     if !system {
         st.qd.delivered += 1;
     }
-    let seq = st.queue_seq;
-    st.queue_seq += 1;
-    st.queue.push(Reverse(PrioEnv {
-        prio: menv.priority,
-        seq,
-        env: menv,
-    }));
+    st.queue.push(hdr.priority, bytes);
     let wake_at = (!st.run_scheduled).then(|| {
         st.run_scheduled = true;
         t.max(st.busy_until)
@@ -458,10 +427,11 @@ pub(crate) fn pe_run(
         };
     }
     stats.count(Event::KIND_PE_RUN);
-    let Some(Reverse(PrioEnv { env: menv, .. })) = st.queue.pop() else {
+    let Some(wire) = st.queue.pop() else {
         st.run_scheduled = false;
         return PeRun::Idle;
     };
+    let menv = Envelope::from_wire(wire);
     let handler = env
         .handlers
         .get(menv.handler.0 as usize)
@@ -634,7 +604,7 @@ mod tests {
         // deliver/pe_run touch one PeState per event with a working set
         // far beyond the caches at whole-machine scale: what they do not
         // need belongs in PeCold.
-        assert!(std::mem::size_of::<PeState>() <= 192);
+        assert_eq!(std::mem::size_of::<PeState>(), 160);
         let mut st = PeState::fresh(7, PE as u64);
         assert!(st.cold().is_none());
         st.lose_volatile();
@@ -699,7 +669,7 @@ mod tests {
             st.busy_until = c.busy_until;
             let mut stats = ClusterStats::default();
             let bytes = wire(c.handler, c.msg_epoch, b"");
-            let got = deliver(&fx.env(), &mut st, 50, PE, &bytes, c.gate, &mut stats);
+            let got = deliver(&fx.env(), &mut st, 50, PE, bytes, c.gate, &mut stats);
             assert_eq!(got, c.want, "{}", c.name);
             let counts = (
                 stats.msgs_delivered,
@@ -714,6 +684,46 @@ mod tests {
             assert_eq!(st.queue.len(), queued as usize, "{}", c.name);
             assert_eq!(st.run_scheduled, queued || c.run_scheduled, "{}", c.name);
         }
+    }
+
+    #[test]
+    fn a_chained_envelope_reaches_its_handler_without_a_copy() {
+        // Above the inline limit `encode` chains the payload behind the
+        // header; the queue holds that wire buffer and `pe_run` narrows it.
+        let mut v = vec![7u8; 4096];
+        v[0] = 1; // non-empty payloads stop the fixture's user handler
+        let sent_at = v.as_ptr();
+        let payload = Bytes::from(v);
+        let got = Arc::new(std::sync::Mutex::new(None));
+        let mut fx = Fixture::new();
+        let stash = got.clone();
+        fx.handlers[SYSTEM.0 as usize] = Arc::new(move |_, env| {
+            *stash.lock().unwrap() = Some(env.payload);
+        });
+        let bytes = Envelope::new(0, PE, SYSTEM, payload.clone()).encode();
+        let mut st = PeState::fresh(7, PE as u64);
+        let mut stats = ClusterStats::default();
+        deliver(
+            &fx.env(),
+            &mut st,
+            0,
+            PE,
+            bytes,
+            Gate::default(),
+            &mut stats,
+        );
+        let glob = Globals {
+            qd: &mut None,
+            ft: &mut None,
+        };
+        pe_run(&fx.env(), glob, &mut st, 0, PE, &mut Vec::new(), &mut stats);
+        let got = got.lock().unwrap().take().expect("the handler ran");
+        assert_eq!(got.as_ptr(), sent_at);
+        // Nothing else still refers to it: once the sender lets go, the
+        // handler's payload is the sole owner of the sender's allocation.
+        drop(payload);
+        let back = got.try_reclaim().expect("sole owner");
+        assert_eq!(back.as_ptr(), sent_at);
     }
 
     #[test]
@@ -759,7 +769,7 @@ mod tests {
                     &mut st,
                     0,
                     PE,
-                    &bytes,
+                    bytes,
                     Gate::default(),
                     &mut stats,
                 );

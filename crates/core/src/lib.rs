@@ -56,6 +56,7 @@ pub mod msg;
 mod par;
 pub mod pe_table;
 pub mod qd;
+mod sched;
 pub mod ssse;
 pub mod trace;
 

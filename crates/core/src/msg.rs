@@ -114,45 +114,98 @@ impl Envelope {
         b.put_bytes(0, HEADER_BYTES - 22);
     }
 
-    /// Deserialize from the wire format. Panics on a malformed buffer —
-    /// that is always a machine-layer bug, not an input condition.
-    pub fn decode(buf: &Bytes) -> Envelope {
-        assert!(buf.len() >= HEADER_BYTES, "short envelope: {}", buf.len());
-        // Read the header through a sub-slice: on a chained wire buffer
-        // this resolves to the contiguous header part, so decoding never
-        // flattens (= copies) the payload.
-        let hdr = buf.slice(..HEADER_BYTES);
-        let magic = u16::from_be_bytes([hdr[0], hdr[1]]);
-        assert_eq!(magic, MAGIC, "corrupt envelope magic {magic:#x}");
-        let handler = HandlerId(u16::from_be_bytes([hdr[2], hdr[3]]));
-        let src_pe = u32::from_be_bytes([hdr[4], hdr[5], hdr[6], hdr[7]]);
-        let dst_pe = u32::from_be_bytes([hdr[8], hdr[9], hdr[10], hdr[11]]);
-        let len = u32::from_be_bytes([hdr[12], hdr[13], hdr[14], hdr[15]]) as usize;
-        let priority = u16::from_be_bytes([hdr[16], hdr[17]]);
-        let epoch = u32::from_be_bytes([hdr[18], hdr[19], hdr[20], hdr[21]]);
-        assert_eq!(
-            buf.len(),
-            HEADER_BYTES + len,
-            "envelope length mismatch: wire {} vs header {}",
-            buf.len(),
-            HEADER_BYTES + len
-        );
+    /// Deserialize from the wire format, consuming the buffer: the payload
+    /// is the same handle narrowed past the header, so a contiguous
+    /// message costs no reference-count traffic and a chained one keeps
+    /// aliasing the sender's payload allocation. Panics on a malformed
+    /// buffer — that is always a machine-layer bug, not an input condition.
+    pub fn from_wire(mut buf: Bytes) -> Envelope {
+        let h = Self::peek(&buf);
+        buf.advance(HEADER_BYTES);
         Envelope {
-            src_pe,
-            dst_pe,
-            handler,
-            priority,
-            epoch,
-            payload: buf.slice(HEADER_BYTES..),
+            src_pe: h.src_pe,
+            dst_pe: h.dst_pe,
+            handler: h.handler,
+            priority: h.priority,
+            epoch: h.epoch,
+            payload: buf,
         }
     }
 
-    /// Peek only the destination PE from an encoded buffer (machine layers
-    /// route on this without a full decode).
-    pub fn peek_dst(buf: &Bytes) -> PeId {
-        assert!(buf.len() >= HEADER_BYTES);
-        let hdr = buf.slice(..HEADER_BYTES);
-        u32::from_be_bytes([hdr[8], hdr[9], hdr[10], hdr[11]])
+    /// [`Envelope::from_wire`] for a caller that keeps its buffer.
+    pub fn decode(buf: &Bytes) -> Envelope {
+        Self::from_wire(buf.clone())
+    }
+
+    /// Read and validate the header of an encoded envelope in place (the
+    /// scheduler gates a delivery on this without decoding it). Panics on
+    /// a malformed buffer, like [`Envelope::from_wire`].
+    #[inline]
+    pub(crate) fn peek(buf: &Bytes) -> Header {
+        Header::read(buf).unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
+/// The fixed header of an encoded envelope: every [`Envelope`] field but
+/// the payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Header {
+    pub(crate) src_pe: PeId,
+    pub(crate) dst_pe: PeId,
+    pub(crate) handler: HandlerId,
+    pub(crate) priority: u16,
+    pub(crate) epoch: u32,
+}
+
+/// Why a wire buffer is not an encoded envelope.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Malformed {
+    Short(usize),
+    Magic(u16),
+    Length { wire: usize, header: usize },
+}
+
+impl std::fmt::Display for Malformed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Malformed::Short(len) => write!(f, "short envelope: {len}"),
+            Malformed::Magic(magic) => write!(f, "corrupt envelope magic {magic:#x}"),
+            Malformed::Length { wire, header } => {
+                write!(
+                    f,
+                    "envelope length mismatch: wire {wire} vs header {header}"
+                )
+            }
+        }
+    }
+}
+
+impl Header {
+    /// The one header read: in place (a chained wire buffer is never
+    /// flattened for it) and validated — length, magic, and the payload
+    /// length the header announces against the buffer's.
+    #[inline]
+    pub(crate) fn read(buf: &Bytes) -> Result<Header, Malformed> {
+        let Some(h) = buf.first_chunk::<HEADER_BYTES>() else {
+            return Err(Malformed::Short(buf.len()));
+        };
+        let u16_at = |i: usize| u16::from_be_bytes([h[i], h[i + 1]]);
+        let u32_at = |i: usize| u32::from_be_bytes([h[i], h[i + 1], h[i + 2], h[i + 3]]);
+        if u16_at(0) != MAGIC {
+            return Err(Malformed::Magic(u16_at(0)));
+        }
+        let header = HEADER_BYTES + u32_at(12) as usize;
+        if buf.len() != header {
+            let wire = buf.len();
+            return Err(Malformed::Length { wire, header });
+        }
+        Ok(Header {
+            src_pe: u32_at(4),
+            dst_pe: u32_at(8),
+            handler: HandlerId(u16_at(2)),
+            priority: u16_at(16),
+            epoch: u32_at(18),
+        })
     }
 }
 
@@ -251,9 +304,74 @@ mod tests {
     }
 
     #[test]
-    fn peek_dst_matches_decode() {
-        let e = Envelope::new(1, 42, HandlerId(2), Bytes::from_static(b"x"));
-        assert_eq!(Envelope::peek_dst(&e.encode()), 42);
+    fn wire_layout_is_pinned() {
+        // Magic 0xC4A7, big-endian fields, ten bytes of zero pad, payload.
+        let e = Envelope::new(
+            0x0102_0304,
+            0x0506_0708,
+            HandlerId(0x090A),
+            Bytes::from_static(b"xyz"),
+        )
+        .with_priority(0x0B0C)
+        .with_epoch(0x0D0E_0F10);
+        #[rustfmt::skip]
+        let golden: [u8; HEADER_BYTES + 3] = [
+            0xC4, 0xA7,             // magic
+            0x09, 0x0A,             // handler
+            0x01, 0x02, 0x03, 0x04, // src_pe
+            0x05, 0x06, 0x07, 0x08, // dst_pe
+            0x00, 0x00, 0x00, 0x03, // payload length
+            0x0B, 0x0C,             // priority
+            0x0D, 0x0E, 0x0F, 0x10, // epoch
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            b'x', b'y', b'z',
+        ];
+        assert_eq!(&e.encode()[..], &golden);
+        assert_eq!(&e.encode_mut()[..], &golden);
+    }
+
+    #[test]
+    fn peek_reads_the_header_in_place_and_from_wire_moves_the_buffer() {
+        let payload = Bytes::from(vec![7u8; 4 * INLINE_WIRE]);
+        let e = Envelope::new(1, 42, HandlerId(2), payload.clone())
+            .with_priority(9)
+            .with_epoch(4);
+        let want = Header {
+            src_pe: 1,
+            dst_pe: 42,
+            handler: HandlerId(2),
+            priority: 9,
+            epoch: 4,
+        };
+        // Chained: the payload is still the sender's allocation.
+        let wire = e.encode();
+        assert_eq!(Envelope::peek(&wire), want);
+        let d = Envelope::from_wire(wire);
+        assert_eq!(d, e);
+        assert_eq!(d.payload.as_ptr(), payload.as_ptr());
+        // Contiguous: the same handle, narrowed — the payload sits where
+        // it sat in the wire buffer.
+        let wire = e.encode_mut().freeze();
+        assert_eq!(Envelope::peek(&wire), want);
+        let body = wire[HEADER_BYTES..].as_ptr();
+        let d = Envelope::from_wire(wire);
+        assert_eq!(d, e);
+        assert_eq!(d.payload.as_ptr(), body);
+    }
+
+    #[test]
+    fn a_malformed_buffer_is_an_error_before_it_is_a_panic() {
+        let e = Envelope::new(0, 0, HandlerId(0), Bytes::from_static(b"abcdef"));
+        let wire = e.encode();
+        assert_eq!(Header::read(&wire.slice(..10)), Err(Malformed::Short(10)));
+        let want = Malformed::Length {
+            wire: HEADER_BYTES + 4,
+            header: HEADER_BYTES + 6,
+        };
+        assert_eq!(Header::read(&wire.slice(..wire.len() - 2)), Err(want));
+        let mut bad = e.encode_mut();
+        bad[1] = 0;
+        assert_eq!(Header::read(&bad.freeze()), Err(Malformed::Magic(0xC400)));
     }
 
     #[test]

@@ -271,7 +271,7 @@ fn exec_local(
             // Crash plans force the sequential engine: nothing to gate.
             let gate = Gate::default();
             if let Delivered::Queued { wake_at } =
-                kernel::deliver(env, st, t, pe, &bytes, gate, &mut out.stats)
+                kernel::deliver(env, st, t, pe, bytes, gate, &mut out.stats)
             {
                 out.trace.push(TraceOp::CountMsg(pe));
                 if let Some(at) = wake_at {

@@ -11,7 +11,7 @@
 //! applies once more inside a state: what only chare arrays, AM
 //! aggregation, persistent channels and fault tolerance use (`PeCold`,
 //! kernel.rs) sits behind an `Option<Box<_>>` that stays `None` until
-//! one of them touches the PE, so a page is 16 × 152 B = 2.4 KiB.
+//! one of them touches the PE, so a page is 16 × 160 B = 2.5 KiB.
 //!
 //! Correctness hinges on materialization being *pure*: a fresh
 //! [`PeState`] is a function of `(seed, pe)` only (the RNG is
