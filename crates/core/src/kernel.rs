@@ -616,6 +616,16 @@ mod tests {
     }
 
     #[test]
+    fn a_queued_event_stays_56_bytes() {
+        // Every pending event pays this: the central queue holds each one
+        // in a slab node (`sim_core::queue`, 64 B with its link) and a
+        // whole-machine run holds 300k of them, so a new variant or field
+        // must not fatten the node silently.
+        assert_eq!(std::mem::size_of::<Event>(), 56);
+        assert_eq!(std::mem::size_of::<Cmd>(), 48);
+    }
+
+    #[test]
     fn deliver_outcomes() {
         struct Case {
             name: &'static str,

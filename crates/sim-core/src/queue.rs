@@ -6,18 +6,32 @@
 //! testable — identical inputs produce identical virtual-time results.
 //!
 //! [`TwoLevelQueue`] is the queue the sequential engine runs on: two rungs
-//! of one mechanism — an occupancy bitmap over FIFO slots — in front of a
+//! of one mechanism — an occupancy bitmap over FIFO lists — in front of a
 //! far heap for distant timers. The coarse rung is a ring of 64 buckets of
 //! 1 μs covering the near horizon; the fine rung splits the *active*
-//! microsecond into 1,024 slots of 1 ns, one per representable instant.
+//! microsecond into 1,024 ticks of 1 ns, one per representable instant.
 //! Push into either rung is an append; pop is "first set bit, front of
-//! that slot". Neither compares, sifts, nor depends on how many events are
+//! that list". Neither compares, sifts, nor depends on how many events are
 //! pending — which matters because a whole-machine run holds hundreds of
 //! thousands of events inside one microsecond (every PE of a ring exchange
 //! acts at the same virtual instants: 306,432 pending on the 153,216-PE
 //! `hopper_dense` benchmark workload against 6,144 on the 64-PE ones).
 //!
-//! # Why FIFO slots give exact `(time, seq)` order without a sort
+//! # An event is stored once
+//!
+//! `push` writes the event into a node of one slab and `pop` takes it out;
+//! in between, the tiers pass the node's `u32` index around. A tick is a
+//! `(head, tail)` pair over a list threaded through the nodes, a ring
+//! bucket a vector of 8-byte `(tick, node)` handles, a heap entry a 24-byte
+//! `(time, seq, node)` key. A node does not store its time — a tick knows
+//! it from its position, a heap key carries it — so it is the event plus
+//! one link: 64 bytes for the runtime's 56-byte `Event` (pinned by a test
+//! in `charm-rt`'s `kernel.rs`). Freed nodes form a LIFO list, so the
+//! steady pop-one-push-one of a simulation keeps writing the node it just
+//! read, and the slab's length is exactly the most events ever pending at
+//! once ([`TwoLevelQueue::peak_len`]); it does not shrink.
+//!
+//! # Why FIFO lists give exact `(time, seq)` order without a sort
 //!
 //! A tick holds one instant, so order within it is `seq` order, and every
 //! source already feeds a tick in `seq` order:
@@ -37,20 +51,20 @@
 //!   entries of the new active window straight into the ticks, again in
 //!   `(time, seq)` order and before any direct push can reach that window.
 //!
-//! A `debug_assert!` on each tick's tail `seq` pins the argument. The
-//! simulator never pushes below `base` (pushes are ≥ now ≥ `base`), but
-//! the contract allows it: such stragglers go to a small `below` heap that
-//! pops before everything else.
+//! Debug builds keep each node's `seq` and assert the argument whenever a
+//! node is linked behind a tick's tail. The simulator never pushes below
+//! `base` (pushes are ≥ now ≥ `base`), but the contract allows it: such
+//! stragglers go to a small `below` heap that pops before everything else.
 //!
 //! [`HeapQueue`], a single `BinaryHeap`, is the reference model of the
 //! contract — the differential tests require the two to pop identical
 //! sequences — and the right queue for the thousands of shallow (depth
-//! 0–4) per-endpoint queues in `ugni`, where a 32 KiB tick table each
-//! would be absurd.
+//! 0–4) per-endpoint queues in `ugni`, where an 8 KiB tick table and 64
+//! bucket headers each would be absurd.
 
 use crate::time::Time;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// The event queue used by the simulators.
 pub type EventQueue<E> = TwoLevelQueue<E>;
@@ -139,26 +153,60 @@ const BUCKET_NS: Time = 1 << BUCKET_BITS;
 /// `NUM_BUCKETS * BUCKET_NS` = 64 μs past the active window's start.
 const NUM_BUCKETS: usize = 64;
 const HORIZON_NS: Time = (NUM_BUCKETS as Time) << BUCKET_BITS;
-/// Fine rung: one FIFO slot per nanosecond of the active window.
+/// Fine rung: one FIFO list per nanosecond of the active window.
 const TICKS: usize = BUCKET_NS as usize;
 const TICK_WORDS: usize = TICKS / 64;
 // `tick_words` summarizes `tick_occ` one bit per word.
 const _: () = assert!(TICK_WORDS == u16::BITS as usize);
-/// A slot (tick or ring bucket) that empties keeps its buffer for reuse
-/// only up to this many entries: a whole-machine burst parks 150k events
-/// (11 MiB of `Cluster` events) in one slot, and 1,088 slots must not each
+/// A ring bucket that empties keeps its handle buffer for reuse only up to
+/// this many entries: a whole-machine burst parks 150k handles (1.2 MiB,
+/// 2 MiB of capacity) in each of several buckets, and they must not all
 /// pin their high-water mark for the rest of the run.
 const SLOT_KEEP_CAP: usize = 1024;
+/// "No node": the end of the free list. A slab index never reaches it.
+const NIL: u32 = u32::MAX;
+
+/// One slab cell: a pending event, or a link of the free list.
+#[derive(Debug)]
+struct Node<E> {
+    /// The next node of the same tick while the event is pending and not
+    /// the tick's tail; the next free node once it has been popped.
+    next: u32,
+    /// The pending event's `seq`, for the tick-order assertion in
+    /// [`TwoLevelQueue::link`].
+    #[cfg(debug_assertions)]
+    seq: u64,
+    event: Option<E>,
+}
+
+/// A tick's FIFO list through [`Node::next`]. Meaningful only while the
+/// tick's bit in `tick_occ` is set, so an all-zero table is an empty wheel.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tick {
+    head: u32,
+    tail: u32,
+}
+
+/// What a ring bucket stores per event: its tick once the bucket's window
+/// is the active one, and its node.
+type Handle = (u32, u32);
+/// What the `far` and `below` heaps store per event.
+type Key = Reverse<(Time, u64, u32)>;
 
 /// Two-rung (calendar-queue-style) event queue with exact `(time, seq)`
 /// FIFO ordering and depth-independent push and pop.
 ///
-/// Invariants, with `base` the start of the active window (a multiple of
-/// [`BUCKET_NS`]):
+/// A pending event is stored once, in a node of the `nodes` slab, from
+/// `push` to `pop`; every tier holds node indices. Invariants, with `base`
+/// the start of the active window (a multiple of [`BUCKET_NS`]):
 ///
+/// * every node is either pending (`event` is `Some`, reachable from
+///   exactly one tier) or on the free list; `nodes.len()` is the most
+///   events ever pending at once, and `push` reuses the node the latest
+///   `pop` released;
 /// * `below` holds stragglers pushed with `time < base`; when non-empty
 ///   its min is the global min;
-/// * tick `i ∈ 0..TICKS` holds every pending event at exactly `base + i`,
+/// * tick `i ∈ 0..TICKS` lists every pending event at exactly `base + i`,
 ///   in `seq` order; bit `i` of `tick_occ` says the tick is non-empty,
 ///   bit `w` of `tick_words` that word `w` of `tick_occ` has a bit set;
 /// * ring bucket `j ∈ 1..NUM_BUCKETS` holds events in
@@ -168,27 +216,27 @@ const SLOT_KEEP_CAP: usize = 1024;
 ///   re-bucketed whenever `base` advances.
 #[derive(Debug)]
 pub struct TwoLevelQueue<E> {
-    below: BinaryHeap<Reverse<Entry<E>>>,
-    /// Lazily allocated tick table (32 KiB of slot headers); empty until
-    /// the first push into the active window.
-    ticks: Vec<VecDeque<Entry<E>>>,
+    nodes: Vec<Node<E>>,
+    /// Head of the LIFO free list through [`Node::next`].
+    free: u32,
+    below: BinaryHeap<Key>,
+    /// Empty, like `ring`, until the first push (see `alloc`).
+    ticks: Vec<Tick>,
     tick_occ: [u64; TICK_WORDS],
     /// Bit `w` set ⇔ `tick_occ[w]` is non-zero: the first set bit is two
     /// `trailing_zeros` away instead of a scan over sixteen words.
     tick_words: u16,
-    /// Lazily allocated ring; empty until the first beyond-window push.
-    ring: Vec<Vec<Entry<E>>>,
+    ring: Vec<Vec<Handle>>,
     /// Physical index of logical bucket 0 (the active window's slot; its
-    /// vec is always empty because contents live in `ticks`).
+    /// vec is always empty because the window's events are on the ticks).
     head: usize,
     /// Bit `j` set ⇔ logical ring bucket `j` is non-empty.
     occ: u64,
     /// Start of the active window; multiple of `BUCKET_NS`; monotonic.
     base: Time,
-    far: BinaryHeap<Reverse<Entry<E>>>,
+    far: BinaryHeap<Key>,
     len: usize,
     seq: u64,
-    peak_len: usize,
 }
 
 impl<E> Default for TwoLevelQueue<E> {
@@ -200,7 +248,14 @@ impl<E> Default for TwoLevelQueue<E> {
 impl<E> TwoLevelQueue<E> {
     /// An empty queue.
     pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// An empty queue with node storage for `cap` pending events.
+    pub fn with_capacity(cap: usize) -> Self {
         Self {
+            nodes: Vec::with_capacity(cap),
+            free: NIL,
             below: BinaryHeap::new(),
             ticks: Vec::new(),
             tick_occ: [0; TICK_WORDS],
@@ -212,18 +267,7 @@ impl<E> TwoLevelQueue<E> {
             far: BinaryHeap::new(),
             len: 0,
             seq: 0,
-            peak_len: 0,
         }
-    }
-
-    /// An empty queue expecting about `cap` pending events. Only the far
-    /// heap — the one tier that is a single allocation — can reserve for
-    /// them; the FIFO slots size themselves, since how deep each gets
-    /// depends on the timestamps.
-    pub fn with_capacity(cap: usize) -> Self {
-        let mut q = Self::new();
-        q.far.reserve(cap);
-        q
     }
 
     #[inline]
@@ -231,43 +275,43 @@ impl<E> TwoLevelQueue<E> {
         (self.head + logical) & (NUM_BUCKETS - 1)
     }
 
-    /// Append to the tick of `entry.time`, which the caller guarantees is
-    /// inside the active window.
+    /// Append `node` to tick `i` of the active window. Touches no node
+    /// unless the tick is occupied, and then only its tail.
     #[inline]
-    fn place_tick(&mut self, entry: Entry<E>) {
-        if self.ticks.is_empty() {
-            self.ticks.resize_with(TICKS, VecDeque::new);
+    fn link(&mut self, i: usize, node: u32) {
+        let tick = &mut self.ticks[i];
+        if self.tick_occ[i / 64] & (1 << (i % 64)) == 0 {
+            self.tick_occ[i / 64] |= 1 << (i % 64);
+            self.tick_words |= 1 << (i / 64);
+            tick.head = node;
+        } else {
+            #[cfg(debug_assertions)]
+            debug_assert!(
+                self.nodes[tick.tail as usize].seq < self.nodes[node as usize].seq,
+                "tick {i} fed out of seq order"
+            );
+            self.nodes[tick.tail as usize].next = node;
         }
-        let i = (entry.time - self.base) as usize;
-        let slot = &mut self.ticks[i];
-        debug_assert!(
-            slot.back().is_none_or(|tail| tail.seq < entry.seq),
-            "tick {i} fed out of seq order"
-        );
-        slot.push_back(entry);
-        self.tick_occ[i / 64] |= 1 << (i % 64);
-        self.tick_words |= 1 << (i / 64);
+        tick.tail = node;
     }
 
+    /// File a pending node under the tier its time belongs to.
     #[inline]
-    fn place(&mut self, entry: Entry<E>) {
-        let Some(ahead) = entry.time.checked_sub(self.base) else {
-            self.below.push(Reverse(entry));
+    fn place(&mut self, time: Time, seq: u64, node: u32) {
+        let Some(ahead) = time.checked_sub(self.base) else {
+            self.below.push(Reverse((time, seq, node)));
             return;
         };
         if ahead < BUCKET_NS {
-            self.place_tick(entry);
+            self.link(ahead as usize, node);
         } else if ahead < HORIZON_NS {
-            if self.ring.is_empty() {
-                self.ring.resize_with(NUM_BUCKETS, Vec::new);
-            }
             let j = (ahead >> BUCKET_BITS) as usize;
             debug_assert!((1..NUM_BUCKETS).contains(&j));
             let slot = self.phys(j);
-            self.ring[slot].push(entry);
+            self.ring[slot].push(((ahead & (BUCKET_NS - 1)) as u32, node));
             self.occ |= 1 << j;
         } else {
-            self.far.push(Reverse(entry));
+            self.far.push(Reverse((time, seq, node)));
         }
     }
 
@@ -277,8 +321,55 @@ impl<E> TwoLevelQueue<E> {
         let seq = self.seq;
         self.seq += 1;
         self.len += 1;
-        self.peak_len = self.peak_len.max(self.len);
-        self.place(Entry { time, seq, event });
+        let node = self.alloc(event);
+        #[cfg(debug_assertions)]
+        {
+            self.nodes[node as usize].seq = seq;
+        }
+        self.place(time, seq, node);
+    }
+
+    /// Put `event` in the node at the head of the free list, or in a new
+    /// one when every node is pending.
+    #[inline]
+    fn alloc(&mut self, event: E) -> u32 {
+        let node = self.free;
+        if node != NIL {
+            let cell = &mut self.nodes[node as usize];
+            self.free = cell.next;
+            cell.event = Some(event);
+            return node;
+        }
+        // Every node is pending: grow the slab. The first node also brings
+        // the tick table and the ring into being, so a queue nobody pushed
+        // to owns no memory and the hot paths never test for them.
+        if self.ticks.is_empty() {
+            self.ticks = vec![Tick::default(); TICKS];
+            self.ring.resize_with(NUM_BUCKETS, Vec::new);
+        }
+        // An index equal to NIL would end the free list early: abort
+        // rather than lose events (2^32 nodes is beyond any host anyway).
+        // panic-ok: a full slab cannot degrade, only corrupt the order
+        assert!(self.nodes.len() < NIL as usize, "event queue slab is full");
+        self.nodes.push(Node {
+            next: NIL,
+            #[cfg(debug_assertions)]
+            seq: 0,
+            event: Some(event),
+        });
+        (self.nodes.len() - 1) as u32
+    }
+
+    /// Take the event out of a pending node and put the node on the free
+    /// list.
+    #[inline]
+    fn release(&mut self, node: u32) -> E {
+        let cell = &mut self.nodes[node as usize];
+        // panic-ok: every tier holds pending nodes only (struct invariant)
+        let event = cell.event.take().expect("queued node holds an event");
+        cell.next = self.free;
+        self.free = node;
+        event
     }
 
     /// Advance `base` to the window holding the earliest pending event and
@@ -290,12 +381,9 @@ impl<E> TwoLevelQueue<E> {
             let j = self.occ.trailing_zeros() as u64;
             self.base + j * BUCKET_NS
         } else {
-            let t = self
-                .far
-                .peek()
-                .map(|Reverse(e)| e.time)
-                // panic-ok: pop() guards with is_empty before advancing
-                .expect("advance called on empty queue");
+            let Some(&Reverse((t, ..))) = self.far.peek() else {
+                return; // nothing pending anywhere: pop()'s guard was skipped
+            };
             t & !(BUCKET_NS - 1)
         };
         let shift = (next - self.base) >> BUCKET_BITS;
@@ -311,22 +399,21 @@ impl<E> TwoLevelQueue<E> {
         if self.occ & 1 != 0 {
             self.occ &= !1;
             let mut bucket = std::mem::take(&mut self.ring[self.head]);
-            for entry in bucket.drain(..) {
-                self.place_tick(entry);
+            for &(i, node) in &bucket {
+                self.link(i as usize, node);
             }
             if bucket.capacity() <= SLOT_KEEP_CAP {
+                bucket.clear();
                 self.ring[self.head] = bucket;
             }
         }
         // The horizon moved: re-bucket far events that now fall inside it.
-        while self
-            .far
-            .peek()
-            .is_some_and(|Reverse(e)| e.time - self.base < HORIZON_NS)
-        {
-            // panic-ok: the loop condition just peeked this entry
-            let Reverse(entry) = self.far.pop().expect("peeked");
-            self.place(entry);
+        while let Some(&Reverse((time, seq, node))) = self.far.peek() {
+            if time - self.base >= HORIZON_NS {
+                break;
+            }
+            self.far.pop();
+            self.place(time, seq, node);
         }
     }
 
@@ -340,58 +427,48 @@ impl<E> TwoLevelQueue<E> {
         Some(w * 64 + self.tick_occ[w].trailing_zeros() as usize)
     }
 
-    /// Pop the front of the earliest non-empty tick.
-    #[inline]
-    fn pop_tick(&mut self) -> Option<Entry<E>> {
-        let i = self.first_tick()?;
-        let slot = &mut self.ticks[i];
-        let entry = slot.pop_front()?;
-        if slot.is_empty() {
-            self.tick_occ[i / 64] &= !(1 << (i % 64));
-            if self.tick_occ[i / 64] == 0 {
-                self.tick_words &= !(1 << (i / 64));
-            }
-            if slot.capacity() > SLOT_KEEP_CAP {
-                *slot = VecDeque::new();
-            }
-        }
-        Some(entry)
-    }
-
     /// Remove and return the earliest event, or `None` when empty.
     #[inline]
     pub fn pop(&mut self) -> Option<(Time, E)> {
         if self.len == 0 {
             return None;
         }
-        let e = match self.below.pop() {
-            Some(Reverse(straggler)) => straggler,
-            None => {
-                if self.tick_words == 0 {
-                    self.advance();
-                }
-                // panic-ok: advance() always refills the ticks when len > 0
-                self.pop_tick().expect("advance refills the ticks")
-            }
-        };
         self.len -= 1;
-        Some((e.time, e.event))
+        if let Some(Reverse((time, _, node))) = self.below.pop() {
+            return Some((time, self.release(node)));
+        }
+        if self.tick_words == 0 {
+            self.advance();
+        }
+        // panic-ok: advance() always refills the ticks when len > 0
+        let i = self.first_tick().expect("advance refills the ticks");
+        let tick = &mut self.ticks[i];
+        let node = tick.head;
+        if node == tick.tail {
+            self.tick_occ[i / 64] &= !(1 << (i % 64));
+            if self.tick_occ[i / 64] == 0 {
+                self.tick_words &= !(1 << (i / 64));
+            }
+        } else {
+            tick.head = self.nodes[node as usize].next;
+        }
+        Some((self.base + i as Time, self.release(node)))
     }
 
     /// Timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<Time> {
-        if let Some(Reverse(e)) = self.below.peek() {
-            return Some(e.time);
+        if let Some(&Reverse((time, ..))) = self.below.peek() {
+            return Some(time);
         }
         if let Some(i) = self.first_tick() {
             return Some(self.base + i as Time);
         }
         if self.occ != 0 {
             let j = self.occ.trailing_zeros() as usize;
-            let slot = self.phys(j);
-            return self.ring[slot].iter().map(|e| e.time).min();
+            let first = self.ring[self.phys(j)].iter().map(|&(i, _)| i).min()?;
+            return Some(self.base + j as Time * BUCKET_NS + Time::from(first));
         }
-        self.far.peek().map(|Reverse(e)| e.time)
+        self.far.peek().map(|&Reverse((time, ..))| time)
     }
 
     /// Number of pending events.
@@ -406,9 +483,10 @@ impl<E> TwoLevelQueue<E> {
         self.len == 0
     }
 
-    /// Largest number of simultaneously pending events seen so far.
+    /// Largest number of simultaneously pending events seen so far: a new
+    /// node is allocated exactly when every existing one is pending.
     pub fn peak_len(&self) -> usize {
-        self.peak_len
+        self.nodes.len()
     }
 }
 
@@ -465,12 +543,19 @@ mod tests {
         assert_eq!(q.peak_len(), 2);
     }
 
+    /// Nodes on the free list, walked from its head.
+    fn free_nodes<E>(q: &TwoLevelQueue<E>) -> usize {
+        let first = Some(q.free).filter(|&n| n != NIL);
+        let next = |&n: &u32| Some(q.nodes[n as usize].next).filter(|&n| n != NIL);
+        std::iter::successors(first, next).count()
+    }
+
     #[test]
-    fn same_instant_burst_pops_fifo_and_releases_its_buffer() {
+    fn same_instant_burst_pops_fifo_and_frees_every_node() {
         // The whole-machine shape: every PE acts at one instant. One burst
         // lands in the active window directly, one arrives through a ring
-        // bucket; both must pop in push order and neither slot may keep
-        // its multi-megabyte buffer afterwards.
+        // bucket; both must pop in push order, each event held in one node
+        // from push to pop, and every node must be reusable afterwards.
         const N: u32 = 200_000;
         let later = 7 * BUCKET_NS + 5;
         let mut q = TwoLevelQueue::new();
@@ -486,8 +571,34 @@ mod tests {
             assert_eq!(q.pop(), Some((later, N + i)));
         }
         assert_eq!(q.pop(), None);
-        assert!(q.ticks.iter().all(|t| t.capacity() <= SLOT_KEEP_CAP));
+        assert_eq!(q.nodes.len(), 2 * N as usize);
+        assert_eq!(free_nodes(&q), q.nodes.len());
+        assert!(q.nodes.iter().all(|n| n.event.is_none()));
         assert!(q.ring.iter().all(|b| b.capacity() <= SLOT_KEEP_CAP));
+    }
+
+    #[test]
+    fn steady_hold_reuses_the_node_the_last_pop_released() {
+        // The simulator's steady state: pop one, push one. Whatever tier
+        // the new event goes to (deltas reach past the horizon), it is
+        // written into the node just released, so the slab never grows
+        // beyond the initial depth.
+        for depth in [64usize, 65_536] {
+            let mut q = TwoLevelQueue::new();
+            for i in 0..depth {
+                q.push(i as Time % 4_000, i);
+            }
+            let mut delta = 1;
+            for i in 0..4 * depth {
+                let (now, _) = q.pop().expect("held at depth");
+                let released = q.free;
+                delta = delta * 5 % (3 * HORIZON_NS / 2);
+                q.push(now + delta, i);
+                assert!(q.nodes[released as usize].event.is_some());
+                assert_eq!(q.free, NIL);
+            }
+            assert_eq!(q.nodes.len(), depth);
+        }
     }
 
     #[test]
@@ -623,6 +734,10 @@ mod proptests {
             let mut b = TwoLevelQueue::new();
             let mut clock = 0u64;
             let mut id = 0u32;
+            // Most events the reference has held at once: every path
+            // (`below`, `far`, a far jump) must give its node back, or
+            // the slab outgrows this.
+            let mut peak = 0;
             for op in ops {
                 // `None`: one pop. `Some`: pushes, then `pops` pops.
                 let mut pops = 0;
@@ -653,6 +768,7 @@ mod proptests {
                     }
                     None => pops = 1,
                 }
+                peak = peak.max(a.len());
                 for _ in 0..pops {
                     let x = a.pop();
                     let y = b.pop();
@@ -663,6 +779,7 @@ mod proptests {
                 }
                 prop_assert_eq!(a.len(), b.len());
                 prop_assert_eq!(a.peek_time(), b.peek_time());
+                prop_assert_eq!(b.nodes.len(), peak, "a node leaked");
             }
             // Drain both fully.
             loop {
