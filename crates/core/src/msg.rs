@@ -6,7 +6,7 @@
 //! owns. The machine layers move [`bytes::Bytes`]; this module is the only
 //! place that knows the wire layout.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
 /// Processing element (core) index within the job.
 pub type PeId = u32;
@@ -79,39 +79,37 @@ impl Envelope {
 
     /// Serialize to the wire format.
     ///
-    /// Small payloads are copied into one contiguous buffer; larger ones
-    /// are chained behind the header ([`Bytes::chained`]) so the wire
-    /// buffer shares the sender's payload allocation — the machine layers
-    /// move the result without ever copying the payload host-side. Wire
-    /// *contents* are identical either way.
+    /// A small payload is assembled behind the header on the stack and
+    /// copied once into one block that also holds the reference counts
+    /// ([`Bytes::copy_from_slice`]): one allocation, and a later cold
+    /// header read is one cache miss. A larger one is chained behind a
+    /// header block ([`Bytes::chained`]) so the wire buffer shares the
+    /// sender's payload allocation — the machine layers move the result
+    /// without ever copying the payload host-side. Wire *contents* are
+    /// identical either way.
     pub fn encode(&self) -> Bytes {
-        if self.payload.len() <= INLINE_WIRE {
-            return self.encode_mut().freeze();
+        let n = self.payload.len();
+        if n <= INLINE_WIRE {
+            let mut wire = [0u8; HEADER_BYTES + INLINE_WIRE];
+            wire[..HEADER_BYTES].copy_from_slice(&self.header());
+            wire[HEADER_BYTES..HEADER_BYTES + n].copy_from_slice(&self.payload);
+            return Bytes::copy_from_slice(&wire[..HEADER_BYTES + n]);
         }
-        let mut b = BytesMut::with_capacity(HEADER_BYTES);
-        self.put_header(&mut b);
-        Bytes::chained(b.freeze(), self.payload.clone())
+        Bytes::chained(Bytes::copy_from_slice(&self.header()), self.payload.clone())
     }
 
-    /// Serialize to a still-mutable, fully contiguous wire buffer (tests
-    /// corrupt headers through this without re-copying the encoded bytes).
-    pub fn encode_mut(&self) -> BytesMut {
-        let mut b = BytesMut::with_capacity(self.wire_size());
-        self.put_header(&mut b);
-        b.put_slice(&self.payload);
-        b
-    }
-
-    fn put_header(&self, b: &mut BytesMut) {
-        b.put_u16(MAGIC);
-        b.put_u16(self.handler.0);
-        b.put_u32(self.src_pe);
-        b.put_u32(self.dst_pe);
-        b.put_u32(self.payload.len() as u32);
-        b.put_u16(self.priority);
-        b.put_u32(self.epoch);
-        // Pad the header to its fixed size.
-        b.put_bytes(0, HEADER_BYTES - 22);
+    /// The fixed header of this envelope's wire format: magic, then every
+    /// field but the payload, big-endian, zero-padded to [`HEADER_BYTES`].
+    pub fn header(&self) -> [u8; HEADER_BYTES] {
+        let mut h = [0u8; HEADER_BYTES];
+        h[0..2].copy_from_slice(&MAGIC.to_be_bytes());
+        h[2..4].copy_from_slice(&self.handler.0.to_be_bytes());
+        h[4..8].copy_from_slice(&self.src_pe.to_be_bytes());
+        h[8..12].copy_from_slice(&self.dst_pe.to_be_bytes());
+        h[12..16].copy_from_slice(&(self.payload.len() as u32).to_be_bytes());
+        h[16..18].copy_from_slice(&self.priority.to_be_bytes());
+        h[18..22].copy_from_slice(&self.epoch.to_be_bytes());
+        h
     }
 
     /// Deserialize from the wire format, consuming the buffer: the payload
@@ -327,7 +325,19 @@ mod tests {
             b'x', b'y', b'z',
         ];
         assert_eq!(&e.encode()[..], &golden);
-        assert_eq!(&e.encode_mut()[..], &golden);
+        assert_eq!(e.header(), golden[..HEADER_BYTES]);
+        // Above the inline limit the same header writer builds the block
+        // the payload is chained behind; only the length field differs.
+        let big = Envelope {
+            payload: Bytes::from(vec![b'x'; 0x0501]),
+            ..e
+        };
+        let mut want = golden;
+        want[12..16].copy_from_slice(&[0x00, 0x00, 0x05, 0x01]);
+        let wire = big.encode();
+        let head: &[u8; HEADER_BYTES] = wire.first_chunk().expect("a header");
+        assert_eq!(head[..], want[..HEADER_BYTES]);
+        assert_eq!(wire.len(), HEADER_BYTES + 0x0501);
     }
 
     #[test]
@@ -349,14 +359,23 @@ mod tests {
         let d = Envelope::from_wire(wire);
         assert_eq!(d, e);
         assert_eq!(d.payload.as_ptr(), payload.as_ptr());
-        // Contiguous: the same handle, narrowed — the payload sits where
-        // it sat in the wire buffer.
-        let wire = e.encode_mut().freeze();
-        assert_eq!(Envelope::peek(&wire), want);
-        let body = wire[HEADER_BYTES..].as_ptr();
-        let d = Envelope::from_wire(wire);
-        assert_eq!(d, e);
-        assert_eq!(d.payload.as_ptr(), body);
+        // Contiguous — an adopted vector, or the one block a small payload
+        // is encoded into: the same handle, narrowed, so the payload sits
+        // where it sat in the wire buffer.
+        let small = Envelope {
+            payload: Bytes::from_static(b"small"),
+            ..e.clone()
+        };
+        for (e, wire) in [
+            (&e, Bytes::from(e.encode().to_vec())),
+            (&small, small.encode()),
+        ] {
+            assert_eq!(Envelope::peek(&wire), want);
+            let body = wire[HEADER_BYTES..].as_ptr();
+            let d = Envelope::from_wire(wire);
+            assert_eq!(&d, e);
+            assert_eq!(d.payload.as_ptr(), body);
+        }
     }
 
     #[test]
@@ -369,18 +388,18 @@ mod tests {
             header: HEADER_BYTES + 6,
         };
         assert_eq!(Header::read(&wire.slice(..wire.len() - 2)), Err(want));
-        let mut bad = e.encode_mut();
+        let mut bad = e.encode().to_vec();
         bad[1] = 0;
-        assert_eq!(Header::read(&bad.freeze()), Err(Malformed::Magic(0xC400)));
+        assert_eq!(Header::read(&bad.into()), Err(Malformed::Magic(0xC400)));
     }
 
     #[test]
     #[should_panic(expected = "corrupt envelope magic")]
     fn corrupt_magic_panics() {
         let e = Envelope::new(0, 0, HandlerId(0), Bytes::new());
-        let mut wire = e.encode_mut();
+        let mut wire = e.encode().to_vec();
         wire[0] = 0;
-        Envelope::decode(&wire.freeze());
+        Envelope::decode(&wire.into());
     }
 
     #[test]

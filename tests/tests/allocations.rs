@@ -1,0 +1,124 @@
+//! Heap allocations per message, counted by a global allocator that keeps
+//! one count per thread (the harness runs tests on parallel threads).
+//!
+//! An encoded envelope's wire buffer is one block — reference counts,
+//! header and payload together — so encoding a small message allocates
+//! once, and a large one allocates its header block and the chain that
+//! links the sender's payload behind it, never a copy of the payload.
+
+use bytes::Bytes;
+use charm_apps::LayerKind;
+use charm_rt::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::{Arc, OnceLock};
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: the allocator also runs while a thread's locals are
+    // being torn down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// count is a thread-local `Cell` that never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// `f`'s result and the heap allocations it made on this thread.
+fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCS.with(Cell::get);
+    let r = f();
+    (ALLOCS.with(Cell::get) - before, r)
+}
+
+fn envelope(payload: Bytes) -> Envelope {
+    Envelope::new(1, 2, HandlerId(3), payload)
+}
+
+#[test]
+fn a_small_envelope_encodes_into_one_allocation() {
+    let e = envelope(Bytes::from(vec![7u8; 24]));
+    let (n, wire) = allocations(|| e.encode());
+    assert_eq!(n, 1, "reference counts, header and payload in one block");
+    assert_eq!(Envelope::from_wire(wire), e);
+}
+
+#[test]
+fn a_large_envelope_allocates_a_header_and_a_chain_and_keeps_the_senders_payload() {
+    let payload = Bytes::from(vec![7u8; 4096]);
+    let e = envelope(payload.clone());
+    let (n, wire) = allocations(|| e.encode());
+    assert_eq!(n, 2, "the header block and the chain, no payload copy");
+    let d = Envelope::from_wire(wire);
+    assert_eq!(d.payload.as_ptr(), payload.as_ptr());
+}
+
+/// Heap allocations per delivered message of a token ring: `pes` PEs on
+/// `layer`, `laps` times round, every hop forwarding the 24-byte payload
+/// it received, so each hop encodes and delivers one envelope.
+fn ring(layer: &LayerKind, pes: u32, laps: u64) -> f64 {
+    let mut c = layer.cluster(pes, 4);
+    c.init_user(|_| 0u64);
+    let cell: Arc<OnceLock<HandlerId>> = Arc::new(OnceLock::new());
+    let next = cell.clone();
+    let hop = c.register_handler(move |ctx, env| {
+        if ctx.pe() == 0 {
+            let lap = ctx.user::<u64>();
+            *lap += 1;
+            if *lap > laps {
+                return;
+            }
+        }
+        let dst = (ctx.pe() + 1) % ctx.num_pes();
+        ctx.send(dst, *next.get().unwrap(), env.payload);
+    });
+    cell.set(hop).unwrap();
+    c.inject(0, 0, hop, Bytes::from(vec![0u8; 24]));
+    let (n, report) = allocations(|| c.run());
+    let delivered = report.stats.msgs_delivered;
+    assert_eq!(delivered, laps * pes as u64 + 1, "the ring ran every lap");
+    n as f64 / delivered as f64
+}
+
+#[test]
+fn a_ring_reports_its_allocations_per_delivered_message() {
+    for layer in [LayerKind::Ideal(1_000), LayerKind::ugni()] {
+        let per_msg = ring(&layer, 8, 250);
+        println!(
+            "{}: {per_msg:.2} allocations per delivered message",
+            layer.name()
+        );
+        if let LayerKind::Ideal(_) = layer {
+            // The wire buffer, plus the cluster's first touches spread
+            // over the run; a second block per message reads above 2.
+            assert!(per_msg < 1.5, "{per_msg:.2} allocations per message");
+        }
+    }
+}
