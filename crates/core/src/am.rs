@@ -47,9 +47,9 @@ use sim_core::Time;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Payload codec for a typed active message. Encoding appends to the
-/// destination's coalescing buffer (or a scratch buffer on the direct
-/// path); decoding slices the batch zero-copy.
+/// Payload codec for a typed active message. Encoding appends straight to
+/// the destination's coalescing buffer; decoding slices the batch
+/// zero-copy.
 pub trait AmData: Sized + 'static {
     fn encode(&self, out: &mut Vec<u8>);
     fn decode(b: Bytes) -> Self;
@@ -192,8 +192,9 @@ const OP_TIMER: u8 = 1;
 /// endian, followed by `len` payload bytes.
 const SUBHDR: usize = 8;
 
-/// Type-erased AM dispatch entry (the typed closure behind a decode).
-type AmFn = Arc<dyn Fn(&mut PeCtx, PeId, Bytes) + Send + Sync>;
+/// Type-erased AM dispatch entry (the typed closure behind a decode). The
+/// batch walk calls it through a borrow of the registry, never a clone.
+type AmFn = Box<dyn Fn(&mut PeCtx, PeId, Bytes) + Send + Sync>;
 
 /// Global (per-cluster) AM state: the dispatch table, the lazily
 /// registered batch/timer Converse handler, and the aggregation policy.
@@ -216,10 +217,10 @@ struct DstBuf {
     timer_armed: bool,
 }
 
-/// Per-PE AM state: destination buffers plus the host-side recyclers for
-/// coalescing buffers and the receiver's scatter scratch. Lives in
-/// `PeState`, wiped with the rest of volatile PE state on crash and
-/// rollback. Purely host-memory pools — virtual time never observes them.
+/// Per-PE AM state: destination buffers plus the host-side recycler for
+/// coalescing buffers. Lives in `PeState`, wiped with the rest of volatile
+/// PE state on crash and rollback. A purely host-memory pool — virtual
+/// time never observes it.
 pub(crate) struct AmPe {
     /// BTreeMap so flush-all order is deterministic.
     bufs: BTreeMap<PeId, DstBuf>,
@@ -227,9 +228,6 @@ pub(crate) struct AmPe {
     /// buffer via `Bytes::try_reclaim`, so steady-state batching does not
     /// allocate per batch).
     pool: mempool::ObjPool<Vec<u8>>,
-    /// Recycles the receiver walk's `(am_idx, epoch, start, end)` scatter
-    /// scratch.
-    scatter: mempool::ObjPool<Vec<(u16, u32, u32, u32)>>,
 }
 
 impl Default for AmPe {
@@ -237,7 +235,6 @@ impl Default for AmPe {
         AmPe {
             bufs: BTreeMap::new(),
             pool: mempool::ObjPool::new(16),
-            scatter: mempool::ObjPool::new(4),
         }
     }
 }
@@ -277,7 +274,7 @@ impl Cluster {
         assert!(idx <= u16::MAX as usize, "too many registered AMs");
         self.am
             .handlers
-            .push(Arc::new(move |ctx, src, b| g(ctx, src, T::decode(b))));
+            .push(Box::new(move |ctx, src, b| g(ctx, src, T::decode(b))));
         // The dedicated Converse handler carries the direct path: its wire
         // envelope is indistinguishable from a hand-rolled handler's.
         let h = self.register_handler(move |ctx, env| {
@@ -311,6 +308,8 @@ impl PeCtx<'_> {
     /// coalesced when aggregation is on; self-sends, oversized AMs, and
     /// aggregation-off sends take the direct path (a plain [`PeCtx::send`]
     /// on the AM's dedicated handler — identical charges and wire bytes).
+    /// An AM whose encoding does not fit a batch frame, or its `u16`
+    /// length field, is oversized.
     pub fn am_send<T: AmData>(&mut self, dst: PeId, am: AmId, data: T) {
         let acfg = &self.am_reg.cfg;
         if !acfg.aggregation || dst == self.pe() {
@@ -323,44 +322,47 @@ impl PeCtx<'_> {
             acfg.flush_delay_ns,
         );
 
-        let am_pe = &mut self.cold().am;
-        let mut scratch = am_pe.pool.get();
-        data.encode(&mut scratch);
-        if 1 + SUBHDR + scratch.len() > max_batch {
-            // Too big to ever fit a batch frame: direct send. The scratch
-            // allocation is consumed by the payload (and comes back to the
-            // pool on the next reclaim cycle if the encode path frees it).
-            let payload = Bytes::from(scratch);
-            return self.send(dst, am.h, payload);
-        }
-
-        // Size-triggered flush before appending, so a batch never exceeds
-        // the SMSG frame.
-        let need = SUBHDR + scratch.len();
-        let full = am_pe
-            .bufs
-            .get(&dst)
-            .is_some_and(|b| !b.data.is_empty() && b.data.len() + need > max_batch);
-        if full {
-            self.am_flush_dst(dst);
-        }
-
+        // Encode in place: the sub-header with a zero length, the value
+        // straight behind it, then the length patched in.
         let epoch = self.epoch();
-        let AmPe { bufs, pool, .. } = &mut self.cold().am;
+        let AmPe { bufs, pool } = &mut self.cold().am;
         let buf = bufs.entry(dst).or_default();
-        if buf.data.is_empty() {
+        let fresh = buf.data.is_empty();
+        if fresh {
             buf.data = pool.get();
             buf.data.push(OP_BATCH);
         }
+        let frame = buf.data.len();
         buf.data.extend_from_slice(&am.idx.to_le_bytes());
-        buf.data
-            .extend_from_slice(&(scratch.len() as u16).to_le_bytes());
+        buf.data.extend_from_slice(&[0, 0]);
         buf.data.extend_from_slice(&epoch.to_le_bytes());
-        buf.data.extend_from_slice(&scratch);
+        data.encode(&mut buf.data);
+        let len = buf.data.len() - frame - SUBHDR;
+        if 1 + SUBHDR + len > max_batch || len > u16::MAX as usize {
+            // Oversized: restore the buffer as it was, then direct send.
+            buf.data.truncate(frame);
+            if fresh {
+                pool.put(std::mem::take(&mut buf.data));
+            }
+            return self.send(dst, am.h, data.into_direct());
+        }
+        buf.data[frame + 2..frame + 4].copy_from_slice(&(len as u16).to_le_bytes());
+
+        // Size-triggered flush, so a batch never exceeds the SMSG frame:
+        // the new frame moves alone into a fresh pooled buffer and what
+        // was buffered before it is sent.
+        let full = (buf.data.len() > max_batch).then(|| {
+            let mut next = pool.get();
+            next.push(OP_BATCH);
+            next.extend_from_slice(&buf.data[frame..]);
+            buf.data.truncate(frame);
+            std::mem::replace(&mut buf.data, next)
+        });
         let arm = !buf.timer_armed;
         buf.timer_armed = true;
-        scratch.clear();
-        pool.put(scratch);
+        if let Some(batch) = full {
+            self.am_flush_batch(dst, batch);
+        }
 
         // Constituent-level accounting: the batch envelope is system
         // traffic, so the QD ledger and stats count the AM itself here.
@@ -373,11 +375,11 @@ impl PeCtx<'_> {
             // delay from the arming append, scheduled like any other
             // event, so flush points are bit-replayable.
             let dispatch = self.am_reg.dispatch.expect("am dispatch registered");
-            let mut tp = Vec::with_capacity(5);
-            tp.push(OP_TIMER);
-            tp.extend_from_slice(&dst.to_le_bytes());
+            let mut tp = [OP_TIMER; 5];
+            tp[1..].copy_from_slice(&dst.to_le_bytes());
             let me = self.pe();
-            self.send_after_prio(flush_delay, me, dispatch, Bytes::from(tp), DEFAULT_PRIO);
+            let tp = Bytes::copy_from_slice(&tp);
+            self.send_after_prio(flush_delay, me, dispatch, tp, DEFAULT_PRIO);
         }
     }
 
@@ -407,15 +409,20 @@ impl PeCtx<'_> {
         }
     }
 
-    /// Flush one destination's buffer as a single batch envelope on the
-    /// dispatch handler. Mirrors the manual half of [`PeCtx::send`]
-    /// (charges, stats, outbox routing) but reclaims the coalescing
-    /// buffer through the pool instead of dropping it.
+    /// Flush one destination's buffer, if it holds anything.
     fn am_flush_dst(&mut self, dst: PeId) {
         let data = match self.cold().am.bufs.get_mut(&dst) {
             Some(buf) if !buf.data.is_empty() => std::mem::take(&mut buf.data),
             _ => return,
         };
+        self.am_flush_batch(dst, data);
+    }
+
+    /// Send one framed batch as a single envelope on the dispatch handler.
+    /// Mirrors the manual half of [`PeCtx::send`] (charges, stats, outbox
+    /// routing) but reclaims the coalescing buffer through the pool
+    /// instead of dropping it.
+    fn am_flush_batch(&mut self, dst: PeId, data: Vec<u8>) {
         debug_assert_ne!(dst, self.pe(), "self-sends never aggregate");
         let dispatch = self.am_reg.dispatch.expect("am dispatch registered");
         self.charged_ovh += self.cfg.send_overhead;
@@ -432,11 +439,21 @@ impl PeCtx<'_> {
         // A batch is at most max_batch_bytes <= the inline-wire limit, so
         // encode copied it into the wire buffer and the payload handle is
         // the sole owner again: reclaim the allocation for the next batch.
-        if let Ok(mut v) = env.payload.try_reclaim() {
-            v.clear();
+        if let Ok(v) = env.payload.try_reclaim() {
             self.cold().am.pool.put(v);
         }
     }
+}
+
+/// The sub-header of the frame at `o`: `(am_idx, payload length, epoch)`.
+#[inline]
+fn subheader(p: &[u8], o: usize) -> (u16, usize, u32) {
+    let h = &p[o..o + SUBHDR];
+    (
+        u16::from_le_bytes([h[0], h[1]]),
+        u16::from_le_bytes([h[2], h[3]]) as usize,
+        u32::from_le_bytes([h[4], h[5], h[6], h[7]]),
+    )
 }
 
 /// The Converse handler behind every batch envelope and flush-timer tick.
@@ -453,22 +470,24 @@ pub(crate) fn am_dispatch(ctx: &mut PeCtx, env: Envelope) {
             ctx.am_flush_dst(dst);
         }
         OP_BATCH => {
-            // Sub-header walk into pooled scatter scratch first, then
-            // dispatch: constituents may re-enter `am_send`, so no
-            // borrow of the AM state survives into the handler calls.
-            let mut segs = ctx.cold().am.scatter.get();
-            let mut o = 1usize;
+            // Validate the framing first, so a malformed batch panics
+            // before any constituent runs.
+            let mut o = 1;
             while o + SUBHDR <= p.len() {
-                let idx = u16::from_le_bytes([p[o], p[o + 1]]);
-                let len = u16::from_le_bytes([p[o + 2], p[o + 3]]) as usize;
-                let epoch = u32::from_le_bytes([p[o + 4], p[o + 5], p[o + 6], p[o + 7]]);
-                segs.push((idx, epoch, (o + SUBHDR) as u32, (o + SUBHDR + len) as u32));
-                o += SUBHDR + len;
+                o += SUBHDR + subheader(p, o).1;
             }
             assert_eq!(o, p.len(), "malformed AM batch framing");
+            // Then dispatch, re-reading the sub-headers. `reg` is a copy of
+            // the context's registry reference, so calling a handler through
+            // it borrows neither `ctx` (constituents may re-enter `am_send`)
+            // nor a reference count.
+            let reg = ctx.am_reg;
             let cur = ctx.epoch();
-            let per_dispatch = ctx.am_reg.cfg.per_am_dispatch_ns;
-            for &(idx, am_epoch, a, b) in segs.iter() {
+            let mut o = 1;
+            while o < p.len() {
+                let (idx, len, am_epoch) = subheader(p, o);
+                let a = o + SUBHDR;
+                o = a + len;
                 if am_epoch < cur {
                     // Stale-epoch drop per constituent (exactly-once under
                     // rollback-replay), mirroring the driver's gate for
@@ -477,12 +496,9 @@ pub(crate) fn am_dispatch(ctx: &mut PeCtx, env: Envelope) {
                     continue;
                 }
                 ctx.qd_pe.delivered += 1;
-                ctx.charged_ovh += per_dispatch;
-                let h = ctx.am_reg.handlers[idx as usize].clone();
-                h(ctx, env.src_pe, env.payload.slice(a as usize..b as usize));
+                ctx.charged_ovh += reg.cfg.per_am_dispatch_ns;
+                (reg.handlers[idx as usize])(ctx, env.src_pe, env.payload.slice(a..o));
             }
-            segs.clear();
-            ctx.cold().am.scatter.put(segs);
         }
         op => panic!("unknown AM dispatch op {op}"),
     }
@@ -615,28 +631,97 @@ mod tests {
         assert_eq!(c.stats().am_batches, 4);
     }
 
-    #[test]
-    fn oversized_am_takes_the_direct_path() {
+    /// PE 0 sends PE 1 one `Bytes` AM of each size in `sizes`; PE 1's
+    /// handler counts them and sums their lengths. Returns the cluster,
+    /// the count and the sum.
+    fn bytes_to_pe1(cfg: AmConfig, sizes: &'static [usize]) -> (Cluster, u64, u64) {
         let mut c = cluster(2);
-        c.am_config(AmConfig {
-            aggregation: true,
-            max_batch_bytes: 32,
-            ..AmConfig::default()
-        });
+        c.am_config(cfg);
         c.init_user(|_| St::default());
         let h = c.register_am::<Bytes>(|ctx, _, b| {
             ctx.user::<St>().sum += b.len() as u64;
             ctx.user::<St>().n += 1;
         });
         let kick = c.register_handler(move |ctx, _| {
-            ctx.am_send(1, h, Bytes::from(vec![0u8; 100]));
-            ctx.am_send(1, h, Bytes::from(vec![0u8; 4]));
+            for &n in sizes {
+                ctx.am_send(1, h, Bytes::from(vec![7u8; n]));
+            }
         });
         c.inject(0, 0, kick, Bytes::new());
         c.run();
         let st = c.user::<St>(1);
-        assert_eq!((st.n, st.sum), (2, 104));
+        let (n, sum) = (st.n, st.sum);
+        (c, n, sum)
+    }
+
+    #[test]
+    fn oversized_am_takes_the_direct_path() {
+        let cfg = AmConfig {
+            aggregation: true,
+            max_batch_bytes: 32,
+            ..AmConfig::default()
+        };
+        let (c, n, sum) = bytes_to_pe1(cfg, &[100, 4]);
+        assert_eq!((n, sum), (2, 104));
         assert_eq!(c.stats().am_agg_sent, 1, "only the small AM aggregates");
+    }
+
+    #[test]
+    fn a_length_past_the_u16_field_takes_the_direct_path() {
+        // The batch limit alone would admit it; the frame's length field
+        // would not.
+        let cfg = AmConfig {
+            aggregation: true,
+            max_batch_bytes: 200_000,
+            ..AmConfig::default()
+        };
+        let (c, n, sum) = bytes_to_pe1(cfg, &[70_000]);
+        assert_eq!((n, sum), (1, 70_000));
+        assert_eq!(c.stats().am_agg_sent, 0);
+        assert_eq!(c.stats().am_batches, 0);
+    }
+
+    #[test]
+    fn an_oversized_am_between_small_ones_leaves_their_batch_intact() {
+        // The oversized AM is encoded into the buffer behind the first
+        // small one before it is known to be oversized; the buffer must
+        // come back exactly as it was.
+        let cfg = AmConfig {
+            aggregation: true,
+            max_batch_bytes: 64,
+            ..AmConfig::default()
+        };
+        let (c, n, sum) = bytes_to_pe1(cfg, &[4, 100, 5]);
+        assert_eq!((n, sum), (3, 109));
+        assert_eq!(c.stats().am_agg_sent, 2);
+        assert_eq!(c.stats().am_batches, 1);
+    }
+
+    #[test]
+    fn a_batch_whose_last_frame_overruns_runs_no_constituent() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static RUNS: AtomicU64 = AtomicU64::new(0);
+        let mut c = cluster(2);
+        let h = c.register_am::<u64>(|_, _, _| {
+            RUNS.fetch_add(1, Ordering::Relaxed);
+        });
+        let frame = |len: u16, payload: &[u8]| {
+            let mut f = h.idx.to_le_bytes().to_vec();
+            f.extend_from_slice(&len.to_le_bytes());
+            f.extend_from_slice(&0u32.to_le_bytes());
+            f.extend_from_slice(payload);
+            f
+        };
+        let mut batch = vec![OP_BATCH];
+        batch.extend(frame(8, &1u64.to_le_bytes()));
+        batch.extend(frame(9, &2u64.to_le_bytes())); // one byte short
+        let dispatch = c.am.dispatch.expect("registered with the AM");
+        c.inject(0, 1, dispatch, Bytes::from(batch));
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.run()))
+            .expect_err("an overrunning frame must panic");
+        let msg = err.downcast_ref::<String>().map_or("", |s| s.as_str());
+        assert!(msg.contains("malformed AM batch framing"), "{msg}");
+        assert_eq!(RUNS.load(Ordering::Relaxed), 0, "a constituent ran");
     }
 
     #[test]
