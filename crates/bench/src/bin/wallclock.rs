@@ -13,11 +13,6 @@
 //!   row per count;
 //! * `--rev REV` — git revision recorded in the appended history rows
 //!   (default: `unknown`);
-//! * `--gate-overhead X` — require the threads=2 sweep's total wall time
-//!   to stay within `X`× of the threads=1 sweep (both must be listed in
-//!   `--threads`); exits nonzero past the factor. This is the CI guard
-//!   that parallel-engine sync overhead stays bounded even on hosts with
-//!   fewer cores than workers;
 //! * `--no-write` — skip the JSON;
 //! * `--print-pins` — emit the PINS table rows measured by this build.
 
@@ -36,8 +31,6 @@ fn main() -> ExitCode {
             .cloned()
     };
     let rev = flag_value("--rev").unwrap_or_else(|| "unknown".into());
-    let gate_overhead: Option<f64> = flag_value("--gate-overhead")
-        .map(|s| s.parse().expect("--gate-overhead takes a factor, e.g. 2.0"));
     let threads: Vec<u32> = flag_value("--threads")
         .map(|s| {
             s.split(',')
@@ -61,7 +54,6 @@ fn main() -> ExitCode {
         .unwrap_or_default();
 
     let mut last: Option<charm_bench::WallSuite> = None;
-    let mut walls: Vec<(u32, u64)> = Vec::new();
     let mut drift = false;
     for &t in &threads {
         let suite = charm_bench::wallclock::wallclock_suite_threads(&e, t);
@@ -77,7 +69,6 @@ fn main() -> ExitCode {
             );
             drift = true;
         }
-        walls.push((t, suite.total_wall_ns()));
         history.push(suite.history_record(&rev));
         if let Some(row) = suite.aggregation_history_record(&rev) {
             history.push(row);
@@ -105,30 +96,6 @@ fn main() -> ExitCode {
         eprintln!("wallclock: {msg}");
     }
 
-    let mut over_gate = false;
-    if let Some(factor) = gate_overhead {
-        let wall_at = |n: u32| walls.iter().find(|(t, _)| *t == n).map(|(_, w)| *w);
-        match (wall_at(1), wall_at(2)) {
-            (Some(w1), Some(w2)) => {
-                let ratio = w2 as f64 / w1.max(1) as f64;
-                println!(
-                    "overhead gate: threads=2 wall is {ratio:.2}x threads=1 (limit {factor:.2}x)"
-                );
-                if ratio > factor {
-                    eprintln!(
-                        "wallclock: parallel sync overhead past the gate \
-                         ({ratio:.2}x > {factor:.2}x)"
-                    );
-                    over_gate = true;
-                }
-            }
-            _ => {
-                eprintln!("wallclock: --gate-overhead needs both 1 and 2 in --threads");
-                over_gate = true;
-            }
-        }
-    }
-
     if print_pins {
         println!("\n// measured PINS rows for this build:");
         for r in &suite.runs {
@@ -149,7 +116,7 @@ fn main() -> ExitCode {
         eprintln!("wallclock: engine changed virtual time; this is a correctness bug");
         return ExitCode::FAILURE;
     }
-    if over_gate || agg_fail.is_some() {
+    if agg_fail.is_some() {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

@@ -130,6 +130,8 @@ impl Cluster {
             ctl: &ctl,
             scratch: ExecOut::default(),
             leftovers: Vec::new(),
+            in_phase: Vec::new(),
+            renum: vec![Vec::new(); parts.len()],
         };
         let (parts, sync_ns) = run_pool(
             parts,
@@ -525,6 +527,11 @@ struct ParDriver<'a> {
     /// empty afterwards). `run_parallel` pushes them back on the
     /// sequential queue at teardown.
     leftovers: Vec<(Time, Event)>,
+    /// `flatten`'s recycled buffers: the phase's surviving in-phase keys
+    /// with their partitions, and per partition the fresh flat ordinal
+    /// of each local ordinal (`renum[i][ord - epoch]`).
+    in_phase: Vec<(usize, EvKey)>,
+    renum: Vec<Vec<u64>>,
 }
 
 impl ParDriver<'_> {
@@ -724,34 +731,45 @@ impl ParDriver<'_> {
         }
     }
 
-    /// Re-key every pending event (including buffered commands) with fresh
-    /// flat ordinals in canonical order, so in-phase keys — meaningless
+    /// Give every surviving in-phase key (`ord >= epoch`: the queued
+    /// follow-ups the workers minted, and the buffered commands) a fresh
+    /// flat ordinal, in canonical order, so in-phase keys — meaningless
     /// without this phase's `origins`/`fx` logs — never outlive their
-    /// phase. Clears the phase logs afterwards.
+    /// phase. Pre-phase keys are global positions already and keep them:
+    /// every fresh ordinal is `>= self.ord`, above all of them, which is
+    /// the canonical rule "a pre-phase key precedes any in-phase key". The
+    /// serial queue never holds in-phase keys. So a harvest costs one scan
+    /// of the partition keys and a sort of the in-phase ones; the heaps
+    /// are re-keyed in place and no queued event moves. The commands go
+    /// to the serial queue under their new keys. Clears the phase logs.
     fn flatten(&mut self, parts: &mut [PartData]) {
         let epoch = parts.first().map_or(0, |p| p.epoch);
-        let mut all: Vec<(usize, EvKey, Event)> = Vec::new();
-        for (k, ev) in self.serial.drain_sorted() {
-            all.push((SER, k, ev));
+        let in_phase = &mut self.in_phase;
+        in_phase.clear();
+        for (i, p) in parts.iter().enumerate() {
+            in_phase.extend(p.q.keys().filter(|k| k.ord >= epoch).map(|k| (i, k)));
+            in_phase.extend(p.cmds.iter().map(|&(k, _)| (i, k)));
+            // Queued keys and commands share the partition's local
+            // ordinals `epoch .. epoch + origins.len()`.
+            self.renum[i].resize(p.origins.len(), 0);
         }
-        for (i, p) in parts.iter_mut().enumerate() {
-            for (k, ev) in p.q.drain_sorted() {
-                all.push((i, k, ev));
-            }
-            for (k, ev) in p.cmds.drain(..) {
-                all.push((i, k, ev));
-            }
-        }
-        all.sort_by(|a, b| canon_cmp(parts, epoch, a.0, a.1, b.0, b.1).then_with(|| a.0.cmp(&b.0)));
-        for (_, k, ev) in all {
-            let nk = EvKey::flat(k.t, self.ord);
+        // Distinct in-phase keys never compare equal (see `canon_cmp`).
+        in_phase.sort_unstable_by(|a, b| canon_cmp(parts, epoch, a.0, a.1, b.0, b.1));
+        for &(i, k) in in_phase.iter() {
+            self.renum[i][(k.ord - epoch) as usize] = self.ord;
             self.ord += 1;
-            match ev.local_pe() {
-                Some(pe) => parts[self.pe_part[pe as usize] as usize].q.push(nk, ev),
-                None => self.serial.push(nk, ev),
-            }
         }
-        for p in parts.iter_mut() {
+        for (p, renum) in parts.iter_mut().zip(&self.renum) {
+            p.q.relabel(|k| {
+                if k.ord >= epoch {
+                    k.ord = renum[(k.ord - epoch) as usize];
+                }
+            });
+            for (k, ev) in p.cmds.drain(..) {
+                debug_assert!(ev.local_pe().is_none(), "commands are serial-class");
+                let ord = renum[(k.ord - epoch) as usize];
+                self.serial.push(EvKey::flat(k.t, ord), ev);
+            }
             p.fx.clear();
             p.origins.clear();
             p.trace_ops.clear();

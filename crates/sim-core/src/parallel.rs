@@ -19,10 +19,12 @@
 //!   mid-phase); *across* partitions the driver compares in-phase keys
 //!   structurally through its per-partition push-origin log (see
 //!   `canon_cmp` in the driver and DESIGN.md §10). Every barrier
-//!   flattens pending keys back to global positions, so in-phase keys
-//!   never outlive their phase.
+//!   re-keys the surviving in-phase keys to fresh global positions, so
+//!   in-phase keys never outlive their phase.
 //! * [`KeyedQueue`] — a min-heap ordered by [`EvKey`], used for
-//!   partition queues and the serial queue during parallel runs.
+//!   partition queues and the serial queue during parallel runs; its
+//!   keys can be read ([`KeyedQueue::keys`]) and rewritten in place
+//!   ([`KeyedQueue::relabel`]) without moving an event.
 //! * [`run_pool`] — alternates a serial phase (main thread, exclusive
 //!   access) with a parallel phase (one worker per partition group) on
 //!   the persistent [`crate::sync::WorkerPool`], and reports the
@@ -43,8 +45,8 @@ use std::sync::Mutex;
 /// partition. In-phase keys of *different* partitions are numerically
 /// incomparable (each partition counts from the shared epoch); only the
 /// driver, which logs every in-phase push's parent, can order those —
-/// and it re-flattens all surviving keys to global positions at every
-/// barrier.
+/// and it re-keys every surviving in-phase key to a global position at
+/// every barrier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EvKey {
     pub t: Time,
@@ -128,9 +130,26 @@ impl<E> KeyedQueue<E> {
         self.heap.is_empty()
     }
 
-    /// Drain every pending event in key order (used by barrier
-    /// flattening; the caller re-sorts canonically when the queue may
-    /// hold in-phase keys of several partitions).
+    /// Every queued key, once each, in heap (not key) order. Touches no
+    /// event.
+    pub fn keys(&self) -> impl Iterator<Item = EvKey> + '_ {
+        self.heap.iter().map(|Reverse(e)| e.key)
+    }
+
+    /// Rewrite every queued key in place with `f`, then restore the heap
+    /// order in one O(n) heapify. Events stay where they are and the
+    /// heap keeps its buffer: no allocation.
+    pub fn relabel(&mut self, mut f: impl FnMut(&mut EvKey)) {
+        let mut v = std::mem::take(&mut self.heap).into_vec();
+        for Reverse(e) in v.iter_mut() {
+            f(&mut e.key);
+        }
+        self.heap = BinaryHeap::from(v);
+    }
+
+    /// Drain every pending event in key order (used at teardown and by
+    /// the stop drain; the caller re-sorts canonically when the queue
+    /// may hold in-phase keys of several partitions).
     pub fn drain_sorted(&mut self) -> Vec<(EvKey, E)> {
         std::mem::take(&mut self.heap)
             .into_sorted_vec()
@@ -293,6 +312,59 @@ mod tests {
         let vals: Vec<i32> = q.drain_sorted().into_iter().map(|(_, v)| v).collect();
         assert_eq!(vals, vec![0, 1, 2, 3]);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn keys_yield_every_queued_key_once() {
+        let mut q = KeyedQueue::new();
+        let pushed = [(7, 3), (2, 0), (7, 1), (5, 9), (2, 4)];
+        for (i, (t, o)) in pushed.into_iter().enumerate() {
+            q.push(EvKey::flat(t, o), i);
+        }
+        let mut seen: Vec<EvKey> = q.keys().collect();
+        seen.sort();
+        let mut want: Vec<EvKey> = pushed.iter().map(|&(t, o)| EvKey::flat(t, o)).collect();
+        want.sort();
+        assert_eq!(seen, want);
+        assert_eq!(q.len(), pushed.len(), "keys() must not consume");
+    }
+
+    #[test]
+    fn pops_follow_relabelled_keys() {
+        let mut q = KeyedQueue::new();
+        for (o, v) in [(10, "a"), (11, "b"), (12, "c")] {
+            q.push(EvKey::flat(5, o), v);
+        }
+        q.push(EvKey::flat(3, 0), "first");
+        // Reverse the same-time ordinals: c, b, a.
+        q.relabel(|k| {
+            if k.t == 5 {
+                k.ord = 22 - k.ord;
+            }
+        });
+        let popped: Vec<(EvKey, &str)> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            popped,
+            vec![
+                (EvKey::flat(3, 0), "first"),
+                (EvKey::flat(5, 10), "c"),
+                (EvKey::flat(5, 11), "b"),
+                (EvKey::flat(5, 12), "a"),
+            ]
+        );
+    }
+
+    #[test]
+    fn relabel_keeps_the_heap_buffer() {
+        let mut q = KeyedQueue::new();
+        for o in 0..100u64 {
+            q.push(EvKey::flat(o % 7, o), o);
+        }
+        let (cap, buf) = (q.heap.capacity(), q.heap.as_slice().as_ptr());
+        q.relabel(|k| k.ord += 1000);
+        assert_eq!(q.heap.capacity(), cap);
+        assert_eq!(q.heap.as_slice().as_ptr(), buf, "relabel reallocated");
+        assert_eq!(q.len(), 100);
     }
 
     #[test]

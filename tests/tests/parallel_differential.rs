@@ -152,6 +152,34 @@ fn jacobi_under_active_fault_plan() {
     }
 }
 
+/// Two partitions each send one message at the same instant to the same
+/// PE, so the barrier harvest must order the two buffered send commands
+/// by their parents' canonical order (PE 4's kick was injected first),
+/// not by partition index. The receiver logs who arrived first.
+#[test]
+fn same_instant_cross_partition_sends_keep_canonical_order() {
+    use bytes::Bytes;
+    use charm_rt::prelude::{Cluster, IdealLayer};
+
+    let arrivals = |t: u32| {
+        let mut c = Cluster::new(par_cfg(8, 4, t), Box::new(IdealLayer::new(500)));
+        c.init_user(|_| Vec::<u32>::new());
+        let log = c.register_handler(|ctx, env| ctx.user::<Vec<u32>>().push(env.src_pe));
+        let kick = c.register_handler(move |ctx, _| ctx.send(2, log, Bytes::new()));
+        // PE 4 lives in partition 1, PE 0 in partition 0.
+        c.inject(0, 4, kick, Bytes::new());
+        c.inject(0, 0, kick, Bytes::new());
+        let report = c.run();
+        (report, c.user::<Vec<u32>>(2).clone())
+    };
+    differential(arrivals, |a, b, t| {
+        let ctx = format!("same-instant sends threads={t}");
+        assert_eq!(a.1, vec![4, 0], "{ctx}: sequential arrival order");
+        assert_eq!(a.1, b.1, "{ctx}: arrival order");
+        assert_reports_eq(&a.0, &b.0, &ctx);
+    });
+}
+
 /// Found by `proptest_parallel.rs`'s determinism product: once a wire plan's
 /// faults actually fire, two sends issued at one instant from different
 /// partitions can reach the fabric — and its single fault RNG stream — in
