@@ -41,7 +41,7 @@ pub struct JacobiResult {
     /// Interior cell values, row-major `n x n`, reassembled.
     pub grid: Vec<f64>,
     pub iterations_run: u32,
-    /// Simulator events processed by the run (wallclock-harness metric).
+    /// Simulator events processed by the run.
     pub events: u64,
 }
 

@@ -8,7 +8,8 @@
 use charm_apps::kneighbor::kneighbor_iteration_time;
 use charm_apps::pingpong::charm_one_way;
 use charm_apps::LayerKind;
-use gemini_net::GeminiParams;
+use charm_bench::rendezvous;
+use gemini_net::{GeminiParams, RdmaOp};
 use lrts_ugni::{SmallPath, UgniConfig};
 
 fn main() {
@@ -60,6 +61,11 @@ fn main() {
     }
 
     println!("\n## Ablation: GET- vs PUT-based rendezvous (paper §III-C)");
-    println!("(see `cargo bench -p charm-bench --bench protocols` for the");
-    println!(" virtual-time comparison: PUT pays one extra control message)");
+    println!("(data-landed virtual time; PUT pays one extra control message)");
+    println!("{:>8}  {:>14}  {:>14}", "bytes", "GET ns", "PUT ns");
+    for bytes in [4096u64, 65_536, 1 << 20] {
+        let get = rendezvous(RdmaOp::Get, bytes);
+        let put = rendezvous(RdmaOp::Put, bytes);
+        println!("{bytes:>8}  {get:>14}  {put:>14}");
+    }
 }

@@ -1,9 +1,7 @@
 //! Regenerates every table and figure in one run, printing
 //! EXPERIMENTS.md-ready markdown. `--quick` runs the reduced-scale
-//! variant used in CI. A final summary reports the host wall-clock time
-//! each figure took (virtual results are unaffected; this is the
-//! regeneration cost, visible in `repro_full.txt`).
-use std::time::Instant;
+//! variant. The output is deterministic: the full-scale run is committed
+//! as `repro_full.txt`, and CI fails when a regeneration differs from it.
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -16,41 +14,21 @@ fn main() {
         "# Reproduction run ({})\n",
         if quick { "quick" } else { "full scale" }
     );
-    let mut timings: Vec<(&str, f64)> = Vec::new();
-    let mut timed = |name: &'static str, render: &dyn Fn() -> String| {
-        let t0 = Instant::now();
-        let out = render();
-        timings.push((name, t0.elapsed().as_secs_f64()));
-        println!("{out}");
-    };
-    timed("fig01", &|| charm_bench::fig01(&e).render());
-    timed("fig04", &|| charm_bench::fig04(&e).render());
-    timed("fig06", &|| charm_bench::fig06(&e).render());
-    timed("fig08a", &|| charm_bench::fig08a(&e).render());
-    timed("fig08b", &|| charm_bench::fig08b(&e).render());
-    timed("fig08c", &|| charm_bench::fig08c(&e).render());
-    timed("fig09a", &|| charm_bench::fig09a(&e).render());
-    timed("fig09b", &|| charm_bench::fig09b(&e).render());
-    timed("fig09c", &|| charm_bench::fig09c(&e).render());
-    timed("fig10", &|| charm_bench::fig10(&e).render());
-    timed("fig11", &|| charm_bench::fig11(&e).render());
-    timed("fig12", &|| charm_bench::fig12(&e));
-    timed("fig13", &|| charm_bench::fig13(&e).render());
-    timed("table1", &|| {
-        charm_bench::render_table1(&charm_bench::table1(&e))
-    });
-    timed("table2", &|| {
-        charm_bench::render_table2(&charm_bench::table2(&e))
-    });
-    timed("fault_sweep", &|| charm_bench::fault_sweep(&e).render());
-    timed("crash_sweep", &|| charm_bench::crash_sweep(&e).render());
-
-    println!("## Regeneration wall-clock\n");
-    println!("figure       wall_s");
-    let mut total = 0.0;
-    for (name, secs) in &timings {
-        println!("{name:<12} {secs:>6.3}");
-        total += secs;
-    }
-    println!("{:<12} {total:>6.3}", "total");
+    println!("{}", charm_bench::fig01(&e).render());
+    println!("{}", charm_bench::fig04(&e).render());
+    println!("{}", charm_bench::fig06(&e).render());
+    println!("{}", charm_bench::fig08a(&e).render());
+    println!("{}", charm_bench::fig08b(&e).render());
+    println!("{}", charm_bench::fig08c(&e).render());
+    println!("{}", charm_bench::fig09a(&e).render());
+    println!("{}", charm_bench::fig09b(&e).render());
+    println!("{}", charm_bench::fig09c(&e).render());
+    println!("{}", charm_bench::fig10(&e).render());
+    println!("{}", charm_bench::fig11(&e).render());
+    println!("{}", charm_bench::fig12(&e));
+    println!("{}", charm_bench::fig13(&e).render());
+    println!("{}", charm_bench::render_table1(&charm_bench::table1(&e)));
+    println!("{}", charm_bench::render_table2(&charm_bench::table2(&e)));
+    println!("{}", charm_bench::fault_sweep(&e).render());
+    println!("{}", charm_bench::crash_sweep(&e).render());
 }

@@ -1,7 +1,9 @@
 //! One function per figure of the paper. Each returns a
-//! [`sim_core::stats::Figure`] whose rendering is the deliverable.
+//! [`sim_core::stats::Figure`] whose rendering is the deliverable. The
+//! GET- vs PUT-rendezvous ablation ([`rendezvous`]) lives here too.
 
 use crate::Effort;
+use bytes::Bytes;
 use charm_apps::common::LayerKind;
 use charm_apps::kneighbor::kneighbor_iteration_time;
 use charm_apps::nqueens::{self, NqConfig, WorkMode};
@@ -15,6 +17,7 @@ use lrts_ugni::{IntraNode, UgniConfig};
 use mpi_sim::MpiConfig;
 use sim_core::stats::{pow2_sizes, Figure, Series};
 use sim_core::time::to_us;
+use ugni::{Gni, PostDescriptor};
 
 fn params() -> GeminiParams {
     GeminiParams::hopper()
@@ -545,6 +548,57 @@ pub fn crash_sweep(e: &Effort) -> Figure {
     f
 }
 
+/// Ablation of paper §III-C's rendezvous design: the virtual time (ns) at
+/// which `bytes` of data land when the rendezvous is GET-based (the
+/// paper's choice: one control message, then the receiver GETs) or
+/// PUT-based (the sender needs a clear-to-send back first: one extra
+/// control message before the data can move).
+pub fn rendezvous(op: RdmaOp, bytes: u64) -> u64 {
+    let mut g = Gni::new(params(), 2);
+    let cq = g.cq_create();
+    let data = Bytes::from(vec![0u8; bytes as usize]);
+    let ep01 = g.ep_create(0, 1, cq).expect("ep");
+    let mut t = 0;
+    let ctrl_hops = match op {
+        RdmaOp::Get => 1,
+        RdmaOp::Put => 2,
+    };
+    for _ in 0..ctrl_hops {
+        let ok = g
+            .smsg_send_w_tag(t, ep01, 1, Bytes::from_static(b"ctl"))
+            .expect("control message");
+        t = ok.deliver_at;
+    }
+    let (init, remote) = match op {
+        RdmaOp::Get => (1u32, 0u32),
+        RdmaOp::Put => (0, 1),
+    };
+    let ep = g.ep_create(init, remote, cq).expect("ep");
+    let la = g.alloc_addr(init).expect("alloc");
+    let (lh, _) = g.mem_register(init, la, bytes).expect("register");
+    let ra = g.alloc_addr(remote).expect("alloc");
+    let (rh, _) = g.mem_register(remote, ra, bytes).expect("register");
+    g.mem_write(remote, ra, data.clone());
+    g.mem_write(init, la, data.clone());
+    let ok = g
+        .post_rdma(
+            t,
+            ep,
+            PostDescriptor {
+                op,
+                local_mem: lh,
+                local_addr: la,
+                remote_mem: rh,
+                remote_addr: ra,
+                bytes,
+                data: Some(data),
+                user_id: 0,
+            },
+        )
+        .expect("rdma post");
+    ok.data_at
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -609,5 +663,14 @@ mod tests {
         let without = f.series[0].points.last().unwrap().1;
         let with = f.series[1].points.last().unwrap().1;
         assert!(with < without * 0.75, "pool {with} vs none {without}");
+    }
+
+    #[test]
+    fn put_rendezvous_pays_more_than_get() {
+        for bytes in [4096, 65_536, 1 << 20] {
+            let get = rendezvous(RdmaOp::Get, bytes);
+            let put = rendezvous(RdmaOp::Put, bytes);
+            assert!(put > get, "{bytes} B: PUT {put} ns vs GET {get} ns");
+        }
     }
 }

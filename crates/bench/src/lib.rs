@@ -8,13 +8,10 @@
 //! where the crossovers fall.
 
 pub mod figures;
-pub mod scale;
 pub mod tables;
-pub mod wallclock;
 
 pub use figures::*;
 pub use tables::*;
-pub use wallclock::{wallclock_suite, wallclock_suite_threads, WallRun, WallSuite};
 
 /// Default iteration counts, tuned so every figure regenerates in seconds
 /// in release mode while still averaging over steady-state behaviour.

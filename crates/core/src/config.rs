@@ -46,7 +46,7 @@ pub struct ClusterCfg {
     /// engine, N > 1 = conservative parallel execution over node
     /// partitions (bit-identical results — see DESIGN.md §10). The count
     /// is taken as given, even beyond `available_parallelism()`: the
-    /// differential suites and the wallclock sweep pin virtual results at
+    /// differential suites and the pinned shapes check virtual results at
     /// thread counts the host may not physically have. Default 1.
     pub threads: u32,
     /// Consecutive lookahead windows a worker may execute per barrier

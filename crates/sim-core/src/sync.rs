@@ -1,12 +1,12 @@
 //! Synchronization layer for the conservative parallel driver: an
 //! adaptive spin-then-park barrier and a persistent worker pool.
 //!
-//! PR 5's `SpinBarrier` burned a full spin/yield loop at every window
-//! crossing and the driver re-spawned a `thread::scope` per run. On an
-//! oversubscribed host (more workers than hardware threads — notably the
-//! 1-core CI container) that turns each crossing into a scheduler fight:
-//! the quick wallclock suite ran ~60x *slower* at `threads = 2` than at
-//! `threads = 1`. This module replaces both pieces:
+//! A barrier that burns a full spin/yield loop at every window crossing,
+//! and a `thread::scope` re-spawned per run, turn each crossing into a
+//! scheduler fight on an oversubscribed host (more workers than hardware
+//! threads — notably a 1-core CI container): the small pinned workloads
+//! ran ~60x *slower* at `threads = 2` than at `threads = 1` that way.
+//! This module replaces both pieces:
 //!
 //! * [`AdaptiveBarrier`] spins for a short bounded budget and then parks
 //!   on a condvar. When the participant count exceeds
@@ -19,9 +19,9 @@
 //!   costs nothing.
 //!
 //! The barrier also meters the nanoseconds participants spend waiting
-//! (vs executing), which the wallclock harness surfaces as
-//! `sync_overhead_ns` — the win over the spin barrier is measured, not
-//! asserted.
+//! (vs executing), drained as `sync_overhead_ns` by the repository
+//! benchmark's parallel workload, so barrier cost is separable from
+//! the work done between barriers.
 //!
 //! Everything here is wall-clock-side machinery: no virtual timestamps
 //! pass through this module, so it cannot perturb simulation results —
@@ -272,9 +272,9 @@ fn worker_loop(shared: &PoolShared, w: usize) {
 
 std::thread_local! {
     /// One pool per coordinating thread: concurrent tests each drive
-    /// their own clusters, and the perf-critical case (the wallclock
-    /// harness) is a single thread re-running `run_parallel` thousands
-    /// of times against the same pool.
+    /// their own clusters, and the perf-critical case (a benchmark
+    /// repetition loop) is a single thread re-running `run_parallel`
+    /// thousands of times against the same pool.
     static POOL: std::cell::RefCell<Option<WorkerPool>> = const { std::cell::RefCell::new(None) };
 }
 
