@@ -436,9 +436,11 @@ impl PeCtx<'_> {
         let src = self.pe();
         self.outbox
             .push((at, Event::Cmd(src, Cmd::Send { dst, msg: bytes })));
-        // A batch is at most max_batch_bytes <= the inline-wire limit, so
-        // encode copied it into the wire buffer and the payload handle is
-        // the sole owner again: reclaim the allocation for the next batch.
+        // The flush owns the batch alone, so `encode` copied a batch of
+        // up to its inline limit (1 KiB; the default `max_batch_bytes` is
+        // 1024) into the wire buffer and the payload handle is the sole
+        // owner again: reclaim the allocation for the next batch. A larger
+        // batch rides shared behind the header, and its vector with it.
         if let Ok(v) = env.payload.try_reclaim() {
             self.cold().am.pool.put(v);
         }
@@ -746,27 +748,34 @@ mod tests {
 
     #[test]
     fn flush_reclaims_buffers_through_the_pool() {
-        let mut c = cluster(2);
-        c.am_config(AmConfig {
-            aggregation: true,
-            max_batch_bytes: 64,
-            ..AmConfig::default()
-        });
-        c.init_user(|_| St::default());
-        let h = c.register_am::<u64>(|ctx, _, _| ctx.user::<St>().n += 1);
-        let kick = c.register_handler(move |ctx, _| {
-            for i in 0..60u64 {
-                ctx.am_send(1, h, i);
-            }
-        });
-        c.inject(0, 0, kick, Bytes::new());
-        c.run();
-        assert_eq!(c.user::<St>(1).n, 60);
-        let s = c.am_pool_stats(0);
-        assert!(
-            s.hits > s.misses,
-            "steady-state batching must recycle, not allocate: {s:?}"
-        );
+        // A small batch, and the default one: an encoder that shared a
+        // sole-owned batch instead of copying it would leave the pool
+        // nothing to reclaim.
+        for max_batch_bytes in [64, AmConfig::default().max_batch_bytes] {
+            let mut c = cluster(2);
+            c.am_config(AmConfig {
+                aggregation: true,
+                max_batch_bytes,
+                ..AmConfig::default()
+            });
+            c.init_user(|_| St::default());
+            let h = c.register_am::<u64>(|ctx, _, _| ctx.user::<St>().n += 1);
+            // 16-byte frames, enough for about twenty full batches.
+            let sends = 20 * max_batch_bytes as u64 / 16;
+            let kick = c.register_handler(move |ctx, _| {
+                for i in 0..sends {
+                    ctx.am_send(1, h, i);
+                }
+            });
+            c.inject(0, 0, kick, Bytes::new());
+            c.run();
+            assert_eq!(c.user::<St>(1).n, sends);
+            let s = c.am_pool_stats(0);
+            assert!(
+                s.hits > s.misses,
+                "steady-state batching at {max_batch_bytes} B must recycle, not allocate: {s:?}"
+            );
+        }
     }
 
     #[test]

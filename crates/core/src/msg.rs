@@ -22,12 +22,20 @@ pub const HEADER_BYTES: usize = 32;
 
 const MAGIC: u16 = 0xC4A7;
 
-/// Payloads at or below this many bytes are inlined into one contiguous
-/// wire buffer; larger ones ride behind the header zero-copy (chained).
-/// Sized so the SMSG/eager small-message paths — the ones that *do*
-/// flatten the buffer into mailbox frames — always see contiguous wire
-/// bytes and never pay a lazy flatten.
+/// Longest payload [`Envelope::encode`] copies into the wire block when
+/// the envelope is its only owner; the copy is assembled in a stack array
+/// of this size. It covers the AM layer's default batch (1 KiB), whose
+/// pooled vector comes back only if it was copied. A longer payload is
+/// shared whoever owns it, so no `memcpy` grows with the message.
 const INLINE_WIRE: usize = 1024;
+
+/// Longest payload [`Envelope::encode`] always copies: no larger than what
+/// a chain stores in the block in its place (the payload's handle, the
+/// lazy flatten, the head's length), so the copy costs no memory. Derived
+/// from the chain's layout, not tuned.
+const COPY_MAX: usize = bytes::CHAIN_BOOKKEEPING;
+
+const _: () = assert!(HEADER_BYTES <= bytes::CHAIN_HEAD);
 
 /// Default message priority (midpoint; smaller values run first, as in
 /// Charm++'s prioritized execution).
@@ -77,25 +85,32 @@ impl Envelope {
         HEADER_BYTES + self.payload.len()
     }
 
-    /// Serialize to the wire format.
+    /// Serialize to the wire format: one heap block either way, and the
+    /// wire *contents* are the same either way.
     ///
-    /// A small payload is assembled behind the header on the stack and
-    /// copied once into one block that also holds the reference counts
-    /// ([`Bytes::copy_from_slice`]): one allocation, and a later cold
-    /// header read is one cache miss. A larger one is chained behind a
-    /// header block ([`Bytes::chained`]) so the wire buffer shares the
-    /// sender's payload allocation — the machine layers move the result
-    /// without ever copying the payload host-side. Wire *contents* are
-    /// identical either way.
+    /// The payload is **copied** behind the header, from a stack array
+    /// into one block that also holds the reference counts
+    /// ([`Bytes::copy_from_slice`]), when the copy costs no memory: the
+    /// payload is no longer than `COPY_MAX` (72 B on a 64-bit target), or
+    /// it is at most `INLINE_WIRE` (1 KiB) and this envelope is its only
+    /// owner ([`Bytes::is_unique`]), so the original is freed with the
+    /// envelope (and an AM batch vector goes back to its pool). Otherwise
+    /// the payload is **shared**: the sender still holds it (kNeighbor's
+    /// one buffer, a multicast), or it is longer than `INLINE_WIRE`.
+    /// [`Bytes::chained`] puts the header inline in one block with the
+    /// counts and the payload's handle, so the wire buffer aliases the
+    /// sender's allocation and the machine layers move it without ever
+    /// copying the payload host-side. Either way a cold header read is
+    /// one miss.
     pub fn encode(&self) -> Bytes {
         let n = self.payload.len();
-        if n <= INLINE_WIRE {
+        if n <= COPY_MAX || (n <= INLINE_WIRE && self.payload.is_unique()) {
             let mut wire = [0u8; HEADER_BYTES + INLINE_WIRE];
             wire[..HEADER_BYTES].copy_from_slice(&self.header());
             wire[HEADER_BYTES..HEADER_BYTES + n].copy_from_slice(&self.payload);
             return Bytes::copy_from_slice(&wire[..HEADER_BYTES + n]);
         }
-        Bytes::chained(Bytes::copy_from_slice(&self.header()), self.payload.clone())
+        Bytes::chained(&self.header(), self.payload.clone())
     }
 
     /// The fixed header of this envelope's wire format: magic, then every
@@ -326,8 +341,8 @@ mod tests {
         ];
         assert_eq!(&e.encode()[..], &golden);
         assert_eq!(e.header(), golden[..HEADER_BYTES]);
-        // Above the inline limit the same header writer builds the block
-        // the payload is chained behind; only the length field differs.
+        // Above the inline limit the same header writer fills the chain's
+        // inline head, in front of the payload; only the length differs.
         let big = Envelope {
             payload: Bytes::from(vec![b'x'; 0x0501]),
             ..e

@@ -1,15 +1,17 @@
 //! Heap allocations per message, counted by a global allocator that keeps
 //! one count per thread (the harness runs tests on parallel threads).
 //!
-//! An encoded envelope's wire buffer is one block — reference counts,
-//! header and payload together — so encoding a small message allocates
-//! once, and a large one allocates its header block and the chain that
-//! links the sender's payload behind it, never a copy of the payload. An
-//! empty `Bytes` owns nothing, and an aggregated typed AM costs an
-//! allocation only through the few blocks its batch needs.
+//! An encoded envelope's wire buffer is one block whatever the payload:
+//! reference counts and header, then either a copy of the payload (when
+//! the copy costs no memory: a payload of a few dozen bytes, or one of up
+//! to 1 KiB that the envelope alone owns) or the payload's handle, which
+//! shares the sender's allocation. An empty `Bytes` owns nothing, and an
+//! aggregated typed AM costs an allocation only through the few blocks
+//! its batch needs.
 
 use bytes::Bytes;
 use charm_apps::LayerKind;
+use charm_rt::msg::HEADER_BYTES;
 use charm_rt::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,30 +20,34 @@ use std::sync::{Arc, OnceLock};
 struct Counting;
 
 thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static ALLOCS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
-fn count() {
+/// Count one allocation of `bytes` bytes.
+fn count(bytes: usize) {
     // `try_with`: the allocator also runs while a thread's locals are
     // being torn down.
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = ALLOCS.try_with(|c| {
+        let (n, b) = c.get();
+        c.set((n + 1, b + bytes as u64));
+    });
 }
 
 // SAFETY: every call is forwarded unchanged to the system allocator; the
 // count is a thread-local `Cell` that never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -55,9 +61,17 @@ static GLOBAL: Counting = Counting;
 
 /// `f`'s result and the heap allocations it made on this thread.
 fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.with(Cell::get);
+    let ((n, _), r) = allocated(f);
+    (n, r)
+}
+
+/// `f`'s result, and the heap allocations it made on this thread and the
+/// bytes they asked for.
+fn allocated<R>(f: impl FnOnce() -> R) -> ((u64, u64), R) {
+    let (n0, b0) = ALLOCS.with(Cell::get);
     let r = f();
-    (ALLOCS.with(Cell::get) - before, r)
+    let (n1, b1) = ALLOCS.with(Cell::get);
+    ((n1 - n0, b1 - b0), r)
 }
 
 fn envelope(payload: Bytes) -> Envelope {
@@ -73,19 +87,71 @@ fn a_small_envelope_encodes_into_one_allocation() {
 }
 
 #[test]
-fn a_large_envelope_allocates_a_header_and_a_chain_and_keeps_the_senders_payload() {
+fn a_large_envelope_is_one_allocation_and_keeps_the_senders_payload() {
     let payload = Bytes::from(vec![7u8; 4096]);
     let e = envelope(payload.clone());
     let (n, wire) = allocations(|| e.encode());
-    assert_eq!(n, 2, "the header block and the chain, no payload copy");
+    assert_eq!(n, 1, "counts, header and the payload's handle in one block");
     let d = Envelope::from_wire(wire);
     assert_eq!(d.payload.as_ptr(), payload.as_ptr());
 }
 
-/// Heap allocations per delivered message of a token ring: `pes` PEs on
-/// `layer`, `laps` times round, every hop forwarding the 24-byte payload
-/// it received, so each hop encodes and delivers one envelope.
-fn ring(layer: &LayerKind, pes: u32, laps: u64) -> f64 {
+#[test]
+fn a_shared_payload_is_one_allocation_and_reaches_the_handler_in_place() {
+    let sender = Bytes::from(vec![7u8; 1024]);
+    let e = envelope(sender.slice(..512));
+    let (n, wire) = allocations(|| e.encode());
+    assert_eq!(
+        n, 1,
+        "one block: the sender still holds the payload, no copy"
+    );
+    assert_eq!(Envelope::from_wire(wire).payload.as_ptr(), sender.as_ptr());
+
+    // And through a machine layer, into a handler.
+    let mut c = LayerKind::Ideal(1_000).cluster(2, 1);
+    let got: Arc<OnceLock<usize>> = Arc::new(OnceLock::new());
+    let seen = got.clone();
+    let h = c.register_handler(move |_, env| {
+        seen.set(env.payload.as_ptr() as usize).unwrap();
+    });
+    let payload = sender.slice(..512);
+    let kick = c.register_handler(move |ctx, _| ctx.send(1, h, payload.clone()));
+    c.inject(0, 0, kick, Bytes::new());
+    c.run();
+    assert_eq!(got.get(), Some(&(sender.as_ptr() as usize)));
+}
+
+#[test]
+fn a_sole_owned_payload_up_to_a_kibibyte_is_copied_into_one_allocation() {
+    let e = envelope(Bytes::from(vec![7u8; 512]));
+    let sent_at = e.payload.as_ptr();
+    let (n, wire) = allocations(|| e.encode());
+    assert_eq!(
+        n, 1,
+        "counts, header and a copy of the payload in one block"
+    );
+    let body = wire[HEADER_BYTES..].as_ptr();
+    assert_ne!(body, sent_at, "a copy: the original goes with the envelope");
+    assert_eq!(Envelope::from_wire(wire).payload.as_ptr(), body);
+}
+
+#[test]
+fn a_shared_payload_no_larger_than_a_handle_and_its_bookkeeping_is_copied() {
+    let sender = Bytes::from(vec![7u8; 24]);
+    let e = envelope(sender.clone());
+    let (n, wire) = allocations(|| e.encode());
+    assert_eq!(n, 1);
+    let d = Envelope::from_wire(wire);
+    assert_ne!(d.payload.as_ptr(), sender.as_ptr(), "copied, not shared");
+    assert_eq!(d.payload, sender);
+}
+
+/// Heap allocations and bytes allocated per delivered message of a token
+/// ring: `pes` PEs on `layer`, `laps` times round, so each hop encodes and
+/// delivers one envelope. Every hop forwards the 24-byte payload it
+/// received, or, given `shared`, sends a clone of that buffer, which the
+/// ring holds throughout (kNeighbor's one buffer per PE).
+fn ring(layer: &LayerKind, pes: u32, laps: u64, shared: Option<Bytes>) -> (f64, f64) {
     let mut c = layer.cluster(pes, 4);
     c.init_user(|_| 0u64);
     let cell: Arc<OnceLock<HandlerId>> = Arc::new(OnceLock::new());
@@ -99,14 +165,22 @@ fn ring(layer: &LayerKind, pes: u32, laps: u64) -> f64 {
             }
         }
         let dst = (ctx.pe() + 1) % ctx.num_pes();
-        ctx.send(dst, *next.get().unwrap(), env.payload);
+        let payload = match &shared {
+            Some(b) => b.clone(),
+            None => env.payload,
+        };
+        ctx.send(dst, *next.get().unwrap(), payload);
     });
     cell.set(hop).unwrap();
     c.inject(0, 0, hop, Bytes::from(vec![0u8; 24]));
-    let (n, report) = allocations(|| c.run());
-    let delivered = report.stats.msgs_delivered;
-    assert_eq!(delivered, laps * pes as u64 + 1, "the ring ran every lap");
-    n as f64 / delivered as f64
+    let ((n, bytes), report) = allocated(|| c.run());
+    let delivered = report.stats.msgs_delivered as f64;
+    assert_eq!(
+        delivered,
+        (laps * pes as u64 + 1) as f64,
+        "the ring ran every lap"
+    );
+    (n as f64 / delivered, bytes as f64 / delivered)
 }
 
 #[test]
@@ -163,16 +237,24 @@ fn aggregated_ams_allocate_once_per_batch_not_per_am() {
 
 #[test]
 fn a_ring_reports_its_allocations_per_delivered_message() {
+    let shared = Bytes::from(vec![0u8; 512]);
     for layer in [LayerKind::Ideal(1_000), LayerKind::ugni()] {
-        let per_msg = ring(&layer, 8, 250);
-        println!(
-            "{}: {per_msg:.2} allocations per delivered message",
-            layer.name()
-        );
-        if let LayerKind::Ideal(_) = layer {
-            // The wire buffer, plus the cluster's first touches spread
-            // over the run; a second block per message reads above 2.
-            assert!(per_msg < 1.5, "{per_msg:.2} allocations per message");
+        for (what, payload) in [("forwarded 24 B", None), ("shared 512 B", Some(&shared))] {
+            let (per_msg, bytes) = ring(&layer, 8, 250, payload.cloned());
+            println!(
+                "{}, {what}: {per_msg:.2} allocations and {bytes:.0} bytes per delivered message",
+                layer.name()
+            );
+            if let LayerKind::Ideal(_) = layer {
+                // The wire buffer, plus the cluster's first touches spread
+                // over the run; a second block per message reads above 2.
+                assert!(
+                    per_msg < 1.5,
+                    "{what}: {per_msg:.2} allocations per message"
+                );
+                // A copy of a shared 512-byte payload alone would be 512.
+                assert!(bytes < 256.0, "{what}: {bytes:.0} bytes per message");
+            }
         }
     }
 }
