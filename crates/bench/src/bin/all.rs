@@ -1,7 +1,8 @@
-//! Regenerates every table and figure in one run, printing
-//! EXPERIMENTS.md-ready markdown. `--quick` runs the reduced-scale
-//! variant. The output is deterministic: the full-scale run is committed
-//! as `repro_full.txt`, and CI fails when a regeneration differs from it.
+//! Regenerates every table and figure, then the ablations, in one run,
+//! printing EXPERIMENTS.md-ready markdown. `--quick` runs the
+//! reduced-scale variant. The output is deterministic: the full-scale run
+//! is committed as `repro_full.txt`, and CI fails when a regeneration
+//! differs from it.
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -31,4 +32,5 @@ fn main() {
     println!("{}", charm_bench::render_table2(&charm_bench::table2(&e)));
     println!("{}", charm_bench::fault_sweep(&e).render());
     println!("{}", charm_bench::crash_sweep(&e).render());
+    println!("{}", charm_bench::ablations());
 }

@@ -7,9 +7,11 @@
 //! the claim being reproduced is the *shape*: who wins, by what factor,
 //! where the crossovers fall.
 
+pub mod ablations;
 pub mod figures;
 pub mod tables;
 
+pub use ablations::*;
 pub use figures::*;
 pub use tables::*;
 

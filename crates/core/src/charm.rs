@@ -73,7 +73,6 @@ type EntryFn = Arc<dyn Fn(&mut PeCtx, &mut dyn Any, u64, Bytes) + Send + Sync>;
 struct ArrayDef {
     #[allow(dead_code)]
     name: String,
-    num_elems: u64,
     /// Reduction client: (handler, pe) receiving finished reductions.
     red_client: Option<(HandlerId, PeId)>,
     /// PEs owning at least one element, sorted. The reduction tree spans
@@ -315,7 +314,6 @@ impl Cluster {
         participants.sort_unstable();
         self.charm.arrays.push(ArrayDef {
             name: name.to_string(),
-            num_elems: n,
             red_client: None,
             participants,
         });
@@ -343,11 +341,6 @@ impl Cluster {
     /// Route finished reductions of `aid` to `(handler, pe)`.
     pub fn set_reduction_client(&mut self, aid: ArrayId, handler: HandlerId, pe: PeId) {
         self.charm.arrays[aid.0 as usize].red_client = Some((handler, pe));
-    }
-
-    /// Number of elements in an array.
-    pub fn array_len(&self, aid: ArrayId) -> u64 {
-        self.charm.arrays[aid.0 as usize].num_elems
     }
 
     /// Kick an entry method from outside the simulation (mainchare-style),

@@ -157,14 +157,6 @@ impl Cluster {
             .expect("user state type mismatch")
     }
 
-    pub fn user_mut<T: 'static>(&mut self, pe: PeId) -> &mut T {
-        self.pes
-            .get_mut(pe as usize)
-            .user
-            .downcast_mut()
-            .expect("user state type mismatch")
-    }
-
     /// Install quiescence detection state (see [`crate::qd::register`]).
     pub(crate) fn install_qd(&mut self, st: QdState, system: &[HandlerId]) {
         self.qd = Some(st);
@@ -322,13 +314,10 @@ impl Cluster {
                     epoch: self.ft.as_ref().map_or(0, |f| f.epoch),
                 };
                 let st = self.pes.get_mut(pe as usize);
-                if let Delivered::Queued { wake_at } =
+                if let Delivered::Queued { wake_at: Some(at) } =
                     kernel::deliver(&env, st, t, pe, bytes, gate, &mut self.stats)
                 {
-                    self.trace.count_msg(pe);
-                    if let Some(at) = wake_at {
-                        self.events.push(at, Event::PeRun(pe));
-                    }
+                    self.events.push(at, Event::PeRun(pe));
                 }
             }
             Event::NodeLife(node, up) => {
@@ -664,11 +653,12 @@ mod tests {
             c.inject(0, pe, h, wire::pack_u64s(&[24 + pe as u64]));
         }
         let r = c.run();
+        let msgs = r.stats.msgs_delivered;
         (
             r,
             c.trace().total_busy(),
             c.trace().total_overhead(),
-            c.trace().total_msgs(),
+            msgs,
             c.trace().export_log(),
         )
     }

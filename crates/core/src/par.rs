@@ -45,11 +45,6 @@ impl Cluster {
             || self.cfg.num_nodes() < 2
             || self.ft.is_some()
             || self.cfg.fault.has_node_crash()
-            // A streaming trace sink writes records in global execution
-            // order as they happen; the windowed engine replays trace
-            // effects per partition (order-equivalent for every other
-            // consumer, not for a byte stream).
-            || self.trace.has_sink()
         {
             return self.run_seq();
         }
@@ -272,13 +267,10 @@ fn exec_local(
             let st = &mut pes[(pe - *base_pe) as usize];
             // Crash plans force the sequential engine: nothing to gate.
             let gate = Gate::default();
-            if let Delivered::Queued { wake_at } =
+            if let Delivered::Queued { wake_at: Some(at) } =
                 kernel::deliver(env, st, t, pe, bytes, gate, &mut out.stats)
             {
-                out.trace.push(TraceOp::CountMsg(pe));
-                if let Some(at) = wake_at {
-                    q.push(mk_key(at), Event::PeRun(pe));
-                }
+                q.push(mk_key(at), Event::PeRun(pe));
             }
         }
         Event::PeRun(pe) => {
@@ -298,8 +290,8 @@ fn exec_local(
                     stop,
                     next_run,
                 } => {
-                    let busy = TraceOp::Record(pe, t, charged_app, Kind::Busy);
-                    let ovh = TraceOp::Record(pe, t + charged_app, charged_ovh, Kind::Overhead);
+                    let busy = TraceOp(pe, t, charged_app, Kind::Busy);
+                    let ovh = TraceOp(pe, t + charged_app, charged_ovh, Kind::Overhead);
                     out.trace.extend([busy, ovh]);
                     for (at, ev) in out.outbox.drain(..) {
                         let key = mk_key(at);
@@ -705,13 +697,12 @@ impl ParDriver<'_> {
     }
 
     /// Apply buffered window effects. Every destination is either
-    /// per-partition-order sensitive at most per PE (the trace: per-PE
-    /// accumulators, per-PE pending segments, and a log that consumers
-    /// stable-sort by `(pe, start)`) or commutative (stats sums, the `now`
-    /// running max), so replaying each partition's stream sequentially is
-    /// observation-equivalent to the canonical k-way merge — without the
-    /// per-record comparisons. (The one global-order consumer, a streaming
-    /// trace sink, forces the sequential engine in `run_parallel`.)
+    /// per-partition-order sensitive at most per PE (the trace's per-PE
+    /// pending segments, and a log that consumers stable-sort by
+    /// `(pe, start)`) or commutative (the trace totals, stats sums, the
+    /// `now` running max), so replaying each partition's stream
+    /// sequentially is observation-equivalent to the canonical k-way merge
+    /// — without the per-record comparisons.
     ///
     /// Leaves `fx`/`origins` in place: `flatten` still needs them to order
     /// surviving in-phase keys.

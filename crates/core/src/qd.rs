@@ -49,7 +49,6 @@ pub struct QdState {
 #[derive(Debug, Clone, Copy)]
 pub struct Qd {
     collect: HandlerId,
-    report: HandlerId,
 }
 
 const QD_COORDINATOR: PeId = 0;
@@ -122,7 +121,7 @@ pub fn register(cluster: &mut Cluster, client: HandlerId, client_pe: PeId, perio
         },
         &[collect, report, client],
     );
-    Qd { collect, report }
+    Qd { collect }
 }
 
 impl Qd {
@@ -142,11 +141,6 @@ impl Qd {
         for pe in 0..num_pes {
             ctx.send_after(period, pe, self.collect, Bytes::new());
         }
-    }
-
-    /// The internal report handler (exposed for tests).
-    pub fn report_handler(&self) -> HandlerId {
-        self.report
     }
 }
 

@@ -59,11 +59,6 @@ impl Ssse {
         ctx.send(dst, self.handler, payload);
     }
 
-    /// Spawn a task on a specific PE (used to seed the root).
-    pub fn spawn_on(&self, ctx: &mut PeCtx, pe: PeId, payload: Bytes) {
-        ctx.send(pe, self.handler, payload);
-    }
-
     /// Seed the search from outside the simulation.
     pub fn seed(&self, cluster: &mut Cluster, at: sim_core::Time, pe: PeId, payload: Bytes) {
         cluster.inject(at, pe, self.handler, payload);

@@ -245,13 +245,39 @@ impl Fabric {
         (r, down)
     }
 
-    /// Is either endpoint of a transaction inside a node-crash window at
-    /// `at`? Purely schedule-driven — never touches the fault RNG, so plans
-    /// whose only entries are crash windows leave every surviving
-    /// transaction's timing and fault stream untouched.
-    fn endpoint_down(&self, a: NodeId, b: NodeId, at: Time) -> bool {
+    /// The preamble every transaction shares, in order: a crashed
+    /// endpoint, then a downed route (`route_down`), then the fault draw
+    /// with `probs` = (drop, corrupt). The first two refuse the transaction
+    /// before anything is transmitted and return its kind with the time the
+    /// sending NIC learns of it, `lead` (the sender's CPU and NIC start-up)
+    /// plus a control trip over `route`. Crash windows are purely
+    /// schedule-driven and never touch the fault RNG, so plans whose only
+    /// entries are crash windows leave every surviving transaction's timing
+    /// and fault stream untouched. The draw consults the fault RNG only
+    /// when a probability is nonzero.
+    fn admit(
+        &mut self,
+        now: Time,
+        (a, b): (NodeId, NodeId),
+        route: &[LinkId],
+        route_down: bool,
+        lead: Time,
+        (drop_p, corrupt_p): (f64, f64),
+    ) -> Result<Option<FaultKind>, (FaultKind, Time)> {
         let f = &self.params.fault;
-        !f.node_crash.is_empty() && (f.node_is_down(a, at) || f.node_is_down(b, at))
+        let refused =
+            if !f.node_crash.is_empty() && (f.node_is_down(a, now) || f.node_is_down(b, now)) {
+                self.stats.faults_node_down += 1;
+                FaultKind::NodeDown
+            } else if route_down {
+                self.stats.faults_link_down += 1;
+                FaultKind::LinkDown
+            } else {
+                return Ok(Self::fault_decide(&mut self.fault_rng, drop_p, corrupt_p));
+            };
+        let error_at =
+            now + lead + self.params.injection_latency + self.links.control_latency(route);
+        Err((refused, error_at))
     }
 
     /// Roll the fault dice for one transaction. Draws from the fault RNG
@@ -288,11 +314,8 @@ impl Fabric {
     /// Send one SMSG of `bytes` from `src` to `dst` node at time `now`,
     /// over the peer-to-peer connection `conn` (a pair of process ids; the
     /// mailbox credits belong to the connection, the routing to the nodes).
-    ///
-    /// Credits are reclaimed lazily: slots whose release time has passed
-    /// are freed before the credit check, which keeps the fabric free of
-    /// callbacks. The credit returns one control-latency after the receiver
-    /// could have drained the mailbox.
+    /// The credit returns one control-latency after the receiver could have
+    /// drained the mailbox.
     pub fn smsg_send(
         &mut self,
         now: Time,
@@ -301,52 +324,10 @@ impl Fabric {
         conn_key: (u32, u32),
         bytes: u64,
     ) -> Result<SmsgOutcome, SmsgError> {
-        let limit = self.smsg_limit();
-        if bytes > limit as u64 {
-            return Err(SmsgError::TooLarge { limit });
-        }
-        let credits = self.params.smsg_credits;
-        let conn = self.conns.entry(conn_key).or_default();
-        while conn.in_flight.front().is_some_and(|&t| t <= now) {
-            conn.in_flight.pop_front();
-        }
-        if conn.in_flight.len() >= credits as usize {
-            self.stats.credit_stalls += 1;
-            // panic-ok: nonempty — in_flight.len() >= credits >= 1 just above
-            let retry_at = *conn.in_flight.front().unwrap();
-            return Err(SmsgError::NoCredits { retry_at });
-        }
-
+        self.mailbox(now, conn_key, self.params.smsg_credits, bytes)?;
         let route = self.topo.route(src, dst);
         let cpu = self.params.smsg_send_cpu;
-        // Crashed endpoint: the NIC on one side is dead, so nothing is
-        // transmitted and no fault RNG is consulted.
-        if self.endpoint_down(src, dst, now) {
-            self.stats.faults_node_down += 1;
-            let error_at =
-                now + cpu + self.params.injection_latency + self.links.control_latency(&route);
-            return Err(SmsgError::TransactionError {
-                kind: FaultKind::NodeDown,
-                cpu,
-                error_at,
-                delivered_at: None,
-            });
-        }
-        // Link outage: nothing is transmitted; the sending NIC learns of
-        // the dead path after a control round-trip.
-        if self.params.fault.route_is_down(&route, now) {
-            self.stats.faults_link_down += 1;
-            let error_at =
-                now + cpu + self.params.injection_latency + self.links.control_latency(&route);
-            return Err(SmsgError::TransactionError {
-                kind: FaultKind::LinkDown,
-                cpu,
-                error_at,
-                delivered_at: None,
-            });
-        }
-        let (drop_p, corrupt_p) = (self.params.fault.smsg_drop, self.params.fault.smsg_corrupt);
-        let fault = Self::fault_decide(&mut self.fault_rng, drop_p, corrupt_p);
+        let fault = self.admit_small(now, (src, dst), &route, cpu)?;
 
         let p = &self.params;
         // SMSG packets interleave with bulk FMA traffic (sub-chunk sized),
@@ -363,27 +344,92 @@ impl Fabric {
 
         self.stats.smsg_sends += 1;
         self.stats.smsg_bytes += bytes;
-        // panic-ok: entry materialized by or_default at the top of this fn
-        let conn = self.conns.get_mut(&conn_key).unwrap();
-        conn.in_flight.push_back(release);
-        match fault {
-            None => Ok(SmsgOutcome { cpu, deliver_at }),
-            Some(kind) => {
-                self.stats.faults_smsg += 1;
-                // The failure (lost data or corrupted completion) surfaces
-                // to the sender once the NIC-level nack/timeout crosses
-                // back; the mailbox slot is reclaimed as usual.
-                Err(SmsgError::TransactionError {
-                    kind,
-                    cpu,
-                    error_at: deliver_at + back,
-                    delivered_at: match kind {
-                        FaultKind::CorruptDelivered => Some(deliver_at),
-                        _ => None,
-                    },
-                })
-            }
+        self.small_outcome(
+            conn_key,
+            release,
+            SmsgOutcome { cpu, deliver_at },
+            back,
+            fault,
+        )
+    }
+
+    /// The mailbox checks every small send makes before anything else: the
+    /// job-size-dependent size limit, then a free slot among `credits` on
+    /// the connection `key`. Credits are reclaimed lazily: slots whose
+    /// release time has passed are freed before the check, which keeps the
+    /// fabric free of callbacks.
+    fn mailbox(
+        &mut self,
+        now: Time,
+        key: (u32, u32),
+        credits: u32,
+        bytes: u64,
+    ) -> Result<(), SmsgError> {
+        let limit = self.smsg_limit();
+        if bytes > limit as u64 {
+            return Err(SmsgError::TooLarge { limit });
         }
+        let conn = self.conns.entry(key).or_default();
+        while conn.in_flight.front().is_some_and(|&t| t <= now) {
+            conn.in_flight.pop_front();
+        }
+        if conn.in_flight.len() >= credits as usize {
+            self.stats.credit_stalls += 1;
+            // panic-ok: nonempty — in_flight.len() >= credits >= 1 just above
+            let retry_at = *conn.in_flight.front().unwrap();
+            return Err(SmsgError::NoCredits { retry_at });
+        }
+        Ok(())
+    }
+
+    /// [`Fabric::admit`] for a small send: a refusal is a transaction
+    /// error that delivered nothing.
+    fn admit_small(
+        &mut self,
+        now: Time,
+        ends: (NodeId, NodeId),
+        route: &[LinkId],
+        cpu: Time,
+    ) -> Result<Option<FaultKind>, SmsgError> {
+        let down = self.params.fault.route_is_down(route, now);
+        let probs = (self.params.fault.smsg_drop, self.params.fault.smsg_corrupt);
+        self.admit(now, ends, route, down, cpu, probs)
+            .map_err(|(kind, error_at)| SmsgError::TransactionError {
+                kind,
+                cpu,
+                error_at,
+                delivered_at: None,
+            })
+    }
+
+    /// The end of every small send that reached the wire: hold the mailbox
+    /// slot on `key` until `release`, then report the drawn fault. The
+    /// failure (lost data or corrupted completion) surfaces to the sender
+    /// once the NIC-level nack/timeout crosses back (`back`); the slot is
+    /// reclaimed as usual.
+    fn small_outcome(
+        &mut self,
+        key: (u32, u32),
+        release: Time,
+        out: SmsgOutcome,
+        back: Time,
+        fault: Option<FaultKind>,
+    ) -> Result<SmsgOutcome, SmsgError> {
+        self.conns
+            .entry(key)
+            .or_default()
+            .in_flight
+            .push_back(release);
+        let Some(kind) = fault else {
+            return Ok(out);
+        };
+        self.stats.faults_smsg += 1;
+        Err(SmsgError::TransactionError {
+            kind,
+            cpu: out.cpu,
+            error_at: out.deliver_at + back,
+            delivered_at: (kind == FaultKind::CorruptDelivered).then_some(out.deliver_at),
+        })
     }
 
     /// CPU cost for the receiver to dequeue and copy out one SMSG of
@@ -403,49 +449,12 @@ impl Fabric {
         dst: NodeId,
         bytes: u64,
     ) -> Result<SmsgOutcome, SmsgError> {
-        let limit = self.smsg_limit();
-        if bytes > limit as u64 {
-            return Err(SmsgError::TooLarge { limit });
-        }
-        let credits = self.params.msgq_credits;
         // Shared credits: the connection key is the destination node.
-        let conn = self.conns.entry((u32::MAX, dst)).or_default();
-        while conn.in_flight.front().is_some_and(|&t| t <= now) {
-            conn.in_flight.pop_front();
-        }
-        if conn.in_flight.len() >= credits as usize {
-            self.stats.credit_stalls += 1;
-            // panic-ok: nonempty — in_flight.len() >= credits >= 1 just above
-            let retry_at = *conn.in_flight.front().unwrap();
-            return Err(SmsgError::NoCredits { retry_at });
-        }
-
+        let key = (u32::MAX, dst);
+        self.mailbox(now, key, self.params.msgq_credits, bytes)?;
         let route = self.topo.route(src, dst);
         let cpu = self.params.smsg_send_cpu + self.params.msgq_extra_cpu;
-        if self.endpoint_down(src, dst, now) {
-            self.stats.faults_node_down += 1;
-            let error_at =
-                now + cpu + self.params.injection_latency + self.links.control_latency(&route);
-            return Err(SmsgError::TransactionError {
-                kind: FaultKind::NodeDown,
-                cpu,
-                error_at,
-                delivered_at: None,
-            });
-        }
-        if self.params.fault.route_is_down(&route, now) {
-            self.stats.faults_link_down += 1;
-            let error_at =
-                now + cpu + self.params.injection_latency + self.links.control_latency(&route);
-            return Err(SmsgError::TransactionError {
-                kind: FaultKind::LinkDown,
-                cpu,
-                error_at,
-                delivered_at: None,
-            });
-        }
-        let (drop_p, corrupt_p) = (self.params.fault.smsg_drop, self.params.fault.smsg_corrupt);
-        let fault = Self::fault_decide(&mut self.fault_rng, drop_p, corrupt_p);
+        let fault = self.admit_small(now, (src, dst), &route, cpu)?;
 
         let p = &self.params;
         let nic_ready = (now + cpu).max(self.fma_tx.get(src as usize));
@@ -457,27 +466,10 @@ impl Fabric {
 
         let back = self.links.control_latency(&route);
         let release = deliver_at + p.smsg_recv_cpu + p.msgq_extra_cpu + back + p.injection_latency;
-        // panic-ok: entry materialized by or_default at the top of this fn
-        let conn = self.conns.get_mut(&(u32::MAX, dst)).unwrap();
-        conn.in_flight.push_back(release);
 
         self.stats.msgq_sends += 1;
         self.stats.smsg_bytes += bytes;
-        match fault {
-            None => Ok(SmsgOutcome { cpu, deliver_at }),
-            Some(kind) => {
-                self.stats.faults_smsg += 1;
-                Err(SmsgError::TransactionError {
-                    kind,
-                    cpu,
-                    error_at: deliver_at + back,
-                    delivered_at: match kind {
-                        FaultKind::CorruptDelivered => Some(deliver_at),
-                        _ => None,
-                    },
-                })
-            }
-        }
+        self.small_outcome(key, release, SmsgOutcome { cpu, deliver_at }, back, fault)
     }
 
     /// CPU cost for the receiver to dequeue one MSGQ message.
@@ -526,36 +518,32 @@ impl Fabric {
         // transaction fails without touching the wire — the NIC raises an
         // error CQ event after the dead path is discovered.
         let (route, route_down) = self.pick_route(data_src, data_dst, now);
-        if self.endpoint_down(data_src, data_dst, now) {
-            self.stats.faults_node_down += 1;
-            let error_at =
-                now + cpu + startup + p.injection_latency + self.links.control_latency(&route);
-            return RdmaOutcome {
-                cpu,
-                local_cq_at: error_at,
-                data_at: error_at,
-                fault: Some(FaultKind::NodeDown),
-            };
-        }
-        if route_down {
-            self.stats.faults_link_down += 1;
-            let error_at =
-                now + cpu + startup + p.injection_latency + self.links.control_latency(&route);
-            return RdmaOutcome {
-                cpu,
-                local_cq_at: error_at,
-                data_at: error_at,
-                fault: Some(FaultKind::LinkDown),
-            };
-        }
-        let (drop_p, corrupt_p) = match mech {
+        let probs = match mech {
             Mechanism::Fma => (p.fault.fma_drop, p.fault.fma_corrupt),
             Mechanism::Bte => (p.fault.bte_drop, p.fault.bte_corrupt),
         };
-        let fault = Self::fault_decide(&mut self.fault_rng, drop_p, corrupt_p);
+        let fault = match self.admit(
+            now,
+            (data_src, data_dst),
+            &route,
+            route_down,
+            cpu + startup,
+            probs,
+        ) {
+            Ok(fault) => fault,
+            Err((kind, error_at)) => {
+                return RdmaOutcome {
+                    cpu,
+                    local_cq_at: error_at,
+                    data_at: error_at,
+                    fault: Some(kind),
+                }
+            }
+        };
         if fault.is_some() {
             self.stats.faults_rdma += 1;
         }
+        let p = &self.params;
 
         // The transfer needs the source node's outbound engine and the
         // destination node's inbound engine (the hardware is full duplex,
@@ -625,15 +613,6 @@ impl Fabric {
                 fault,
             },
         }
-    }
-
-    /// One-way latency of a minimal control packet between two nodes,
-    /// without reserving bandwidth (used by tests and models).
-    pub fn control_one_way(&self, src: NodeId, dst: NodeId) -> Time {
-        let route = self.topo.route(src, dst);
-        self.params.injection_latency
-            + self.links.control_latency(&route)
-            + self.params.ejection_latency
     }
 
     /// Diagnostics.

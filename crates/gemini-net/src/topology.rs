@@ -204,11 +204,6 @@ impl Torus {
         debug_assert_eq!(self.node_at(cur), b);
         links
     }
-
-    /// Map a PE (core) id to its node, given cores per node.
-    pub fn node_of_pe(&self, pe: u32, cores_per_node: u32) -> NodeId {
-        pe / cores_per_node
-    }
 }
 
 #[cfg(test)]
@@ -292,14 +287,6 @@ mod tests {
         assert_eq!(r_xy.len(), r_yx.len(), "both minimal");
         assert_ne!(r_xy, r_yx, "different intermediate links");
         assert_eq!(r_xy.len() as u32, t.hops(a, b));
-    }
-
-    #[test]
-    fn pe_to_node_mapping() {
-        let t = Torus::new((2, 2, 2));
-        assert_eq!(t.node_of_pe(0, 24), 0);
-        assert_eq!(t.node_of_pe(23, 24), 0);
-        assert_eq!(t.node_of_pe(24, 24), 1);
     }
 
     #[test]

@@ -61,12 +61,6 @@ impl DetRng {
         self.inner.gen()
     }
 
-    /// Bernoulli trial with probability `p`.
-    #[inline]
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.unit() < p
-    }
-
     /// Sample a bounded Pareto (heavy-tail) value in `[lo, hi]` with shape
     /// `alpha`. Smaller `alpha` means heavier tail. This models the skewed
     /// leaf-subtree costs in state-space search (see DESIGN.md §4).

@@ -4,8 +4,6 @@
 //! binaries in `charm-bench` build [`Series`] objects and print them in a
 //! uniform aligned-column format so `EXPERIMENTS.md` can quote them directly.
 
-use crate::time::{to_us, Time};
-
 /// One named curve for a figure: x values with one y per x.
 #[derive(Debug, Clone)]
 pub struct Series {
@@ -23,11 +21,6 @@ impl Series {
 
     pub fn push(&mut self, x: f64, y: f64) {
         self.points.push((x, y));
-    }
-
-    /// Convenience for latency curves: x = message bytes, y = µs.
-    pub fn push_latency(&mut self, bytes: u64, t: Time) {
-        self.points.push((bytes as f64, to_us(t)));
     }
 }
 

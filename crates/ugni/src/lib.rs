@@ -20,7 +20,10 @@
 pub mod types;
 
 use bytes::Bytes;
-use gemini_net::{Addr, Fabric, FaultKind, GeminiParams, Mechanism, MemHandle, NodeId, RdmaOp};
+use gemini_net::{
+    Addr, Fabric, FaultKind, GeminiParams, Mechanism, MemHandle, NodeId, RdmaOp, SmsgError,
+    SmsgOutcome,
+};
 use sim_core::queue::HeapQueue;
 use sim_core::{DetHashMap, Time};
 
@@ -229,46 +232,14 @@ impl Gni {
             let e = self.eps.get(ep.0 as usize).ok_or(GniError::InvalidHandle)?;
             (e.local, e.remote, e.conn)
         };
-        let out = match self
+        let res = self
             .fabric
-            .smsg_send(now, local, remote, conn, data.len() as u64)
-        {
-            Ok(out) => out,
-            Err(gemini_net::SmsgError::NoCredits { retry_at }) => {
-                return Err(GniError::NoCredits { retry_at })
-            }
-            Err(gemini_net::SmsgError::TooLarge { limit }) => {
-                return Err(GniError::TooLarge { limit })
-            }
-            Err(gemini_net::SmsgError::TransactionError {
-                kind,
-                cpu,
-                error_at,
-                delivered_at,
-            }) => {
-                // Corrupted completion: the payload *did* land, so a resend
-                // will duplicate it — receivers dedup by sequence number.
-                if let Some(at) = delivered_at {
-                    self.rx
-                        .entry((remote, conn.1))
-                        .or_default()
-                        .push(at, (tag, conn.0, data));
-                }
-                return Err(GniError::TransactionError {
-                    kind,
-                    cpu,
-                    error_at,
-                    delivered_at,
-                });
-            }
-        };
-        self.rx
-            .entry((remote, conn.1))
-            .or_default()
-            .push(out.deliver_at, (tag, conn.0, data));
-        Ok(SmsgSendOk {
-            cpu: out.cpu,
-            deliver_at: out.deliver_at,
+            .smsg_send(now, local, remote, conn, data.len() as u64);
+        small_result(res, |at| {
+            self.rx
+                .entry((remote, conn.1))
+                .or_default()
+                .push(at, (tag, conn.0, data))
         })
     }
 
@@ -318,41 +289,12 @@ impl Gni {
             let e = self.eps.get(ep.0 as usize).ok_or(GniError::InvalidHandle)?;
             (e.local, e.remote, e.conn)
         };
-        let out = match self.fabric.msgq_send(now, local, remote, data.len() as u64) {
-            Ok(out) => out,
-            Err(gemini_net::SmsgError::NoCredits { retry_at }) => {
-                return Err(GniError::NoCredits { retry_at })
-            }
-            Err(gemini_net::SmsgError::TooLarge { limit }) => {
-                return Err(GniError::TooLarge { limit })
-            }
-            Err(gemini_net::SmsgError::TransactionError {
-                kind,
-                cpu,
-                error_at,
-                delivered_at,
-            }) => {
-                if let Some(at) = delivered_at {
-                    self.msgq_rx
-                        .entry(remote)
-                        .or_default()
-                        .push(at, (tag, conn.0, conn.1, data));
-                }
-                return Err(GniError::TransactionError {
-                    kind,
-                    cpu,
-                    error_at,
-                    delivered_at,
-                });
-            }
-        };
-        self.msgq_rx
-            .entry(remote)
-            .or_default()
-            .push(out.deliver_at, (tag, conn.0, conn.1, data));
-        Ok(SmsgSendOk {
-            cpu: out.cpu,
-            deliver_at: out.deliver_at,
+        let res = self.fabric.msgq_send(now, local, remote, data.len() as u64);
+        small_result(res, |at| {
+            self.msgq_rx
+                .entry(remote)
+                .or_default()
+                .push(at, (tag, conn.0, conn.1, data))
         })
     }
 
@@ -584,6 +526,40 @@ impl Gni {
     /// CPU cost of one CQ poll.
     pub fn cq_poll_cost(&self) -> Time {
         self.fabric.params.cq_poll_cpu
+    }
+}
+
+/// The uGNI result of a fabric small send (SMSG or MSGQ). `land(at)` queues
+/// the payload at the receiver for `at`; it runs only when the payload
+/// lands: on success, and on a corrupted completion, whose resend will
+/// then duplicate it (receivers dedup by sequence number).
+fn small_result(
+    res: Result<SmsgOutcome, SmsgError>,
+    land: impl FnOnce(Time),
+) -> GniResult<SmsgSendOk> {
+    match res {
+        Ok(SmsgOutcome { cpu, deliver_at }) => {
+            land(deliver_at);
+            Ok(SmsgSendOk { cpu, deliver_at })
+        }
+        Err(SmsgError::NoCredits { retry_at }) => Err(GniError::NoCredits { retry_at }),
+        Err(SmsgError::TooLarge { limit }) => Err(GniError::TooLarge { limit }),
+        Err(SmsgError::TransactionError {
+            kind,
+            cpu,
+            error_at,
+            delivered_at,
+        }) => {
+            if let Some(at) = delivered_at {
+                land(at);
+            }
+            Err(GniError::TransactionError {
+                kind,
+                cpu,
+                error_at,
+                delivered_at,
+            })
+        }
     }
 }
 

@@ -8,6 +8,7 @@ use charm_apps::jacobi2d::{jacobi_sequential, run_jacobi, JacobiConfig};
 use charm_apps::pingpong::charm_one_way;
 use charm_apps::LayerKind;
 use gemini_net::{FaultPlan, LinkDownWindow};
+use lrts_ugni::{SmallPath, UgniConfig};
 
 /// The acceptance plan from the issue: 1e-3 drop probability everywhere,
 /// corrupted completions, one mid-run link-down window, one forced CQ
@@ -168,5 +169,95 @@ fn chaos_recovery_costs_time_but_not_results() {
         "2% fault rates should cost time: clean {} vs chaos {}",
         clean.time_ns,
         chaotic.time_ns
+    );
+}
+
+/// What a reordered fault draw or a changed MSGQ timing would move: the
+/// virtual end time, the fabric's fault and flow-control counters, and the
+/// uGNI layer's recovery counters, in that order.
+type Readings = [u64; 10];
+
+/// kNeighbor (`k` = 2, 6 iterations) on `pes` PEs, 4 per node, over
+/// `layer`, then read what [`Readings`] names off the cluster.
+fn kneighbor_readings(layer: &LayerKind, pes: u32, bytes: usize) -> Readings {
+    let mut c = layer.cluster(pes, 4);
+    let (_, rep) = charm_apps::kneighbor::run_on(&mut c, 2, bytes, 6);
+    charm_apps::assert_contract_clean(&mut c);
+    let l = c.layer_mut::<lrts_ugni::UgniLayer>();
+    let f = &l.gni().fabric().stats;
+    let u = &l.stats;
+    [
+        rep.end_time,
+        f.faults_smsg,
+        f.faults_rdma,
+        f.faults_node_down,
+        f.faults_link_down,
+        f.credit_stalls,
+        f.msgq_sends,
+        u.send_faults,
+        u.rdma_faults,
+        u.dup_drops,
+    ]
+}
+
+fn msgq() -> LayerKind {
+    LayerKind::Ugni(UgniConfig::optimized().with_small_path(SmallPath::Msgq))
+}
+
+/// The chaos suites above compare a run with itself, so a change that
+/// moves *which* transaction a fault hits passes them; the pins below do
+/// not. A refactor that claims bit-identical behaviour leaves them alone;
+/// a change to how faults are drawn restates them.
+#[test]
+fn heavy_plan_fault_draws_are_pinned() {
+    let heavy = LayerKind::ugni().with_fault(heavy_plan());
+    // 2 KiB rides FMA, 16 KiB rides BTE; both rendezvous over SMSG.
+    let got: Vec<Readings> = [2048, 16384]
+        .map(|bytes| kneighbor_readings(&heavy, 16, bytes))
+        .into();
+    assert_eq!(
+        got,
+        vec![
+            [128_286, 29, 16, 0, 0, 0, 0, 29, 16, 15],
+            [400_343, 29, 16, 0, 0, 0, 0, 29, 16, 13],
+        ]
+    );
+}
+
+#[test]
+fn msgq_runs_are_pinned() {
+    let got: Vec<Readings> = [msgq(), msgq().with_fault(chaos_plan())]
+        .map(|layer| kneighbor_readings(&layer, 256, 64))
+        .into();
+    assert_eq!(
+        got,
+        vec![
+            [110_405, 0, 0, 0, 0, 0, 4_608, 0, 0, 0],
+            [112_710, 9, 0, 0, 0, 0, 4_617, 9, 0, 4],
+        ]
+    );
+}
+
+#[test]
+fn link_down_window_run_is_pinned() {
+    let mut plan = FaultPlan::none();
+    plan.link_down.push(LinkDownWindow {
+        node: 0,
+        dim: 1,
+        plus: true,
+        from_ns: 0,
+        until_ns: 200_000,
+    });
+    let layer = LayerKind::ugni().with_fault(plan);
+    // SMSG for 64 B; BTE, behind an SMSG rendezvous, for 16 KiB.
+    let got: Vec<Readings> = [64, 16384]
+        .map(|bytes| kneighbor_readings(&layer, 16, bytes))
+        .into();
+    assert_eq!(
+        got,
+        vec![
+            [281_108, 0, 0, 0, 48, 0, 0, 48, 0, 0],
+            [522_524, 0, 0, 0, 48, 0, 0, 48, 0, 0],
+        ]
     );
 }

@@ -152,3 +152,15 @@ fn million_pe_construction_materializes_nothing() {
     assert!(c.total_pe_pages() > 0);
     assert_under_rss_ceiling("million-PE construction");
 }
+
+/// Outside timeline mode (`trace_bucket: None`, the default) the trace
+/// keeps whole-job totals only: a run that touches every one of 1,024 PEs
+/// materializes no per-PE trace page, yet still accounts its work.
+#[test]
+fn untimed_trace_keeps_no_per_pe_state() {
+    let mut c = LayerKind::ugni().cluster(1024, 16);
+    assert_eq!(c.cfg.trace_bucket, None);
+    charm_apps::kneighbor::run_on(&mut c, 1, 64, 2);
+    assert!(c.trace().total_busy() + c.trace().total_overhead() > 0);
+    assert_eq!(c.trace().materialized_pages(), 0);
+}
