@@ -160,13 +160,21 @@ pub fn run_on(c: &mut Cluster, cfg: &NqConfig) -> NqResult {
     let threshold = cfg.threshold;
     let mode = cfg.mode;
     let seed = cfg.seed;
-    // Mean leaf budget for the modeled path.
-    let mean_leaf_ns = match mode {
-        WorkMode::Modeled { total_seq_ns, .. } => {
+    // Mean leaf budget for the modeled path, and the analytic mean of the
+    // leaf-cost draw that normalizes each draw to it.
+    let (mean_leaf_ns, leaf_draw_mean) = match mode {
+        WorkMode::Modeled {
+            total_seq_ns,
+            alpha,
+        } => {
             let (leaves, _) = count_tasks(n, threshold);
-            (total_seq_ns as f64 / leaves.max(1) as f64).max(1.0)
+            let (lo, hi) = LEAF_SPREAD;
+            (
+                (total_seq_ns as f64 / leaves.max(1) as f64).max(1.0),
+                bounded_pareto_mean(lo, hi, alpha),
+            )
         }
-        WorkMode::Exact { .. } => 0.0,
+        WorkMode::Exact { .. } => (0.0, 1.0),
     };
 
     let ssse = Ssse::register::<NqPe>(c, move |ctx, me, payload| {
@@ -218,14 +226,9 @@ pub fn run_on(c: &mut Cluster, cfg: &NqConfig) -> NqResult {
                     .rotate_left(17)
                     .wrapping_add(d2);
                 let mut rng = DetRng::derive(seed, key);
-                // Spread chosen so the largest leaf is ~30x the mean: heavy
-                // enough to produce the paper's Fig. 12a long tail at coarse
-                // grain, light enough that fine grain (threshold 7) still
-                // scales to thousands of cores as in Fig. 11.
-                let (lo, hi) = (0.1, 30.0);
+                let (lo, hi) = LEAF_SPREAD;
                 let x = rng.bounded_pareto(lo, hi, alpha);
-                let mean = bounded_pareto_mean(lo, hi, alpha);
-                let cost = (mean_leaf_ns * x / mean).max(1.0) as u64;
+                let cost = (mean_leaf_ns * x / leaf_draw_mean).max(1.0) as u64;
                 ctx.charge(cost);
                 ctx.user::<NqPe>().stats.nodes += 1;
             }
@@ -243,6 +246,12 @@ pub fn run_on(c: &mut Cluster, cfg: &NqConfig) -> NqResult {
         utilization: c.trace().utilization(Some(end)),
     }
 }
+
+/// Support of the modeled leaf cost's bounded Pareto, chosen so the
+/// largest leaf is ~30x the mean: heavy enough to produce the paper's
+/// Fig. 12a long tail at coarse grain, light enough that fine grain
+/// (threshold 7) still scales to thousands of cores as in Fig. 11.
+const LEAF_SPREAD: (f64, f64) = (0.1, 30.0);
 
 /// Analytic mean of the bounded Pareto on `[lo, hi]` with shape `alpha`.
 fn bounded_pareto_mean(lo: f64, hi: f64, alpha: f64) -> f64 {

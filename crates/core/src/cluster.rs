@@ -21,6 +21,7 @@ use crate::trace::{Kind, Trace};
 use bytes::Bytes;
 use gemini_net::NodeId;
 use sim_core::{EventQueue, Time};
+use std::any::Any;
 use std::sync::Arc;
 
 pub use crate::config::{take_sync_overhead_ns, ClusterCfg};
@@ -73,6 +74,31 @@ pub struct Cluster {
     /// allocation at scale. Purely a host-memory optimization — virtual
     /// time never observes it.
     outbox: Vec<(Time, Event)>,
+}
+
+/// Prefetch the state `ev` will touch when it runs: its PE's state and,
+/// for a delivery, the wire block, for a machine event, its box.
+#[inline]
+fn prefetch_event(pes: &PeTable, ev: &Event) {
+    let pe = match ev {
+        Event::Deliver(pe, wire) => {
+            sim_core::prefetch(wire.block_addr());
+            *pe
+        }
+        Event::Machine(pe, m) | Event::MachineNow(pe, m) => {
+            // A zero-sized event (`lrts-mpi`'s `Poll`) owns no block: its
+            // box is a dangling address in the unmapped first page, where
+            // a prefetch costs a page walk every time.
+            let m: &(dyn Any + Send) = &**m;
+            if std::mem::size_of_val(m) != 0 {
+                sim_core::prefetch(std::ptr::from_ref(m).cast());
+            }
+            *pe
+        }
+        Event::PeRun(pe) | Event::ParkedWake(pe) | Event::Cmd(pe, _) => *pe,
+        Event::NodeLife(..) | Event::FtRecover(_) => return,
+    };
+    pes.prefetch(pe as usize);
 }
 
 impl Cluster {
@@ -273,6 +299,12 @@ impl Cluster {
             let Some((t, ev)) = self.events.pop() else {
                 break;
             };
+            // Load what the next event will touch while this one runs: at
+            // whole-machine scale each of them was written hundreds of
+            // thousands of events ago (DESIGN.md §9).
+            if let Some(next) = self.events.peek_next() {
+                prefetch_event(&self.pes, next);
+            }
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
             self.dispatch(t, ev);

@@ -82,6 +82,28 @@ impl PeTable {
         &mut self.pages[pi].as_mut().unwrap()[pe % PE_PAGE_LEN]
     }
 
+    /// Start loading `pe`'s state into the cache (every line of it): a
+    /// hint for an event about to run. Computes the address from the
+    /// page table and reads nothing else; an untouched PE materializes
+    /// nothing and is not prefetched.
+    #[inline]
+    pub(crate) fn prefetch(&self, pe: usize) {
+        let Some(Some(page)) = self.pages.get(pe / PE_PAGE_LEN) else {
+            return;
+        };
+        let Some(st) = page.get(pe % PE_PAGE_LEN) else {
+            return;
+        };
+        let at = std::ptr::from_ref(st).cast::<u8>();
+        // Points at most 64 bytes apart, first to last byte, name every
+        // cache line the state spans.
+        const LAST: usize = std::mem::size_of::<PeState>() - 1;
+        for off in (0..LAST).step_by(64) {
+            sim_core::prefetch(at.wrapping_add(off));
+        }
+        sim_core::prefetch(at.wrapping_add(LAST));
+    }
+
     /// Number of materialized pages (memory diagnostics).
     pub(crate) fn materialized_pages(&self) -> usize {
         self.pages.iter().filter(|p| p.is_some()).count()
@@ -130,6 +152,21 @@ mod tests {
         assert_eq!(t.get(999_999).busy_until, 0);
         assert!(t.get(0).cold().is_none());
         assert_eq!(t.materialized_pages(), 0);
+    }
+
+    #[test]
+    fn prefetch_materializes_nothing() {
+        let mut t = PeTable::new(1_000_000, 7);
+        for pe in 0..1_000_000 {
+            t.prefetch(pe);
+        }
+        assert_eq!(t.materialized_pages(), 0);
+        t.get_mut(123_456).busy_until = 9;
+        for pe in 0..1_000_000 {
+            t.prefetch(pe);
+        }
+        assert_eq!(t.materialized_pages(), 1);
+        assert_eq!(t.get(123_456).busy_until, 9);
     }
 
     #[test]

@@ -34,3 +34,24 @@ pub use lazy::{LazySlab, LazyVec};
 pub use queue::EventQueue;
 pub use rng::DetRng;
 pub use time::Time;
+
+/// Ask the CPU to start loading the cache line that holds `p`, so that a
+/// later read of it does not stall. A hint only: any address is allowed,
+/// nothing is read or written that the program can observe, and on
+/// targets without a prefetch instruction it does nothing. Pass addresses
+/// inside live allocations: one in an unmapped page (null, or a
+/// zero-sized value's dangling pointer) is harmless but costs a page walk.
+/// The sequential engine uses it to load the next event's state while it
+/// runs the current event (DESIGN.md §9).
+#[inline(always)]
+pub fn prefetch(p: *const u8) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `prefetcht0` is a hint that never faults, whatever the
+    // address, and reads no memory the program observes; SSE, which it
+    // needs, is part of the x86-64 baseline.
+    unsafe {
+        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(p.cast())
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}

@@ -455,6 +455,27 @@ impl<E> TwoLevelQueue<E> {
         Some((self.base + i as Time, self.release(node)))
     }
 
+    /// The event the next [`pop`](Self::pop) returns if nothing is pushed
+    /// before it, when that pop would take it straight off the active
+    /// window's ticks; `None` when the pop would first drain `below` or
+    /// [`advance`](Self::advance) (or the queue is empty). Read-only and
+    /// O(1): it never moves an event between tiers. It also prefetches
+    /// the node linked behind that event, so a caller that peeks once per
+    /// pop finds each node already loaded.
+    #[inline]
+    pub fn peek_next(&self) -> Option<&E> {
+        if !self.below.is_empty() {
+            return None;
+        }
+        let i = self.first_tick()?;
+        let tick = self.ticks[i];
+        let node = &self.nodes[tick.head as usize];
+        if tick.head != tick.tail {
+            crate::prefetch(std::ptr::from_ref(&self.nodes[node.next as usize]).cast());
+        }
+        node.event.as_ref()
+    }
+
     /// Timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<Time> {
         if let Some(&Reverse((time, ..))) = self.below.peek() {
@@ -657,6 +678,39 @@ mod tests {
     }
 
     #[test]
+    fn peek_next_stops_at_the_window_edges() {
+        // Inside the active window the peek is the next pop.
+        let mut q = TwoLevelQueue::new();
+        q.push(3, "a");
+        q.push(3, "b");
+        q.push(5 * BUCKET_NS + 1, "ring");
+        q.push(10 * HORIZON_NS, "far");
+        assert_eq!(q.peek_next(), Some(&"a"));
+        assert_eq!(q.pop(), Some((3, "a")));
+        assert_eq!(q.peek_next(), Some(&"b"));
+        assert_eq!(q.pop(), Some((3, "b")));
+        // The next event sits in a ring bucket: reaching it takes an
+        // advance, which the peek leaves to the pop.
+        assert_eq!(q.peek_next(), None);
+        assert_eq!((q.base, q.tick_words), (0, 0));
+        assert_eq!(q.pop(), Some((5 * BUCKET_NS + 1, "ring")));
+        // Only the far heap is left: a jump, again left to the pop.
+        let base = q.base;
+        assert_eq!(q.peek_next(), None);
+        assert_eq!((q.base, q.far.len()), (base, 1));
+        assert_eq!(q.pop(), Some((10 * HORIZON_NS, "far")));
+        // A straggler below `base` pops first, out of `below`, even while
+        // the active window holds an event.
+        q.push(10 * HORIZON_NS + 2, "tick");
+        q.push(1, "straggler");
+        assert_eq!(q.peek_next(), None);
+        assert_eq!(q.pop(), Some((1, "straggler")));
+        assert_eq!(q.peek_next(), Some(&"tick"));
+        assert_eq!(q.pop(), Some((10 * HORIZON_NS + 2, "tick")));
+        assert_eq!(q.peek_next(), None);
+    }
+
+    #[test]
     fn two_level_peek_reaches_every_tier() {
         let mut q = TwoLevelQueue::new();
         q.push(HORIZON_NS * 2, ());
@@ -782,6 +836,62 @@ mod proptests {
                 prop_assert_eq!(b.nodes.len(), peak, "a node leaked");
             }
             // Drain both fully.
+            loop {
+                let x = a.pop();
+                let y = b.pop();
+                prop_assert_eq!(x, y, "drain diverged");
+                if x.is_none() { break; }
+            }
+        }
+
+        /// `peek_next` is exact and read-only: whenever it names an event,
+        /// a pop with no push in between returns that event at the
+        /// earliest pending time, and a peeked queue pops exactly what the
+        /// reference heap pops. Ops: push (times spanning the ticks, the
+        /// ring, the far heap and stragglers), pop, peek.
+        #[test]
+        fn peek_next_names_the_next_pop(
+            ops in proptest::collection::vec((0u8..4, 0u64..(HORIZON_NS * 2)), 0..400)
+        ) {
+            let mut a = HeapQueue::new();
+            let mut b = TwoLevelQueue::new();
+            let mut clock = 0u64;
+            let mut id = 0u32;
+            // The id the latest peek named, until a push or a pop.
+            let mut peeked: Option<u32> = None;
+            for (op, dt) in ops {
+                match op {
+                    0 => {
+                        // Mostly the simulator's pattern (at or after the
+                        // clock, often at it); one in eight absolute.
+                        let t = match dt % 8 {
+                            0 => dt,
+                            1..=3 => clock,
+                            _ => clock + dt % (3 * BUCKET_NS),
+                        };
+                        a.push(t, id);
+                        b.push(t, id);
+                        id += 1;
+                        peeked = None;
+                    }
+                    1 | 2 => {
+                        let want_time = a.peek_time();
+                        let x = a.pop();
+                        let y = b.pop();
+                        prop_assert_eq!(x, y, "pop diverged");
+                        if let Some(e) = peeked.take() {
+                            prop_assert_eq!(y, Some((want_time.unwrap(), e)), "peek was not the pop");
+                        }
+                        if let Some((t, _)) = y {
+                            clock = clock.max(t);
+                        }
+                    }
+                    _ => {
+                        peeked = b.peek_next().copied();
+                        prop_assert_eq!(b.peek_next().copied(), peeked, "peek moved the queue");
+                    }
+                }
+            }
             loop {
                 let x = a.pop();
                 let y = b.pop();

@@ -221,8 +221,9 @@ impl WorkerPool {
     /// Run one round: every worker `w` executes `job(w)` once; returns
     /// when all have finished.
     pub fn round(&self, job: &(dyn Fn(usize) + Sync)) {
-        // Erase the borrow's lifetime; the job slot is cleared before
-        // this borrow ends.
+        // SAFETY: only the borrow's lifetime is erased. Workers
+        // dereference the pointer only between the two barrier crossings
+        // below, and the job slot is cleared before this borrow ends.
         let erased = Job(unsafe {
             std::mem::transmute::<*const (dyn Fn(usize) + Sync), *const (dyn Fn(usize) + Sync)>(
                 job as *const _,

@@ -66,6 +66,10 @@
 //!   Patterns match on identifier boundaries, so `SpinBarrier` or a
 //!   `BarrierStats` type never fires via `Barrier`. Deliberate uses
 //!   carry a `// thread-ok: <why>` comment on the line.
+//! * **unsafe-without-safety** — every `unsafe` block, fn or impl in the
+//!   linted crates states the invariant that makes it sound in a
+//!   `// SAFETY:` comment, on its own line or in the comment block
+//!   directly above it. No escape: the comment is the escape.
 //!
 //! `#[cfg(test)]` regions are exempt from all rules. The exemption is
 //! brace-accurate: it covers exactly the item (module, fn, impl) the
@@ -186,6 +190,22 @@ pub(crate) const THREAD_PATTERNS: &[(&str, bool)] = &[
     ("spin_loop", true),
     ("yield_now", true),
 ];
+
+/// The comment every `unsafe` must carry (see `unsafe-without-safety`).
+pub const SAFETY_MARKER: &str = "SAFETY:";
+
+/// Does the `unsafe` on raw line `idx` carry a [`SAFETY_MARKER`] comment,
+/// on that line or in the run of comment lines directly above it?
+fn has_safety_comment(raw_lines: &[&str], idx: usize) -> bool {
+    if escaped(raw_lines, idx, SAFETY_MARKER) {
+        return true;
+    }
+    raw_lines[..idx]
+        .iter()
+        .rev()
+        .take_while(|l| l.trim_start().starts_with("//"))
+        .any(|l| l.contains(SAFETY_MARKER))
+}
 
 /// Marker comment that exempts one line from `thread-outside-parallel`.
 pub const THREAD_OK_MARKER: &str = "thread-ok:";
@@ -844,6 +864,24 @@ pub fn lint_source(crate_dir: &str, file: &str, src: &str) -> Vec<Finding> {
         }
     }
 
+    // unsafe-without-safety: every scanned crate.
+    for (idx, line) in lines.iter().enumerate() {
+        if in_ranges(&tests, idx)
+            || !boundary_match(line, "unsafe", true)
+            || has_safety_comment(&raw_lines, idx)
+        {
+            continue;
+        }
+        out.push(Finding::new(
+            "unsafe-without-safety",
+            file,
+            idx + 1,
+            "`unsafe` without a `// SAFETY:` comment on its line or directly above \
+             — state the invariant that makes it sound"
+                .to_string(),
+        ));
+    }
+
     if crate_dir == "core" {
         // charge-category
         for (name, a, b) in fn_spans(&lines) {
@@ -990,6 +1028,11 @@ pub fn rule_descriptions() -> Vec<(&'static str, &'static str)> {
         (
             "thread-outside-parallel",
             "no threads/locks/atomics outside sim-core/src/parallel.rs (escape: thread-ok:)",
+        ),
+        (
+            "unsafe-without-safety",
+            "every unsafe block, fn or impl has a `// SAFETY:` comment on its line or directly \
+             above",
         ),
         (
             "worker-purity",

@@ -105,6 +105,22 @@ fn std_time_fixture_fires() {
 }
 
 #[test]
+fn unsafe_without_safety_fixture_fires() {
+    let src = fixture("unsafe_without_safety.rs");
+    // Every linted crate, not only the simulation ones.
+    for crate_dir in ["sim-core", "core", "mempool", "lint"] {
+        let f = lint_source(crate_dir, "fixtures/unsafe_without_safety.rs", &src);
+        assert_eq!(rules(&f), ["unsafe-without-safety"], "{crate_dir}: {f:?}");
+        // The bare impl, the block under a comment that states no
+        // invariant and the fn under a detached SAFETY line — but NOT the
+        // commented impl, the commented blocks, the doc comment, the
+        // attribute, the string or the test module.
+        let lines: Vec<usize> = f.iter().map(|x| x.line).collect();
+        assert_eq!(lines, [4, 11, 26], "{crate_dir}: {f:?}");
+    }
+}
+
+#[test]
 fn charge_category_fixture_fires() {
     let src = fixture("charge_unpaired.rs");
     let f = lint_source("core", "fixtures/charge_unpaired.rs", &src);
