@@ -15,7 +15,7 @@ use crate::ft::FtCore;
 use crate::kernel::{self, Delivered, ExecEnv, Gate, Globals, Handler, PeRun, SystemHandlers};
 use crate::lrts::MachineLayer;
 use crate::msg::{Envelope, HandlerId, PeId};
-use crate::pe_table::PeTable;
+use crate::pe_table::{self, PeTable};
 use crate::qd::QdState;
 use crate::trace::{Kind, Trace};
 use bytes::Bytes;
@@ -110,7 +110,7 @@ impl Cluster {
         // Per-PE state is a lazily materialized flyweight: nothing is
         // allocated here, PEs spring into (deterministic) existence on
         // first touch (pe_table.rs).
-        let pes = PeTable::new(cfg.num_pes, cfg.seed);
+        let pes = pe_table::new(cfg.num_pes, cfg.seed);
         let node_down = vec![false; cfg.num_nodes() as usize];
         let crash_gate = cfg.fault.has_node_crash();
         let mut c = Cluster {
@@ -237,7 +237,7 @@ impl Cluster {
     /// Page count a fully dense machine would materialize — the
     /// denominator for [`Self::materialized_pe_pages`].
     pub fn total_pe_pages(&self) -> usize {
-        (self.cfg.num_pes as usize).div_ceil(crate::pe_table::PE_PAGE_LEN)
+        (self.cfg.num_pes as usize).div_ceil(pe_table::PE_PAGE_LEN)
     }
 
     /// Largest number of events ever pending at once in the sequential

@@ -7,7 +7,7 @@
 //! time is *overhead*, and idle is whatever remains of `num_pes × span`.
 
 use crate::msg::PeId;
-use sim_core::{lazy::LazyVec, time, Time};
+use sim_core::{time, LazyVec, Time};
 
 /// What a recorded time segment was spent on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,7 +67,7 @@ const TRACE_PAGE: usize = 64;
 /// and, in timeline mode, the Fig.-12 buckets.
 ///
 /// The only per-PE state is the timeline's pending segment, stored in
-/// lazily materialized pages ([`sim_core::lazy::LazyVec`]) and touched only
+/// lazily materialized pages ([`sim_core::LazyVec`]) and touched only
 /// in timeline mode, so a totals-only trace allocates nothing per PE and a
 /// timeline costs memory proportional to the *touched* PEs, not the
 /// machine size. The dense constructor ([`Trace::new_dense`]) is the eager
@@ -116,7 +116,7 @@ impl Trace {
     /// default; kept for the differential unit tests.
     pub fn new_dense(num_pes: u32, bucket_ns: Option<Time>) -> Self {
         let mut t = Self::new(num_pes, bucket_ns);
-        t.pending = LazyVec::new_eager(num_pes as usize, None);
+        t.pending = LazyVec::new(num_pes as usize, None).eager();
         t
     }
 

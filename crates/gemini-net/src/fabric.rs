@@ -5,12 +5,11 @@
 //! those into discrete events.
 
 use crate::fault::FaultKind;
-use crate::lazy::{LazySlab, LazyVec};
 use crate::links::LinkTable;
 use crate::params::{GeminiParams, Mechanism, RdmaOp};
 use crate::reg::{Addr, DeregError, MemHandle, RegTable};
 use crate::topology::{LinkId, NodeId, Torus};
-use sim_core::{DetHashMap, DetRng, Time};
+use sim_core::{DetHashMap, DetRng, LazyVec, Time};
 use std::collections::VecDeque;
 
 /// Why an SMSG send could not be accepted right now.
@@ -90,8 +89,8 @@ pub struct FabricStats {
     pub faults_reg: u64,
 }
 
-/// Materialization grain for per-node engine state (same reasoning as
-/// `links::LINK_PAGE`: sparse jobs touch scattered nodes).
+/// Materialization grain for per-node engine and registration state (same
+/// reasoning as `links::LINK_PAGE`: sparse jobs touch scattered nodes).
 pub(crate) const NODE_PAGE: usize = 64;
 
 /// The simulated interconnect.
@@ -113,7 +112,7 @@ pub struct Fabric {
     /// peer-to-peer connection to create mailboxes for its both ends".
     conns: DetHashMap<(u32, u32), SmsgConn>,
     /// Per-node registration tables, materialized on first registration.
-    reg: LazySlab<RegTable>,
+    reg: LazyVec<RegTable, NODE_PAGE>,
     /// How many nodes this job actually spans (sets the SMSG size limit).
     job_nodes: u32,
     /// Dedicated RNG stream for fault injection, derived from the plan's
@@ -141,7 +140,7 @@ impl Fabric {
             bte_tx: LazyVec::new(n as usize, 0),
             bte_rx: LazyVec::new(n as usize, 0),
             conns: DetHashMap::default(),
-            reg: LazySlab::new(n as usize),
+            reg: LazyVec::with(n as usize, |_| RegTable::default()),
             links,
             topo,
             job_nodes,
@@ -158,11 +157,11 @@ impl Fabric {
         let mut f = Self::new(params, job_nodes);
         let n = f.topo.num_nodes();
         f.links = LinkTable::new_eager(n, f.params.link_bw_gbs, f.params.hop_latency);
-        f.fma_tx = LazyVec::new_eager(n as usize, 0);
-        f.fma_rx = LazyVec::new_eager(n as usize, 0);
-        f.bte_tx = LazyVec::new_eager(n as usize, 0);
-        f.bte_rx = LazyVec::new_eager(n as usize, 0);
-        f.reg = LazySlab::new_eager(n as usize);
+        f.fma_tx = LazyVec::new(n as usize, 0).eager();
+        f.fma_rx = LazyVec::new(n as usize, 0).eager();
+        f.bte_tx = LazyVec::new(n as usize, 0).eager();
+        f.bte_rx = LazyVec::new(n as usize, 0).eager();
+        f.reg = LazyVec::with(n as usize, |_| RegTable::default()).eager();
         f
     }
 
@@ -213,7 +212,7 @@ impl Fabric {
     /// registered anything reads as an empty table (the shared pristine
     /// default) without materializing its slot.
     pub fn reg_table_ref(&self, node: NodeId) -> &RegTable {
-        self.reg.get_ref(node as usize)
+        self.reg.get(node as usize)
     }
 
     /// Choose a minimal route from `a` to `b`: dimension-ordered by
@@ -457,7 +456,7 @@ impl Fabric {
         let fault = self.admit_small(now, (src, dst), &route, cpu)?;
 
         let p = &self.params;
-        let nic_ready = (now + cpu).max(self.fma_tx.get(src as usize));
+        let nic_ready = (now + cpu).max(*self.fma_tx.get(src as usize));
         let inject = nic_ready + p.smsg_nic_latency + p.msgq_extra_latency + p.injection_latency;
         let (depart, arrive) = self.links.reserve(inject, &route, bytes, p.fma_bw_gbs);
         let ser = arrive - depart - p.hop_latency * route.len() as Time;
@@ -558,7 +557,7 @@ impl Fabric {
                 Mechanism::Fma => (&self.fma_tx, &self.fma_rx),
                 Mechanism::Bte => (&self.bte_tx, &self.bte_rx),
             };
-            tx.get(data_src as usize).max(rx.get(data_dst as usize))
+            (*tx.get(data_src as usize)).max(*rx.get(data_dst as usize))
         } else {
             0
         };

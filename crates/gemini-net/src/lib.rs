@@ -19,7 +19,6 @@
 
 pub mod fabric;
 pub mod fault;
-pub mod lazy;
 pub mod links;
 pub mod params;
 pub mod reg;
@@ -27,7 +26,6 @@ pub mod topology;
 
 pub use fabric::{near_cubic, Fabric, FabricStats, RdmaOutcome, SmsgError, SmsgOutcome};
 pub use fault::{FaultKind, FaultPlan, FaultPlanError, LinkDownWindow, NodeCrashWindow};
-pub use lazy::{LazySlab, LazyVec};
 pub use params::{GeminiParams, Mechanism, RdmaOp, PAGE};
 pub use reg::{Addr, DeregError, MemHandle, RegCache, RegTable};
 pub use topology::{LinkId, NodeId, TopologyError, Torus};

@@ -9,9 +9,8 @@
 //! intra-node traffic through the NIC "interferes with uGNI handling
 //! inter-node communication".
 
-use crate::lazy::LazyVec;
 use crate::topology::{LinkId, Torus};
-use sim_core::{time, Time};
+use sim_core::{time, LazyVec, Time};
 
 /// Materialization grain for link state. Dimension-ordered routes touch
 /// runs of adjacent x-links but scatter across y/z (indices jump by the
@@ -50,8 +49,8 @@ impl LinkTable {
     /// the lazy-vs-eager differential proptests.
     pub fn new_eager(num_nodes: u32, bw_gbs: f64, hop_latency: Time) -> Self {
         LinkTable {
-            busy_until: LazyVec::new_eager(num_nodes as usize * 6, 0),
-            bytes_carried: LazyVec::new_eager(num_nodes as usize * 6, 0),
+            busy_until: LazyVec::new(num_nodes as usize * 6, 0).eager(),
+            bytes_carried: LazyVec::new(num_nodes as usize * 6, 0).eager(),
             bw_gbs,
             hop_latency,
         }
@@ -66,7 +65,7 @@ impl LinkTable {
     /// observable per-link state the differential tests compare.
     pub fn link_state(&self, l: &LinkId) -> (Time, u64) {
         let i = Self::idx(l);
-        (self.busy_until.get(i), self.bytes_carried.get(i))
+        (*self.busy_until.get(i), *self.bytes_carried.get(i))
     }
 
     #[inline]
@@ -95,7 +94,7 @@ impl LinkTable {
         }
         let mut depart = earliest;
         for l in route {
-            depart = depart.max(self.busy_until.get(Self::idx(l)));
+            depart = depart.max(*self.busy_until.get(Self::idx(l)));
         }
         for l in route {
             let i = Self::idx(l);
@@ -116,7 +115,7 @@ impl LinkTable {
     pub fn path_busy(&self, route: &[LinkId]) -> Time {
         route
             .iter()
-            .map(|l| self.busy_until.get(Self::idx(l)))
+            .map(|l| *self.busy_until.get(Self::idx(l)))
             .max()
             .unwrap_or(0)
     }

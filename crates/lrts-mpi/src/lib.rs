@@ -126,7 +126,7 @@ impl MachineLayer for MpiLayer {
             let at = at.max(now);
             // One in-flight Poll per PE: the Iprobe loop drains everything
             // matchable, so duplicates only pile up behind busy PEs.
-            if at < self.poll_armed.get(rank as usize) {
+            if at < *self.poll_armed.get(rank as usize) {
                 *self.poll_armed.get_mut(rank as usize) = at;
                 ctx.schedule(at, rank, Box::new(Ev::Poll));
             }
@@ -136,7 +136,7 @@ impl MachineLayer for MpiLayer {
     fn on_event(&mut self, ctx: &mut MachineCtx, pe: PeId, ev: Box<dyn Any + Send>) {
         match *ev.downcast::<Ev>().expect("foreign machine event") {
             Ev::Poll => {
-                if self.poll_armed.get(pe as usize) != Time::MAX {
+                if *self.poll_armed.get(pe as usize) != Time::MAX {
                     *self.poll_armed.get_mut(pe as usize) = Time::MAX;
                 }
                 // The Iprobe-driven progress engine: drain everything that
@@ -153,7 +153,7 @@ impl MachineLayer for MpiLayer {
                         // so the probe's own timestamp `t` is the cutoff).
                         if let Some(next) = self.mpi().next_visible(t, pe) {
                             let next = next.max(ctx.now());
-                            if next < self.poll_armed.get(pe as usize) {
+                            if next < *self.poll_armed.get(pe as usize) {
                                 *self.poll_armed.get_mut(pe as usize) = next;
                                 ctx.schedule(next, pe, Box::new(Ev::Poll));
                             }

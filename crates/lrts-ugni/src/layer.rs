@@ -1301,7 +1301,7 @@ impl MachineLayer for UgniLayer {
         // set, they would suppress every poll the node's fresh
         // incarnation needs, wedging its connections forever.
         for pe in 0..ctx.num_pes() {
-            if ctx.node_of(pe) == node && self.poll_armed.get(pe as usize) != [Time::MAX; 3] {
+            if ctx.node_of(pe) == node && *self.poll_armed.get(pe as usize) != [Time::MAX; 3] {
                 *self.poll_armed.get_mut(pe as usize) = [Time::MAX; 3];
             }
         }

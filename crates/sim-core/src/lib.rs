@@ -30,7 +30,7 @@ pub mod sync;
 pub mod time;
 
 pub use hash::{DetHashMap, DetHashSet};
-pub use lazy::{LazySlab, LazyVec};
+pub use lazy::LazyVec;
 pub use queue::EventQueue;
 pub use rng::DetRng;
 pub use time::Time;

@@ -9,10 +9,13 @@
 //! aggregated typed AM costs an allocation only through the few blocks
 //! its batch needs.
 
+mod common;
+
 use bytes::Bytes;
 use charm_apps::LayerKind;
 use charm_rt::msg::HEADER_BYTES;
 use charm_rt::prelude::*;
+use common::{HOPPER_CORES_PER_NODE, HOPPER_PES};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::{Arc, OnceLock};
@@ -257,4 +260,39 @@ fn a_ring_reports_its_allocations_per_delivered_message() {
             }
         }
     }
+}
+
+/// What one message between two idle, far-apart PEs of a whole-Hopper
+/// uGNI machine (153,216 PEs, 24 per node) first-touches: the heap
+/// allocations made during `run()`, and the pages materialized in the
+/// PE table, the fabric's tables and the trace. Counts, not bytes: how a
+/// page is laid out may change, how many are touched may not, unless a
+/// change means to move these numbers.
+#[test]
+fn one_message_across_hopper_first_touches_a_pinned_footprint() {
+    let mut c = LayerKind::ugni().cluster(HOPPER_PES, HOPPER_CORES_PER_NODE);
+    let far = HOPPER_PES / 2 + 7;
+    let sink = c.register_handler(|_, _| {});
+    let kick = c.register_handler(move |ctx, _| ctx.send(far, sink, Bytes::from(vec![9u8; 24])));
+    c.inject(0, 0, kick, Bytes::new());
+    let (n, report) = allocations(|| c.run());
+    assert_eq!(report.stats.msgs_delivered, 2, "the kick and the message");
+    let pe_pages = c.materialized_pe_pages();
+    let trace_pages = c.trace().materialized_pages();
+    let fabric_pages = c
+        .layer_mut::<lrts_ugni::UgniLayer>()
+        .gni()
+        .fabric()
+        .materialized_pages();
+    println!(
+        "first touch: {n} allocations, {pe_pages} PE pages, {fabric_pages} fabric pages, {trace_pages} trace pages"
+    );
+    // A debug build's memory pool also keeps a set of the blocks it handed
+    // out, to catch double allocations and frees: one more allocation.
+    let allocs = 71 + u64::from(cfg!(debug_assertions));
+    assert_eq!(
+        (n, pe_pages, fabric_pages, trace_pages),
+        (allocs, 2, 39, 0),
+        "(allocations, PE pages, fabric pages, trace pages)"
+    );
 }

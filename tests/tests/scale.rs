@@ -1,5 +1,5 @@
-//! Machine-size scaling: the flyweight/lazy machinery (pe_table.rs,
-//! `LazyVec`/`LazySlab`, lazy CQs/pools, paged traces — DESIGN.md §13)
+//! Machine-size scaling: the flyweight/lazy machinery (`sim_core::LazyVec`
+//! for per-PE state, fabric tables and traces; lazy CQs/pools — DESIGN.md §13)
 //! must keep Hopper-and-beyond PE counts a non-problem, without moving a
 //! single virtual timestamp at any size.
 //!
@@ -71,6 +71,9 @@ fn sparse_relay(num_pes: u32, cores_per_node: u32, seeds: u32, hops: u32) -> (u6
         c.inject(0, i * gap, h, Bytes::copy_from_slice(&hops.to_le_bytes()));
     }
     let rep = c.run();
+    // Audit the run's uGNI calls, registration lifetimes on the fabric's
+    // paged tables among them (a no-op unless built with `verify`).
+    charm_apps::assert_contract_clean(&mut c);
     (
         rep.stats.events,
         rep.end_time,

@@ -70,6 +70,11 @@
 //!   linted crates states the invariant that makes it sound in a
 //!   `// SAFETY:` comment, on its own line or in the comment block
 //!   directly above it. No escape: the comment is the escape.
+//! * **hand-rolled-paged-table** — no `Option<Box<[` page table in any
+//!   scanned crate outside `sim-core/src/lazy.rs`. Paged first-touch
+//!   storage is one mechanism, `sim_core::LazyVec`, built from a per-index
+//!   constructor; a hand-rolled copy beside it is a second grain, layout
+//!   and first-touch cost to keep in step. No escape.
 //!
 //! `#[cfg(test)]` regions are exempt from all rules. The exemption is
 //! brace-accurate: it covers exactly the item (module, fn, impl) the
@@ -190,6 +195,10 @@ pub(crate) const THREAD_PATTERNS: &[(&str, bool)] = &[
     ("spin_loop", true),
     ("yield_now", true),
 ];
+
+/// The one file that may hold a hand-rolled page table (see
+/// `hand-rolled-paged-table`).
+const LAZY_FILE: &str = "sim-core/src/lazy.rs";
 
 /// The comment every `unsafe` must carry (see `unsafe-without-safety`).
 pub const SAFETY_MARKER: &str = "SAFETY:";
@@ -882,6 +891,23 @@ pub fn lint_source(crate_dir: &str, file: &str, src: &str) -> Vec<Finding> {
         ));
     }
 
+    // hand-rolled-paged-table: every scanned crate.
+    if !file.replace('\\', "/").ends_with(LAZY_FILE) {
+        for (idx, line) in lines.iter().enumerate() {
+            if in_ranges(&tests, idx) || !line.contains("Option<Box<[") {
+                continue;
+            }
+            out.push(Finding::new(
+                "hand-rolled-paged-table",
+                file,
+                idx + 1,
+                "hand-rolled page table — paged first-touch storage is \
+                 `sim_core::LazyVec` (sim-core/src/lazy.rs), built from a per-index constructor"
+                    .to_string(),
+            ));
+        }
+    }
+
     if crate_dir == "core" {
         // charge-category
         for (name, a, b) in fn_spans(&lines) {
@@ -1033,6 +1059,10 @@ pub fn rule_descriptions() -> Vec<(&'static str, &'static str)> {
             "unsafe-without-safety",
             "every unsafe block, fn or impl has a `// SAFETY:` comment on its line or directly \
              above",
+        ),
+        (
+            "hand-rolled-paged-table",
+            "no `Option<Box<[` page table outside sim-core/src/lazy.rs: use sim_core::LazyVec",
         ),
         (
             "worker-purity",

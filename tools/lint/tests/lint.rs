@@ -121,6 +121,23 @@ fn unsafe_without_safety_fixture_fires() {
 }
 
 #[test]
+fn paged_table_fixture_fires() {
+    let src = fixture("paged_table.rs");
+    // Every scanned crate, not only the simulation ones.
+    for crate_dir in ["sim-core", "core", "mempool", "lint"] {
+        let f = lint_source(crate_dir, "fixtures/paged_table.rs", &src);
+        assert_eq!(rules(&f), ["hand-rolled-paged-table"], "{crate_dir}: {f:?}");
+        // The field, the signature and the commented field — but NOT the
+        // doc comment, the boxed value or the test module.
+        let lines: Vec<usize> = f.iter().map(|x| x.line).collect();
+        assert_eq!(lines, [5, 14, 19], "{crate_dir}: {f:?}");
+    }
+    // The one file that holds the workspace's page table.
+    let f = lint_source("sim-core", "crates/sim-core/src/lazy.rs", &src);
+    assert!(f.is_empty(), "findings: {f:?}");
+}
+
+#[test]
 fn charge_category_fixture_fires() {
     let src = fixture("charge_unpaired.rs");
     let f = lint_source("core", "fixtures/charge_unpaired.rs", &src);
