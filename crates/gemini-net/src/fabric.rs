@@ -89,9 +89,26 @@ pub struct FabricStats {
     pub faults_reg: u64,
 }
 
-/// Materialization grain for per-node engine and registration state (same
-/// reasoning as `links::LINK_PAGE`: sparse jobs touch scattered nodes).
+/// Materialization grain for per-node NIC state (same reasoning as
+/// `links::LINK_PAGE`: sparse jobs touch scattered nodes).
 pub(crate) const NODE_PAGE: usize = 64;
+
+/// When one engine is next free in each direction: the hardware is full
+/// duplex, so opposite directions never contend.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Engine {
+    tx: Time,
+    rx: Time,
+}
+
+/// One node's NIC: its FMA unit and BTE engine, indexed by [`Mechanism`]
+/// (SMSG and FMA transactions share the FMA unit), and its registration
+/// table.
+#[derive(Debug, Default, PartialEq)]
+struct NodeNic {
+    engines: [Engine; 2],
+    reg: RegTable,
+}
 
 /// The simulated interconnect.
 #[derive(Debug)]
@@ -99,20 +116,13 @@ pub struct Fabric {
     pub params: GeminiParams,
     pub topo: Torus,
     links: LinkTable,
-    /// Per-node FMA unit availability (SMSG and FMA transactions share it),
-    /// split by direction: the hardware is full duplex. Lazily paged — a
-    /// node's engine state materializes on its first gated transaction.
-    fma_tx: LazyVec<Time, NODE_PAGE>,
-    fma_rx: LazyVec<Time, NODE_PAGE>,
-    /// Per-node BTE engine availability, split by direction.
-    bte_tx: LazyVec<Time, NODE_PAGE>,
-    bte_rx: LazyVec<Time, NODE_PAGE>,
+    /// Per-node NICs, lazily paged: a node's record materializes on its
+    /// first gated transaction or registration.
+    nics: LazyVec<NodeNic, NODE_PAGE>,
     /// Lazily created per-connection SMSG state. Connections are between
     /// *processes* (PEs), not nodes — the paper: "It requires each
     /// peer-to-peer connection to create mailboxes for its both ends".
     conns: DetHashMap<(u32, u32), SmsgConn>,
-    /// Per-node registration tables, materialized on first registration.
-    reg: LazyVec<RegTable, NODE_PAGE>,
     /// How many nodes this job actually spans (sets the SMSG size limit).
     job_nodes: u32,
     /// Dedicated RNG stream for fault injection, derived from the plan's
@@ -135,12 +145,8 @@ impl Fabric {
         let n = topo.num_nodes();
         let links = LinkTable::new(n, params.link_bw_gbs, params.hop_latency);
         Fabric {
-            fma_tx: LazyVec::new(n as usize, 0),
-            fma_rx: LazyVec::new(n as usize, 0),
-            bte_tx: LazyVec::new(n as usize, 0),
-            bte_rx: LazyVec::new(n as usize, 0),
+            nics: LazyVec::with(n as usize, |_| NodeNic::default()),
             conns: DetHashMap::default(),
-            reg: LazyVec::with(n as usize, |_| RegTable::default()),
             links,
             topo,
             job_nodes,
@@ -150,30 +156,22 @@ impl Fabric {
         }
     }
 
-    /// Eager twin of [`Fabric::new`]: per-node engine, link, and
-    /// registration state fully materialized up front (the original
-    /// construction). Exists for the lazy-vs-eager differential proptests.
+    /// Eager twin of [`Fabric::new`]: every link and node record
+    /// materialized up front. Exists for the lazy-vs-eager differential
+    /// proptests.
     pub fn new_eager(params: GeminiParams, job_nodes: u32) -> Self {
-        let mut f = Self::new(params, job_nodes);
-        let n = f.topo.num_nodes();
-        f.links = LinkTable::new_eager(n, f.params.link_bw_gbs, f.params.hop_latency);
-        f.fma_tx = LazyVec::new(n as usize, 0).eager();
-        f.fma_rx = LazyVec::new(n as usize, 0).eager();
-        f.bte_tx = LazyVec::new(n as usize, 0).eager();
-        f.bte_rx = LazyVec::new(n as usize, 0).eager();
-        f.reg = LazyVec::with(n as usize, |_| RegTable::default()).eager();
-        f
+        let f = Self::new(params, job_nodes);
+        Fabric {
+            links: f.links.eager(),
+            nics: f.nics.eager(),
+            ..f
+        }
     }
 
-    /// Materialized lazy-state pages across links/engines/registration
+    /// Materialized lazy-state pages across links and node records
     /// (memory diagnostics for the scale harness and tests).
     pub fn materialized_pages(&self) -> usize {
-        self.links.materialized_pages()
-            + self.fma_tx.materialized_pages()
-            + self.fma_rx.materialized_pages()
-            + self.bte_tx.materialized_pages()
-            + self.bte_rx.materialized_pages()
-            + self.reg.materialized_pages()
+        self.links.materialized_pages() + self.nics.materialized_pages()
     }
 
     /// Convenience: fabric sized exactly to the job (torus dims overridden
@@ -193,26 +191,26 @@ impl Fabric {
     }
 
     pub fn reg_table(&mut self, node: NodeId) -> &mut RegTable {
-        self.reg.get_mut(node as usize)
+        &mut self.nics.get_mut(node as usize).reg
     }
 
     /// Register memory on `node` under this fabric's own cost parameters.
     pub fn register(&mut self, node: NodeId, addr: Addr, bytes: u64) -> (MemHandle, Time) {
-        self.reg
-            .get_mut(node as usize)
-            .register(&self.params, addr, bytes)
+        let reg = &mut self.nics.get_mut(node as usize).reg;
+        reg.register(&self.params, addr, bytes)
     }
 
     /// Release a registration on `node`; returns the CPU cost.
     pub fn deregister(&mut self, node: NodeId, h: MemHandle) -> Result<Time, DeregError> {
-        self.reg.get_mut(node as usize).deregister(&self.params, h)
+        let reg = &mut self.nics.get_mut(node as usize).reg;
+        reg.deregister(&self.params, h)
     }
 
     /// Read-only view of a node's registration table. A node that never
     /// registered anything reads as an empty table (the shared pristine
     /// default) without materializing its slot.
     pub fn reg_table_ref(&self, node: NodeId) -> &RegTable {
-        self.reg.get(node as usize)
+        &self.nics.get(node as usize).reg
     }
 
     /// Choose a minimal route from `a` to `b`: dimension-ordered by
@@ -456,11 +454,12 @@ impl Fabric {
         let fault = self.admit_small(now, (src, dst), &route, cpu)?;
 
         let p = &self.params;
-        let nic_ready = (now + cpu).max(*self.fma_tx.get(src as usize));
+        let fma = Mechanism::Fma as usize;
+        let nic_ready = (now + cpu).max(self.nics.get(src as usize).engines[fma].tx);
         let inject = nic_ready + p.smsg_nic_latency + p.msgq_extra_latency + p.injection_latency;
         let (depart, arrive) = self.links.reserve(inject, &route, bytes, p.fma_bw_gbs);
         let ser = arrive - depart - p.hop_latency * route.len() as Time;
-        *self.fma_tx.get_mut(src as usize) = depart + ser;
+        self.nics.get_mut(src as usize).engines[fma].tx = depart + ser;
         let deliver_at = arrive + p.ejection_latency;
 
         let back = self.links.control_latency(&route);
@@ -545,19 +544,16 @@ impl Fabric {
         let p = &self.params;
 
         // The transfer needs the source node's outbound engine and the
-        // destination node's inbound engine (the hardware is full duplex,
-        // so opposite directions never contend). This shared-NIC occupancy
+        // destination node's inbound engine. This shared-NIC occupancy
         // is what makes routing intra-node traffic through uGNI "interfere
         // with uGNI handling inter-node communication" (paper §IV-C).
         // Short transfers interleave at packet granularity instead of
         // reserving the engine for a whole-message window.
         let gated = bytes > p.engine_gate_min_bytes;
+        let engine = mech as usize;
         let gate = if gated {
-            let (tx, rx) = match mech {
-                Mechanism::Fma => (&self.fma_tx, &self.fma_rx),
-                Mechanism::Bte => (&self.bte_tx, &self.bte_rx),
-            };
-            (*tx.get(data_src as usize)).max(*rx.get(data_dst as usize))
+            let tx = self.nics.get(data_src as usize).engines[engine].tx;
+            tx.max(self.nics.get(data_dst as usize).engines[engine].rx)
         } else {
             0
         };
@@ -583,14 +579,10 @@ impl Fabric {
         let ser = arrive - depart - p.hop_latency * route.len() as Time;
 
         if gated {
-            let (tx, rx) = match mech {
-                Mechanism::Fma => (&mut self.fma_tx, &mut self.fma_rx),
-                Mechanism::Bte => (&mut self.bte_tx, &mut self.bte_rx),
-            };
-            let t = tx.get_mut(data_src as usize);
-            *t = (*t).max(depart + ser);
-            let r = rx.get_mut(data_dst as usize);
-            *r = (*r).max(depart + ser);
+            let tx = &mut self.nics.get_mut(data_src as usize).engines[engine].tx;
+            *tx = (*tx).max(depart + ser);
+            let rx = &mut self.nics.get_mut(data_dst as usize).engines[engine].rx;
+            *rx = (*rx).max(depart + ser);
         }
 
         let landed = arrive + p.ejection_latency;
@@ -1199,7 +1191,7 @@ mod lazy_equivalence {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
         fn lazy_matches_eager(
@@ -1230,18 +1222,17 @@ mod lazy_equivalence {
                     for plus in [false, true] {
                         let l = LinkId { from, dim, plus };
                         prop_assert_eq!(
-                            lazy.links_ref().link_state(&l),
-                            eager.links_ref().link_state(&l),
+                            lazy.links_ref().link(&l),
+                            eager.links_ref().link(&l),
                             "link {:?}", l
                         );
                     }
                 }
             }
-            // Per-node registration books and engine state.
-            for n in 0..nodes {
-                let (lr, er) = (lazy.reg_table_ref(n), eager.reg_table_ref(n));
-                prop_assert_eq!(lr.registered_bytes(), er.registered_bytes());
-                prop_assert_eq!(lr.total_registrations, er.total_registrations);
+            // Every node's whole NIC record: FMA and BTE tx/rx times and
+            // the registration table.
+            for n in 0..nodes as usize {
+                prop_assert_eq!(lazy.nics.get(n), eager.nics.get(n), "node {}", n);
             }
             prop_assert_eq!(lazy.total_link_bytes(), eager.total_link_bytes());
             prop_assert_eq!(

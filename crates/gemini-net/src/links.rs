@@ -15,8 +15,15 @@ use sim_core::{time, LazyVec, Time};
 /// Materialization grain for link state. Dimension-ordered routes touch
 /// runs of adjacent x-links but scatter across y/z (indices jump by the
 /// row/plane size), so large pages materialize mostly dead slots around
-/// every y/z hop. 64 links x 8-byte entries = 512-byte pages.
+/// every y/z hop. 64 links x 16-byte records = 1 KiB pages.
 pub(crate) const LINK_PAGE: usize = 64;
+
+/// One directed link: when it is next free and what it has carried.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Link {
+    pub busy_until: Time,
+    pub bytes_carried: u64,
+}
 
 /// Busy-until bookkeeping for every directed link in the torus.
 ///
@@ -28,8 +35,7 @@ pub(crate) const LINK_PAGE: usize = 64;
 #[derive(Debug)]
 pub struct LinkTable {
     /// Indexed by `from * 6 + dim * 2 + plus`.
-    busy_until: LazyVec<Time, LINK_PAGE>,
-    bytes_carried: LazyVec<u64, LINK_PAGE>,
+    links: LazyVec<Link, LINK_PAGE>,
     bw_gbs: f64,
     hop_latency: Time,
 }
@@ -37,35 +43,29 @@ pub struct LinkTable {
 impl LinkTable {
     pub fn new(num_nodes: u32, bw_gbs: f64, hop_latency: Time) -> Self {
         LinkTable {
-            busy_until: LazyVec::new(num_nodes as usize * 6, 0),
-            bytes_carried: LazyVec::new(num_nodes as usize * 6, 0),
+            links: LazyVec::new(num_nodes as usize * 6, Link::default()),
             bw_gbs,
             hop_latency,
         }
     }
 
-    /// Eager twin — every link slot materialized up front, as the table
-    /// was originally built. Observationally identical to `new`; kept for
-    /// the lazy-vs-eager differential proptests.
-    pub fn new_eager(num_nodes: u32, bw_gbs: f64, hop_latency: Time) -> Self {
+    /// Eager twin — every link materialized up front. Observationally
+    /// identical; kept for the lazy-vs-eager differential proptests.
+    pub fn eager(self) -> Self {
         LinkTable {
-            busy_until: LazyVec::new(num_nodes as usize * 6, 0).eager(),
-            bytes_carried: LazyVec::new(num_nodes as usize * 6, 0).eager(),
-            bw_gbs,
-            hop_latency,
+            links: self.links.eager(),
+            ..self
         }
     }
 
     /// Pages of link state currently materialized (memory diagnostics).
     pub fn materialized_pages(&self) -> usize {
-        self.busy_until.materialized_pages() + self.bytes_carried.materialized_pages()
+        self.links.materialized_pages()
     }
 
-    /// `(busy_until, bytes_carried)` for one directed link — the
-    /// observable per-link state the differential tests compare.
-    pub fn link_state(&self, l: &LinkId) -> (Time, u64) {
-        let i = Self::idx(l);
-        (*self.busy_until.get(i), *self.bytes_carried.get(i))
+    /// One directed link's state — what the differential tests compare.
+    pub fn link(&self, l: &LinkId) -> Link {
+        *self.links.get(Self::idx(l))
     }
 
     #[inline]
@@ -92,14 +92,11 @@ impl LinkTable {
             // Same-node loopback through the NIC: no router hops.
             return (earliest, earliest + ser);
         }
-        let mut depart = earliest;
+        let depart = earliest.max(self.path_busy(route));
         for l in route {
-            depart = depart.max(*self.busy_until.get(Self::idx(l)));
-        }
-        for l in route {
-            let i = Self::idx(l);
-            *self.busy_until.get_mut(i) = depart + ser;
-            *self.bytes_carried.get_mut(i) += bytes;
+            let link = self.links.get_mut(Self::idx(l));
+            link.busy_until = depart + ser;
+            link.bytes_carried += bytes;
         }
         let arrive = depart + self.hop_latency * route.len() as Time + ser;
         (depart, arrive)
@@ -115,7 +112,7 @@ impl LinkTable {
     pub fn path_busy(&self, route: &[LinkId]) -> Time {
         route
             .iter()
-            .map(|l| *self.busy_until.get(Self::idx(l)))
+            .map(|l| self.links.get(Self::idx(l)).busy_until)
             .max()
             .unwrap_or(0)
     }
@@ -123,21 +120,20 @@ impl LinkTable {
     /// Total bytes ever carried over all links (diagnostics). Untouched
     /// links carried 0 bytes, so summing only materialized pages is exact.
     pub fn total_bytes(&self) -> u64 {
-        self.bytes_carried
-            .iter_pages()
-            .flat_map(|(_, p)| p.iter().copied())
-            .sum()
+        self.carried().sum()
     }
 
     /// Max bytes carried by any single link (hot-spot diagnostics). The
     /// lazy default (0) is also the dense floor, so skipping untouched
     /// pages cannot change the max.
     pub fn hottest_link_bytes(&self) -> u64 {
-        self.bytes_carried
-            .iter_pages()
-            .flat_map(|(_, p)| p.iter().copied())
-            .max()
-            .unwrap_or(0)
+        self.carried().max().unwrap_or(0)
+    }
+
+    /// Bytes carried by every materialized link.
+    fn carried(&self) -> impl Iterator<Item = u64> + '_ {
+        let pages = self.links.iter_pages();
+        pages.flat_map(|(_, p)| p.iter().map(|l| l.bytes_carried))
     }
 }
 

@@ -30,7 +30,7 @@ pub struct DeregError {
 }
 
 /// A node's registration table.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct RegTable {
     next: u64,
     regions: DetHashMap<MemHandle, (Addr, u64)>,

@@ -28,8 +28,8 @@ use gemini_net::{Addr, MemHandle, RdmaOp};
 use mempool::{Block, MemPool};
 use sim_core::{DetHashMap, DetHashSet, LazyVec, Time};
 use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
-use ugni::{CqEvent, CqHandle, EpHandle, Gni, GniError, GniResult, PostDescriptor, SmsgSendOk};
+use std::collections::VecDeque;
+use ugni::{CqEvent, CqHandle, EpHandle, Gni, GniError, PostDescriptor};
 
 // With the `verify` feature every uGNI call goes through the CheckedGni
 // contract verifier; signatures are identical, so only the stored type
@@ -139,7 +139,7 @@ struct PendingPut {
 /// Small/control messages parked behind exhausted credits or a faulted
 /// transaction on one connection, FIFO, with a single armed retry timer.
 #[derive(Default)]
-struct ConnBacklog {
+struct Backlog {
     q: VecDeque<(u8, Bytes)>,
     armed: bool,
     /// Current transaction-error backoff (0 = healthy connection).
@@ -173,6 +173,60 @@ impl SeqSeen {
         }
         true
     }
+}
+
+/// One `(src_pe, dst_pe)` connection.
+#[derive(Default)]
+struct Conn {
+    /// Bound on the connection's first send.
+    ep: Option<EpHandle>,
+    /// Send backlog (credit exhaustion + fabric faults).
+    backlog: Backlog,
+    /// Next small-path sequence number (chaos mode).
+    seq_tx: u64,
+    /// Sequence numbers already delivered (chaos mode; receiver side).
+    seq_seen: SeqSeen,
+}
+
+/// What the layer keeps per PE, created on the PE's first traffic (a
+/// whole-machine job at Hopper scale must not create 150k+ CQs and pools
+/// up front when a run touches a fraction of them; handles are opaque, so
+/// first-touch creation order is unobservable).
+struct PeRecord {
+    /// The PE's transaction CQ.
+    cq: Option<CqHandle>,
+    /// The PE's message pool (per process, as in non-SMP Charm++), boxed:
+    /// most PEs of a sparse job never allocate one.
+    pool: Option<Box<MemPool>>,
+    /// Earliest armed PollSmsg / PollMsgq / PollCq (coalescing: one
+    /// in-flight poll of each kind; `Time::MAX` = none armed).
+    armed: [Time; 3],
+}
+
+impl PeRecord {
+    const IDLE: PeRecord = PeRecord {
+        cq: None,
+        pool: None,
+        armed: [Time::MAX; 3],
+    };
+
+    /// The PE's transaction CQ, created on first touch.
+    fn cq(&mut self, gni: &mut LGni) -> CqHandle {
+        *self.cq.get_or_insert_with(|| gni.cq_create())
+    }
+
+    /// The PE's pool, created on first allocation from `pe`'s fixed address
+    /// window.
+    fn pool(&mut self, pe: PeId) -> &mut MemPool {
+        self.pool
+            .get_or_insert_with(|| Box::new(MemPool::new(UgniLayer::pool_base(pe))))
+    }
+}
+
+/// The layer's uGNI instance, created by `init()`.
+fn live(gni: &mut Option<LGni>) -> &mut LGni {
+    // panic-ok: init() runs before any traffic; absence is a harness bug
+    gni.as_mut().expect("layer not initialized")
 }
 
 struct PersistChan {
@@ -216,26 +270,20 @@ pub struct UgniStats {
     pub recovery_ns: Time,
 }
 
-/// Materialization grain for per-PE poll state (24 B per PE here; a
-/// sparse job touching scattered PEs should not pay 24 KiB pages).
-const POLL_PAGE: usize = 64;
+/// Materialization grain for per-PE records (40 B per PE here; a sparse
+/// job touching scattered PEs should not pay 40 KiB pages).
+const PE_PAGE: usize = 64;
 
 /// The machine layer object.
 pub struct UgniLayer {
     cfg: UgniConfig,
     gni: Option<LGni>,
-    /// One transaction CQ per PE, created on the PE's first traffic (a
-    /// whole-machine job at Hopper scale must not allocate 150k+ CQs up
-    /// front when a run touches a fraction of them; handles are opaque,
-    /// so first-touch creation order is unobservable).
-    cqs: BTreeMap<PeId, CqHandle>,
-    /// Lazily created endpoints per (src_pe, dst_pe).
-    eps: DetHashMap<(PeId, PeId), EpHandle>,
-    /// One message pool per PE (per process, as in non-SMP Charm++),
-    /// created on first allocation from the PE's fixed address window.
-    pools: BTreeMap<PeId, MemPool>,
-    /// Per-connection send backlog (credit exhaustion + fabric faults).
-    backlog: DetHashMap<(PeId, PeId), ConnBacklog>,
+    /// Per-PE records, paged lazily at a small grain ([`PE_PAGE`]): an
+    /// untouched PE is disarmed with no CQ and no pool, so idle PEs cost
+    /// nothing and sparse jobs materialize little around each PE.
+    pes: LazyVec<PeRecord, PE_PAGE>,
+    /// Connections, keyed `(src_pe, dst_pe)`, created on first use.
+    conns: DetHashMap<(PeId, PeId), Conn>,
     sends: DetHashMap<u64, PendingSend>,
     recvs: DetHashMap<u64, PendingRecv>,
     persists: DetHashMap<PersistentHandle, PersistChan>,
@@ -248,18 +296,8 @@ pub struct UgniLayer {
     /// CQ-reaped PUT completions) is gated on this so fault-free runs stay
     /// bit-identical to the pre-chaos code.
     chaos: bool,
-    /// Next small-path sequence number per connection (chaos mode).
-    seq_tx: DetHashMap<(PeId, PeId), u64>,
-    /// Sequence numbers already delivered per connection (chaos mode).
-    seq_seen: DetHashMap<(PeId, PeId), SeqSeen>,
     /// SMP mode: per-node comm-thread availability.
     comm_busy: Vec<Time>,
-    /// Earliest armed poll event per PE (coalescing: one in-flight
-    /// PollSmsg/PollMsgq/PollCq each; u64::MAX = none armed). Paged lazily
-    /// at a small grain ([`POLL_PAGE`]): the disarmed state IS the
-    /// default, so idle PEs cost nothing, and sparse jobs touching
-    /// scattered PEs materialize little around each.
-    poll_armed: LazyVec<[Time; 3], POLL_PAGE>,
     next_xid: u64,
     pub stats: UgniStats,
 }
@@ -270,20 +308,15 @@ impl UgniLayer {
         UgniLayer {
             cfg,
             gni: None,
-            cqs: BTreeMap::new(),
-            eps: DetHashMap::default(),
-            pools: BTreeMap::new(),
-            backlog: DetHashMap::default(),
+            pes: LazyVec::with(0, |_| PeRecord::IDLE),
+            conns: DetHashMap::default(),
             sends: DetHashMap::default(),
             recvs: DetHashMap::default(),
             persists: DetHashMap::default(),
             persist_data: DetHashMap::default(),
             persist_pending: DetHashMap::default(),
             chaos,
-            seq_tx: DetHashMap::default(),
-            seq_seen: DetHashMap::default(),
             comm_busy: Vec::new(),
-            poll_armed: LazyVec::new(0, [Time::MAX; 3]),
             next_xid: 0,
             stats: UgniStats::default(),
         }
@@ -335,10 +368,10 @@ impl UgniLayer {
             // panic-ok: callers pass poll events only — a misuse is a code bug
             _ => unreachable!("schedule_poll on a non-poll event"),
         };
-        if at >= self.poll_armed.get(pe as usize)[kind] {
+        if at >= self.pes.get(pe as usize).armed[kind] {
             return; // the armed poll will see this message too
         }
-        self.poll_armed.get_mut(pe as usize)[kind] = at;
+        self.pes.get_mut(pe as usize).armed[kind] = at;
         if self.cfg.smp {
             ctx.schedule_nodefer(at, pe, Box::new(ev));
         } else {
@@ -349,8 +382,8 @@ impl UgniLayer {
     /// Mark a poll kind as disarmed (called on drain entry). Skips the
     /// write when already disarmed so cold pages stay unmaterialized.
     fn disarm(&mut self, pe: PeId, kind: usize) {
-        if self.poll_armed.get(pe as usize)[kind] != Time::MAX {
-            self.poll_armed.get_mut(pe as usize)[kind] = Time::MAX;
+        if self.pes.get(pe as usize).armed[kind] != Time::MAX {
+            self.pes.get_mut(pe as usize).armed[kind] = Time::MAX;
         }
     }
 
@@ -362,16 +395,6 @@ impl UgniLayer {
     /// up to 4M PEs (`2^62 + 2^22 * 2^40 < 2^63`).
     fn pool_base(pe: PeId) -> u64 {
         (1u64 << 62) + ((pe as u64) << 40)
-    }
-
-    /// The PE's transaction CQ, created on first touch.
-    fn cq(&mut self, pe: PeId) -> CqHandle {
-        if let Some(&cq) = self.cqs.get(&pe) {
-            return cq;
-        }
-        let cq = self.gni_mut().cq_create();
-        self.cqs.insert(pe, cq);
-        cq
     }
 
     pub fn gni(&self) -> &Gni {
@@ -391,23 +414,25 @@ impl UgniLayer {
     }
 
     fn gni_mut(&mut self) -> &mut LGni {
-        // panic-ok: init() runs before any traffic; absence is a harness bug
-        self.gni.as_mut().expect("layer not initialized")
+        live(&mut self.gni)
     }
 
-    fn ep(&mut self, ctx: &MachineCtx, src_pe: PeId, dst_pe: PeId) -> EpHandle {
-        if let Some(&ep) = self.eps.get(&(src_pe, dst_pe)) {
-            return ep;
+    /// The connection `src_pe -> dst_pe` and its endpoint, bound on
+    /// first use.
+    fn conn(&mut self, ctx: &MachineCtx, src_pe: PeId, dst_pe: PeId) -> (EpHandle, &mut Conn) {
+        let conn = self.conns.entry((src_pe, dst_pe)).or_default();
+        if let Some(ep) = conn.ep {
+            return (ep, conn);
         }
-        let cq = self.cq(src_pe);
+        let gni = live(&mut self.gni);
+        let cq = self.pes.get_mut(src_pe as usize).cq(gni);
         let (sn, dn) = (ctx.node_of(src_pe), ctx.node_of(dst_pe));
-        let ep = self
-            .gni_mut()
+        let ep = gni
             .ep_create_inst(sn, src_pe, dn, dst_pe, cq)
             // panic-ok: CQ handles and node ids are fixed at init
             .expect("ep bind: CQ and nodes fixed at init");
-        self.eps.insert((src_pe, dst_pe), ep);
-        ep
+        conn.ep = Some(ep);
+        (ep, conn)
     }
 
     /// Allocate a message buffer on `pe`'s node: pool or malloc+register.
@@ -415,17 +440,16 @@ impl UgniLayer {
     fn alloc_buf(&mut self, ctx: &MachineCtx, pe: PeId, bytes: u64) -> (Buf, Time) {
         let node = ctx.node_of(pe);
         let params = &self.cfg.params;
+        let gni = live(&mut self.gni);
         if self.cfg.use_mempool {
-            let gni = self.gni.as_mut().expect("init");
             let reg = gni.fabric_mut().reg_table(node);
-            let pool = self
-                .pools
-                .entry(pe)
-                .or_insert_with(|| MemPool::new(Self::pool_base(pe)));
-            let (block, cost) = pool.alloc(params, reg, bytes);
+            let (block, cost) = self
+                .pes
+                .get_mut(pe as usize)
+                .pool(pe)
+                .alloc(params, reg, bytes);
             (Buf::Pooled(block), cost)
         } else {
-            let gni = self.gni.as_mut().expect("init");
             let addr = gni.alloc_addr(node).expect("node within job");
             let malloc = params.malloc_cost(bytes);
             match gni.mem_register(node, addr, bytes) {
@@ -436,10 +460,7 @@ impl UgniLayer {
                     // pre-registered pool so the transfer still proceeds.
                     self.stats.reg_fallbacks += 1;
                     let reg = gni.fabric_mut().reg_table(node);
-                    let pool = self
-                        .pools
-                        .entry(pe)
-                        .or_insert_with(|| MemPool::new(Self::pool_base(pe)));
+                    let pool = self.pes.get_mut(pe as usize).pool(pe);
                     let (block, cost) = pool.alloc(params, reg, bytes);
                     (Buf::Pooled(block), malloc + cost)
                 }
@@ -452,18 +473,17 @@ impl UgniLayer {
     fn free_buf(&mut self, ctx: &MachineCtx, pe: PeId, buf: Buf) -> Time {
         let node = ctx.node_of(pe);
         let params = &self.cfg.params;
+        let gni = live(&mut self.gni);
         match buf {
             Buf::Pooled(block) => {
-                let gni = self.gni.as_mut().expect("init");
                 gni.mem_clear(node, block.addr);
                 let reg = gni.fabric_mut().reg_table(node);
-                self.pools
-                    .entry(pe)
-                    .or_insert_with(|| MemPool::new(Self::pool_base(pe)))
+                self.pes
+                    .get_mut(pe as usize)
+                    .pool(pe)
                     .free(params, reg, block)
             }
             Buf::Direct { addr, handle } => {
-                let gni = self.gni.as_mut().expect("init");
                 gni.mem_clear(node, addr);
                 // A stale handle is a bookkeeping bug, not a fabric fault:
                 // charge nothing extra and keep going.
@@ -485,109 +505,69 @@ impl UgniLayer {
         data: Bytes,
         earliest: Time,
     ) {
+        let chaos = self.chaos;
+        let (ep, conn) = self.conn(ctx, src_pe, dst_pe);
         // Chaos mode: frame every small-path message with a per-connection
         // sequence number so the receiver can suppress the duplicates that
         // corrupted-completion resends produce (exactly-once delivery).
-        let data = if self.chaos {
-            let ctr = self.seq_tx.entry((src_pe, dst_pe)).or_default();
-            let seq = *ctr;
-            *ctr += 1;
+        let data = if chaos {
             let mut b = BytesMut::with_capacity(SEQ_HDR + data.len());
-            b.put_u64(seq);
+            b.put_u64(conn.seq_tx);
+            conn.seq_tx += 1;
             b.put_slice(&data);
             b.freeze()
         } else {
             data
         };
-        let key = (src_pe, dst_pe);
-        if self.backlog.get(&key).is_some_and(|b| !b.q.is_empty()) {
-            self.backlog.get_mut(&key).unwrap().q.push_back((tag, data));
+        if !conn.backlog.q.is_empty() {
+            conn.backlog.q.push_back((tag, data));
             return;
         }
-        self.try_smsg(ctx, src_pe, dst_pe, tag, data, earliest);
+        let backoff = std::mem::take(&mut conn.backlog.backoff);
+        let now = earliest.max(ctx.now());
+        self.try_smsg(
+            ctx,
+            (src_pe, dst_pe),
+            (ep, backoff),
+            (tag, data),
+            now,
+            false,
+        );
     }
 
-    /// Attempt one SMSG (or MSGQ message, by configuration); on credit
-    /// exhaustion or a fabric fault, park it and arm a retry timer.
+    /// Attempt one SMSG (or MSGQ message, by configuration) on the
+    /// connection `src_pe -> dst_pe`: a fresh send, or a backlog retry
+    /// (`front`). The caller took the connection's endpoint and its
+    /// transaction-error backoff out of its record; a send that goes out
+    /// leaves the backoff at 0. On credit exhaustion or a fabric fault the
+    /// message is parked, a retry armed, and the backoff put back (doubled
+    /// after a fault). Returns true when the message went out.
     fn try_smsg(
         &mut self,
         ctx: &mut MachineCtx,
-        src_pe: PeId,
-        dst_pe: PeId,
-        tag: u8,
-        data: Bytes,
-        earliest: Time,
-    ) {
-        let ep = self.ep(ctx, src_pe, dst_pe);
-        let now = earliest.max(ctx.now());
+        (src_pe, dst_pe): (PeId, PeId),
+        (ep, backoff): (EpHandle, Time),
+        (tag, data): (u8, Bytes),
+        now: Time,
+        front: bool,
+    ) -> bool {
         let use_msgq = self.cfg.small_path == SmallPath::Msgq;
         let res = if use_msgq {
             self.gni_mut().msgq_send_w_tag(now, ep, tag, data.clone())
         } else {
             self.gni_mut().smsg_send_w_tag(now, ep, tag, data.clone())
         };
-        self.smsg_result(ctx, src_pe, dst_pe, tag, data, now, use_msgq, res, false);
-    }
-
-    /// Park a small-path message on its connection backlog (front for
-    /// in-order retries, back for fresh sends) and make sure exactly one
-    /// retry timer is armed for the connection.
-    #[allow(clippy::too_many_arguments)]
-    fn park_and_arm(
-        &mut self,
-        ctx: &mut MachineCtx,
-        src_pe: PeId,
-        peer: PeId,
-        tag: u8,
-        data: Bytes,
-        at: Time,
-        front: bool,
-    ) {
-        let e = self.backlog.entry((src_pe, peer)).or_default();
-        if front {
-            e.q.push_front((tag, data));
-        } else {
-            e.q.push_back((tag, data));
-        }
-        if !e.armed {
-            e.armed = true;
-            // Retries interleave with other machine-layer work (the
-            // progress engine runs between protocol steps), so they must
-            // not defer behind long overhead windows.
-            ctx.schedule_nodefer(at, src_pe, Box::new(Ev::Retry { peer }));
-        }
-    }
-
-    /// Shared outcome handling for every small-path send attempt (fresh
-    /// sends and backlog retries, SMSG and MSGQ). Returns true when the
-    /// message went out.
-    #[allow(clippy::too_many_arguments)]
-    fn smsg_result(
-        &mut self,
-        ctx: &mut MachineCtx,
-        src_pe: PeId,
-        dst_pe: PeId,
-        tag: u8,
-        data: Bytes,
-        now: Time,
-        use_msgq: bool,
-        res: GniResult<SmsgSendOk>,
-        front: bool,
-    ) -> bool {
+        let poll = || if use_msgq { Ev::PollMsgq } else { Ev::PollSmsg };
         match res {
             Ok(ok) => {
                 self.charge_comm(ctx, src_pe, ok.cpu);
-                let ev: Ev = if use_msgq { Ev::PollMsgq } else { Ev::PollSmsg };
-                self.schedule_poll(ctx, ok.deliver_at, dst_pe, ev);
-                if let Some(b) = self.backlog.get_mut(&(src_pe, dst_pe)) {
-                    b.backoff = 0;
-                }
+                self.schedule_poll(ctx, ok.deliver_at, dst_pe, poll());
                 true
             }
             Err(GniError::NoCredits { retry_at }) => {
                 self.stats.credit_retries += 1;
                 let at = retry_at.max(now + 1);
-                self.park_and_arm(ctx, src_pe, dst_pe, tag, data, at, front);
+                self.park_and_arm(ctx, (src_pe, dst_pe), backoff, (tag, data), at, front);
                 false
             }
             Err(GniError::TransactionError {
@@ -603,14 +583,9 @@ impl UgniLayer {
                 self.stats.send_faults += 1;
                 self.charge_rec(ctx, src_pe, cpu);
                 if let Some(t) = delivered_at {
-                    let ev: Ev = if use_msgq { Ev::PollMsgq } else { Ev::PollSmsg };
-                    self.schedule_poll(ctx, t, dst_pe, ev);
+                    self.schedule_poll(ctx, t, dst_pe, poll());
                 }
-                let backoff = {
-                    let e = self.backlog.entry((src_pe, dst_pe)).or_default();
-                    e.backoff = next_backoff(e.backoff);
-                    e.backoff
-                };
+                let backoff = next_backoff(backoff);
                 let at = error_at.max(now) + backoff;
                 if self
                     .cfg
@@ -623,9 +598,11 @@ impl UgniLayer {
                     // enabled the rollback-replay path regenerates the
                     // message for whichever PE adopts the destination.
                     self.stats.dead_peer_drops += 1;
+                    let conn = self.conns.entry((src_pe, dst_pe)).or_default();
+                    conn.backlog.backoff = backoff;
                     return false;
                 }
-                self.park_and_arm(ctx, src_pe, dst_pe, tag, data, at, front);
+                self.park_and_arm(ctx, (src_pe, dst_pe), backoff, (tag, data), at, front);
                 false
             }
             // panic-ok: non-credit smsg errors are protocol bugs, not faults
@@ -633,26 +610,44 @@ impl UgniLayer {
         }
     }
 
-    fn conn_retry(&mut self, ctx: &mut MachineCtx, src_pe: PeId, peer: PeId) {
-        if let Some(b) = self.backlog.get_mut(&(src_pe, peer)) {
-            b.armed = false;
+    /// Park a small-path message on its connection backlog (front for
+    /// in-order retries, back for fresh sends) with the connection's
+    /// `backoff`, and make sure exactly one retry timer is armed for it.
+    fn park_and_arm(
+        &mut self,
+        ctx: &mut MachineCtx,
+        (src_pe, peer): (PeId, PeId),
+        backoff: Time,
+        msg: (u8, Bytes),
+        at: Time,
+        front: bool,
+    ) {
+        let b = &mut self.conns.entry((src_pe, peer)).or_default().backlog;
+        b.backoff = backoff;
+        if front {
+            b.q.push_front(msg);
+        } else {
+            b.q.push_back(msg);
         }
+        if !b.armed {
+            b.armed = true;
+            // Retries interleave with other machine-layer work (the
+            // progress engine runs between protocol steps), so they must
+            // not defer behind long overhead windows.
+            ctx.schedule_nodefer(at, src_pe, Box::new(Ev::Retry { peer }));
+        }
+    }
+
+    fn conn_retry(&mut self, ctx: &mut MachineCtx, src_pe: PeId, peer: PeId) {
         loop {
-            let Some(b) = self.backlog.get_mut(&(src_pe, peer)) else {
+            let (ep, conn) = self.conn(ctx, src_pe, peer);
+            conn.backlog.armed = false;
+            let Some(msg) = conn.backlog.q.pop_front() else {
                 return;
             };
-            let Some((tag, data)) = b.q.pop_front() else {
-                return;
-            };
-            let ep = self.ep(ctx, src_pe, peer);
+            let backoff = std::mem::take(&mut conn.backlog.backoff);
             let now = ctx.pe_free_at(src_pe).max(ctx.now());
-            let use_msgq = self.cfg.small_path == SmallPath::Msgq;
-            let res = if use_msgq {
-                self.gni_mut().msgq_send_w_tag(now, ep, tag, data.clone())
-            } else {
-                self.gni_mut().smsg_send_w_tag(now, ep, tag, data.clone())
-            };
-            if !self.smsg_result(ctx, src_pe, peer, tag, data, now, use_msgq, res, true) {
+            if !self.try_smsg(ctx, (src_pe, peer), (ep, backoff), msg, now, true) {
                 return;
             }
         }
@@ -720,7 +715,7 @@ impl UgniLayer {
                 r.backoff,
             )
         };
-        let ep = self.ep(ctx, dst_pe, src_pe);
+        let (ep, _) = self.conn(ctx, dst_pe, src_pe);
         let now = ctx.pe_free_at(dst_pe).max(ctx.now());
         let desc = PostDescriptor {
             op: RdmaOp::Get,
@@ -751,7 +746,7 @@ impl UgniLayer {
 
     fn drain_cq(&mut self, ctx: &mut MachineCtx, pe: PeId) {
         self.disarm(pe, 2);
-        let cq = self.cq(pe);
+        let cq = self.pes.get_mut(pe as usize).cq(live(&mut self.gni));
         loop {
             let now = ctx.now();
             let poll_cost = self.gni().cq_poll_cost();
@@ -894,7 +889,7 @@ impl UgniLayer {
         let Some(data) = self.persist_data.get(&xid).map(|d| d.0.clone()) else {
             return;
         };
-        let ep = self.ep(ctx, src_pe, dst_pe);
+        let (ep, _) = self.conn(ctx, src_pe, dst_pe);
         let desc = PostDescriptor {
             op: RdmaOp::Put,
             local_mem,
@@ -1009,7 +1004,8 @@ impl UgniLayer {
         // re-send — dedup restores exactly-once delivery).
         let data = if self.chaos {
             let seq = u64::from_be_bytes(rx.data[..SEQ_HDR].try_into().unwrap());
-            if !self.seq_seen.entry((rx.from, pe)).or_default().insert(seq) {
+            let conn = self.conns.entry((rx.from, pe)).or_default();
+            if !conn.seq_seen.insert(seq) {
                 self.stats.dup_drops += 1;
                 return;
             }
@@ -1026,12 +1022,8 @@ impl UgniLayer {
                 let cost = if self.cfg.use_mempool {
                     let params = &self.cfg.params;
                     let node = ctx.node_of(pe);
-                    let gni = self.gni.as_mut().expect("init");
-                    let reg = gni.fabric_mut().reg_table(node);
-                    let pool = self
-                        .pools
-                        .entry(pe)
-                        .or_insert_with(|| MemPool::new(Self::pool_base(pe)));
+                    let reg = live(&mut self.gni).fabric_mut().reg_table(node);
+                    let pool = self.pes.get_mut(pe as usize).pool(pe);
                     let (b, c1) = pool.alloc(params, reg, len);
                     let c2 = pool.free(params, reg, b);
                     c1 + c2
@@ -1092,12 +1084,12 @@ impl MachineLayer for UgniLayer {
     }
 
     fn init(&mut self, ctx: &mut MachineCtx) {
-        // Per-PE structures (CQs, mempools, arming state) are created
-        // lazily on first touch: init stays O(nodes), not O(PEs), so a
-        // Hopper-scale machine costs nothing for the PEs a run never uses.
+        // Per-PE records (CQ, mempool, arming state) are created lazily on
+        // first touch: init stays O(nodes), not O(PEs), so a Hopper-scale
+        // machine costs nothing for the PEs a run never uses.
         let gni = LGni::new(self.cfg.params.clone(), ctx.num_nodes());
         self.comm_busy = vec![0; ctx.num_nodes() as usize];
-        self.poll_armed = LazyVec::new(ctx.num_pes() as usize, [Time::MAX; 3]);
+        self.pes = LazyVec::with(ctx.num_pes() as usize, |_| PeRecord::IDLE);
         self.gni = Some(gni);
     }
 
@@ -1255,7 +1247,7 @@ impl MachineLayer for UgniLayer {
         // "the sender can directly put its message data into the
         // persistent buffer" — no malloc, no registration, no control
         // message (paper §IV-A).
-        let ep = self.ep(ctx, src_pe, dst_pe);
+        let (ep, _) = self.conn(ctx, src_pe, dst_pe);
         let desc = PostDescriptor {
             op: RdmaOp::Put,
             local_mem,
@@ -1300,18 +1292,24 @@ impl MachineLayer for UgniLayer {
         // progress events the runtime will drop for the dead PEs; left
         // set, they would suppress every poll the node's fresh
         // incarnation needs, wedging its connections forever.
-        for pe in 0..ctx.num_pes() {
-            if ctx.node_of(pe) == node && *self.poll_armed.get(pe as usize) != [Time::MAX; 3] {
-                *self.poll_armed.get_mut(pe as usize) = [Time::MAX; 3];
+        let cores = ctx.cores_per_node();
+        for pe in node * cores..ctx.num_pes().min((node + 1) * cores) {
+            if self.pes.get(pe as usize).armed != [Time::MAX; 3] {
+                self.pes.get_mut(pe as usize).armed = [Time::MAX; 3];
             }
         }
         // Outbound backlogs and half-open transactions rooted on the dead
         // PEs die too (their retry timers are dropped with the node, so
         // keeping the entries would strand armed-but-dead connections).
-        // Peers' transactions TOWARD the node stay: the fabric surfaces
-        // NodeDown errors and their retry machinery reacts.
-        let cores = ctx.cores_per_node();
-        self.backlog.retain(|(src, _), _| src / cores != node);
+        // The connections' endpoints and sequence numbers stay: exactly-once
+        // delivery needs them. Peers' transactions TOWARD the node stay: the
+        // fabric surfaces NodeDown errors and their retry machinery reacts.
+        let entries = self.conns.iter_mut(); // hash-ok: entries are reset independently
+        for ((src, _), conn) in entries {
+            if src / cores == node {
+                conn.backlog = Backlog::default();
+            }
+        }
         self.sends.retain(|_, p| p.src_pe / cores != node);
         self.recvs.retain(|_, r| r.dst_pe / cores != node);
         let dead_puts: Vec<u64> = self

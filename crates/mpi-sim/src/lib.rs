@@ -176,23 +176,27 @@ pub struct MpiStats {
     pub cq_resyncs: u64,
 }
 
+/// What MPI keeps per rank.
+struct RankState {
+    cq: CqHandle,
+    /// When the CQ was last polled ([`MpiSim::reap_post`]).
+    cq_polled: Time,
+    udreg: RegCache,
+    /// Matched-order delivery queue, with the time each entry becomes
+    /// visible (messages must not be matchable before arrival).
+    unexpected: VecDeque<(Time, Unexp)>,
+    /// Pre-registered internal eager buffer.
+    eager_addr: Addr,
+    eager_handle: gemini_net::MemHandle,
+}
+
 /// The per-job MPI instance.
 pub struct MpiSim {
     cfg: MpiConfig,
     gni: LGni,
     cores_per_node: u32,
-    cqs: Vec<CqHandle>,
-    /// When each rank's CQ was last polled ([`MpiSim::reap_post`]).
-    cq_polled: Vec<Time>,
+    ranks: Vec<RankState>,
     eps: DetHashMap<(Rank, Rank), EpHandle>,
-    /// uDREG per rank.
-    udreg: Vec<RegCache>,
-    /// Matched-order delivery queue per rank, with the time each entry
-    /// becomes visible (messages must not be matchable before arrival).
-    unexpected: Vec<VecDeque<(Time, Unexp)>>,
-    /// Pre-registered internal eager buffers (one per rank).
-    eager_addr: Vec<Addr>,
-    eager_handle: Vec<gemini_net::MemHandle>,
     /// Rendezvous sends in flight per staged source buffer: the content
     /// at `buf` leaves [`Gni`] when the last transfer reading it has
     /// completed, so a buffer re-staged by a later `isend` while an
@@ -207,11 +211,9 @@ impl MpiSim {
     pub fn new(cfg: MpiConfig, ranks: u32, cores_per_node: u32) -> Self {
         let nodes = ranks.div_ceil(cores_per_node);
         let mut gni = LGni::new(cfg.params.clone(), nodes);
-        let mut cqs = Vec::new();
-        let mut eager_addr = Vec::new();
-        let mut eager_handle = Vec::new();
+        let mut states = Vec::with_capacity(ranks as usize);
         for r in 0..ranks {
-            cqs.push(gni.cq_create());
+            let cq = gni.cq_create();
             let node = r / cores_per_node;
             let a = gni.alloc_addr(node).expect("node within job");
             // 8 MiB of internal pre-registered buffering per rank.
@@ -221,14 +223,17 @@ impl MpiSim {
             let (h, _) = (0..64)
                 .find_map(|_| gni.mem_register(node, a, 8 << 20).ok())
                 .expect("eager buffer registration: NIC resources exhausted");
-            eager_addr.push(a);
-            eager_handle.push(h);
+            states.push(RankState {
+                cq,
+                cq_polled: 0,
+                udreg: RegCache::new(cfg.udreg_capacity, cfg.udreg_lookup),
+                unexpected: VecDeque::new(),
+                eager_addr: a,
+                eager_handle: h,
+            });
         }
         MpiSim {
-            udreg: (0..ranks)
-                .map(|_| RegCache::new(cfg.udreg_capacity, cfg.udreg_lookup))
-                .collect(),
-            unexpected: (0..ranks).map(|_| VecDeque::new()).collect(),
+            ranks: states,
             eps: DetHashMap::default(),
             staged: DetHashMap::default(),
             next_xid: 0,
@@ -236,10 +241,6 @@ impl MpiSim {
             cfg,
             gni,
             cores_per_node,
-            cq_polled: vec![0; cqs.len()],
-            cqs,
-            eager_addr,
-            eager_handle,
         }
     }
 
@@ -271,7 +272,7 @@ impl MpiSim {
         if let Some(&ep) = self.eps.get(&(src, dst)) {
             return ep;
         }
-        let cq = self.cqs[src as usize];
+        let cq = self.ranks[src as usize].cq;
         let (sn, dn) = (self.node_of(src), self.node_of(dst));
         let ep = self
             .gni
@@ -328,13 +329,13 @@ impl MpiSim {
         user_id: u64,
         mut at: Time,
     ) -> Result<(Time, Option<Bytes>), (FaultKind, Time)> {
-        let cq = self.cqs[rank as usize];
+        let cq = self.ranks[rank as usize].cq;
         loop {
-            let poll = at.max(self.cq_polled[rank as usize]);
+            let poll = at.max(self.ranks[rank as usize].cq_polled);
             let head = self.gni.cq_next_ready(cq);
             let polled = self.gni.cq_get_event(cq, poll);
             if polled.is_ok() {
-                self.cq_polled[rank as usize] = poll;
+                self.ranks[rank as usize].cq_polled = poll;
                 // Popped at `poll`, ready at `head`: the rank had it then.
                 at = at.max(head.unwrap_or(at));
             }
@@ -353,7 +354,7 @@ impl MpiSim {
                 Ok(_) => continue,
                 Err(GniError::CqOverrun) => match self.gni.cq_resync(cq, poll) {
                     Ok((cost, _)) => {
-                        self.cq_polled[rank as usize] = poll;
+                        self.ranks[rank as usize].cq_polled = poll;
                         self.stats.cq_resyncs += 1;
                         at += cost;
                     }
@@ -409,7 +410,9 @@ impl MpiSim {
                 (c, now + c + self.cfg.shm_notice)
             };
             fx.cpu += send_cost;
-            self.unexpected[dst as usize].push_back((visible, Unexp::Shm { src, tag, data }));
+            self.ranks[dst as usize]
+                .unexpected
+                .push_back((visible, Unexp::Shm { src, tag, data }));
             fx.wakes.push((dst, visible));
             return fx;
         }
@@ -423,7 +426,8 @@ impl MpiSim {
             let ep = self.ep(src, dst);
             let (ok, end) = self.smsg_send_blocking(now + fx.cpu, ep, TAG_EAGER, data.clone());
             fx.cpu = end - now;
-            self.unexpected[dst as usize]
+            self.ranks[dst as usize]
+                .unexpected
                 .push_back((ok.deliver_at, Unexp::Eager { src, tag, data }));
             fx.wakes.push((dst, ok.deliver_at));
             return fx;
@@ -437,15 +441,16 @@ impl MpiSim {
             let xid = self.next_xid;
             self.next_xid += 1;
             let src_node = self.node_of(src);
-            self.gni
-                .mem_write(src_node, self.eager_addr[src as usize], data.clone());
+            let eager_addr = self.ranks[src as usize].eager_addr;
+            self.gni.mem_write(src_node, eager_addr, data.clone());
             let ep = self.ep(src, dst);
+            let (local, remote) = (&self.ranks[src as usize], &self.ranks[dst as usize]);
             let desc = PostDescriptor {
                 op: RdmaOp::Put,
-                local_mem: self.eager_handle[src as usize],
-                local_addr: self.eager_addr[src as usize],
-                remote_mem: self.eager_handle[dst as usize],
-                remote_addr: self.eager_addr[dst as usize],
+                local_mem: local.eager_handle,
+                local_addr: local.eager_addr,
+                remote_mem: remote.eager_handle,
+                remote_addr: remote.eager_addr,
                 bytes,
                 data: Some(data.clone()),
                 user_id: xid,
@@ -473,7 +478,8 @@ impl MpiSim {
             };
             fx.cpu = (attempt_at - now) + ok.cpu;
             let visible_guess = ok.data_at.max(now + fx.cpu);
-            self.unexpected[dst as usize]
+            self.ranks[dst as usize]
+                .unexpected
                 .push_back((visible_guess, Unexp::Eager { src, tag, data }));
             // Notify once the data is visible.
             let mut hdr = Vec::with_capacity(9);
@@ -482,7 +488,7 @@ impl MpiSim {
             let notify_at = ok.data_at.max(now + fx.cpu);
             let (n, _) = self.smsg_send_blocking(notify_at, ep, TAG_PUT_NOTIFY, Bytes::from(hdr));
             // The receiver learns of the message via the notify.
-            if let Some(back) = self.unexpected[dst as usize].back_mut() {
+            if let Some(back) = self.ranks[dst as usize].unexpected.back_mut() {
                 back.0 = back.0.max(n.deliver_at);
             }
             fx.wakes.push((dst, n.deliver_at));
@@ -493,7 +499,7 @@ impl MpiSim {
         self.stats.rndv_msgs += 1;
         let src_node = self.node_of(src);
         let (handle, reg_cost) = {
-            let cache = &mut self.udreg[src as usize];
+            let cache = &mut self.ranks[src as usize].udreg;
             let table = self.gni.fabric_mut().reg_table(src_node);
             let before = cache.hits;
             let r = cache.acquire(&self.cfg.params, table, buf, bytes);
@@ -518,7 +524,7 @@ impl MpiSim {
         let ep = self.ep(src, dst);
         let (ok, end) = self.smsg_send_blocking(now + fx.cpu, ep, TAG_RTS, Bytes::from(hdr));
         fx.cpu = end - now;
-        self.unexpected[dst as usize].push_back((
+        self.ranks[dst as usize].unexpected.push_back((
             ok.deliver_at,
             Unexp::Rts {
                 src,
@@ -555,7 +561,7 @@ impl MpiSim {
         tag: Option<Tag>,
     ) -> (Option<ProbeHit>, Time) {
         let mut cpu = self.cfg.call_overhead + self.progress(now, rank);
-        let queue = &self.unexpected[rank as usize];
+        let queue = &self.ranks[rank as usize].unexpected;
         let found = self.match_unexpected(now, rank, src, tag);
         let hit = found.map(|i| {
             let u = &queue[i].1;
@@ -581,18 +587,22 @@ impl MpiSim {
         src: Option<Rank>,
         tag: Option<Tag>,
     ) -> Option<usize> {
-        self.unexpected[rank as usize].iter().position(|(vis, u)| {
-            if *vis > now {
-                return false;
-            }
-            let (s, t) = u.src_tag();
-            src.is_none_or(|x| x == s) && tag.is_none_or(|x| x == t)
-        })
+        self.ranks[rank as usize]
+            .unexpected
+            .iter()
+            .position(|(vis, u)| {
+                if *vis > now {
+                    return false;
+                }
+                let (s, t) = u.src_tag();
+                src.is_none_or(|x| x == s) && tag.is_none_or(|x| x == t)
+            })
     }
 
     /// Earliest not-yet-visible message for `rank` (for re-arming polls).
     pub fn next_visible(&self, now: Time, rank: Rank) -> Option<Time> {
-        self.unexpected[rank as usize]
+        self.ranks[rank as usize]
+            .unexpected
             .iter()
             .map(|(vis, _)| *vis)
             .filter(|&v| v > now)
@@ -611,7 +621,7 @@ impl MpiSim {
         recv_buf: Addr,
     ) -> Option<RecvOutcome> {
         let idx = self.match_unexpected(now, rank, src, tag)?;
-        let (_, u) = self.unexpected[rank as usize].remove(idx).unwrap();
+        let (_, u) = self.ranks[rank as usize].unexpected.remove(idx).unwrap();
         // Matching re-scans the unexpected list up to the hit.
         let base = now + self.cfg.call_overhead + (idx as Time + 1) * self.cfg.match_scan_per_entry;
         match u {
@@ -637,7 +647,7 @@ impl MpiSim {
                 // Register the landing buffer, post the GET, block to done.
                 let node = self.node_of(rank);
                 let (rh, reg_cost) = {
-                    let cache = &mut self.udreg[rank as usize];
+                    let cache = &mut self.ranks[rank as usize].udreg;
                     let table = self.gni.fabric_mut().reg_table(node);
                     let before = cache.hits;
                     let r = cache.acquire(&self.cfg.params, table, recv_buf, bytes);
@@ -712,7 +722,7 @@ impl MpiSim {
 
     /// Pending unmatched messages for `rank` (diagnostics).
     pub fn unexpected_len(&self, rank: Rank) -> usize {
-        self.unexpected[rank as usize].len()
+        self.ranks[rank as usize].unexpected.len()
     }
 
     /// A fresh application-buffer identity on `rank`'s node.

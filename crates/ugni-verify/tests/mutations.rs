@@ -221,7 +221,7 @@ fn credit_backlog_bypass_is_flagged() {
     );
 }
 
-/// Clean counterpart: retrying the *parked* message (what `ConnBacklog`
+/// Clean counterpart: retrying the *parked* message (what a connection's backlog
 /// does) satisfies the obligation.
 #[test]
 fn credit_retry_of_parked_message_is_clean() {
