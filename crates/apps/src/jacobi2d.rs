@@ -297,7 +297,7 @@ pub fn run_on(c: &mut Cluster, cfg: &JacobiConfig) -> JacobiResult {
     let nb = cfg.blocks;
     let ft_on = c.ft_enabled();
 
-    let aid = c.create_array("jacobi", (nb * nb) as u64, |idx| {
+    let aid = c.create_array((nb * nb) as u64, |idx| {
         let bx = (idx as u32) % nb;
         let by = (idx as u32) / nb;
         let mut st = BlockState {

@@ -190,7 +190,7 @@ pub fn run_on(c: &mut Cluster, cfg: &MdConfig) -> MdResult {
         }
     }
 
-    let patch_aid = c.create_array("patches", patches, |p| {
+    let patch_aid = c.create_array(patches, |p| {
         let ap = atoms_of[p as usize];
         Patch {
             coords_bytes: (ap as usize) * 24,
@@ -199,7 +199,7 @@ pub fn run_on(c: &mut Cluster, cfg: &MdConfig) -> MdResult {
             atoms: ap,
         }
     });
-    let comp_aid = c.create_array("computes", n_computes, |idx| {
+    let comp_aid = c.create_array(n_computes, |idx| {
         let p = idx / (MAX_D + 1);
         let d = idx % (MAX_D + 1);
         let q = (p + d) % patches;

@@ -225,7 +225,7 @@ pub fn ft_rally_on(c: &mut Cluster, bytes: usize, rounds: u64) -> (u64, u64, Tim
     let num_pes = c.cfg.num_pes;
     assert!(c.cfg.num_nodes() > 1, "need a second node to rally with");
     let peer = c.cfg.cores_per_node as u64;
-    let aid = c.create_array("pp", num_pes as u64, |_| PpSt { count: 0 });
+    let aid = c.create_array(num_pes as u64, |_| PpSt { count: 0 });
     c.ft_array::<PpSt>(aid);
 
     let rally_cell: std::sync::Arc<std::sync::OnceLock<EntryId>> =

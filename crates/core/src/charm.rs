@@ -71,8 +71,6 @@ impl RedOp {
 type EntryFn = Arc<dyn Fn(&mut PeCtx, &mut dyn Any, u64, Bytes) + Send + Sync>;
 
 struct ArrayDef {
-    #[allow(dead_code)]
-    name: String,
     /// Reduction client: (handler, pe) receiving finished reductions.
     red_client: Option<(HandlerId, PeId)>,
     /// PEs owning at least one element, sorted. The reduction tree spans
@@ -295,7 +293,6 @@ impl Cluster {
     /// element's state on its home PE.
     pub fn create_array<T: Send + 'static>(
         &mut self,
-        name: &str,
         n: u64,
         mut ctor: impl FnMut(u64) -> T,
     ) -> ArrayId {
@@ -313,7 +310,6 @@ impl Cluster {
         }
         participants.sort_unstable();
         self.charm.arrays.push(ArrayDef {
-            name: name.to_string(),
             red_client: None,
             participants,
         });
@@ -616,7 +612,7 @@ mod tests {
     #[test]
     fn entry_send_reaches_element() {
         let mut c = cluster(4);
-        let aid = c.create_array("counters", 10, |_| 0u64);
+        let aid = c.create_array(10, |_| 0u64);
         let bump = c.register_entry::<u64>(aid, |_ctx, st, _idx, payload| {
             *st += wire::unpack_u64(&payload, 0);
         });
@@ -630,7 +626,7 @@ mod tests {
     #[test]
     fn elements_chat_between_pes() {
         let mut c = cluster(3);
-        let aid = c.create_array("relay", 6, |_| 0u64);
+        let aid = c.create_array(6, |_| 0u64);
         let entry = c.register_entry::<u64>(aid, move |ctx, st, idx, payload| {
             let hops = wire::unpack_u64(&payload, 0);
             *st += 1;
@@ -649,7 +645,7 @@ mod tests {
     #[test]
     fn broadcast_reaches_every_element() {
         let mut c = cluster(5);
-        let aid = c.create_array("cells", 17, |_| 0u32);
+        let aid = c.create_array(17, |_| 0u32);
         let touch = c.register_entry::<u32>(aid, |_ctx, st, _idx, _p| *st += 1);
         c.inject_broadcast(0, aid, touch, Bytes::new());
         c.run();
@@ -661,7 +657,7 @@ mod tests {
     #[test]
     fn reduction_sums_over_all_elements() {
         let mut c = cluster(4);
-        let aid = c.create_array("vals", 12, |idx| idx as f64);
+        let aid = c.create_array(12, |idx| idx as f64);
         let done = std::sync::Arc::new(std::sync::Mutex::new(-1.0));
         let done2 = done.clone();
         let client = c.register_handler(move |ctx, env| {
@@ -683,7 +679,7 @@ mod tests {
     #[test]
     fn successive_reduction_waves_keep_sequence() {
         let mut c = cluster(3);
-        let aid = c.create_array("w", 6, |_| ());
+        let aid = c.create_array(6, |_| ());
         let results = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
         let r2 = results.clone();
         let kick_cell: std::sync::Arc<std::sync::OnceLock<EntryId>> =
@@ -713,7 +709,7 @@ mod tests {
     fn min_max_reductions() {
         for (op, expect) in [(RedOp::Min, 0.0), (RedOp::Max, 9.0)] {
             let mut c = cluster(2);
-            let aid = c.create_array("mm", 10, |idx| idx as f64);
+            let aid = c.create_array(10, |idx| idx as f64);
             let got = std::sync::Arc::new(std::sync::Mutex::new(f64::NAN));
             let g2 = got.clone();
             let client = c.register_handler(move |ctx, env| {
@@ -735,7 +731,7 @@ mod tests {
         // Regression: the reduction tree must span only PEs that own
         // elements — PEs without elements used to deadlock the wave.
         let mut c = cluster(16);
-        let aid = c.create_array("sparse", 3, |idx| idx as f64);
+        let aid = c.create_array(3, |idx| idx as f64);
         let got = std::sync::Arc::new(std::sync::Mutex::new(f64::NAN));
         let g2 = got.clone();
         let client = c.register_handler(move |ctx, env| {
@@ -755,7 +751,7 @@ mod tests {
     #[test]
     fn broadcast_message_count_is_tree_not_quadratic() {
         let mut c = cluster(16);
-        let aid = c.create_array("wide", 16, |_| 0u32);
+        let aid = c.create_array(16, |_| 0u32);
         let touch = c.register_entry::<u32>(aid, |_ctx, st, _idx, _p| *st += 1);
         c.inject_broadcast(0, aid, touch, Bytes::new());
         c.run();
@@ -773,7 +769,7 @@ mod tests {
     #[test]
     fn vector_reductions_combine_elementwise() {
         let mut c = cluster(4);
-        let aid = c.create_array("vec", 8, |idx| idx as f64);
+        let aid = c.create_array(8, |idx| idx as f64);
         let got = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
         let g2 = got.clone();
         let client = c.register_handler(move |ctx, env| {
@@ -796,7 +792,7 @@ mod tests {
     #[should_panic(expected = "missing element")]
     fn send_to_missing_element_panics() {
         let mut c = cluster(2);
-        let aid = c.create_array("small", 2, |_| ());
+        let aid = c.create_array(2, |_| ());
         let e = c.register_entry::<()>(aid, |_, _, _, _| {});
         c.inject_entry(0, aid, 99, e, Bytes::new());
         c.run();

@@ -140,10 +140,6 @@ pub struct FtCore {
     /// again.
     gone: BTreeSet<NodeId>,
     beat_h: HandlerId,
-    #[allow(dead_code)]
-    hb_h: HandlerId,
-    #[allow(dead_code)]
-    tick_h: HandlerId,
     /// App resume entry `(handler, pe)` kicked once after each recovery.
     resume: Option<(HandlerId, PeId)>,
     /// Heartbeat traffic stops past this virtual time so runs drain; 0
@@ -267,8 +263,6 @@ impl Cluster {
             restarted: BTreeSet::new(),
             gone: BTreeSet::new(),
             beat_h,
-            hb_h,
-            tick_h,
             resume: None,
             hb_horizon,
             savers: BTreeMap::new(),
@@ -750,7 +744,7 @@ mod tests {
             ckpt_period: 20_000,
             ..FtConfig::default()
         });
-        let aid = c.create_array("cnt", 8, |_| Cnt(0));
+        let aid = c.create_array(8, |_| Cnt(0));
         c.ft_array::<Cnt>(aid);
         let bump = c.register_entry::<Cnt>(aid, move |ctx, st, _idx, _p| {
             st.0 += 1;
@@ -839,10 +833,9 @@ mod tests {
         let mut c = Cluster::new(ClusterCfg::new(8, 2), Box::new(IdealLayer::new(1_000)));
         c.enable_ft(FtConfig::default());
         let app = c.register_handler(|_, _| {});
-        let (beat, tick) = {
-            let ft = c.ft.as_ref().unwrap();
-            (ft.beat_h, ft.tick_h)
-        };
+        let beat = c.ft.as_ref().unwrap().beat_h;
+        // The detector's tick is registered right after the beat.
+        let tick = HandlerId(beat.0 + 1);
         c.ft_checkpoint(0);
         // PE 2 survives with a mixed backlog, tagged through `src_pe`.
         let backlog = [
@@ -883,7 +876,7 @@ mod tests {
     #[should_panic(expected = "call enable_ft")]
     fn ft_array_requires_enable_ft() {
         let mut c = Cluster::new(ClusterCfg::new(4, 2), Box::new(IdealLayer::new(1_000)));
-        let aid = c.create_array("x", 4, |_| Cnt(0));
+        let aid = c.create_array(4, |_| Cnt(0));
         c.ft_array::<Cnt>(aid);
     }
 

@@ -8,7 +8,7 @@ use crate::fault::FaultKind;
 use crate::links::LinkTable;
 use crate::params::{GeminiParams, Mechanism, RdmaOp};
 use crate::reg::{Addr, DeregError, MemHandle, RegTable};
-use crate::topology::{LinkId, NodeId, Torus};
+use crate::topology::{NodeId, Torus, Walk};
 use sim_core::{DetHashMap, DetRng, LazyVec, Time};
 use std::collections::VecDeque;
 
@@ -79,8 +79,7 @@ pub struct FabricStats {
     pub faults_smsg: u64,
     /// Injected FMA/BTE transaction faults (drop + corrupt).
     pub faults_rdma: u64,
-    /// Transactions refused because every minimal route crossed a downed
-    /// link.
+    /// Transactions refused because their route crossed a downed link.
     pub faults_link_down: u64,
     /// Transactions refused because an endpoint node was inside a crash
     /// window: its NIC was not servicing any engine.
@@ -213,38 +212,9 @@ impl Fabric {
         &self.nics.get(node as usize).reg
     }
 
-    /// Choose a minimal route from `a` to `b`: dimension-ordered by
-    /// default; with adaptive routing, the minimal dimension order whose
-    /// links free up earliest (deterministic tie-break on canonical order).
-    /// Routes crossing a downed link are avoided when any alternative
-    /// minimal route is up; the returned flag is true when every candidate
-    /// was down.
-    fn pick_route(&self, a: NodeId, b: NodeId, at: Time) -> (Vec<LinkId>, bool) {
-        let plan = &self.params.fault;
-        if !self.params.adaptive_routing {
-            let r = self.topo.route(a, b);
-            let down = plan.route_is_down(&r, at);
-            return (r, down);
-        }
-        // Ordering on (down, busy): an up route always beats a down one.
-        let mut best: Option<(bool, Time, Vec<LinkId>)> = None;
-        for order in [[0u8, 1, 2], [1, 0, 2], [2, 1, 0]] {
-            let r = self.topo.route_ordered(a, b, order);
-            let down = plan.route_is_down(&r, at);
-            let busy = self.links.path_busy(&r);
-            match &best {
-                Some((b_down, b_busy, _)) if (*b_down, *b_busy) <= (down, busy) => {}
-                _ => best = Some((down, busy, r)),
-            }
-        }
-        // panic-ok: the torus always yields at least one candidate route
-        let (down, _, r) = best.expect("at least one candidate route");
-        (r, down)
-    }
-
     /// The preamble every transaction shares, in order: a crashed
-    /// endpoint, then a downed route (`route_down`), then the fault draw
-    /// with `probs` = (drop, corrupt). The first two refuse the transaction
+    /// endpoint, then a downed link on `route`, then the fault draw with
+    /// `probs` = (drop, corrupt). The first two refuse the transaction
     /// before anything is transmitted and return its kind with the time the
     /// sending NIC learns of it, `lead` (the sender's CPU and NIC start-up)
     /// plus a control trip over `route`. Crash windows are purely
@@ -256,8 +226,7 @@ impl Fabric {
         &mut self,
         now: Time,
         (a, b): (NodeId, NodeId),
-        route: &[LinkId],
-        route_down: bool,
+        route: Walk,
         lead: Time,
         (drop_p, corrupt_p): (f64, f64),
     ) -> Result<Option<FaultKind>, (FaultKind, Time)> {
@@ -266,15 +235,20 @@ impl Fabric {
             if !f.node_crash.is_empty() && (f.node_is_down(a, now) || f.node_is_down(b, now)) {
                 self.stats.faults_node_down += 1;
                 FaultKind::NodeDown
-            } else if route_down {
+            } else if f.route_is_down(route, now) {
                 self.stats.faults_link_down += 1;
                 FaultKind::LinkDown
             } else {
                 return Ok(Self::fault_decide(&mut self.fault_rng, drop_p, corrupt_p));
             };
-        let error_at =
-            now + lead + self.params.injection_latency + self.links.control_latency(route);
+        let error_at = now + lead + self.params.injection_latency + self.control(route);
         Err((refused, error_at))
+    }
+
+    /// Latency of an uncontended control packet (a request, ack or credit
+    /// return) over `route`: one router traversal per hop.
+    fn control(&self, route: Walk) -> Time {
+        self.params.hop_latency * route.len() as Time
     }
 
     /// Roll the fault dice for one transaction. Draws from the fault RNG
@@ -322,21 +296,21 @@ impl Fabric {
         bytes: u64,
     ) -> Result<SmsgOutcome, SmsgError> {
         self.mailbox(now, conn_key, self.params.smsg_credits, bytes)?;
-        let route = self.topo.route(src, dst);
+        let route = self.topo.walk(src, dst);
         let cpu = self.params.smsg_send_cpu;
-        let fault = self.admit_small(now, (src, dst), &route, cpu)?;
+        let fault = self.admit_small(now, (src, dst), route, cpu)?;
 
         let p = &self.params;
         // SMSG packets interleave with bulk FMA traffic (sub-chunk sized),
         // so they neither wait for nor occupy the engine window; they still
         // contend for link bandwidth.
         let inject = now + cpu + p.smsg_nic_latency + p.injection_latency;
-        let (_depart, arrive) = self.links.reserve(inject, &route, bytes, p.fma_bw_gbs);
+        let (_, arrive) = self.links.reserve(inject, route, bytes, p.fma_bw_gbs);
         let deliver_at = arrive + p.ejection_latency;
 
         // Credit returns after the receiver drains the slot and the NIC-level
         // ack crosses back.
-        let back = self.links.control_latency(&route);
+        let back = self.control(route);
         let release = deliver_at + p.smsg_recv_cpu + back + p.injection_latency;
 
         self.stats.smsg_sends += 1;
@@ -385,12 +359,11 @@ impl Fabric {
         &mut self,
         now: Time,
         ends: (NodeId, NodeId),
-        route: &[LinkId],
+        route: Walk,
         cpu: Time,
     ) -> Result<Option<FaultKind>, SmsgError> {
-        let down = self.params.fault.route_is_down(route, now);
         let probs = (self.params.fault.smsg_drop, self.params.fault.smsg_corrupt);
-        self.admit(now, ends, route, down, cpu, probs)
+        self.admit(now, ends, route, cpu, probs)
             .map_err(|(kind, error_at)| SmsgError::TransactionError {
                 kind,
                 cpu,
@@ -449,20 +422,19 @@ impl Fabric {
         // Shared credits: the connection key is the destination node.
         let key = (u32::MAX, dst);
         self.mailbox(now, key, self.params.msgq_credits, bytes)?;
-        let route = self.topo.route(src, dst);
+        let route = self.topo.walk(src, dst);
         let cpu = self.params.smsg_send_cpu + self.params.msgq_extra_cpu;
-        let fault = self.admit_small(now, (src, dst), &route, cpu)?;
+        let fault = self.admit_small(now, (src, dst), route, cpu)?;
 
         let p = &self.params;
         let fma = Mechanism::Fma as usize;
         let nic_ready = (now + cpu).max(self.nics.get(src as usize).engines[fma].tx);
         let inject = nic_ready + p.smsg_nic_latency + p.msgq_extra_latency + p.injection_latency;
-        let (depart, arrive) = self.links.reserve(inject, &route, bytes, p.fma_bw_gbs);
-        let ser = arrive - depart - p.hop_latency * route.len() as Time;
-        self.nics.get_mut(src as usize).engines[fma].tx = depart + ser;
+        let (sent, arrive) = self.links.reserve(inject, route, bytes, p.fma_bw_gbs);
+        self.nics.get_mut(src as usize).engines[fma].tx = sent;
         let deliver_at = arrive + p.ejection_latency;
 
-        let back = self.links.control_latency(&route);
+        let back = self.control(route);
         let release = deliver_at + p.smsg_recv_cpu + p.msgq_extra_cpu + back + p.injection_latency;
 
         self.stats.msgq_sends += 1;
@@ -511,23 +483,14 @@ impl Fabric {
             RdmaOp::Get => (remote, initiator),
         };
 
-        // Route first: adaptive routing steers around downed links when any
-        // minimal route is still up. If every candidate is down, the
-        // transaction fails without touching the wire — the NIC raises an
-        // error CQ event after the dead path is discovered.
-        let (route, route_down) = self.pick_route(data_src, data_dst, now);
+        // A route across a downed link fails without touching the wire —
+        // the NIC raises an error CQ event after the dead path is discovered.
+        let route = self.topo.walk(data_src, data_dst);
         let probs = match mech {
             Mechanism::Fma => (p.fault.fma_drop, p.fault.fma_corrupt),
             Mechanism::Bte => (p.fault.bte_drop, p.fault.bte_corrupt),
         };
-        let fault = match self.admit(
-            now,
-            (data_src, data_dst),
-            &route,
-            route_down,
-            cpu + startup,
-            probs,
-        ) {
+        let fault = match self.admit(now, (data_src, data_dst), route, cpu + startup, probs) {
             Ok(fault) => fault,
             Err((kind, error_at)) => {
                 return RdmaOutcome {
@@ -567,29 +530,25 @@ impl Fabric {
         let start = match op {
             RdmaOp::Put => ready + p.injection_latency,
             RdmaOp::Get => {
-                let req_route = self.topo.route(initiator, remote);
-                ready
-                    + p.injection_latency
-                    + self.links.control_latency(&req_route)
-                    + p.get_request_overhead
+                let req = self.control(self.topo.walk(initiator, remote));
+                ready + p.injection_latency + req + p.get_request_overhead
             }
         };
 
-        let (depart, arrive) = self.links.reserve(start.max(gate), &route, bytes, bw_cap);
-        let ser = arrive - depart - p.hop_latency * route.len() as Time;
+        let (sent, arrive) = self.links.reserve(start.max(gate), route, bytes, bw_cap);
 
         if gated {
             let tx = &mut self.nics.get_mut(data_src as usize).engines[engine].tx;
-            *tx = (*tx).max(depart + ser);
+            *tx = (*tx).max(sent);
             let rx = &mut self.nics.get_mut(data_dst as usize).engines[engine].rx;
-            *rx = (*rx).max(depart + ser);
+            *rx = (*rx).max(sent);
         }
 
         let landed = arrive + p.ejection_latency;
         match op {
             RdmaOp::Put => {
                 // Local completion after the remote NIC acks back.
-                let ack = self.links.control_latency(&route);
+                let ack = self.control(route);
                 RdmaOutcome {
                     cpu,
                     local_cq_at: landed + ack,
@@ -801,42 +760,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_routing_avoids_hot_links() {
-        let mut p = GeminiParams::test_small();
-        p.torus_dims = (4, 4, 1);
-        p.adaptive_routing = true;
-        let mut f = Fabric::new(p.clone(), 16);
-        let topo = Torus::new(p.torus_dims);
-        let a = topo.node_at((0, 0, 0));
-        let b = topo.node_at((2, 2, 0));
-        // Saturate the x-first path with a big transfer, then send again:
-        // the adaptive pick should finish no later than a forced repeat of
-        // the same DOR path would.
-        let first = f.rdma(0, a, b, 4 << 20, Mechanism::Bte, RdmaOp::Put);
-        let second = f.rdma(0, a, b, 4 << 20, Mechanism::Bte, RdmaOp::Put);
-        // With adaptivity the second transfer's links differ; it cannot be
-        // gated by the first's serialization window on shared links (the
-        // BTE engine itself still serializes, which bounds the gain).
-        assert!(second.data_at >= first.data_at, "sanity");
-        let mut f2 = Fabric::new(
-            {
-                let mut q = p.clone();
-                q.adaptive_routing = false;
-                q
-            },
-            16,
-        );
-        let _ = f2.rdma(0, a, b, 4 << 20, Mechanism::Bte, RdmaOp::Put);
-        let second_dor = f2.rdma(0, a, b, 4 << 20, Mechanism::Bte, RdmaOp::Put);
-        assert!(
-            second.data_at <= second_dor.data_at,
-            "adaptive {} should not lose to DOR {}",
-            second.data_at,
-            second_dor.data_at
-        );
-    }
-
-    #[test]
     fn get_occupies_source_nic_too() {
         // A GET initiated by node 1 pulling from node 0 must occupy node
         // 0's BTE as data source, delaying a subsequent loopback GET there.
@@ -962,11 +885,10 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_routing_steers_around_down_link() {
+    fn a_down_link_fails_every_route_across_it() {
         let mut p = GeminiParams::test_small();
         p.torus_dims = (4, 4, 1);
-        p.adaptive_routing = true;
-        // Take down the x-first exit link of the source for the whole run.
+        // Node 0's +x link, down for the whole run.
         p.fault.link_down.push(crate::fault::LinkDownWindow {
             node: 0,
             dim: 0,
@@ -974,19 +896,16 @@ mod tests {
             from_ns: 0,
             until_ns: Time::MAX,
         });
-        let mut f = Fabric::new(p.clone(), 16);
-        let topo = Torus::new(p.torus_dims);
-        let a = topo.node_at((0, 0, 0));
-        let b = topo.node_at((2, 2, 0));
-        // A minimal y-first route exists and is up: no fault.
-        let out = f.rdma(0, a, b, 1 << 16, Mechanism::Bte, RdmaOp::Put);
-        assert_eq!(out.fault, None, "adaptive routing must avoid the outage");
-        // Same scenario without adaptivity fails on the DOR route.
-        let mut q = p.clone();
-        q.adaptive_routing = false;
-        let mut f2 = Fabric::new(q, 16);
-        let out2 = f2.rdma(0, a, b, 1 << 16, Mechanism::Bte, RdmaOp::Put);
-        assert_eq!(out2.fault, Some(crate::fault::FaultKind::LinkDown));
+        let mut f = Fabric::new(p, 16);
+        // The x-first route crosses it. A y-first one would not, but the
+        // fabric does not steer around a down link.
+        let b = f.topo.node_at((2, 2, 0));
+        let out = f.rdma(0, 0, b, 1 << 16, Mechanism::Bte, RdmaOp::Put);
+        assert_eq!(out.fault, Some(crate::fault::FaultKind::LinkDown));
+        let c = f.topo.node_at((0, 2, 0));
+        let up = f.rdma(0, 0, c, 1 << 16, Mechanism::Bte, RdmaOp::Put);
+        assert_eq!(up.fault, None, "a route leaving along y is up");
+        assert_eq!(f.stats.faults_link_down, 1);
     }
 
     #[test]
@@ -1041,6 +960,7 @@ mod lazy_equivalence {
     use super::*;
     use crate::fault::{FaultPlan, LinkDownWindow, NodeCrashWindow};
     use crate::reg::Addr;
+    use crate::topology::LinkId;
     use proptest::prelude::*;
 
     #[derive(Debug, Clone)]
@@ -1196,13 +1116,11 @@ mod lazy_equivalence {
         #[test]
         fn lazy_matches_eager(
             dims in (1u32..6, 1u32..6, 1u32..6),
-            adaptive in any::<bool>(),
             plan in plan_strategy(),
             ops in proptest::collection::vec(op_strategy(), 1..60),
         ) {
             let mut p = GeminiParams::test_small();
             p.torus_dims = dims;
-            p.adaptive_routing = adaptive;
             p.fault = plan;
             let nodes = dims.0 * dims.1 * dims.2;
             let mut lazy = Fabric::new(p.clone(), nodes);

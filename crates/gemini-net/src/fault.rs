@@ -79,8 +79,8 @@ impl NodeCrashWindow {
 /// How a transaction failed, as observed by the fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
-    /// Every minimal route crossed a link inside a down window; nothing was
-    /// transmitted.
+    /// The dimension-ordered route crossed a link inside a down window;
+    /// nothing was transmitted. There is no steering around a down link.
     LinkDown,
     /// One endpoint node was crashed at the time of the transaction; the
     /// NIC never serviced it.
@@ -190,7 +190,8 @@ pub struct FaultPlan {
     /// Force exactly one CQ overrun on the first event posted at/after this
     /// instant, regardless of depth (deterministic overrun drills).
     pub force_cq_overrun_at: Option<Time>,
-    /// Scheduled link outages.
+    /// Scheduled link outages. A transaction whose dimension-ordered route
+    /// crosses a down link fails with [`FaultKind::LinkDown`].
     pub link_down: Vec<LinkDownWindow>,
     /// Scheduled whole-node crashes (at most one window per node).
     pub node_crash: Vec<NodeCrashWindow>,
@@ -312,11 +313,11 @@ impl FaultPlan {
     }
 
     /// Does any link of `route` cross a down window at `at`?
-    pub fn route_is_down(&self, route: &[LinkId], at: Time) -> bool {
+    pub fn route_is_down(&self, route: impl IntoIterator<Item = LinkId>, at: Time) -> bool {
         if self.link_down.is_empty() {
             return false;
         }
-        route.iter().any(|l| self.link_is_down(l, at))
+        route.into_iter().any(|l| self.link_is_down(&l, at))
     }
 }
 
@@ -544,8 +545,8 @@ mod tests {
             dim: 0,
             plus: true,
         };
-        assert!(p.route_is_down(&[miss, hit], 500));
-        assert!(!p.route_is_down(&[miss], 500));
-        assert!(!p.route_is_down(&[hit], 1000));
+        assert!(p.route_is_down([miss, hit], 500));
+        assert!(!p.route_is_down([miss], 500));
+        assert!(!p.route_is_down([hit], 1000));
     }
 }

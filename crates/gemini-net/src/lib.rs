@@ -28,4 +28,4 @@ pub use fabric::{near_cubic, Fabric, FabricStats, RdmaOutcome, SmsgError, SmsgOu
 pub use fault::{FaultKind, FaultPlan, FaultPlanError, LinkDownWindow, NodeCrashWindow};
 pub use params::{GeminiParams, Mechanism, RdmaOp, PAGE};
 pub use reg::{Addr, DeregError, MemHandle, RegCache, RegTable};
-pub use topology::{LinkId, NodeId, TopologyError, Torus};
+pub use topology::{LinkId, NodeId, TopologyError, Torus, Walk};

@@ -9,7 +9,7 @@
 //! intra-node traffic through the NIC "interferes with uGNI handling
 //! inter-node communication".
 
-use crate::topology::{LinkId, Torus};
+use crate::topology::{LinkId, Walk};
 use sim_core::{time, LazyVec, Time};
 
 /// Materialization grain for link state. Dimension-ordered routes touch
@@ -74,47 +74,34 @@ impl LinkTable {
     }
 
     /// Reserve the route for `bytes` starting no earlier than `earliest`;
-    /// returns `(depart, arrive)` where `arrive` is when the last byte
-    /// reaches the far end of the last link.
+    /// returns `(sent, arrive)`: when the last byte leaves the source (the
+    /// route's links are busy until then) and when it reaches the far end
+    /// of the last link. An empty route (same-node loopback through the
+    /// NIC) has no router hops and waits for no link.
     ///
     /// `bw_cap_gbs` lets the caller clamp throughput below link rate (e.g.
     /// the FMA unit's streaming limit).
     pub fn reserve(
         &mut self,
         earliest: Time,
-        route: &[LinkId],
+        route: Walk,
         bytes: u64,
         bw_cap_gbs: f64,
     ) -> (Time, Time) {
-        let eff_bw = self.bw_gbs.min(bw_cap_gbs);
-        let ser = time::transfer_ns(bytes, eff_bw);
-        if route.is_empty() {
-            // Same-node loopback through the NIC: no router hops.
-            return (earliest, earliest + ser);
-        }
-        let depart = earliest.max(self.path_busy(route));
+        let ser = time::transfer_ns(bytes, self.bw_gbs.min(bw_cap_gbs));
+        let sent = earliest.max(self.path_busy(route)) + ser;
         for l in route {
-            let link = self.links.get_mut(Self::idx(l));
-            link.busy_until = depart + ser;
+            let link = self.links.get_mut(Self::idx(&l));
+            link.busy_until = sent;
             link.bytes_carried += bytes;
         }
-        let arrive = depart + self.hop_latency * route.len() as Time + ser;
-        (depart, arrive)
+        (sent, sent + self.hop_latency * route.len() as Time)
     }
 
-    /// Pure latency of an uncontended small control packet along a route.
-    pub fn control_latency(&self, route: &[LinkId]) -> Time {
-        self.hop_latency * route.len() as Time
-    }
-
-    /// Latest `busy_until` along a candidate route (adaptive routing uses
-    /// this to pick the least-loaded dimension order).
-    pub fn path_busy(&self, route: &[LinkId]) -> Time {
-        route
-            .iter()
-            .map(|l| self.links.get(Self::idx(l)).busy_until)
-            .max()
-            .unwrap_or(0)
+    /// Latest `busy_until` along a route; 0 for an empty one.
+    fn path_busy(&self, route: Walk) -> Time {
+        let busy = route.map(|l| self.links.get(Self::idx(&l)).busy_until);
+        busy.max().unwrap_or(0)
     }
 
     /// Total bytes ever carried over all links (diagnostics). Untouched
@@ -137,106 +124,83 @@ impl LinkTable {
     }
 }
 
-/// Helper bundling a torus and its link table for tests.
-#[derive(Debug)]
-pub struct RoutedNetwork {
-    pub topo: Torus,
-    pub links: LinkTable,
-}
-
-impl RoutedNetwork {
-    pub fn new(dims: (u32, u32, u32), bw_gbs: f64, hop_latency: Time) -> Self {
-        let topo = Torus::new(dims);
-        let links = LinkTable::new(topo.num_nodes(), bw_gbs, hop_latency);
-        RoutedNetwork { topo, links }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::Torus;
 
-    fn net() -> RoutedNetwork {
-        RoutedNetwork::new((4, 4, 4), 6.0, 100)
+    fn net() -> (Torus, LinkTable) {
+        let topo = Torus::new((4, 4, 4));
+        let links = LinkTable::new(topo.num_nodes(), 6.0, 100);
+        (topo, links)
     }
 
     #[test]
     fn uncontended_transfer_time() {
-        let mut n = net();
-        let route = n.topo.route(0, 1);
+        let (t, mut l) = net();
+        let route = t.walk(0, 1);
         assert_eq!(route.len(), 1);
         // 6000 bytes at 6 GB/s = 1000ns serialization + 100ns hop.
-        let (depart, arrive) = n.links.reserve(0, &route, 6000, f64::INFINITY);
-        assert_eq!(depart, 0);
-        assert_eq!(arrive, 1100);
+        assert_eq!(l.reserve(0, route, 6000, f64::INFINITY), (1000, 1100));
     }
 
     #[test]
     fn loopback_has_no_hops() {
-        let mut n = net();
-        let route = n.topo.route(5, 5);
-        let (d, a) = n.links.reserve(10, &route, 6000, f64::INFINITY);
-        assert_eq!(d, 10);
-        assert_eq!(a, 10 + 1000);
+        let (t, mut l) = net();
+        let x = l.reserve(10, t.walk(5, 5), 6000, f64::INFINITY);
+        assert_eq!(x, (10 + 1000, 10 + 1000));
     }
 
     #[test]
     fn back_to_back_transfers_queue_on_link() {
-        let mut n = net();
-        let route = n.topo.route(0, 1);
-        let (_, a1) = n.links.reserve(0, &route, 6000, f64::INFINITY);
+        let (t, mut l) = net();
+        let (_, a1) = l.reserve(0, t.walk(0, 1), 6000, f64::INFINITY);
         // Second transfer at the same instant must wait for the first
         // serialization window (1000ns), then pay its own.
-        let (d2, a2) = n.links.reserve(0, &route, 6000, f64::INFINITY);
-        assert_eq!(d2, 1000);
-        assert_eq!(a2, 2100);
+        let (sent, a2) = l.reserve(0, t.walk(0, 1), 6000, f64::INFINITY);
+        assert_eq!((sent, a2), (2000, 2100));
         assert!(a2 > a1);
     }
 
     #[test]
     fn disjoint_routes_do_not_contend() {
-        let mut n = net();
-        let r1 = n.topo.route(0, 1);
-        let c = n.topo.coords(0);
-        let other = n.topo.node_at((c.0, (c.1 + 1) % 4, c.2));
-        let r2 = n.topo.route(0, other);
-        let (_, a1) = n.links.reserve(0, &r1, 6000, f64::INFINITY);
-        let (d2, a2) = n.links.reserve(0, &r2, 6000, f64::INFINITY);
-        assert_eq!(d2, 0, "different dimension, no shared link");
-        assert_eq!(a1, a2);
+        let (t, mut l) = net();
+        let c = t.coords(0);
+        let other = t.node_at((c.0, (c.1 + 1) % 4, c.2));
+        let x1 = l.reserve(0, t.walk(0, 1), 6000, f64::INFINITY);
+        let x2 = l.reserve(0, t.walk(0, other), 6000, f64::INFINITY);
+        assert_eq!(x2.0, 1000, "different dimension, no shared link");
+        assert_eq!(x1, x2);
     }
 
     #[test]
     fn bandwidth_cap_slows_transfer() {
-        let mut n = net();
-        let route = n.topo.route(0, 1);
-        let (_, a_fast) = n.links.reserve(0, &route, 6000, f64::INFINITY);
-        let mut n2 = net();
-        let route2 = n2.topo.route(0, 1);
-        let (_, a_slow) = n2.links.reserve(0, &route2, 6000, 3.0);
-        assert_eq!(a_fast, 1100);
-        assert_eq!(a_slow, 2100, "3 GB/s cap doubles serialization");
+        let (t, mut l) = net();
+        let (_, fast) = l.reserve(0, t.walk(0, 1), 6000, f64::INFINITY);
+        let (t2, mut l2) = net();
+        let (_, slow) = l2.reserve(0, t2.walk(0, 1), 6000, 3.0);
+        assert_eq!(fast, 1100);
+        assert_eq!(slow, 2100, "3 GB/s cap doubles serialization");
     }
 
     #[test]
     fn multi_hop_adds_latency_once_per_hop() {
-        let mut n = net();
-        let a = n.topo.node_at((0, 0, 0));
-        let b = n.topo.node_at((2, 2, 0));
-        let route = n.topo.route(a, b);
+        let (t, mut l) = net();
+        let a = t.node_at((0, 0, 0));
+        let b = t.node_at((2, 2, 0));
+        let route = t.walk(a, b);
         assert_eq!(route.len(), 4);
-        let (_, arrive) = n.links.reserve(0, &route, 6, f64::INFINITY);
         // 1ns serialization + 4 hops * 100ns.
-        assert_eq!(arrive, 401);
+        assert_eq!(l.reserve(0, route, 6, f64::INFINITY).1, 401);
     }
 
     #[test]
     fn byte_counters_accumulate() {
-        let mut n = net();
-        let route = n.topo.route(0, 2);
-        n.links.reserve(0, &route, 500, f64::INFINITY);
-        n.links.reserve(0, &route, 500, f64::INFINITY);
-        assert_eq!(n.links.total_bytes(), 500 * 2 * route.len() as u64);
-        assert_eq!(n.links.hottest_link_bytes(), 1000);
+        let (t, mut l) = net();
+        let route = t.walk(0, 2);
+        l.reserve(0, route, 500, f64::INFINITY);
+        l.reserve(0, route, 500, f64::INFINITY);
+        assert_eq!(l.total_bytes(), 500 * 2 * route.len() as u64);
+        assert_eq!(l.hottest_link_bytes(), 1000);
     }
 }

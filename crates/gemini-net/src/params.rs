@@ -41,10 +41,6 @@ pub struct GeminiParams {
     pub cores_per_node: u32,
 
     // ---- links / routing ----
-    /// Adaptive routing: pick the least-loaded minimal dimension order per
-    /// message (real Gemini routes packets adaptively; off = deterministic
-    /// dimension-ordered routing).
-    pub adaptive_routing: bool,
     /// Per-hop router traversal latency (ns).
     pub hop_latency: Time,
     /// Per-link bandwidth, GB/s (1e9 bytes per second).
@@ -151,7 +147,6 @@ impl GeminiParams {
         GeminiParams {
             torus_dims: (17, 8, 24), // Hopper-like 3D torus (6384 nodes ~ 17x8x24 = 3264*? scaled)
             cores_per_node: 24,
-            adaptive_routing: false,
             hop_latency: 105,
             link_bw_gbs: 6.0,
             injection_latency: 120,
@@ -302,11 +297,11 @@ impl GeminiParams {
 
     /// Conservative-PDES lookahead derived from the link parameters.
     ///
-    /// While a fault plan has link-down windows, adaptive routing can take
-    /// unplanned detours and recovery events fire on their own schedule, so
-    /// the bound is halved as a safety margin (correctness never depends on
-    /// the margin — the driver asserts the bound in debug builds — but a
-    /// tight bound under reroute churn buys nothing).
+    /// While a fault plan has link-down windows, recovery events fire on
+    /// their own schedule, so the bound is halved as a safety margin
+    /// (correctness never depends on the margin — the driver asserts the
+    /// bound in debug builds — but a tight bound under recovery churn buys
+    /// nothing).
     pub fn conservative_lookahead(&self) -> Time {
         let base = self.min_remote_latency();
         if self.fault.link_down.is_empty() {

@@ -18,7 +18,9 @@ use std::collections::BTreeMap;
 pub struct Addr(pub u64);
 
 /// Handle returned by a successful registration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(
+    Debug, Default, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
+)]
 pub struct MemHandle(pub u64);
 
 /// Deregistration failure: the handle is not (or no longer) registered.

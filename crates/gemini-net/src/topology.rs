@@ -152,59 +152,77 @@ impl Torus {
 
     /// Minimal hop count between two nodes.
     pub fn hops(&self, a: NodeId, b: NodeId) -> u32 {
-        let ca = self.coords(a);
-        let cb = self.coords(b);
-        (Self::ring_delta(self.dims.0, ca.0, cb.0).unsigned_abs()
-            + Self::ring_delta(self.dims.1, ca.1, cb.1).unsigned_abs()
-            + Self::ring_delta(self.dims.2, ca.2, cb.2).unsigned_abs()) as u32
+        self.walk(a, b).len() as u32
+    }
+
+    /// The dimension-ordered route from `a` to `b`, walked one directed
+    /// link at a time without building it. Empty when `a == b`.
+    pub fn walk(&self, a: NodeId, b: NodeId) -> Walk {
+        let (ca, cb) = (self.coords(a), self.coords(b));
+        let dims = [self.dims.0, self.dims.1, self.dims.2];
+        let (at, to) = ([ca.0, ca.1, ca.2], [cb.0, cb.1, cb.2]);
+        let delta: [i64; 3] = std::array::from_fn(|d| Self::ring_delta(dims[d], at[d], to[d]));
+        Walk {
+            node: a,
+            at,
+            left: delta.map(|d| d.unsigned_abs() as u32),
+            plus: delta.map(|d| d > 0),
+            dims,
+            stride: [1, dims[0], dims[0] * dims[1]],
+        }
     }
 
     /// The dimension-ordered route from `a` to `b` as a list of directed
-    /// links. Empty when `a == b`.
+    /// links: [`Torus::walk`], collected.
     pub fn route(&self, a: NodeId, b: NodeId) -> Vec<LinkId> {
-        self.route_ordered(a, b, [0, 1, 2])
-    }
-
-    /// Route correcting dimensions in the given order — the building block
-    /// for adaptive routing (real Gemini routes "on a packet-by-packet
-    /// basis to fully utilize the links"; we pick per-message among the
-    /// minimal-length dimension orders).
-    pub fn route_ordered(&self, a: NodeId, b: NodeId, order: [u8; 3]) -> Vec<LinkId> {
-        let mut links = Vec::new();
-        let mut cur = self.coords(a);
-        let dst = self.coords(b);
-        let dims = [self.dims.0, self.dims.1, self.dims.2];
-        for dim in order {
-            let k = dims[dim as usize];
-            let (c, d) = match dim {
-                0 => (cur.0, dst.0),
-                1 => (cur.1, dst.1),
-                _ => (cur.2, dst.2),
-            };
-            let mut delta = Self::ring_delta(k, c, d);
-            while delta != 0 {
-                let plus = delta > 0;
-                let from = self.node_at(cur);
-                links.push(LinkId { from, dim, plus });
-                let step = |v: u32| -> u32 {
-                    if plus {
-                        (v + 1) % k
-                    } else {
-                        (v + k - 1) % k
-                    }
-                };
-                match dim {
-                    0 => cur.0 = step(cur.0),
-                    1 => cur.1 = step(cur.1),
-                    _ => cur.2 = step(cur.2),
-                }
-                delta += if plus { -1 } else { 1 };
-            }
-        }
-        debug_assert_eq!(self.node_at(cur), b);
-        links
+        self.walk(a, b).collect()
     }
 }
+
+/// A dimension-ordered route in progress (x, then y, then z): the node it
+/// stands on and the hops left in each dimension. Each step moves the
+/// node id by the dimension's stride, wrapping at the ring's end.
+#[derive(Debug, Clone, Copy)]
+pub struct Walk {
+    node: NodeId,
+    /// Coordinates of `node`.
+    at: [u32; 3],
+    left: [u32; 3],
+    plus: [bool; 3],
+    dims: [u32; 3],
+    stride: [u32; 3],
+}
+
+impl Iterator for Walk {
+    type Item = LinkId;
+
+    #[inline]
+    fn next(&mut self) -> Option<LinkId> {
+        let d = self.left.iter().position(|&n| n > 0)?;
+        self.left[d] -= 1;
+        let (plus, k, s) = (self.plus[d], self.dims[d], self.stride[d]);
+        let link = LinkId {
+            from: self.node,
+            dim: d as u8,
+            plus,
+        };
+        // Stepping off either end of the ring lands on its other end.
+        (self.at[d], self.node) = match (plus, self.at[d]) {
+            (true, c) if c + 1 == k => (0, self.node - (k - 1) * s),
+            (true, c) => (c + 1, self.node + s),
+            (false, 0) => (k - 1, self.node + (k - 1) * s),
+            (false, c) => (c - 1, self.node - s),
+        };
+        Some(link)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.left.iter().sum::<u32>() as usize;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Walk {}
 
 #[cfg(test)]
 mod tests {
@@ -249,9 +267,13 @@ mod tests {
     #[test]
     fn route_length_equals_hops() {
         let t = Torus::new((5, 4, 3));
+        let ring = |k: u32, a: u32, b: u32| ((b + k - a) % k).min((a + k - b) % k);
         for a in 0..t.num_nodes() {
             for b in 0..t.num_nodes() {
-                assert_eq!(t.route(a, b).len() as u32, t.hops(a, b), "{a}->{b}");
+                let (ca, cb) = (t.coords(a), t.coords(b));
+                let min = ring(5, ca.0, cb.0) + ring(4, ca.1, cb.1) + ring(3, ca.2, cb.2);
+                assert_eq!(t.hops(a, b), min, "{a}->{b}");
+                assert_eq!(t.route(a, b).len() as u32, min, "{a}->{b}");
             }
         }
     }
@@ -282,11 +304,13 @@ mod tests {
         let t = Torus::new((4, 4, 4));
         let a = t.node_at((0, 0, 0));
         let b = t.node_at((2, 2, 0));
-        let r_xy = t.route_ordered(a, b, [0, 1, 2]);
-        let r_yx = t.route_ordered(a, b, [1, 0, 2]);
-        assert_eq!(r_xy.len(), r_yx.len(), "both minimal");
-        assert_ne!(r_xy, r_yx, "different intermediate links");
-        assert_eq!(r_xy.len() as u32, t.hops(a, b));
+        let there = t.route(a, b);
+        let back = t.route(b, a);
+        assert_eq!(there.len() as u32, t.hops(a, b), "minimal");
+        assert_eq!(back.len(), there.len(), "minimal both ways");
+        let dims: Vec<u8> = there.iter().map(|l| l.dim).collect();
+        assert_eq!(dims, [0, 0, 1, 1], "x is corrected before y");
+        assert!(there.iter().all(|l| !back.contains(l)), "no shared link");
     }
 
     #[test]

@@ -53,14 +53,19 @@ const DIRECT: u32 = u32::MAX;
 /// ever carved when the list was empty, meaning the stack was always
 /// "returned blocks on top of the remaining slab suffix" — exactly what
 /// `returned` + `span` encode.
+///
+/// Every entry carries its slab's registration handle, so a pop needs no
+/// search for the slab a block came from.
 #[derive(Debug, Default, Clone)]
 struct FreeList {
     /// Blocks explicitly freed back to the pool (LIFO, popped first).
-    returned: Vec<Addr>,
+    returned: Vec<(Addr, MemHandle)>,
     span_base: u64,
     /// Blocks remaining in the current slab span. The next span block is
     /// `span_base + (span_left - 1) * block_size` (descending).
     span_left: u64,
+    /// The handle of the slab the span is carved from.
+    span_handle: MemHandle,
 }
 
 impl FreeList {
@@ -68,15 +73,16 @@ impl FreeList {
         self.returned.is_empty() && self.span_left == 0
     }
 
-    fn pop(&mut self, block_size: u64) -> Option<Addr> {
-        if let Some(a) = self.returned.pop() {
-            return Some(a);
+    fn pop(&mut self, block_size: u64) -> Option<(Addr, MemHandle)> {
+        if let Some(b) = self.returned.pop() {
+            return Some(b);
         }
         if self.span_left == 0 {
             return None;
         }
         self.span_left -= 1;
-        Some(Addr(self.span_base + self.span_left * block_size))
+        let addr = Addr(self.span_base + self.span_left * block_size);
+        Some((addr, self.span_handle))
     }
 }
 
@@ -118,9 +124,6 @@ pub struct PoolStats {
 #[derive(Debug)]
 pub struct MemPool {
     free: [FreeList; NUM_CLASSES],
-    /// Registered slabs: (base, len, handle). Blocks carved from one slab
-    /// share its handle.
-    handles: Vec<(Addr, u64, MemHandle)>,
     next_addr: u64,
     slab_min_bytes: u64,
     costs: PoolCosts,
@@ -139,7 +142,6 @@ impl MemPool {
     pub fn with_costs(addr_base: u64, costs: PoolCosts) -> Self {
         MemPool {
             free: std::array::from_fn(|_| FreeList::default()),
-            handles: Vec::new(),
             next_addr: addr_base,
             slab_min_bytes: 256 * 1024,
             costs,
@@ -193,14 +195,13 @@ impl MemPool {
         if self.free[class].is_empty() {
             cost += self.expand(p, reg, class);
         }
-        let addr = self.free[class]
+        let (addr, handle) = self.free[class]
             .pop(Self::class_size(class))
             .expect("expand filled the list");
         #[cfg(debug_assertions)]
         {
             assert!(self.outstanding.insert(addr.0), "double allocation");
         }
-        let handle = self.handle_for(addr);
         (
             Block {
                 addr,
@@ -226,7 +227,8 @@ impl MemPool {
         {
             assert!(self.outstanding.remove(&block.addr.0), "double free");
         }
-        self.free[block.class as usize].returned.push(block.addr);
+        let returned = &mut self.free[block.class as usize].returned;
+        returned.push((block.addr, block.handle));
         self.costs.free
     }
 
@@ -240,9 +242,8 @@ impl MemPool {
         // The pre-span pool pushed all `count` addresses ascending here;
         // the span mints the same addresses in the same (descending) pop
         // order without materializing them.
-        self.free[class].span_base = base;
-        self.free[class].span_left = count;
-        self.handles.push((Addr(base), slab, handle));
+        let list = &mut self.free[class];
+        (list.span_base, list.span_left, list.span_handle) = (base, count, handle);
         self.stats.expansions += 1;
         self.stats.slab_bytes += slab;
         p.malloc_cost(slab) + reg_cost
@@ -254,14 +255,6 @@ impl MemPool {
         let aligned = bytes.div_ceil(gemini_net::PAGE) * gemini_net::PAGE;
         self.next_addr += aligned.max(gemini_net::PAGE);
         a
-    }
-
-    fn handle_for(&self, addr: Addr) -> MemHandle {
-        self.handles
-            .iter()
-            .find(|(base, len, _)| addr.0 >= base.0 && addr.0 < base.0 + len)
-            .map(|&(_, _, h)| h)
-            .expect("block not within any slab")
     }
 
     /// Bytes currently pinned by the pool.
@@ -426,18 +419,30 @@ mod proptests {
             }
         }
 
-        /// Every pooled block's handle is registered and covers the block.
+        /// Every block's handle is registered and covers the block, also
+        /// when the block is a recycled one popped off a free list.
         #[test]
-        fn handles_cover_blocks(sizes in proptest::collection::vec(1u64..3_000_000, 1..60)) {
+        fn handles_cover_blocks(
+            ops in proptest::collection::vec((1u64..3_000_000, any::<bool>()), 1..120)
+        ) {
             let p = GeminiParams::hopper();
             let mut reg = RegTable::new();
             let mut pool = MemPool::new(1 << 40);
-            for s in sizes {
-                let (b, _) = pool.alloc(&p, &mut reg, s);
+            let mut live: Vec<Block> = Vec::new();
+            for (s, do_free) in ops {
+                if do_free && !live.is_empty() {
+                    let b = live.swap_remove((s % live.len() as u64) as usize);
+                    pool.free(&p, &mut reg, b);
+                    continue;
+                }
+                // Small sizes too, so freed blocks of a class are reused.
+                let bytes = if s % 3 == 0 { s } else { s % 20_000 + 1 };
+                let (b, _) = pool.alloc(&p, &mut reg, bytes);
                 prop_assert!(reg.is_registered(b.handle));
                 let (base, len) = reg.lookup(b.handle).unwrap();
                 prop_assert!(b.addr.0 >= base.0);
                 prop_assert!(b.addr.0 + b.size <= base.0 + len);
+                live.push(b);
             }
         }
 

@@ -268,10 +268,10 @@ fn a_ring_reports_its_allocations_per_delivered_message() {
                     assert!(bytes < 256.0, "{what}: {bytes:.0} bytes per message");
                     continue;
                 }
-                (LayerKind::Ugni(_), None) => (4_598 + 2 * debug, 248_556 + 168 * debug),
-                (LayerKind::Ugni(_), Some(_)) => (4_598 + 2 * debug, 344_556 + 168 * debug),
-                (LayerKind::Mpi(_), None) => (4_595, 294_980),
-                (LayerKind::Mpi(_), Some(_)) => (4_595, 390_980),
+                (LayerKind::Ugni(_), None) => (4_096 + 2 * debug, 232_668 + 168 * debug),
+                (LayerKind::Ugni(_), Some(_)) => (4_096 + 2 * debug, 328_668 + 168 * debug),
+                (LayerKind::Mpi(_), None) => (4_095, 278_980),
+                (LayerKind::Mpi(_), Some(_)) => (4_095, 374_980),
             };
             assert!(
                 n <= most && b <= most_bytes,
@@ -280,6 +280,31 @@ fn a_ring_reports_its_allocations_per_delivered_message() {
             );
         }
     }
+}
+
+/// A fabric transaction, once its connection and the pages of the links
+/// and NICs it touches are warm, allocates nothing: its route is walked
+/// link by link, not built. Covers every mechanism over one multi-hop
+/// route: SMSG, MSGQ, an FMA PUT and a BTE GET (whose request leg crosses
+/// the route the other way).
+#[test]
+fn a_warm_fabric_transaction_allocates_nothing() {
+    use gemini_net::{Fabric, GeminiParams, Mechanism, RdmaOp};
+    let mut f = Fabric::new(GeminiParams::hopper(), 512);
+    let (a, b) = (f.topo.node_at((0, 0, 0)), f.topo.node_at((5, 3, 7)));
+    assert_eq!(f.topo.hops(a, b), 15, "hops in every dimension");
+    let each = |f: &mut Fabric, now| {
+        f.smsg_send(now, a, b, (0, 1), 64).unwrap();
+        f.msgq_send(now, a, b, 64).unwrap();
+        f.rdma(now, a, b, 4096, Mechanism::Fma, RdmaOp::Put);
+        f.rdma(now, a, b, 1 << 20, Mechanism::Bte, RdmaOp::Get);
+    };
+    each(&mut f, 0);
+    // A millisecond apart, so every earlier transaction has drained and
+    // no per-connection queue of in-flight credits grows.
+    let (n, _) = allocations(|| (1..=100).for_each(|i| each(&mut f, i * 1_000_000)));
+    assert_eq!(n, 0, "allocations over 400 warm transactions");
+    assert_eq!(f.stats.bte_transactions, 101);
 }
 
 /// What one message between two idle, far-apart PEs of a whole-Hopper
@@ -309,7 +334,7 @@ fn one_message_across_hopper_first_touches_a_pinned_footprint() {
     );
     // A debug build's memory pool also keeps a set of the blocks it handed
     // out, to catch double allocations and frees: one more allocation.
-    let allocs = 52 + u64::from(cfg!(debug_assertions));
+    let allocs = 47 + u64::from(cfg!(debug_assertions));
     assert_eq!(
         (n, pe_pages, fabric_pages, trace_pages),
         (allocs, 2, 20, 0),

@@ -109,8 +109,9 @@ fn kneighbor_ring() {
 
 #[test]
 fn one_to_all_under_active_fault_plan() {
-    // The link-down window degrades the derived lookahead and forces
-    // adaptive reroutes mid-run; recovery timestamps must still replay.
+    // The link-down window halves the derived lookahead and fails the
+    // transactions routed across it mid-run; recovery timestamps must
+    // still replay.
     for layer in [
         LayerKind::ugni().with_fault(plan()),
         LayerKind::mpi().with_fault(plan()),

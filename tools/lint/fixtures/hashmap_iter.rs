@@ -40,6 +40,22 @@ impl Conns {
     pub fn first(&self) -> Option<u32> {
         self.eps.values().next().copied()
     }
+
+    pub fn count(&self) -> usize {
+        let mut n = 0;
+        for _ in &self.eps {
+            n += 1;
+        }
+        n
+    }
+
+    // Silent: the local `eps` is the escaped iterator, not the field.
+    pub fn reset(&mut self) {
+        let eps = self.eps.values_mut(); // hash-ok: each entry is reset on its own
+        for ep in eps {
+            *ep = 0;
+        }
+    }
 }
 
 pub fn count_seen() -> usize {

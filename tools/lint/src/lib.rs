@@ -529,8 +529,9 @@ const ITER_METHODS: &[&str] = &[
     ".into_values()",
 ];
 
-/// Does `line` iterate over hash-bound `name`?
-fn iterates(line: &str, name: &str) -> bool {
+/// Does line `idx` of `lines` iterate over hash-bound `name`?
+fn iterates(lines: &[&str], idx: usize, name: &str) -> bool {
+    let line = lines[idx];
     // `name.iter()` and friends, with an identifier boundary before.
     let mut from = 0;
     while let Some(pos) = line[from..].find(name) {
@@ -549,21 +550,53 @@ fn iterates(line: &str, name: &str) -> bool {
     if let Some(fpos) = line.find("for ") {
         if let Some(inpos) = line[fpos..].find(" in ") {
             let mut tail = line[fpos + inpos + 4..].trim_start();
-            for p in ["&mut ", "&", "self."] {
+            for p in ["&mut ", "&"] {
                 tail = tail.strip_prefix(p).unwrap_or(tail);
             }
+            let field = tail.starts_with("self.");
+            tail = tail.strip_prefix("self.").unwrap_or(tail);
             if let Some(rest) = tail.strip_prefix(name) {
                 let boundary = rest
                     .chars()
                     .next()
                     .is_none_or(|c| !is_ident_char(c) && c != '.');
-                if boundary {
+                // A bare name is a local: it is hash-ordered only if its
+                // nearest `let` in this fn binds a hash type (or there is
+                // none, so it is a parameter). A local bound to anything
+                // else — say `self.conns.iter_mut()`, which its own line
+                // is checked for — merely shares a hash field's name.
+                if boundary && (field || local_binding(lines, idx, name).is_none_or(binds_hash)) {
                     return true;
                 }
             }
         }
     }
     false
+}
+
+/// The nearest line above `idx`, within the enclosing fn, that binds
+/// `name` with `let [mut] name`.
+fn local_binding<'a>(lines: &[&'a str], idx: usize, name: &str) -> Option<&'a str> {
+    for line in lines[..idx].iter().rev() {
+        let binds = line.find("let ").is_some_and(|at| {
+            let tail = line[at + 4..].trim_start();
+            let tail = tail.strip_prefix("mut ").unwrap_or(tail);
+            tail.strip_prefix(name)
+                .is_some_and(|rest| rest.chars().next().is_none_or(|c| !is_ident_char(c)))
+        });
+        if binds {
+            return Some(line);
+        }
+        if find_fn_kw(line).is_some() {
+            return None;
+        }
+    }
+    None
+}
+
+/// Does this line name a hash-ordered type?
+fn binds_hash(line: &str) -> bool {
+    HASH_TYPES.iter().any(|ty| boundary_match(line, ty, true))
 }
 
 /// CamelCase a snake_case suffix: `overhead` → `Overhead`,
@@ -715,12 +748,12 @@ pub fn lint_source(crate_dir: &str, file: &str, src: &str) -> Vec<Finding> {
             .map(|(i, l)| if in_ranges(&tests, i) { "" } else { *l })
             .collect();
         let names = hash_bound_names(&prod_lines);
-        for (idx, line) in lines.iter().enumerate() {
+        for idx in 0..lines.len() {
             if in_ranges(&tests, idx) || escaped(&raw_lines, idx, HASH_OK_MARKER) {
                 continue;
             }
             for name in &names {
-                if iterates(line, name) {
+                if iterates(&lines, idx, name) {
                     out.push(Finding::new(
                         "hashmap-iter",
                         file,

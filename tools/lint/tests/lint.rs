@@ -27,11 +27,18 @@ fn hashmap_iteration_fixture_fires() {
     assert_eq!(rules(&f), ["default-hasher", "hashmap-iter"], "{f:?}");
     let iter: Vec<&Finding> = f.iter().filter(|x| x.rule == "hashmap-iter").collect();
     // All three iteration shapes: .iter(), .keys(), for .. in &set — and
-    // the same through the aliases: a `DetHashMap` field's .values(), a
-    // `DetHashSet::default()` local's for .. in &set.
-    assert_eq!(iter.len(), 5, "findings: {iter:?}");
+    // the same through the aliases: a `DetHashMap` field's .values() and
+    // for .. in &self.field, a `DetHashSet::default()` local's
+    // for .. in &set.
+    assert_eq!(iter.len(), 6, "findings: {iter:?}");
     assert!(iter.iter().any(|x| x.msg.contains("`eps`")), "{iter:?}");
     assert!(iter.iter().any(|x| x.msg.contains("`seen`")), "{iter:?}");
+    // A local that shares the field's name but is bound to an escaped
+    // iterator is not the field: `for ep in eps` stays silent.
+    let at = |needle: &str| src.lines().position(|l| l.contains(needle)).unwrap() + 1;
+    let lines: Vec<usize> = iter.iter().map(|x| x.line).collect();
+    assert!(lines.contains(&at("for _ in &self.eps")), "{iter:?}");
+    assert!(!lines.contains(&at("for ep in eps")), "{iter:?}");
 }
 
 #[test]
