@@ -507,6 +507,10 @@ pub(crate) fn am_dispatch(ctx: &mut PeCtx, env: Envelope) {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "handlers hand results back through shared cells"
+)]
 mod tests {
     use super::*;
     use crate::cluster::ClusterCfg;

@@ -178,6 +178,10 @@ impl CharmPe {
 
     /// Sorted `(array, index)` keys of every element on this PE
     /// (checkpoint order must not depend on hash order).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the keys are sorted before they leave"
+    )]
     pub(crate) fn element_keys(&self) -> Vec<(u16, u64)> {
         let mut keys: Vec<(u16, u64)> = self.elements.keys().copied().collect();
         keys.sort_unstable();
@@ -202,6 +206,10 @@ impl CharmPe {
 
     /// Sorted per-array local reduction wave counters (the app-level
     /// in-flight sequence numbers a checkpoint must capture).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the counters are sorted before they leave"
+    )]
     pub(crate) fn wave_snapshot(&self) -> Vec<(u16, u64)> {
         let mut waves: Vec<(u16, u64)> =
             self.local_wave.iter().map(|(aid, w)| (*aid, *w)).collect();
@@ -543,6 +551,10 @@ pub fn dispatch(ctx: &mut PeCtx, env: Envelope) {
 }
 
 /// Invoke a broadcast entry on each element living on this PE.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the indices are sorted before any is invoked"
+)]
 fn bcast_local(ctx: &mut PeCtx, aid: ArrayId, eid: EntryId, user: Bytes) {
     // The PE tree spans PEs that own nothing: those stay cold.
     let Some(cold) = ctx.cold.as_deref() else {
@@ -582,6 +594,10 @@ fn invoke_entry(ctx: &mut PeCtx, aid: ArrayId, eid: EntryId, idx: u64, user: Byt
 pub use crate::msg::wire as payload_wire;
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "handlers hand results back through shared cells"
+)]
 mod tests {
     use super::*;
     use crate::cluster::{Cluster, ClusterCfg};

@@ -542,6 +542,10 @@ pub(crate) fn layer_event(layer: &mut dyn MachineLayer, ctx: &mut MachineCtx, ev
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "handlers hand results back through shared cells"
+)]
 mod tests {
     use super::*;
 

@@ -5,6 +5,11 @@
 //! of the event kernel (kernel.rs); this file only decides *when* an event
 //! may run and where its effects are buffered, keyed and replayed.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the halt time and partition frontiers are the engine's cross-thread state"
+)]
+
 use crate::cluster::{Cluster, RunReport};
 use crate::config::add_sync_overhead_ns;
 use crate::ctx::{MachineCtx, McBack};

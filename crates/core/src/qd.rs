@@ -57,7 +57,6 @@ const QD_COORDINATOR: PeId = 0;
 /// `client_pe` when quiescence is detected. Must be called before `run`.
 pub fn register(cluster: &mut Cluster, client: HandlerId, client_pe: PeId, period: Time) -> Qd {
     // Handler: coordinator asks every PE for its counters.
-    // thread-ok: write-once handler-id cell, set before the run starts.
     let report_cell = std::sync::Arc::new(std::sync::OnceLock::new());
     let rc = report_cell.clone();
     let collect = cluster.register_handler(move |ctx, _env| {

@@ -39,7 +39,6 @@ impl Ssse {
         // Self-referential handler: the task function gets the Ssse handle
         // so it can spawn children. HandlerId is assigned before the
         // closure can run, so materialize it in a cell.
-        // thread-ok: write-once handler-id cell, set before the run starts.
         let cell = std::sync::Arc::new(std::sync::OnceLock::new());
         let cell2 = cell.clone();
         let h = cluster.register_handler(move |ctx, env| {

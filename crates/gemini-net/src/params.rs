@@ -284,8 +284,10 @@ impl GeminiParams {
     /// NIC traversal plus injection, and routed paths add per-hop wire
     /// time) can touch a remote node sooner than this after it is issued.
     ///
-    /// This is the raw floor; the parallel driver uses
-    /// [`conservative_lookahead`](Self::conservative_lookahead).
+    /// Both machine layers hand it to the parallel driver as their
+    /// lookahead. A link-down window does not lower it: a transaction
+    /// whose dimension-ordered route crosses a down link fails, and one
+    /// that goes through crosses the same hops as without the outage.
     pub fn min_remote_latency(&self) -> Time {
         self.injection_latency
             .min(self.ejection_latency)
@@ -293,22 +295,6 @@ impl GeminiParams {
             .min(self.smsg_nic_latency)
             .min(self.fma_nic_latency)
             .max(1)
-    }
-
-    /// Conservative-PDES lookahead derived from the link parameters.
-    ///
-    /// While a fault plan has link-down windows, recovery events fire on
-    /// their own schedule, so the bound is halved as a safety margin
-    /// (correctness never depends on the margin — the driver asserts the
-    /// bound in debug builds — but a tight bound under recovery churn buys
-    /// nothing).
-    pub fn conservative_lookahead(&self) -> Time {
-        let base = self.min_remote_latency();
-        if self.fault.link_down.is_empty() {
-            base
-        } else {
-            (base / 2).max(1)
-        }
     }
 }
 
@@ -335,24 +321,6 @@ mod tests {
         // hop (105) is the smallest of {injection 120, ejection 120,
         // hop 105, smsg_nic 500, fma_nic 450}.
         assert_eq!(p.min_remote_latency(), 105);
-        assert_eq!(p.conservative_lookahead(), 105);
-    }
-
-    #[test]
-    fn lookahead_degrades_while_a_link_down_window_is_armed() {
-        let mut p = GeminiParams::hopper();
-        p.fault.link_down.push(crate::fault::LinkDownWindow {
-            node: 0,
-            dim: 0,
-            plus: true,
-            from_ns: 1_000,
-            until_ns: 2_000,
-        });
-        // Reroutes can shave the usual floor; the bound halves but never
-        // reaches zero.
-        assert_eq!(p.conservative_lookahead(), 52);
-        p.hop_latency = 1;
-        assert_eq!(p.conservative_lookahead(), 1);
     }
 
     #[test]

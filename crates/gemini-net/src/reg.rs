@@ -93,7 +93,7 @@ impl RegTable {
 pub struct RegCache {
     /// Keyed `(addr, len)`. A `BTreeMap` (not `HashMap`): `invalidate`
     /// iterates the keys, and iteration order must be deterministic for
-    /// bit-for-bit replay (enforced workspace-wide by `lint-pass`).
+    /// bit-for-bit replay (enforced workspace-wide by `clippy.toml`).
     entries: BTreeMap<(Addr, u64), MemHandle>,
     lru: Vec<(Addr, u64)>,
     capacity: usize,

@@ -92,7 +92,7 @@ impl MachineLayer for MpiLayer {
 
     fn lookahead(&self) -> Time {
         // MPI rides the same Gemini wires: the uGNI latency floor holds.
-        self.cfg.params.conservative_lookahead()
+        self.cfg.params.min_remote_latency()
     }
 
     fn init(&mut self, ctx: &mut MachineCtx) {

@@ -1080,7 +1080,7 @@ impl MachineLayer for UgniLayer {
     }
 
     fn lookahead(&self) -> Time {
-        self.cfg.params.conservative_lookahead()
+        self.cfg.params.min_remote_latency()
     }
 
     fn init(&mut self, ctx: &mut MachineCtx) {
@@ -1287,6 +1287,11 @@ impl MachineLayer for UgniLayer {
         }
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::iter_over_hash_type,
+        reason = "each entry is reset or removed on its own; no order reaches the run"
+    )]
     fn node_fault(&mut self, ctx: &mut MachineCtx, node: gemini_net::NodeId) {
         // The node's NIC died with its memory. Armed polls point at
         // progress events the runtime will drop for the dead PEs; left
@@ -1304,8 +1309,7 @@ impl MachineLayer for UgniLayer {
         // The connections' endpoints and sequence numbers stay: exactly-once
         // delivery needs them. Peers' transactions TOWARD the node stay: the
         // fabric surfaces NodeDown errors and their retry machinery reacts.
-        let entries = self.conns.iter_mut(); // hash-ok: entries are reset independently
-        for ((src, _), conn) in entries {
+        for ((src, _), conn) in &mut self.conns {
             if src / cores == node {
                 conn.backlog = Backlog::default();
             }
@@ -1326,10 +1330,14 @@ impl MachineLayer for UgniLayer {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the checks read the window as a set"
+)]
 mod tests {
     use super::SeqSeen;
     use proptest::prelude::*;
-    use std::collections::HashSet;
+    use sim_core::DetHashSet;
 
     proptest! {
         /// Any arrival order, gaps and duplicates included, gets the
@@ -1340,7 +1348,7 @@ mod tests {
         fn seq_seen_decides_like_the_set_of_everything_delivered(
             arrivals in proptest::collection::vec(0u64..48, 0..200),
         ) {
-            let (mut seen, mut model) = (SeqSeen::default(), HashSet::new());
+            let (mut seen, mut model) = (SeqSeen::default(), DetHashSet::default());
             for seq in arrivals {
                 prop_assert_eq!(seen.insert(seq), model.insert(seq), "seq {}", seq);
                 prop_assert!(!model.contains(&seen.next));
@@ -1363,7 +1371,7 @@ mod tests {
                 .map(|(i, &(jitter, dup))| (i as u64 + jitter, i as u64, dup))
                 .collect();
             order.sort_unstable();
-            let (mut seen, mut model) = (SeqSeen::default(), HashSet::new());
+            let (mut seen, mut model) = (SeqSeen::default(), DetHashSet::default());
             for &(_, seq, dup) in &order {
                 prop_assert_eq!(seen.insert(seq), model.insert(seq));
                 if dup {

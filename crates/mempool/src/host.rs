@@ -11,7 +11,7 @@
 //!
 //! Pooling host objects has zero effect on simulated time: virtual-time
 //! costs are charged by the cost model, never by wall-clock measurement
-//! (the `no-std-time` lint keeps it that way), so recycling is invisible
+//! (`clippy.toml` keeps it that way), so recycling is invisible
 //! to every pinned result.
 
 /// Objects that can be scrubbed back to a reusable (empty) state while

@@ -462,10 +462,10 @@ mod proptests {
             let mut live: Vec<Block> = Vec::new();
             // Per-class live peak: a class only expands when every block it
             // ever carved is live, so expansions_c <= peak_live_c.
-            let mut live_per_class: std::collections::HashMap<u64, u64> =
-                std::collections::HashMap::new();
-            let mut peak_per_class: std::collections::HashMap<u64, u64> =
-                std::collections::HashMap::new();
+            let mut live_per_class: std::collections::BTreeMap<u64, u64> =
+                std::collections::BTreeMap::new();
+            let mut peak_per_class: std::collections::BTreeMap<u64, u64> =
+                std::collections::BTreeMap::new();
             for (shift, pick, do_free) in ops {
                 if do_free && !live.is_empty() {
                     let b = live.swap_remove((pick % live.len() as u64) as usize);

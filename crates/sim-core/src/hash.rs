@@ -10,11 +10,11 @@
 //! * **No key comes from outside the process.** Keys are ids the runtime
 //!   allocates; message *payloads* are never hashed. Nobody can aim a
 //!   collision attack at a table whose keys they cannot choose.
-//! * **Order is unobservable.** `lint-pass`'s `hashmap-iter` rule forbids
-//!   iterating these maps in every simulation crate, so neither the
-//!   function nor the absence of a seed can reach a virtual timestamp; a
-//!   fixed function additionally makes the host-side behaviour (probe
-//!   lengths, resizes) repeat run to run.
+//! * **Order is unobservable.** The workspace's `clippy.toml` forbids
+//!   iterating these maps, so neither the function nor the absence of a
+//!   seed can reach a virtual timestamp; a fixed function additionally
+//!   makes the host-side behaviour (probe lengths, resizes) repeat run to
+//!   run.
 //!
 //! The function: each written word is xor'ed into the state and multiplied
 //! by a fixed odd constant *as a 128-bit product*, and the product's high
@@ -31,8 +31,13 @@
 //! the function itself against fixed vectors.
 //!
 //! Use through [`DetHashMap`] / [`DetHashSet`] (construct with
-//! `::default()`); `lint-pass`'s `default-hasher` rule rejects a plain
-//! `std::collections::HashMap` in the simulation crates.
+//! `::default()`); the workspace's `clippy.toml` rejects a plain
+//! `std::collections::HashMap` everywhere else.
+
+#![allow(
+    clippy::disallowed_types,
+    reason = "this file defines the Det* aliases over the std containers"
+)]
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -1,10 +1,10 @@
 //! Conservative parallel discrete-event execution primitives.
 //!
 //! This module and [`crate::sync`] are the only places in the simulation
-//! crates where OS threads and locks are allowed (enforced by the
-//! `thread-outside-parallel` lint rule). It provides the pieces a driver
-//! needs to run partitioned simulations with bounded time windows while
-//! reproducing the sequential engine's `(time, push-sequence)` event
+//! crates where OS threads and locks are allowed (the workspace's
+//! `clippy.toml` rejects them everywhere else). It provides the pieces a
+//! driver needs to run partitioned simulations with bounded time windows
+//! while reproducing the sequential engine's `(time, push-sequence)` event
 //! order bit for bit:
 //!
 //! * [`EvKey`] — a plain `(time, ord)` pair, `Copy` and heap-free. The
@@ -29,6 +29,12 @@
 //!   access) with a parallel phase (one worker per partition group) on
 //!   the persistent [`crate::sync::WorkerPool`], and reports the
 //!   barrier-wait nanoseconds the run spent synchronizing.
+
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the parallel driver is the sanctioned home of threads and locks"
+)]
 
 use crate::time::Time;
 use std::cmp::Reverse;

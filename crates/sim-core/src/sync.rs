@@ -28,9 +28,16 @@
 //! the determinism argument lives entirely in the driver's window
 //! protocol.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the barrier and pool are the sanctioned home of threads, atomics, spinning and \
+              the wall-clock sync meter, which never feeds virtual time"
+)]
+
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant; // time-ok: wall-clock sync meter, never feeds virtual time
+use std::time::Instant;
 
 /// Spin iterations before a waiter parks, when the host has a spare
 /// hardware thread for it. Small on purpose: the windows being waited on
@@ -114,7 +121,7 @@ impl AdaptiveBarrier {
             }
             return;
         }
-        let start = Instant::now(); // time-ok: sync_overhead_ns meter
+        let start = Instant::now();
         let mut spins = self.spin;
         loop {
             if self.gen.load(Ordering::Acquire) > round {
@@ -136,7 +143,7 @@ impl AdaptiveBarrier {
             self.sleepers.fetch_sub(1, Ordering::SeqCst);
             break;
         }
-        let waited = start.elapsed().as_nanos() as u64; // time-ok: sync_overhead_ns meter
+        let waited = start.elapsed().as_nanos() as u64;
         self.wait_ns.fetch_add(waited, Ordering::Relaxed);
     }
 

@@ -41,21 +41,25 @@ fn count(bytes: usize) {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
-        System.alloc(layout)
+        // SAFETY: the caller's contract for `alloc`, passed on unchanged.
+        unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
-        System.alloc_zeroed(layout)
+        // SAFETY: the caller's contract for `alloc_zeroed`, passed on unchanged.
+        unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
-        System.realloc(ptr, layout, new_size)
+        // SAFETY: `ptr` came from this allocator, which is `System`'s.
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        // SAFETY: `ptr` came from this allocator, which is `System`'s.
+        unsafe { System.dealloc(ptr, layout) }
     }
 }
 

@@ -1,10 +1,10 @@
 //! Double-run bit-identity at the `Cluster` level, fault-free.
 //!
 //! The chaos suite already proves replay under an active fault plan; this
-//! file is the determinism backstop for the *normal* paths the lint pass
-//! guards — in particular the registration-cache invalidation walk in
-//! `gemini-net::reg`, which iterates its key set (a `BTreeMap`, enforced
-//! by `lint-pass`: a `HashMap` there would reshuffle deregistration order
+//! file is the determinism backstop for the *normal* paths the clippy
+//! config guards — in particular the registration-cache invalidation walk
+//! in `gemini-net::reg`, which iterates its key set (a `BTreeMap`, enforced
+//! by `clippy.toml`: a `HashMap` there would reshuffle deregistration order
 //! between runs and shift every downstream virtual timestamp). The quick
 //! virtual-time pins are checked here on the parallel engine.
 

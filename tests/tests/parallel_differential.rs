@@ -9,7 +9,7 @@
 //! protocol regime: SMSG eager, FMA/BTE rendezvous, persistent channels
 //! (whose remote-side setup charge exercises the driver's global-halt
 //! path), collective fan-out, and an active fault plan with a mid-run
-//! link-down window (which degrades the lookahead and reroutes traffic).
+//! link-down window (which fails the transactions routed across it).
 
 mod common;
 
@@ -109,9 +109,8 @@ fn kneighbor_ring() {
 
 #[test]
 fn one_to_all_under_active_fault_plan() {
-    // The link-down window halves the derived lookahead and fails the
-    // transactions routed across it mid-run; recovery timestamps must
-    // still replay.
+    // The link-down window fails the transactions routed across it
+    // mid-run; recovery timestamps must still replay.
     for layer in [
         LayerKind::ugni().with_fault(plan()),
         LayerKind::mpi().with_fault(plan()),

@@ -140,7 +140,7 @@ proptest! {
     }
 
     /// Same property under an active fault plan: drops force retries and
-    /// a link-down window degrades the derived lookahead mid-run.
+    /// a link-down window fails the transactions routed across it mid-run.
     #[test]
     fn lookahead_bound_holds_under_fault_plans(
         dx in 2u32..4, dy in 1u32..3,

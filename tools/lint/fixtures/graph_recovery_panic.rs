@@ -1,6 +1,6 @@
 // Fixture: violates the recovery-panic-freedom graph rule — the panic
-// sits two calls below the recovery root, where the lexical
-// unwrap-in-recovery rule cannot see it. Never compiled.
+// sits two calls below the recovery root, outside the root's own body.
+// Never compiled.
 pub struct Conn {
     seq: Option<u64>,
 }

@@ -1,4 +1,4 @@
-// Fixture: violates the unwrap-in-recovery rule.
+// Fixture: recovery-panic-freedom in the recovery root's own body.
 pub struct Conn {
     pending: Option<u64>,
 }

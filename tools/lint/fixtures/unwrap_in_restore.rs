@@ -1,4 +1,4 @@
-// Fixture: the unwrap-in-recovery rule also covers the fault-tolerance
+// Fixture: recovery-panic-freedom also roots at the fault-tolerance
 // restore/checkpoint paths (a shaken invariant mid-recovery must surface
 // as a finding, not abort the run).
 pub struct Wave {

@@ -916,7 +916,7 @@ fn check_worker_purity(g: &Graph, out: &mut Vec<Finding>) {
         // Thread primitives and statics, line by line. The parallel
         // driver file is the sanctioned implementation of the pool and
         // barrier — its internals are exempt from the primitive check
-        // (the lexical rule already confines these constructs to it).
+        // (clippy.toml already confines these constructs to it).
         for (off, line) in file.clean[f.start..=f.end.min(file.clean.len() - 1)]
             .iter()
             .enumerate()

@@ -1,4 +1,8 @@
-//! Project-invariant lints the compiler can't express (DESIGN.md §8, §12).
+//! Project-invariant lints neither the compiler nor clippy can express
+//! (DESIGN.md §8, §12). What clippy can check from resolved types — hash
+//! iteration, `std`'s default hasher, wall-clock reads, threads and locks
+//! outside the parallel driver, undocumented `unsafe` — is the workspace's
+//! `clippy.toml` and `[workspace.lints]`; this pass holds the rest.
 //!
 //! Run as `cargo run -p lint-pass`. Exit status is nonzero when any rule
 //! fires, so CI can gate on it. The pass is a hand-rolled analysis (the
@@ -17,33 +21,6 @@
 //!
 //! Lexical rules:
 //!
-//! * **hashmap-iter** — no `HashMap`/`HashSet` iteration in the
-//!   simulation crates (`sim-core`, `gemini-net`, `ugni`, `lrts-ugni`,
-//!   `lrts-mpi`, `mpi-sim`) nor in the self-hosted tool crates
-//!   (`ugni-verify`, `lint`). Hash iteration order is arbitrary; one
-//!   nondeterministically ordered event loop breaks the bit-for-bit
-//!   replay guarantee every figure rests on, and a hash-ordered lint
-//!   report breaks CI artifact diffing. Use `BTreeMap` or a
-//!   `Vec`-indexed table when order can leak into behavior. The rule sees
-//!   through the `DetHashMap`/`DetHashSet` aliases of `sim_core::hash`: a
-//!   fixed hasher makes the order repeat, not mean anything.
-//!   Escape: `// hash-ok: <why>`.
-//! * **default-hasher** — no `std::collections::HashMap`/`HashSet` by
-//!   those names in the simulation crates, `mempool` or `core`: every
-//!   look-up table is a `sim_core::DetHashMap`/`DetHashSet`, so the next
-//!   map cannot quietly bring SipHash and a per-process seed back onto the
-//!   per-message path. `sim-core/src/hash.rs`, which defines the aliases,
-//!   is the one file that names the `std` types. No escape.
-//! * **unwrap-in-recovery** — no `.unwrap()` / `.expect(` inside
-//!   fault-recovery functions (name has a `_`-segment equal to `retry`,
-//!   `resync`, `repost`, `recover`, `recovery`, `fallback`, `reap`,
-//!   `restore` or `checkpoint`). Recovery code runs precisely when
-//!   invariants are shaken; it must degrade, not abort. The graph pass
-//!   upgrades this rule to full reachability (`recovery-panic-freedom`).
-//!   Escape: `// panic-ok: <why>`.
-//! * **std-time** — no `std::time` / `Instant` / `SystemTime` in
-//!   simulation crates. Virtual time is the only clock; a wall-clock
-//!   read is nondeterminism by definition. Escape: `// time-ok: <why>`.
 //! * **charge-category** — every `fn charge_<x>` definition in
 //!   `crates/core` must record the matching `Kind::<X>` trace category,
 //!   so cost accounting and the trace stay in sync.
@@ -58,18 +35,6 @@
 //!   AM aggregation engine's batch hot path, whose buffer recycling a
 //!   copy would silently defeat. Deliberate copies carry a
 //!   `// copy-ok: <why>` comment on the same line.
-//! * **thread-outside-parallel** — no `std::thread` / `std::sync`
-//!   concurrency (spawns, locks, atomics, channels) in the simulation
-//!   crates outside `sim-core/src/parallel.rs`. All parallelism flows
-//!   through the conservative windowed driver, whose determinism proof
-//!   depends on it being the *only* source of cross-thread interleaving.
-//!   Patterns match on identifier boundaries, so `SpinBarrier` or a
-//!   `BarrierStats` type never fires via `Barrier`. Deliberate uses
-//!   carry a `// thread-ok: <why>` comment on the line.
-//! * **unsafe-without-safety** — every `unsafe` block, fn or impl in the
-//!   linted crates states the invariant that makes it sound in a
-//!   `// SAFETY:` comment, on its own line or in the comment block
-//!   directly above it. No escape: the comment is the escape.
 //! * **hand-rolled-paged-table** — no `Option<Box<[` page table in any
 //!   scanned crate outside `sim-core/src/lazy.rs`. Paged first-touch
 //!   storage is one mechanism, `sim_core::LazyVec`, built from a per-index
@@ -95,12 +60,6 @@ pub const SIM_CRATES: &[&str] = &[
     "lrts-mpi",
     "mpi-sim",
 ];
-
-/// Crates the pass self-hosts over: the lint tool itself and the uGNI
-/// contract verifier. Both must themselves be deterministic (the verifier
-/// runs inside simulated jobs; the linter's finding order feeds a CI
-/// artifact), so the order-sensitive lexical rules apply to them too.
-pub const SELF_HOST_CRATES: &[&str] = &["ugni-verify", "lint"];
 
 /// Function-name fragments that mark fault-recovery code paths. Matched
 /// against `_`-separated name segments (`repost_after_error` matches
@@ -149,32 +108,12 @@ const COPY_PATTERNS: &[&str] = &[
 /// Marker comment that exempts one line from `hot-path-copy`.
 pub const COPY_OK_MARKER: &str = "copy-ok:";
 
-/// Marker comment that exempts one line from `hashmap-iter`.
-pub const HASH_OK_MARKER: &str = "hash-ok:";
-
-/// Type names `hashmap-iter` treats as hash-ordered containers: the `std`
-/// ones and their fixed-hasher aliases.
-const HASH_TYPES: &[&str] = &["HashMap", "HashSet", "DetHashMap", "DetHashSet"];
-
-/// The `std` names `default-hasher` rejects.
-const DEFAULT_HASHER_TYPES: &[&str] = &["HashMap", "HashSet"];
-
-/// Crates `default-hasher` covers beyond [`SIM_CRATES`]: they hold
-/// per-message look-up tables too (neither needed an exception).
-const DEFAULT_HASHER_EXTRA_CRATES: &[&str] = &["mempool", "core"];
-
-/// The file that defines `DetHashMap`/`DetHashSet` over the `std` types.
-const DET_HASH_FILE: &str = "sim-core/src/hash.rs";
-
-/// Marker comment that exempts one line from `std-time`.
-pub const TIME_OK_MARKER: &str = "time-ok:";
-
-/// Marker comment that exempts one line from `unwrap-in-recovery` and the
-/// graph pass's `recovery-panic-freedom`.
+/// Marker comment that exempts one line from the graph pass's
+/// `recovery-panic-freedom`.
 pub const PANIC_OK_MARKER: &str = "panic-ok:";
 
-/// Threading/synchronization constructs banned in simulation crates
-/// outside the parallel driver (see `thread-outside-parallel`). The
+/// Threading/synchronization constructs `worker-purity` rejects in
+/// worker-reachable code outside the parallel driver. The
 /// `bool` is `true` when the pattern is a complete identifier that must
 /// match on both boundaries (`Barrier` must not fire inside
 /// `SpinBarrier` or `BarrierStats`); prefix patterns (`Atomic` covering
@@ -200,28 +139,10 @@ pub(crate) const THREAD_PATTERNS: &[(&str, bool)] = &[
 /// `hand-rolled-paged-table`).
 const LAZY_FILE: &str = "sim-core/src/lazy.rs";
 
-/// The comment every `unsafe` must carry (see `unsafe-without-safety`).
-pub const SAFETY_MARKER: &str = "SAFETY:";
-
-/// Does the `unsafe` on raw line `idx` carry a [`SAFETY_MARKER`] comment,
-/// on that line or in the run of comment lines directly above it?
-fn has_safety_comment(raw_lines: &[&str], idx: usize) -> bool {
-    if escaped(raw_lines, idx, SAFETY_MARKER) {
-        return true;
-    }
-    raw_lines[..idx]
-        .iter()
-        .rev()
-        .take_while(|l| l.trim_start().starts_with("//"))
-        .any(|l| l.contains(SAFETY_MARKER))
-}
-
-/// Marker comment that exempts one line from `thread-outside-parallel`.
-pub const THREAD_OK_MARKER: &str = "thread-ok:";
-
 /// The files where threads, locks, atomics, and spin loops are
 /// legitimate: the conservative parallel driver and its sync layer (the
-/// adaptive barrier + persistent worker pool).
+/// adaptive barrier + persistent worker pool). `worker-purity` does not
+/// look for thread primitives inside them.
 pub const PARALLEL_DRIVER_FILES: &[&str] = &["sim-core/src/parallel.rs", "sim-core/src/sync.rs"];
 
 /// Whether `path` is one of the sanctioned concurrency files
@@ -425,21 +346,6 @@ pub(crate) fn is_ident_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// Extract the identifier ending right before byte offset `end` (exclusive).
-fn ident_ending_at(line: &str, end: usize) -> Option<&str> {
-    let head = &line[..end];
-    let start = head
-        .rfind(|c: char| !is_ident_char(c))
-        .map(|p| p + 1)
-        .unwrap_or(0);
-    let id = &head[start..];
-    if id.is_empty() || id.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        None
-    } else {
-        Some(id)
-    }
-}
-
 /// Does snake_case `name` contain `kw` as a complete `_`-separated
 /// segment? Substrings never match (`sender` vs `send`, `resend` vs
 /// `send`), and a keyword segment directly followed by a counter noun
@@ -454,149 +360,15 @@ pub fn name_has_keyword(name: &str, kw: &str) -> bool {
     })
 }
 
-/// Byte offsets at which `pat` occurs in `line` starting at an identifier
-/// boundary (and, for whole-word patterns, ending at one: `HashMap` does
-/// not occur in `DetHashMap`).
-fn boundary_matches<'a>(
-    line: &'a str,
-    pat: &'a str,
-    whole_word: bool,
-) -> impl Iterator<Item = usize> + 'a {
-    line.match_indices(pat)
-        .map(|(at, _)| at)
-        .filter(move |&at| {
-            let left_ok = !line[..at].chars().next_back().is_some_and(is_ident_char);
-            let right = line[at + pat.len()..].chars().next();
-            left_ok && (!whole_word || !right.is_some_and(is_ident_char))
-        })
-}
-
 /// Does `line` contain `pat` starting at an identifier boundary (and, for
-/// whole-word patterns, ending at one)?
+/// whole-word patterns, ending at one: `Mutex` does not occur in
+/// `MutexStats`)?
 pub(crate) fn boundary_match(line: &str, pat: &str, whole_word: bool) -> bool {
-    boundary_matches(line, pat, whole_word).next().is_some()
-}
-
-/// Names in this file bound to a hash container — `HashMap`/`HashSet` or
-/// the `DetHashMap`/`DetHashSet` aliases — as fields, lets or params:
-/// `name: DetHashMap<..>` and `let name = DetHashMap::default()` (or
-/// `::new()`, `::with_capacity(..)`: anything after the type name) forms.
-fn hash_bound_names(lines: &[&str]) -> Vec<String> {
-    let mut names = Vec::new();
-    for line in lines {
-        for ty in HASH_TYPES {
-            for at in boundary_matches(line, ty, true) {
-                let head = &line[..at];
-                // `name: HashMap<` — the *binding* colon is single; the
-                // `::` of a path prefix (`std::collections::HashMap`) is
-                // not. Scan right-to-left for the rightmost single colon.
-                let bind_colon = head
-                    .char_indices()
-                    .rev()
-                    .filter(|&(_, c)| c == ':')
-                    .find(|&(i, _)| !head[..i].ends_with(':') && !head[i + 1..].starts_with(':'))
-                    .map(|(i, _)| i);
-                if let Some(colon) = bind_colon {
-                    let lhs = head[..colon].trim_end();
-                    if let Some(id) = ident_ending_at(line, lhs.len()) {
-                        names.push(id.to_string());
-                    }
-                }
-                // `let [mut] name = HashMap::new()` / `::default()` / ...
-                if let Some(eq) = head.rfind('=') {
-                    let lhs = head[..eq].trim_end();
-                    if let Some(id) = ident_ending_at(line, lhs.len()) {
-                        names.push(id.to_string());
-                    }
-                }
-            }
-        }
-    }
-    names.sort();
-    names.dedup();
-    names
-}
-
-const ITER_METHODS: &[&str] = &[
-    ".iter()",
-    ".iter_mut()",
-    ".keys()",
-    ".values()",
-    ".values_mut()",
-    ".drain(",
-    ".into_iter()",
-    ".into_keys()",
-    ".into_values()",
-];
-
-/// Does line `idx` of `lines` iterate over hash-bound `name`?
-fn iterates(lines: &[&str], idx: usize, name: &str) -> bool {
-    let line = lines[idx];
-    // `name.iter()` and friends, with an identifier boundary before.
-    let mut from = 0;
-    while let Some(pos) = line[from..].find(name) {
-        let at = from + pos;
-        from = at + name.len();
-        let pre_ok = at == 0 || !is_ident_char(line[..at].chars().next_back().unwrap());
-        if !pre_ok {
-            continue;
-        }
-        let rest = &line[at + name.len()..];
-        if ITER_METHODS.iter().any(|m| rest.starts_with(m)) {
-            return true;
-        }
-    }
-    // `for x in [&[mut]] [self.]name {`
-    if let Some(fpos) = line.find("for ") {
-        if let Some(inpos) = line[fpos..].find(" in ") {
-            let mut tail = line[fpos + inpos + 4..].trim_start();
-            for p in ["&mut ", "&"] {
-                tail = tail.strip_prefix(p).unwrap_or(tail);
-            }
-            let field = tail.starts_with("self.");
-            tail = tail.strip_prefix("self.").unwrap_or(tail);
-            if let Some(rest) = tail.strip_prefix(name) {
-                let boundary = rest
-                    .chars()
-                    .next()
-                    .is_none_or(|c| !is_ident_char(c) && c != '.');
-                // A bare name is a local: it is hash-ordered only if its
-                // nearest `let` in this fn binds a hash type (or there is
-                // none, so it is a parameter). A local bound to anything
-                // else — say `self.conns.iter_mut()`, which its own line
-                // is checked for — merely shares a hash field's name.
-                if boundary && (field || local_binding(lines, idx, name).is_none_or(binds_hash)) {
-                    return true;
-                }
-            }
-        }
-    }
-    false
-}
-
-/// The nearest line above `idx`, within the enclosing fn, that binds
-/// `name` with `let [mut] name`.
-fn local_binding<'a>(lines: &[&'a str], idx: usize, name: &str) -> Option<&'a str> {
-    for line in lines[..idx].iter().rev() {
-        let binds = line.find("let ").is_some_and(|at| {
-            let tail = line[at + 4..].trim_start();
-            let tail = tail.strip_prefix("mut ").unwrap_or(tail);
-            tail.strip_prefix(name)
-                .is_some_and(|rest| rest.chars().next().is_none_or(|c| !is_ident_char(c)))
-        });
-        if binds {
-            return Some(line);
-        }
-        if find_fn_kw(line).is_some() {
-            return None;
-        }
-    }
-    None
-}
-
-/// Does this line name a hash-ordered type?
-fn binds_hash(line: &str) -> bool {
-    HASH_TYPES.iter().any(|ty| boundary_match(line, ty, true))
+    line.match_indices(pat).any(|(at, _)| {
+        let left_ok = !line[..at].chars().next_back().is_some_and(is_ident_char);
+        let right = line[at + pat.len()..].chars().next();
+        left_ok && (!whole_word || !right.is_some_and(is_ident_char))
+    })
 }
 
 /// CamelCase a snake_case suffix: `overhead` → `Overhead`,
@@ -738,61 +510,6 @@ pub fn lint_source(crate_dir: &str, file: &str, src: &str) -> Vec<Finding> {
     let tests = test_ranges(&lines);
     let mut out = Vec::new();
     let sim = SIM_CRATES.contains(&crate_dir);
-    let self_host = SELF_HOST_CRATES.contains(&crate_dir);
-
-    if sim || self_host {
-        // hashmap-iter
-        let prod_lines: Vec<&str> = lines
-            .iter()
-            .enumerate()
-            .map(|(i, l)| if in_ranges(&tests, i) { "" } else { *l })
-            .collect();
-        let names = hash_bound_names(&prod_lines);
-        for idx in 0..lines.len() {
-            if in_ranges(&tests, idx) || escaped(&raw_lines, idx, HASH_OK_MARKER) {
-                continue;
-            }
-            for name in &names {
-                if iterates(&lines, idx, name) {
-                    out.push(Finding::new(
-                        "hashmap-iter",
-                        file,
-                        idx + 1,
-                        format!(
-                            "iteration over hash-ordered `{name}` — order is \
-                             nondeterministic; use BTreeMap/Vec indexing, or mark a \
-                             provably order-free use with `// hash-ok: <why>`"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-
-    // default-hasher
-    let in_alias_module = file.replace('\\', "/").ends_with(DET_HASH_FILE);
-    if (sim || DEFAULT_HASHER_EXTRA_CRATES.contains(&crate_dir)) && !in_alias_module {
-        for (idx, line) in lines.iter().enumerate() {
-            if in_ranges(&tests, idx) {
-                continue;
-            }
-            let Some(ty) = DEFAULT_HASHER_TYPES
-                .iter()
-                .find(|ty| boundary_match(line, ty, true))
-            else {
-                continue;
-            };
-            out.push(Finding::new(
-                "default-hasher",
-                file,
-                idx + 1,
-                format!(
-                    "`{ty}` with std's default hasher (SipHash, per-process seed) — use \
-                     `sim_core::Det{ty}` (construct with `::default()`)"
-                ),
-            ));
-        }
-    }
 
     // hot-path-copy: full verb list in the simulation crates; in
     // `crates/core` only the AM flush/drain functions, whose buffer
@@ -830,98 +547,6 @@ pub fn lint_source(crate_dir: &str, file: &str, src: &str) -> Vec<Finding> {
                 ));
             }
         }
-    }
-
-    if sim {
-        // thread-outside-parallel: the parallel driver and its sync layer
-        // are the sanctioned home for every one of these constructs.
-        if !is_parallel_driver_file(file) {
-            for (idx, line) in lines.iter().enumerate() {
-                if in_ranges(&tests, idx) || escaped(&raw_lines, idx, THREAD_OK_MARKER) {
-                    continue;
-                }
-                let Some((pat, _)) = THREAD_PATTERNS
-                    .iter()
-                    .find(|(p, whole)| boundary_match(line, p, *whole))
-                else {
-                    continue;
-                };
-                out.push(Finding::new(
-                    "thread-outside-parallel",
-                    file,
-                    idx + 1,
-                    format!(
-                        "`{pat}` in a simulation crate outside the parallel driver — \
-                         all concurrency lives in sim-core/src/parallel.rs and \
-                         sim-core/src/sync.rs; mark a deliberate exception with \
-                         `// thread-ok: <why>`"
-                    ),
-                ));
-            }
-        }
-        // std-time
-        for (idx, line) in lines.iter().enumerate() {
-            if in_ranges(&tests, idx) || escaped(&raw_lines, idx, TIME_OK_MARKER) {
-                continue;
-            }
-            for pat in ["std::time", "Instant::now", "SystemTime"] {
-                if line.contains(pat) {
-                    out.push(Finding::new(
-                        "std-time",
-                        file,
-                        idx + 1,
-                        format!("`{pat}` in a simulation crate — virtual time is the only clock"),
-                    ));
-                    break;
-                }
-            }
-        }
-    }
-
-    if sim || crate_dir == "core" {
-        // unwrap-in-recovery
-        for (name, a, b) in fn_spans(&lines) {
-            if in_ranges(&tests, a) {
-                continue;
-            }
-            if !RECOVERY_KEYWORDS.iter().any(|k| name_has_keyword(&name, k)) {
-                continue;
-            }
-            for (idx, line) in lines.iter().enumerate().take(b + 1).skip(a) {
-                if in_ranges(&tests, idx) || escaped(&raw_lines, idx, PANIC_OK_MARKER) {
-                    continue;
-                }
-                if line.contains(".unwrap()") || line.contains(".expect(") {
-                    out.push(Finding::new(
-                        "unwrap-in-recovery",
-                        file,
-                        idx + 1,
-                        format!(
-                            "unwrap/expect inside recovery path `{name}` — recovery \
-                             code must degrade, not abort (or `// panic-ok: <why>`)"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-
-    // unsafe-without-safety: every scanned crate.
-    for (idx, line) in lines.iter().enumerate() {
-        if in_ranges(&tests, idx)
-            || !boundary_match(line, "unsafe", true)
-            || has_safety_comment(&raw_lines, idx)
-        {
-            continue;
-        }
-        out.push(Finding::new(
-            "unsafe-without-safety",
-            file,
-            idx + 1,
-            "`unsafe` without a `// SAFETY:` comment on its line or directly above \
-             — state the invariant that makes it sound"
-                .to_string(),
-        ));
     }
 
     // hand-rolled-paged-table: every scanned crate.
@@ -1021,60 +646,20 @@ pub fn workspace_sources(root: &Path) -> Vec<(String, String, String)> {
     out
 }
 
-/// Lint every simulation crate (plus `core` and the self-hosted tool
-/// crates) under `root` with the lexical rules.
+/// Run the lexical pass and the call-graph pass over the workspace.
 pub fn lint_workspace(root: &Path) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for (dir, rel, text) in workspace_sources(root) {
-        out.extend(lint_source(&dir, &rel, &text));
-    }
-    out
-}
-
-/// Run the lexical pass AND the call-graph pass over the workspace.
-/// `recovery-panic-freedom` strictly subsumes `unwrap-in-recovery`
-/// (reachability vs the root fn's own body), so lexical findings that
-/// reappear under the graph rule are dropped in favor of the graph
-/// finding and its witness chain.
-pub fn lint_workspace_full(root: &Path) -> Vec<Finding> {
     let sources = workspace_sources(root);
     let mut out = Vec::new();
     for (dir, rel, text) in &sources {
         out.extend(lint_source(dir, rel, text));
     }
-    let graph_findings = graph::analyze(&sources);
-    let graph_lines: std::collections::BTreeSet<(String, usize)> = graph_findings
-        .iter()
-        .filter(|f| f.rule == "recovery-panic-freedom")
-        .map(|f| (f.file.clone(), f.line))
-        .collect();
-    out.retain(|f| {
-        f.rule != "unwrap-in-recovery" || !graph_lines.contains(&(f.file.clone(), f.line))
-    });
-    out.extend(graph_findings);
+    out.extend(graph::analyze(&sources));
     out
 }
 
 /// One-line descriptions of every rule, for `--list-rules`.
 pub fn rule_descriptions() -> Vec<(&'static str, &'static str)> {
     vec![
-        (
-            "hashmap-iter",
-            "no HashMap/HashSet iteration, Det* aliases included, in sim or self-hosted crates \
-             (escape: hash-ok:)",
-        ),
-        (
-            "default-hasher",
-            "no std HashMap/HashSet in sim crates, mempool or core: use sim_core::DetHashMap/Set",
-        ),
-        (
-            "unwrap-in-recovery",
-            "no unwrap/expect lexically inside recovery-named fns (escape: panic-ok:)",
-        ),
-        (
-            "std-time",
-            "no wall-clock reads in simulation crates (escape: time-ok:)",
-        ),
         (
             "charge-category",
             "fn charge_<x> in core must record Kind::<X>",
@@ -1083,15 +668,6 @@ pub fn rule_descriptions() -> Vec<(&'static str, &'static str)> {
             "hot-path-copy",
             "no payload copies in per-message fns (core: flush/drain fns only; \
              escape: copy-ok:)",
-        ),
-        (
-            "thread-outside-parallel",
-            "no threads/locks/atomics outside sim-core/src/parallel.rs (escape: thread-ok:)",
-        ),
-        (
-            "unsafe-without-safety",
-            "every unsafe block, fn or impl has a `// SAFETY:` comment on its line or directly \
-             above",
         ),
         (
             "hand-rolled-paged-table",

@@ -1,9 +1,7 @@
-//! `cargo run -p lint-pass [-- --graph] [--json <file>] [--list-rules]`:
-//! run the workspace lints and exit nonzero on any finding (CI gates on
-//! this).
+//! `cargo run -p lint-pass [-- --json <file>] [--list-rules]`: run the
+//! workspace lints, lexical and call-graph, and exit nonzero on any
+//! finding (CI gates on this).
 //!
-//! * `--graph`       also run the call-graph rules (worker-purity,
-//!   recovery-panic-freedom, charge-coverage) with witness call chains.
 //! * `--json <file>` write a machine-readable report (`-` for stdout).
 //! * `--list-rules`  print every rule with a one-line description.
 
@@ -11,12 +9,10 @@ use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut graph = false;
     let mut json: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--graph" => graph = true,
             "--json" => match args.next() {
                 Some(p) => json = Some(p),
                 None => {
@@ -32,7 +28,7 @@ fn main() -> ExitCode {
             }
             other => {
                 eprintln!("lint-pass: unknown argument `{other}`");
-                eprintln!("usage: lint-pass [--graph] [--json <file>] [--list-rules]");
+                eprintln!("usage: lint-pass [--json <file>] [--list-rules]");
                 return ExitCode::FAILURE;
             }
         }
@@ -43,11 +39,7 @@ fn main() -> ExitCode {
         .ancestors()
         .nth(2)
         .expect("workspace root");
-    let findings = if graph {
-        lint_pass::lint_workspace_full(root)
-    } else {
-        lint_pass::lint_workspace(root)
-    };
+    let findings = lint_pass::lint_workspace(root);
 
     if let Some(path) = &json {
         let report = lint_pass::report_json(&findings);
@@ -60,10 +52,7 @@ fn main() -> ExitCode {
     }
 
     if findings.is_empty() {
-        println!(
-            "lint-pass: workspace clean ({} pass)",
-            if graph { "lexical+graph" } else { "lexical" }
-        );
+        println!("lint-pass: workspace clean");
         return ExitCode::SUCCESS;
     }
     for f in &findings {

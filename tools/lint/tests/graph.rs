@@ -1,10 +1,10 @@
 //! Graph-pass tests: each reachability rule must fire on its seeded
 //! fixture with a witness chain, go quiet under the documented escape (or
 //! when the violation is mutated away), and the real workspace must scan
-//! clean under the full lexical+graph pass.
+//! clean under the whole pass, lexical and graph.
 
 use lint_pass::graph::{self, Graph};
-use lint_pass::{lint_workspace_full, report_json, Finding};
+use lint_pass::{lint_workspace, report_json, Finding};
 use std::path::Path;
 
 fn fixture(name: &str) -> String {
@@ -169,6 +169,31 @@ fn recovery_panic_fixture_fires() {
 }
 
 #[test]
+fn unwrap_in_recovery_fixture_fires() {
+    // A panic in the recovery root's own body: conn_retry's unwrap and
+    // repost_after_error's expect, but NOT the unwrap in fresh_send (not a
+    // recovery path).
+    let src = fixture("unwrap_in_recovery.rs");
+    let f = analyze_src("unwrap_in_recovery.rs", &src);
+    assert_eq!(rules(&f), ["recovery-panic-freedom"], "findings: {f:?}");
+    let lines: Vec<usize> = f.iter().map(|x| x.line).collect();
+    assert_eq!(lines, [9, 13], "findings: {f:?}");
+    assert!(!f.iter().any(|x| x.msg.contains("fresh_send")), "{f:?}");
+}
+
+#[test]
+fn unwrap_in_restore_fixture_fires() {
+    // The FT restore/checkpoint names are recovery roots too; the unwrap
+    // in fresh_wave stays out of scope.
+    let src = fixture("unwrap_in_restore.rs");
+    let f = analyze_src("unwrap_in_restore.rs", &src);
+    assert_eq!(rules(&f), ["recovery-panic-freedom"], "findings: {f:?}");
+    let lines: Vec<usize> = f.iter().map(|x| x.line).collect();
+    assert_eq!(lines, [10, 14], "findings: {f:?}");
+    assert!(!f.iter().any(|x| x.msg.contains("fresh_wave")), "{f:?}");
+}
+
+#[test]
 fn recovery_panic_escapes_and_mutations_go_quiet() {
     let src = fixture("graph_recovery_panic.rs");
 
@@ -282,10 +307,10 @@ fn workspace_is_clean_under_full_pass() {
         .ancestors()
         .nth(2)
         .unwrap();
-    let f = lint_workspace_full(root);
+    let f = lint_workspace(root);
     assert!(
         f.is_empty(),
-        "workspace lexical+graph findings:\n{}",
+        "workspace lint findings:\n{}",
         f.iter()
             .map(|x| x.to_string())
             .collect::<Vec<_>>()
