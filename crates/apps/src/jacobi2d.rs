@@ -398,7 +398,7 @@ pub fn run_on(c: &mut Cluster, cfg: &JacobiConfig) -> JacobiResult {
     entry_cell.set((recv_edge, go)).expect("set once");
 
     // Reduction client: iterate or stop. The reduction instant is a
-    // quiescent point for the array — every block has contributed and the
+    // consistent point for the array — every block has contributed and the
     // next iteration's `go` is still queued locally — so it is also where
     // the FT layer is offered a checkpoint (a no-op when FT is off).
     c.init_user(|_| Ctl {

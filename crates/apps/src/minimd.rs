@@ -48,14 +48,6 @@ impl System {
             System::Apoa1 => 92_224,
         }
     }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            System::Iapp => "IAPP",
-            System::Dhfr => "DHFR",
-            System::Apoa1 => "ApoA1",
-        }
-    }
 }
 
 #[derive(Debug, Clone)]

@@ -553,7 +553,7 @@ pub fn crash_sweep(e: &Effort) -> Figure {
 /// paper's choice: one control message, then the receiver GETs) or
 /// PUT-based (the sender needs a clear-to-send back first: one extra
 /// control message before the data can move).
-pub fn rendezvous(op: RdmaOp, bytes: u64) -> u64 {
+pub(crate) fn rendezvous(op: RdmaOp, bytes: u64) -> u64 {
     let mut g = Gni::new(params(), 2);
     let cq = g.cq_create();
     let data = Bytes::from(vec![0u8; bytes as usize]);

@@ -8,8 +8,8 @@
 //! where the crossovers fall.
 
 pub mod ablations;
-pub mod figures;
-pub mod tables;
+pub(crate) mod figures;
+pub(crate) mod tables;
 
 pub use ablations::*;
 pub use figures::*;
@@ -19,10 +19,10 @@ pub use tables::*;
 /// in release mode while still averaging over steady-state behaviour.
 #[derive(Debug, Clone)]
 pub struct Effort {
-    pub pingpong_iters: u64,
-    pub md_steps: u32,
+    pub(crate) pingpong_iters: u64,
+    pub(crate) md_steps: u32,
     /// Scale factor on the largest core counts (1 = paper scale).
-    pub full_scale: bool,
+    pub(crate) full_scale: bool,
 }
 
 impl Default for Effort {

@@ -9,11 +9,11 @@ use charm_apps::nqueens::{self, NqConfig, WorkMode};
 /// One row of Table I.
 #[derive(Debug, Clone)]
 pub struct Table1Row {
-    pub queens: u32,
-    pub cores_ugni: u32,
-    pub cores_mpi: u32,
-    pub time_ugni_s: f64,
-    pub time_mpi_s: f64,
+    pub(crate) queens: u32,
+    pub(crate) cores_ugni: u32,
+    pub(crate) cores_mpi: u32,
+    pub(crate) time_ugni_s: f64,
+    pub(crate) time_mpi_s: f64,
 }
 
 /// Table I: best core counts from the paper, times measured here.
@@ -78,9 +78,9 @@ pub fn render_table1(rows: &[Table1Row]) -> String {
 /// One row of Table II.
 #[derive(Debug, Clone)]
 pub struct Table2Row {
-    pub cores: u32,
-    pub ms_mpi: f64,
-    pub ms_ugni: f64,
+    pub(crate) cores: u32,
+    pub(crate) ms_mpi: f64,
+    pub(crate) ms_ugni: f64,
 }
 
 /// Table II: ApoA1 ms/step strong scaling.

@@ -15,11 +15,9 @@
 //!
 //! * it cannot take the next AM without exceeding
 //!   [`AmConfig::max_batch_bytes`] (the SMSG frame limit),
-//! * its per-destination flush timer expires — a normal scheduled event
-//!   at a fixed virtual delay, so flushing is deterministic and
-//!   bit-replayable at any thread count,
-//! * or quiescence detection polls the PE (`qd.rs` drains every buffer
-//!   before reading the ledger, so buffered AMs can never wedge QD).
+//! * or its per-destination flush timer expires — a normal scheduled
+//!   event at a fixed virtual delay, so flushing is deterministic and
+//!   bit-replayable at any thread count.
 //!
 //! Aggregation is opt-in per cluster ([`Cluster::am_config`]); with it off
 //! (the default), `am_send` is byte-for-byte the plain [`PeCtx::send`] of
@@ -286,7 +284,7 @@ impl Cluster {
 
     /// Register the shared batch/timer dispatch handler once, as a
     /// *system* handler: batches are transport framing, not application
-    /// traffic — the QD ledger and the membership-epoch gate account per
+    /// traffic — the stats and the membership-epoch gate account per
     /// constituent instead (in `am_send` and the batch walk).
     fn am_ensure_dispatch(&mut self) {
         if self.am.dispatch.is_some() {
@@ -365,9 +363,8 @@ impl PeCtx<'_> {
         }
 
         // Constituent-level accounting: the batch envelope is system
-        // traffic, so the QD ledger and stats count the AM itself here.
+        // traffic, so the stats count the AM itself here.
         self.charged_ovh += per_send;
-        self.qd_pe.sent += 1;
         self.stats.am_agg_sent += 1;
 
         if arm {
@@ -380,32 +377,6 @@ impl PeCtx<'_> {
             let me = self.pe();
             let tp = Bytes::copy_from_slice(&tp);
             self.send_after_prio(flush_delay, me, dispatch, tp, DEFAULT_PRIO);
-        }
-    }
-
-    /// Flush every non-empty coalescing buffer (deterministic destination
-    /// order). QD's collect handler calls this before reading the ledger;
-    /// apps may call it at phase boundaries.
-    pub fn am_flush_all(&mut self) {
-        // Read-only probe first: QD asks every PE, and one that never
-        // aggregated must not materialize its cold state to say "nothing".
-        let Some(cold) = self.cold.as_deref() else {
-            return;
-        };
-        let first = match cold.am.bufs.iter().find(|(_, b)| !b.data.is_empty()) {
-            Some((d, _)) => *d,
-            None => return,
-        };
-        let mut cur = Some(first);
-        while let Some(dst) = cur {
-            self.am_flush_dst(dst);
-            cur = self
-                .cold()
-                .am
-                .bufs
-                .range(dst + 1..)
-                .find(|(_, b)| !b.data.is_empty())
-                .map(|(d, _)| *d);
         }
     }
 
@@ -497,7 +468,6 @@ pub(crate) fn am_dispatch(ctx: &mut PeCtx, env: Envelope) {
                     ctx.stats.ft_stale_drops += 1;
                     continue;
                 }
-                ctx.qd_pe.delivered += 1;
                 ctx.charged_ovh += reg.cfg.per_am_dispatch_ns;
                 (reg.handlers[idx as usize])(ctx, env.src_pe, env.payload.slice(a..o));
             }

@@ -20,15 +20,15 @@ use std::sync::Arc;
 pub const CHARM_HANDLER: HandlerId = HandlerId(0);
 
 /// Fan-out of the PE spanning tree used for broadcast and reductions.
-pub const TREE_ARITY: u32 = 4;
+pub(crate) const TREE_ARITY: u32 = 4;
 
 /// A chare array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ArrayId(pub u16);
+pub struct ArrayId(pub(crate) u16);
 
 /// An entry method of some array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EntryId(pub u16);
+pub struct EntryId(pub(crate) u16);
 
 /// Reduction combiner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,7 +114,7 @@ impl RouteMap {
 
 /// Global (pre-run) Charm registrations.
 #[derive(Default)]
-pub struct CharmRegistry {
+pub(crate) struct CharmRegistry {
     arrays: Vec<ArrayDef>,
     entries: Vec<EntryDef>,
     /// Element routing indirection (see [`RouteMap`]).
@@ -142,7 +142,7 @@ impl CharmRegistry {
 
 /// Per-PE Charm runtime state.
 #[derive(Default)]
-pub struct CharmPe {
+pub(crate) struct CharmPe {
     /// Element states; `Option` so dispatch can take one out while the
     /// entry runs (an entry may send to a co-located element).
     elements: DetHashMap<(u16, u64), Option<Box<dyn Any + Send>>>,
@@ -163,7 +163,7 @@ struct RedState {
 
 impl CharmPe {
     /// Number of elements of `aid` on this PE.
-    pub fn local_elements(&self, aid: ArrayId) -> u64 {
+    pub(crate) fn local_elements(&self, aid: ArrayId) -> u64 {
         self.local_count.get(&aid.0).copied().unwrap_or(0)
     }
 
@@ -219,7 +219,7 @@ impl CharmPe {
 
     /// Merge a checkpointed wave counter back in. Max-merge: when a PE
     /// adopts a dead PE's elements their counters agree at the checkpoint's
-    /// quiescent point, and max keeps a later local value from regressing.
+    /// consistent point, and max keeps a later local value from regressing.
     pub(crate) fn merge_wave(&mut self, aid: u16, wave: u64) {
         let w = self.local_wave.entry(aid).or_insert(0);
         *w = (*w).max(wave);
@@ -233,7 +233,7 @@ impl CharmPe {
 }
 
 /// Round-robin element placement.
-pub fn home_pe(idx: u64, num_pes: u32) -> PeId {
+pub(crate) fn home_pe(idx: u64, num_pes: u32) -> PeId {
     (idx % num_pes as u64) as PeId
 }
 
@@ -495,7 +495,7 @@ fn red_accumulate(
 }
 
 /// The Converse handler behind [`CHARM_HANDLER`].
-pub fn dispatch(ctx: &mut PeCtx, env: Envelope) {
+pub(crate) fn dispatch(ctx: &mut PeCtx, env: Envelope) {
     let p = &env.payload;
     match p[0] {
         OP_ENTRY => {
@@ -591,7 +591,6 @@ fn invoke_entry(ctx: &mut PeCtx, aid: ArrayId, eid: EntryId, idx: u64, user: Byt
 }
 
 // `wire` is re-exported for payload packing in the doc examples.
-pub use crate::msg::wire as payload_wire;
 
 #[cfg(test)]
 #[allow(

@@ -12,11 +12,10 @@
 use crate::charm::CharmRegistry;
 use crate::ctx::McBack;
 use crate::ft::FtCore;
-use crate::kernel::{self, Delivered, ExecEnv, Gate, Globals, Handler, PeRun, SystemHandlers};
+use crate::kernel::{self, Delivered, ExecEnv, Gate, Handler, PeRun, SystemHandlers};
 use crate::lrts::MachineLayer;
 use crate::msg::{Envelope, HandlerId, PeId};
 use crate::pe_table::{self, PeTable};
-use crate::qd::QdState;
 use crate::trace::{Kind, Trace};
 use bytes::Bytes;
 use gemini_net::NodeId;
@@ -53,11 +52,10 @@ pub struct Cluster {
     pub(crate) trace: Trace,
     pub(crate) stats: ClusterStats,
     pub(crate) stopped: bool,
-    /// Handlers whose traffic is excluded from quiescence counting and
-    /// from the membership-epoch gate (QD's control messages and the FT
-    /// control plane — heartbeats and detector ticks are epoch-agnostic).
+    /// Handlers whose traffic is excluded from the membership-epoch gate
+    /// (the FT control plane — heartbeats and detector ticks are
+    /// epoch-agnostic — and the AM batch envelope).
     pub(crate) system_handlers: SystemHandlers,
-    pub(crate) qd: Option<QdState>,
     /// Per-node liveness under the fault plan's crash windows: a down
     /// node's events are discarded at dispatch (its cores are dead).
     pub(crate) node_down: Vec<bool>,
@@ -126,7 +124,6 @@ impl Cluster {
             stats: ClusterStats::default(),
             stopped: false,
             system_handlers: SystemHandlers::default(),
-            qd: None,
             node_down,
             crash_gate,
             ft: None,
@@ -183,21 +180,9 @@ impl Cluster {
             .expect("user state type mismatch")
     }
 
-    /// Install quiescence detection state (see [`crate::qd::register`]).
-    pub(crate) fn install_qd(&mut self, st: QdState, system: &[HandlerId]) {
-        self.qd = Some(st);
-        for h in system {
-            self.system_handlers.insert(*h);
-        }
-    }
-
     /// Seed the job with an initial message (like a mainchare entry).
     pub fn inject(&mut self, at: Time, dst: PeId, handler: HandlerId, payload: Bytes) {
         let env = Envelope::new(dst, dst, handler, payload);
-        // Balance the quiescence ledger: an injection is an external send.
-        if !self.system_handlers.contains(handler) {
-            self.pes.get_mut(dst as usize).qd.sent += 1;
-        }
         self.events.push(at, Event::Deliver(dst, env.encode()));
     }
 
@@ -249,24 +234,11 @@ impl Cluster {
         self.events.peak_len()
     }
 
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
-    pub fn node_of(&self, pe: PeId) -> NodeId {
-        pe / self.cfg.cores_per_node
-    }
-
     /// Run until the event queue drains, a handler calls [`PeCtx::stop`],
     /// or `max_events` is hit. With `cfg.threads > 1` this dispatches to
     /// [`Cluster::run_parallel`]; results are bit-identical either way.
     pub fn run(&mut self) -> RunReport {
         if self.ft.is_some() {
-            assert!(
-                self.qd.is_none(),
-                "fault tolerance and quiescence detection cannot be combined \
-                 (QD's global ledger has no rollback story)"
-            );
             self.ft_bootstrap();
         } else {
             assert!(
@@ -376,12 +348,16 @@ impl Cluster {
                 self.stats.ft_dead_drops += 1;
             }
             Event::PeRun(pe) => {
-                let glob = Globals {
-                    qd: &mut self.qd,
-                    ft: &mut self.ft,
-                };
                 let st = self.pes.get_mut(pe as usize);
-                match kernel::pe_run(&env, glob, st, t, pe, &mut self.outbox, &mut self.stats) {
+                match kernel::pe_run(
+                    &env,
+                    &mut self.ft,
+                    st,
+                    t,
+                    pe,
+                    &mut self.outbox,
+                    &mut self.stats,
+                ) {
                     PeRun::Busy { until } => self.events.push(until, Event::PeRun(pe)),
                     PeRun::Idle => {}
                     PeRun::Ran {
@@ -458,7 +434,7 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::ideal::IdealLayer;
-    use crate::msg::wire;
+    use crate::msg::{wire, DEFAULT_PRIO};
 
     fn cluster(pes: u32) -> Cluster {
         Cluster::new(ClusterCfg::new(pes, 4), Box::new(IdealLayer::new(1000)))
@@ -563,7 +539,7 @@ mod tests {
         let mut c = cluster(1);
         let h2 = c.register_handler(|ctx, _| ctx.stop());
         let h1 = c.register_handler(move |ctx, _| {
-            ctx.send_after(50_000, ctx.pe(), h2, Bytes::new());
+            ctx.send_after_prio(50_000, ctx.pe(), h2, Bytes::new(), DEFAULT_PRIO);
         });
         c.inject(0, 0, h1, Bytes::new());
         let r = c.run();
@@ -677,7 +653,13 @@ mod tests {
                     let dst3 = ctx.rng().below(16) as u32;
                     let prio = (n % 5) as u16 * 10_000;
                     ctx.send_prio(dst3, env.handler, wire::pack_u64s(&[n / 3]), prio);
-                    ctx.send_after(700 * n, 15 - dst3, env.handler, wire::pack_u64s(&[n / 4]));
+                    ctx.send_after_prio(
+                        700 * n,
+                        15 - dst3,
+                        env.handler,
+                        wire::pack_u64s(&[n / 4]),
+                        DEFAULT_PRIO,
+                    );
                 }
             }
         });

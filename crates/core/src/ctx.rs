@@ -5,12 +5,11 @@
 use crate::charm::CharmRegistry;
 use crate::config::ClusterCfg;
 use crate::ft::FtCore;
-use crate::kernel::{ClusterStats, Cmd, Event, PeCold, PeState, SystemHandlers};
+use crate::kernel::{ClusterStats, Cmd, Event, PeCold, PeState};
 use crate::lrts::PersistentHandle;
 use crate::msg::{Envelope, HandlerId, PeId, DEFAULT_PRIO};
 use crate::par::PartData;
 use crate::pe_table::PeTable;
-use crate::qd::{QdPe, QdState};
 use crate::trace::{Kind, Trace};
 use bytes::Bytes;
 use gemini_net::NodeId;
@@ -248,9 +247,6 @@ pub struct PeCtx<'a> {
     pub(crate) outbox: &'a mut Vec<(Time, Event)>,
     pub(crate) stop: &'a mut bool,
     pub(crate) stats: &'a mut ClusterStats,
-    pub(crate) qd_pe: &'a mut QdPe,
-    pub(crate) qd_global: &'a mut Option<QdState>,
-    pub(crate) system_handlers: &'a SystemHandlers,
     /// FT subsystem state (None when FT is off — FT forces the sequential
     /// engine, so parallel execution always sees None here).
     pub(crate) ft_global: &'a mut Option<FtCore>,
@@ -271,10 +267,6 @@ impl PeCtx<'_> {
         self.pe / self.cfg.cores_per_node
     }
 
-    pub fn cores_per_node(&self) -> u32 {
-        self.cfg.cores_per_node
-    }
-
     /// Current PE-local virtual time (start of handler + charged work).
     pub fn now(&self) -> Time {
         self.start + self.charged_app + self.charged_ovh
@@ -286,7 +278,7 @@ impl PeCtx<'_> {
     }
 
     /// Per-PE deterministic RNG.
-    pub fn rng(&mut self) -> &mut DetRng {
+    pub(crate) fn rng(&mut self) -> &mut DetRng {
         self.rng
     }
 
@@ -301,7 +293,7 @@ impl PeCtx<'_> {
         self.user.downcast_mut().expect("user state type mismatch")
     }
 
-    /// The shared tail of every send flavour: QD ledger, envelope build
+    /// The shared tail of every send flavour: envelope build
     /// with priority and epoch stamps, encode, send counters, then the
     /// outbox entry leaving at `at` — Converse loopback for a plain
     /// self-send, a machine-layer command otherwise (`via` rides a
@@ -315,9 +307,6 @@ impl PeCtx<'_> {
         priority: u16,
         via: Option<PersistentHandle>,
     ) {
-        if !self.system_handlers.contains(handler) {
-            self.qd_pe.sent += 1;
-        }
         let msg = Envelope::new(self.pe, dst, handler, payload)
             .with_priority(priority)
             .with_epoch(self.epoch)
@@ -342,24 +331,25 @@ impl PeCtx<'_> {
     /// values are executed first at the destination (Charm++'s prioritized
     /// messages). Network transit is unaffected — priority orders the
     /// destination's scheduler queue.
-    pub fn send_prio(&mut self, dst: PeId, handler: HandlerId, payload: Bytes, priority: u16) {
+    pub(crate) fn send_prio(
+        &mut self,
+        dst: PeId,
+        handler: HandlerId,
+        payload: Bytes,
+        priority: u16,
+    ) {
         self.charged_ovh += self.cfg.send_overhead;
         self.emit(self.now(), dst, handler, payload, priority, None);
     }
 
-    /// Deferred send (timer): like [`PeCtx::send`] but leaving after
-    /// `delay` ns of additional virtual time.
-    pub fn send_after(&mut self, delay: Time, dst: PeId, handler: HandlerId, payload: Bytes) {
-        self.send_after_prio(delay, dst, handler, payload, DEFAULT_PRIO)
-    }
-
-    /// [`PeCtx::send_after`] with an explicit scheduling priority. The FT
+    /// Deferred send (timer): like [`PeCtx::send_prio`] but leaving after
+    /// `delay` ns of additional virtual time. The FT
     /// heartbeat chains use priority 0: a timer that queues behind a
     /// saturated PE's application backlog drifts by the backlog depth,
     /// which would turn scheduler pressure into false failure suspicions.
     ///
     /// Arming a timer is not a send yet: no `send_overhead` is charged.
-    pub fn send_after_prio(
+    pub(crate) fn send_after_prio(
         &mut self,
         delay: Time,
         dst: PeId,
@@ -408,20 +398,6 @@ impl PeCtx<'_> {
         *self.stop = true;
     }
 
-    /// This PE's quiescence counters `(sent, delivered)`, excluding system
-    /// traffic.
-    pub fn qd_counters(&self) -> (u64, u64) {
-        (self.qd_pe.sent, self.qd_pe.delivered)
-    }
-
-    /// The global QD coordinator state (panics when QD is not installed;
-    /// only the QD handlers call this).
-    pub fn qd_state(&mut self) -> &mut QdState {
-        self.qd_global
-            .as_mut()
-            .expect("quiescence detection not installed")
-    }
-
     /// The fault-tolerance core state (panics when FT is not enabled; only
     /// the FT system handlers call this).
     pub(crate) fn ft_state(&mut self) -> &mut FtCore {
@@ -431,12 +407,12 @@ impl PeCtx<'_> {
     }
 
     /// The current membership epoch (0 when fault tolerance is off).
-    pub fn epoch(&self) -> u32 {
+    pub(crate) fn epoch(&self) -> u32 {
         self.epoch
     }
 
     /// Request a checkpoint if the configured cadence has elapsed since the
-    /// last one. Apps call this from a quiescent point (e.g. a reduction
+    /// last one. Apps call this from a consistent point (e.g. a reduction
     /// client); the snapshot itself is taken by the driver between events,
     /// after this handler returns. Returns whether a checkpoint was queued.
     /// No-op (false) when fault tolerance is off, so apps can call it

@@ -15,7 +15,7 @@
 //!   node dead when its last heartbeat is older than `hb_timeout`;
 //! * apps opt into **checkpointing** via the [`Checkpoint`] trait;
 //!   [`crate::cluster::PeCtx::ft_maybe_checkpoint`] snapshots every PE
-//!   from a quiescent point on a `ckpt_period` cadence, storing one copy
+//!   from a consistent point on a `ckpt_period` cadence, storing one copy
 //!   locally and one on a **buddy** (next live node, same core offset);
 //! * on a declared failure the membership **epoch** rolls forward, every
 //!   live PE rolls back to its last checkpoint, the dead node's PEs are
@@ -95,7 +95,7 @@ pub struct FtReport {
 /// One PE's checkpoint: serialized chare elements, the per-array local
 /// reduction wave counters (the in-flight application-level sequence
 /// numbers), and the bare per-PE user state.
-pub struct FtSnapshot {
+pub(crate) struct FtSnapshot {
     /// `(array, index, bytes)`, sorted by key.
     pub(crate) elements: Vec<(u16, u64, Vec<u8>)>,
     /// `(array, wave)`, sorted.
@@ -119,7 +119,7 @@ type LoadFn = Arc<dyn Fn(&[u8]) -> Box<dyn Any + Send> + Send + Sync>;
 
 /// Failure-detector and checkpoint bookkeeping, installed by
 /// [`Cluster::enable_ft`].
-pub struct FtCore {
+pub(crate) struct FtCore {
     pub(crate) cfg: FtConfig,
     /// Current membership epoch; rolls forward on every recovery.
     pub(crate) epoch: u32,
@@ -159,8 +159,7 @@ impl Cluster {
     ///
     /// Must be called before arrays are FT-registered ([`Cluster::ft_array`])
     /// and before [`Cluster::run`]. The monitor and recovery coordinator
-    /// live on node 0, so crash plans must spare node 0. Incompatible with
-    /// quiescence detection (checked at `run`).
+    /// live on node 0, so crash plans must spare node 0.
     pub fn enable_ft(&mut self, cfg: FtConfig) {
         assert!(self.ft.is_none(), "fault tolerance enabled twice");
         assert!(
@@ -217,9 +216,9 @@ impl Cluster {
             }
         });
         for h in [hb_h, beat_h, tick_h] {
-            // FT control traffic is outside quiescence accounting and the
-            // membership-epoch gate (a recovery must not kill the
-            // detector's own self-scheduling chains).
+            // FT control traffic is outside the membership-epoch gate (a
+            // recovery must not kill the detector's own self-scheduling
+            // chains).
             self.system_handlers.insert(h);
         }
 
@@ -578,7 +577,7 @@ impl Cluster {
             }
             // Drop undelivered pre-recovery application messages from the
             // scheduler queue (their sends will be replayed from the
-            // checkpoint), but keep FT/QD control envelopes — the
+            // checkpoint), but keep FT control envelopes — the
             // detector's chains must survive recovery. (`Header::read`,
             // not `Envelope::peek`: recovery does not panic.)
             st.queue.retain(|wire| {

@@ -14,8 +14,8 @@ use std::any::Any;
 /// Delivers every message `latency` ns after it is sent, free of CPU cost.
 pub struct IdealLayer {
     latency: Time,
-    pub msgs: u64,
-    pub bytes: u64,
+    pub(crate) msgs: u64,
+    pub(crate) bytes: u64,
 }
 
 impl IdealLayer {

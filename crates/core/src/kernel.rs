@@ -32,7 +32,6 @@ use crate::ctx::{MachineCtx, PeCtx};
 use crate::ft::{FtCore, FtSnapshot};
 use crate::lrts::{MachineLayer, PersistentHandle};
 use crate::msg::{Envelope, HandlerId, PeId};
-use crate::qd::{QdPe, QdState};
 use crate::sched::SchedQueue;
 use bytes::Bytes;
 use gemini_net::NodeId;
@@ -123,21 +122,21 @@ pub struct ClusterStats {
     pub events: u64,
     /// Event-type breakdown: [PeRun, Deliver, Machine, MachineNow, Cmd]
     /// (NodeLife/FtRecover count under the Machine bucket).
-    pub event_kinds: [u64; 5],
+    pub(crate) event_kinds: [u64; 5],
     pub handlers_run: u64,
     pub msgs_sent: u64,
     pub msgs_delivered: u64,
-    pub bytes_sent: u64,
+    pub(crate) bytes_sent: u64,
     /// Messages / bytes that actually crossed the machine layer (excludes
     /// Converse self-send loopback).
     pub net_msgs: u64,
     pub net_bytes: u64,
     /// Events discarded because their target node was inside a crash
     /// window (its cores and NIC were dead).
-    pub ft_dead_drops: u64,
+    pub(crate) ft_dead_drops: u64,
     /// Messages discarded because they were sent in a pre-recovery
     /// membership epoch (rollback-replay exactly-once).
-    pub ft_stale_drops: u64,
+    pub(crate) ft_stale_drops: u64,
     /// Typed AMs that were appended to a destination coalescing buffer
     /// (constituents, not envelopes — am.rs).
     pub am_agg_sent: u64,
@@ -184,7 +183,6 @@ pub(crate) struct PeState {
     parked_wake: bool,
     pub(crate) user: Box<dyn Any + Send>,
     rng: DetRng,
-    pub(crate) qd: QdPe,
     /// Everything `deliver` and a plain handler run never touch, out of
     /// line: `None` until first used.
     pub(crate) cold: Option<Box<PeCold>>,
@@ -229,7 +227,6 @@ impl PeState {
             parked_wake: false,
             user: Box::new(()),
             rng: DetRng::derive(seed, pe),
-            qd: QdPe::default(),
             cold: None,
         }
     }
@@ -314,14 +311,6 @@ pub(crate) struct ExecEnv<'a> {
     pub(crate) system_handlers: &'a SystemHandlers,
 }
 
-/// Cluster-global state a handler reaches through its [`PeCtx`]. Both
-/// subsystems force the sequential engine, so parallel callers pass a
-/// pair of `None`s.
-pub(crate) struct Globals<'a> {
-    pub(crate) qd: &'a mut Option<QdState>,
-    pub(crate) ft: &'a mut Option<FtCore>,
-}
-
 /// Crash-window view of a delivery's destination. The default (live node,
 /// epoch 0) gates nothing: crash-free runs pay one predictable branch.
 #[derive(Clone, Copy, Default)]
@@ -374,9 +363,6 @@ pub(crate) fn deliver(
         return Delivered::DroppedStale;
     }
     stats.msgs_delivered += 1;
-    if !system {
-        st.qd.delivered += 1;
-    }
     st.queue.push(hdr.priority, bytes);
     let wake_at = (!st.run_scheduled).then(|| {
         st.run_scheduled = true;
@@ -410,11 +396,13 @@ pub(crate) enum PeRun {
 }
 
 /// `PeRun`: let the PE's scheduler execute its most urgent message. The
-/// one place a [`PeCtx`] is built and a handler is called.
+/// one place a [`PeCtx`] is built and a handler is called. `ft` is the
+/// cluster's fault-tolerance state; FT forces the sequential engine, so
+/// parallel callers pass `&mut None`.
 #[inline]
 pub(crate) fn pe_run(
     env: &ExecEnv,
-    glob: Globals,
+    ft: &mut Option<FtCore>,
     st: &mut PeState,
     t: Time,
     pe: PeId,
@@ -437,7 +425,7 @@ pub(crate) fn pe_run(
         .get(menv.handler.0 as usize)
         .unwrap_or_else(|| panic!("unregistered handler {:?}", menv.handler));
     let mut stop = false;
-    let epoch = glob.ft.as_ref().map_or(0, |f| f.epoch);
+    let epoch = ft.as_ref().map_or(0, |f| f.epoch);
     let mut ctx = PeCtx {
         pe,
         start: t,
@@ -452,10 +440,7 @@ pub(crate) fn pe_run(
         outbox,
         stop: &mut stop,
         stats,
-        qd_pe: &mut st.qd,
-        qd_global: glob.qd,
-        system_handlers: env.system_handlers,
-        ft_global: glob.ft,
+        ft_global: ft,
         epoch,
     };
     handler(&mut ctx, menv);
@@ -608,7 +593,7 @@ mod tests {
         // deliver/pe_run touch one PeState per event with a working set
         // far beyond the caches at whole-machine scale: what they do not
         // need belongs in PeCold.
-        assert_eq!(std::mem::size_of::<PeState>(), 160);
+        assert_eq!(std::mem::size_of::<PeState>(), 144);
         let mut st = PeState::fresh(7, PE as u64);
         assert!(st.cold().is_none());
         st.lose_volatile();
@@ -639,8 +624,8 @@ mod tests {
             run_scheduled: bool,
             busy_until: Time,
             want: Delivered,
-            /// Expected (msgs_delivered, qd.delivered, dead drops, stale drops).
-            counts: (u64, u64, u64, u64),
+            /// Expected (msgs_delivered, dead drops, stale drops).
+            counts: (u64, u64, u64),
         }
         let live = Gate::default();
         let epoch1 = Gate {
@@ -655,26 +640,26 @@ mod tests {
         #[rustfmt::skip]
         let cases = [
             Case { name: "idle PE wakes at once", handler: USER, msg_epoch: 0, gate: live,
-                   run_scheduled: false, busy_until: 0, want: wake(50), counts: (1, 1, 0, 0) },
+                   run_scheduled: false, busy_until: 0, want: wake(50), counts: (1, 0, 0) },
             Case { name: "busy PE wakes at its horizon", handler: USER, msg_epoch: 0, gate: live,
-                   run_scheduled: false, busy_until: 900, want: wake(900), counts: (1, 1, 0, 0) },
+                   run_scheduled: false, busy_until: 900, want: wake(900), counts: (1, 0, 0) },
             Case { name: "second delivery rides the pending PeRun", handler: USER, msg_epoch: 0,
                    gate: live, run_scheduled: true, busy_until: 900,
-                   want: Delivered::Queued { wake_at: None }, counts: (1, 1, 0, 0) },
+                   want: Delivered::Queued { wake_at: None }, counts: (1, 0, 0) },
             Case { name: "dead node drops", handler: USER, msg_epoch: 0, gate: dead,
                    run_scheduled: false, busy_until: 0,
-                   want: Delivered::DroppedDead, counts: (0, 0, 1, 0) },
+                   want: Delivered::DroppedDead, counts: (0, 1, 0) },
             Case { name: "dead node drops system traffic too", handler: SYSTEM, msg_epoch: 0,
                    gate: dead, run_scheduled: false, busy_until: 0,
-                   want: Delivered::DroppedDead, counts: (0, 0, 1, 0) },
+                   want: Delivered::DroppedDead, counts: (0, 1, 0) },
             Case { name: "stale epoch drops", handler: USER, msg_epoch: 0, gate: epoch1,
                    run_scheduled: false, busy_until: 0,
-                   want: Delivered::DroppedStale, counts: (0, 0, 0, 1) },
+                   want: Delivered::DroppedStale, counts: (0, 0, 1) },
             Case { name: "current epoch passes", handler: USER, msg_epoch: 1, gate: epoch1,
-                   run_scheduled: false, busy_until: 0, want: wake(50), counts: (1, 1, 0, 0) },
-            Case { name: "system traffic skips the epoch gate and the QD ledger", handler: SYSTEM,
+                   run_scheduled: false, busy_until: 0, want: wake(50), counts: (1, 0, 0) },
+            Case { name: "system traffic skips the epoch gate", handler: SYSTEM,
                    msg_epoch: 0, gate: epoch1, run_scheduled: false, busy_until: 0,
-                   want: wake(50), counts: (1, 0, 0, 0) },
+                   want: wake(50), counts: (1, 0, 0) },
         ];
         let fx = Fixture::new();
         for c in cases {
@@ -687,7 +672,6 @@ mod tests {
             assert_eq!(got, c.want, "{}", c.name);
             let counts = (
                 stats.msgs_delivered,
-                st.qd.delivered,
                 stats.ft_dead_drops,
                 stats.ft_stale_drops,
             );
@@ -726,11 +710,15 @@ mod tests {
             Gate::default(),
             &mut stats,
         );
-        let glob = Globals {
-            qd: &mut None,
-            ft: &mut None,
-        };
-        pe_run(&fx.env(), glob, &mut st, 0, PE, &mut Vec::new(), &mut stats);
+        pe_run(
+            &fx.env(),
+            &mut None,
+            &mut st,
+            0,
+            PE,
+            &mut Vec::new(),
+            &mut stats,
+        );
         let got = got.lock().unwrap().take().expect("the handler ran");
         assert_eq!(got.as_ptr(), sent_at);
         // Nothing else still refers to it: once the sender lets go, the
@@ -790,13 +778,17 @@ mod tests {
             }
             st.run_scheduled = true;
             st.busy_until = c.busy_until;
-            let delivered = std::mem::take(&mut stats);
+            stats = ClusterStats::default();
             let mut outbox = Vec::new();
-            let glob = Globals {
-                qd: &mut None,
-                ft: &mut None,
-            };
-            let got = pe_run(&fx.env(), glob, &mut st, 500, PE, &mut outbox, &mut stats);
+            let got = pe_run(
+                &fx.env(),
+                &mut None,
+                &mut st,
+                500,
+                PE,
+                &mut outbox,
+                &mut stats,
+            );
             assert_eq!(got, c.want, "{}", c.name);
             let after = (
                 stats.events,
@@ -805,10 +797,8 @@ mod tests {
                 st.run_scheduled,
             );
             assert_eq!(after, c.after, "{}", c.name);
-            assert_eq!(st.qd.delivered, delivered.msgs_delivered, "{}", c.name);
             if let PeRun::Ran { .. } = got {
-                // Sends leave at the PE-local time they were issued; the
-                // system self-send stays out of the QD ledger.
+                // Sends leave at the PE-local time they were issued.
                 assert!(
                     matches!(
                         outbox[..],
@@ -820,7 +810,7 @@ mod tests {
                     "{}",
                     c.name
                 );
-                assert_eq!((stats.msgs_sent, st.qd.sent), (2, 1), "{}", c.name);
+                assert_eq!(stats.msgs_sent, 2, "{}", c.name);
             } else {
                 assert!(outbox.is_empty(), "{}", c.name);
             }

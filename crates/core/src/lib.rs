@@ -3,7 +3,7 @@
 //!
 //! Layering, top to bottom (paper Fig. 3):
 //!
-//! * [`charm`] — chare arrays, entry methods, broadcast, reductions;
+//! * `charm` — chare arrays, entry methods, broadcast, reductions;
 //! * [`ssse`] — the state-space search engine used by N-Queens;
 //! * [`cluster`] — the Converse scheduler per PE plus the discrete-event
 //!   engines that bind everything to virtual time (one event-semantics
@@ -11,14 +11,14 @@
 //! * [`lrts`] — the Lower-level RunTime System interface a machine layer
 //!   implements (`LrtsInit` / `LrtsSyncSend` / `LrtsNetworkEngine` /
 //!   persistent messages);
-//! * [`ideal`] — a perfect-network machine layer for tests and ablations.
+//! * `ideal` — a perfect-network machine layer for tests and ablations.
 //!
 //! Machine layers for the simulated Gemini (`lrts-ugni`) and the simulated
 //! MPI (`lrts-mpi`) live in sibling crates.
 //!
 //! # Quickstart
 //!
-//! Typed active messages ([`am`]): register a handler once per message
+//! Typed active messages (`am`): register a handler once per message
 //! *type* and send typed values — no handler enums, no byte packing.
 //!
 //! ```
@@ -43,22 +43,21 @@
 //! assert!(report.stopped_early);
 //! ```
 
-pub mod am;
-pub mod charm;
+pub(crate) mod am;
+pub(crate) mod charm;
 pub mod cluster;
 mod config;
 mod ctx;
-pub mod ft;
-pub mod ideal;
+pub(crate) mod ft;
+pub(crate) mod ideal;
 mod kernel;
 pub mod lrts;
 pub mod msg;
 mod par;
 pub mod pe_table;
-pub mod qd;
 mod sched;
 pub mod ssse;
-pub mod trace;
+pub(crate) mod trace;
 
 /// The commonly used names, for `use charm_rt::prelude::*`.
 pub mod prelude {
@@ -71,9 +70,5 @@ pub mod prelude {
     pub use crate::ideal::IdealLayer;
     pub use crate::lrts::{MachineLayer, PersistentHandle};
     pub use crate::msg::{wire, Envelope, HandlerId, PeId};
-    pub use crate::qd::Qd;
     pub use crate::ssse::{Ssse, SsseStats};
-    pub use crate::trace::{Kind, Trace};
 }
-
-pub use prelude::*;

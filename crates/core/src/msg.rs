@@ -39,22 +39,22 @@ const _: () = assert!(HEADER_BYTES <= bytes::CHAIN_HEAD);
 
 /// Default message priority (midpoint; smaller values run first, as in
 /// Charm++'s prioritized execution).
-pub const DEFAULT_PRIO: u16 = u16::MAX / 2;
+pub(crate) const DEFAULT_PRIO: u16 = u16::MAX / 2;
 
 /// A runtime message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Envelope {
     pub src_pe: PeId,
-    pub dst_pe: PeId,
+    pub(crate) dst_pe: PeId,
     pub handler: HandlerId,
     /// Scheduling priority: smaller runs first; FIFO within a priority.
-    pub priority: u16,
+    pub(crate) priority: u16,
     /// Membership epoch the message was sent in. Rolls forward on every
     /// crash recovery; the driver discards messages from earlier epochs so
     /// rollback-replay stays exactly-once. Always 0 when fault tolerance is
     /// off — the wire bytes are then identical to the pre-epoch format
     /// (this field occupies previously zero-padded header bytes).
-    pub epoch: u32,
+    pub(crate) epoch: u32,
     pub payload: Bytes,
 }
 
@@ -70,19 +70,14 @@ impl Envelope {
         }
     }
 
-    pub fn with_priority(mut self, priority: u16) -> Self {
+    pub(crate) fn with_priority(mut self, priority: u16) -> Self {
         self.priority = priority;
         self
     }
 
-    pub fn with_epoch(mut self, epoch: u32) -> Self {
+    pub(crate) fn with_epoch(mut self, epoch: u32) -> Self {
         self.epoch = epoch;
         self
-    }
-
-    /// Total wire size: what the machine layer actually transfers.
-    pub fn wire_size(&self) -> usize {
-        HEADER_BYTES + self.payload.len()
     }
 
     /// Serialize to the wire format: one heap block either way, and the
@@ -115,7 +110,7 @@ impl Envelope {
 
     /// The fixed header of this envelope's wire format: magic, then every
     /// field but the payload, big-endian, zero-padded to [`HEADER_BYTES`].
-    pub fn header(&self) -> [u8; HEADER_BYTES] {
+    pub(crate) fn header(&self) -> [u8; HEADER_BYTES] {
         let mut h = [0u8; HEADER_BYTES];
         h[0..2].copy_from_slice(&MAGIC.to_be_bytes());
         h[2..4].copy_from_slice(&self.handler.0.to_be_bytes());
@@ -240,14 +235,6 @@ pub mod wire {
         u64::from_le_bytes(buf[o..o + 8].try_into().expect("short payload"))
     }
 
-    pub fn pack_f64s(vals: &[f64]) -> Bytes {
-        let mut b = BytesMut::with_capacity(vals.len() * 8);
-        for v in vals {
-            b.put_f64_le(*v);
-        }
-        b.freeze()
-    }
-
     pub fn unpack_f64(buf: &[u8], idx: usize) -> f64 {
         let o = idx * 8;
         f64::from_le_bytes(buf[o..o + 8].try_into().expect("short payload"))
@@ -266,7 +253,7 @@ mod tests {
     fn encode_decode_round_trip() {
         let e = Envelope::new(3, 17, HandlerId(9), Bytes::from_static(b"payload!"));
         let wire = e.encode();
-        assert_eq!(wire.len(), e.wire_size());
+        assert_eq!(wire.len(), HEADER_BYTES + e.payload.len());
         let d = Envelope::decode(&wire);
         assert_eq!(d, e);
     }
@@ -276,7 +263,7 @@ mod tests {
         let payload = Bytes::from(vec![7u8; 4 * INLINE_WIRE]);
         let e = Envelope::new(1, 2, HandlerId(3), payload.clone());
         let wire = e.encode();
-        assert_eq!(wire.len(), e.wire_size());
+        assert_eq!(wire.len(), HEADER_BYTES + e.payload.len());
         let d = Envelope::decode(&wire);
         assert_eq!(d, e);
         // The decoded payload aliases the sender's allocation: encode
@@ -291,7 +278,6 @@ mod tests {
         let e = Envelope::new(0, 0, HandlerId(0), Bytes::new());
         let d = Envelope::decode(&e.encode());
         assert_eq!(d, e);
-        assert_eq!(e.wire_size(), HEADER_BYTES);
     }
 
     #[test]
@@ -431,7 +417,10 @@ mod tests {
         let b = wire::pack_u64s(&[5, 10, u64::MAX]);
         assert_eq!(wire::unpack_u64(&b, 0), 5);
         assert_eq!(wire::unpack_u64(&b, 2), u64::MAX);
-        let f = wire::pack_f64s(&[1.5, -2.25]);
+        let f: Vec<u8> = [1.5f64, -2.25]
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
         assert_eq!(wire::unpack_f64(&f, 1), -2.25);
         assert_eq!(wire::f64_count(&f), 2);
     }

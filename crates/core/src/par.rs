@@ -13,9 +13,7 @@
 use crate::cluster::{Cluster, RunReport};
 use crate::config::add_sync_overhead_ns;
 use crate::ctx::{MachineCtx, McBack};
-use crate::kernel::{
-    self, ClusterStats, Cmd, Delivered, Event, ExecEnv, Gate, Globals, PeRun, PeState,
-};
+use crate::kernel::{self, ClusterStats, Cmd, Delivered, Event, ExecEnv, Gate, PeRun, PeState};
 use crate::lrts::MachineLayer;
 use crate::msg::PeId;
 use crate::trace::{Kind, Trace, TraceOp};
@@ -38,15 +36,13 @@ impl Cluster {
     /// bit-identical to [`Cluster::run`] with `threads = 1`.
     ///
     /// Falls back to the sequential engine when parallelism cannot help or
-    /// is unsupported: `threads <= 1`, fewer than two nodes, quiescence
-    /// detection installed (QD shares one global ledger), or node-crash
+    /// is unsupported: `threads <= 1`, fewer than two nodes, or node-crash
     /// chaos (crash enactment and checkpoint/recovery mutate PE state
     /// across every partition at one instant, which the windowed engine
     /// cannot interleave — forcing serial keeps crash runs bit-identical
     /// at any thread count).
-    pub fn run_parallel(&mut self, threads: u32) -> RunReport {
+    pub(crate) fn run_parallel(&mut self, threads: u32) -> RunReport {
         if threads <= 1
-            || self.qd.is_some()
             || self.cfg.num_nodes() < 2
             || self.ft.is_some()
             || self.cfg.fault.has_node_crash()
@@ -280,13 +276,8 @@ fn exec_local(
         }
         Event::PeRun(pe) => {
             let st = &mut pes[(pe - *base_pe) as usize];
-            // QD and FT both force the sequential engine; handlers here
-            // never touch either.
-            let glob = Globals {
-                qd: &mut None,
-                ft: &mut None,
-            };
-            match kernel::pe_run(env, glob, st, t, pe, &mut out.outbox, &mut out.stats) {
+            // FT forces the sequential engine; handlers here never touch it.
+            match kernel::pe_run(env, &mut None, st, t, pe, &mut out.outbox, &mut out.stats) {
                 PeRun::Busy { until } => q.push(mk_key(until), Event::PeRun(pe)),
                 PeRun::Idle => {}
                 PeRun::Ran {
@@ -328,7 +319,7 @@ const PHASE_CAP: usize = 4096;
 /// exchange monotone time bounds through it: `halt` shrinks (fetch_min),
 /// each partition's frontier grows (one release-store per window) — a
 /// stale read is always the *smaller* value, which is conservative, so no
-/// ordering decision can race. worker-ok: see above.
+/// ordering decision can race.
 struct BatchCtl {
     /// Global early-stop bound (DESIGN.md §10): a worker that executes a
     /// stop or emits a `CreatePersistent` command publishes its timestamp

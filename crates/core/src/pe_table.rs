@@ -3,7 +3,7 @@
 //! A whole-machine job at Hopper scale (153,216 PEs) or beyond must not
 //! pay O(num_pes) heap structures at construction: the driver's per-PE
 //! [`PeState`] — scheduler queue, parked machine events, deterministic
-//! RNG, QD counters — lives in a [`LazyVec`] paged at [`PE_PAGE_LEN`]
+//! RNG — lives in a [`LazyVec`] paged at [`PE_PAGE_LEN`]
 //! PEs, built page by page the first time a PE is actually touched.
 //! Reads through `&self` of an untouched PE see the table's shared
 //! fallback, `PeState::fresh(seed, u64::MAX)`: field for field a fresh

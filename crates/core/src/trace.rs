@@ -11,7 +11,7 @@ use sim_core::{time, LazyVec, Time};
 
 /// What a recorded time segment was spent on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kind {
+pub(crate) enum Kind {
     /// Useful application computation (handler `charge`d work).
     Busy,
     /// Runtime overhead: scheduling, protocol processing, copies.
@@ -43,18 +43,23 @@ struct Acc {
 /// the sequential engine (which the per-PE pending-segment buffering and
 /// the raw log depend on).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct TraceOp(pub PeId, pub Time, pub Time, pub Kind);
+pub(crate) struct TraceOp(
+    pub(crate) PeId,
+    pub(crate) Time,
+    pub(crate) Time,
+    pub(crate) Kind,
+);
 
 /// One row of a rendered time profile.
 #[derive(Debug, Clone, Copy)]
-pub struct ProfileRow {
+pub(crate) struct ProfileRow {
     /// Bucket start, ns.
-    pub t: Time,
-    pub busy_frac: f64,
-    pub overhead_frac: f64,
-    pub recovery_frac: f64,
-    pub checkpoint_frac: f64,
-    pub idle_frac: f64,
+    pub(crate) t: Time,
+    pub(crate) busy_frac: f64,
+    pub(crate) overhead_frac: f64,
+    pub(crate) recovery_frac: f64,
+    pub(crate) checkpoint_frac: f64,
+    pub(crate) idle_frac: f64,
 }
 
 /// Materialization grain for the timeline's per-PE pending segments.
@@ -70,8 +75,8 @@ const TRACE_PAGE: usize = 64;
 /// lazily materialized pages ([`sim_core::LazyVec`]) and touched only
 /// in timeline mode, so a totals-only trace allocates nothing per PE and a
 /// timeline costs memory proportional to the *touched* PEs, not the
-/// machine size. The dense constructor ([`Trace::new_dense`]) is the eager
-/// twin kept for differential tests.
+/// machine size. The differential tests compare it against an eager twin,
+/// `Trace::new_dense`.
 #[derive(Debug)]
 pub struct Trace {
     totals: Acc,
@@ -99,7 +104,7 @@ pub struct Trace {
 impl Trace {
     /// `bucket_ns = None` records only totals (cheap); `Some(w)` also keeps
     /// an aggregated timeline with bucket width `w`.
-    pub fn new(num_pes: u32, bucket_ns: Option<Time>) -> Self {
+    pub(crate) fn new(num_pes: u32, bucket_ns: Option<Time>) -> Self {
         Trace {
             totals: Acc::default(),
             num_pes,
@@ -111,15 +116,6 @@ impl Trace {
         }
     }
 
-    /// Eager twin of [`Trace::new`]: the pending segments fully
-    /// materialized up front. Observationally identical to the sparse
-    /// default; kept for the differential unit tests.
-    pub fn new_dense(num_pes: u32, bucket_ns: Option<Time>) -> Self {
-        let mut t = Self::new(num_pes, bucket_ns);
-        t.pending = LazyVec::new(num_pes as usize, None).eager();
-        t
-    }
-
     /// Pages of per-PE state currently materialized (memory diagnostics;
     /// 0 unless a timeline PE has recorded something).
     pub fn materialized_pages(&self) -> usize {
@@ -128,13 +124,13 @@ impl Trace {
 
     /// Record every segment for a Projections-style per-PE export
     /// ([`Trace::export_log`]). Costs memory proportional to segment count.
-    pub fn enable_log(&mut self) {
+    pub(crate) fn enable_log(&mut self) {
         self.log = Some(Vec::new());
     }
 
     /// Record `dur` ns of `kind` work on `pe` starting at `start`.
     // serial-only: appends to the shared timeline
-    pub fn record(&mut self, pe: PeId, start: Time, dur: Time, kind: Kind) {
+    pub(crate) fn record(&mut self, pe: PeId, start: Time, dur: Time, kind: Kind) {
         if dur == 0 {
             return;
         }
@@ -166,10 +162,6 @@ impl Trace {
         self.record(pe, start, dur, kind);
     }
 
-    pub fn num_pes(&self) -> u32 {
-        self.num_pes
-    }
-
     /// Latest recorded activity.
     pub fn end_time(&self) -> Time {
         self.end
@@ -183,7 +175,7 @@ impl Trace {
         self.totals.ovh
     }
 
-    pub fn total_recovery(&self) -> Time {
+    pub(crate) fn total_recovery(&self) -> Time {
         self.totals.rec
     }
 
@@ -214,7 +206,7 @@ impl Trace {
     }
 
     /// Render the Fig.-12-style time profile (requires timeline mode).
-    pub fn profile(&self) -> Vec<ProfileRow> {
+    pub(crate) fn profile(&self) -> Vec<ProfileRow> {
         let w = self
             .bucket_ns
             .expect("trace built without timeline buckets");
@@ -320,6 +312,18 @@ fn kind_tag(kind: Kind) -> &'static str {
         Kind::Overhead => "ovhd",
         Kind::Recovery => "rcvy",
         Kind::Checkpoint => "ckpt",
+    }
+}
+
+#[cfg(test)]
+impl Trace {
+    /// Eager twin of [`Trace::new`]: the pending segments fully
+    /// materialized up front. Observationally identical to the sparse
+    /// default; the differential unit tests compare against it.
+    pub(crate) fn new_dense(num_pes: u32, bucket_ns: Option<Time>) -> Self {
+        let mut t = Self::new(num_pes, bucket_ns);
+        t.pending = LazyVec::new(num_pes as usize, None).eager();
+        t
     }
 }
 

@@ -70,7 +70,7 @@ struct SmsgConn {
 pub struct FabricStats {
     pub smsg_sends: u64,
     pub msgq_sends: u64,
-    pub smsg_bytes: u64,
+    pub(crate) smsg_bytes: u64,
     pub fma_transactions: u64,
     pub bte_transactions: u64,
     pub rdma_bytes: u64,
@@ -85,7 +85,7 @@ pub struct FabricStats {
     /// window: its NIC was not servicing any engine.
     pub faults_node_down: u64,
     /// Injected `GNI_MemRegister` resource failures.
-    pub faults_reg: u64,
+    pub(crate) faults_reg: u64,
 }
 
 /// Materialization grain for per-node NIC state (same reasoning as
@@ -152,18 +152,6 @@ impl Fabric {
             fault_rng: DetRng::derive(params.fault.seed, 0xFA17),
             params,
             stats: FabricStats::default(),
-        }
-    }
-
-    /// Eager twin of [`Fabric::new`]: every link and node record
-    /// materialized up front. Exists for the lazy-vs-eager differential
-    /// proptests.
-    pub fn new_eager(params: GeminiParams, job_nodes: u32) -> Self {
-        let f = Self::new(params, job_nodes);
-        Fabric {
-            links: f.links.eager(),
-            nics: f.nics.eager(),
-            ..f
         }
     }
 
@@ -569,11 +557,6 @@ impl Fabric {
     pub fn total_link_bytes(&self) -> u64 {
         self.links.total_bytes()
     }
-
-    /// Read-only view of the link table (diagnostics / differential tests).
-    pub fn links_ref(&self) -> &LinkTable {
-        &self.links
-    }
 }
 
 /// Choose a near-cubic torus covering at least `n` nodes.
@@ -590,6 +573,21 @@ pub fn near_cubic(n: u32) -> (u32, u32, u32) {
     let z = rest / y;
     debug_assert_eq!(x * y * z, n);
     (x, y, z)
+}
+
+#[cfg(test)]
+impl Fabric {
+    /// Eager twin of [`Fabric::new`]: every link and node record
+    /// materialized up front. Exists for the lazy-vs-eager differential
+    /// proptests.
+    pub(crate) fn new_eager(params: GeminiParams, job_nodes: u32) -> Self {
+        let f = Self::new(params, job_nodes);
+        Fabric {
+            links: f.links.eager(),
+            nics: f.nics.eager(),
+            ..f
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1140,8 +1138,8 @@ mod lazy_equivalence {
                     for plus in [false, true] {
                         let l = LinkId { from, dim, plus };
                         prop_assert_eq!(
-                            lazy.links_ref().link(&l),
-                            eager.links_ref().link(&l),
+                            lazy.links.link(&l),
+                            eager.links.link(&l),
                             "link {:?}", l
                         );
                     }

@@ -33,7 +33,7 @@ pub struct LinkDownWindow {
 
 impl LinkDownWindow {
     /// Does this window take `link` down at instant `at`?
-    pub fn covers(&self, link: &LinkId, at: Time) -> bool {
+    pub(crate) fn covers(&self, link: &LinkId, at: Time) -> bool {
         self.node == link.from
             && self.dim == link.dim
             && self.plus == link.plus
@@ -66,7 +66,7 @@ impl NodeCrashWindow {
     }
 
     /// Is `node` down under this window at instant `at`?
-    pub fn covers(&self, node: NodeId, at: Time) -> bool {
+    pub(crate) fn covers(&self, node: NodeId, at: Time) -> bool {
         self.node == node
             && at >= self.at_ns
             && match self.restart_at() {
@@ -294,7 +294,7 @@ impl FaultPlan {
     }
 
     /// Is `node` inside a crash window (down) at instant `at`?
-    pub fn node_is_down(&self, node: NodeId, at: Time) -> bool {
+    pub(crate) fn node_is_down(&self, node: NodeId, at: Time) -> bool {
         self.node_crash.iter().any(|w| w.covers(node, at))
     }
 
@@ -308,12 +308,12 @@ impl FaultPlan {
     }
 
     /// Is `link` inside any down window at `at`?
-    pub fn link_is_down(&self, link: &LinkId, at: Time) -> bool {
+    pub(crate) fn link_is_down(&self, link: &LinkId, at: Time) -> bool {
         self.link_down.iter().any(|w| w.covers(link, at))
     }
 
     /// Does any link of `route` cross a down window at `at`?
-    pub fn route_is_down(&self, route: impl IntoIterator<Item = LinkId>, at: Time) -> bool {
+    pub(crate) fn route_is_down(&self, route: impl IntoIterator<Item = LinkId>, at: Time) -> bool {
         if self.link_down.is_empty() {
             return false;
         }

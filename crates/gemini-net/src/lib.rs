@@ -17,12 +17,12 @@
 //! CPU costs; the runtime driver above turns them into simulation events.
 //! No payload bytes move through this crate.
 
-pub mod fabric;
-pub mod fault;
-pub mod links;
-pub mod params;
-pub mod reg;
-pub mod topology;
+pub(crate) mod fabric;
+pub(crate) mod fault;
+pub(crate) mod links;
+pub(crate) mod params;
+pub(crate) mod reg;
+pub(crate) mod topology;
 
 pub use fabric::{near_cubic, Fabric, FabricStats, RdmaOutcome, SmsgError, SmsgOutcome};
 pub use fault::{FaultKind, FaultPlan, FaultPlanError, LinkDownWindow, NodeCrashWindow};

@@ -20,9 +20,9 @@ pub(crate) const LINK_PAGE: usize = 64;
 
 /// One directed link: when it is next free and what it has carried.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Link {
-    pub busy_until: Time,
-    pub bytes_carried: u64,
+pub(crate) struct Link {
+    pub(crate) busy_until: Time,
+    pub(crate) bytes_carried: u64,
 }
 
 /// Busy-until bookkeeping for every directed link in the torus.
@@ -33,7 +33,7 @@ pub struct Link {
 /// table, not O(nodes) vectors, and a job touching a corner of the machine
 /// pays only for the links its routes cross.
 #[derive(Debug)]
-pub struct LinkTable {
+pub(crate) struct LinkTable {
     /// Indexed by `from * 6 + dim * 2 + plus`.
     links: LazyVec<Link, LINK_PAGE>,
     bw_gbs: f64,
@@ -41,7 +41,7 @@ pub struct LinkTable {
 }
 
 impl LinkTable {
-    pub fn new(num_nodes: u32, bw_gbs: f64, hop_latency: Time) -> Self {
+    pub(crate) fn new(num_nodes: u32, bw_gbs: f64, hop_latency: Time) -> Self {
         LinkTable {
             links: LazyVec::new(num_nodes as usize * 6, Link::default()),
             bw_gbs,
@@ -49,23 +49,9 @@ impl LinkTable {
         }
     }
 
-    /// Eager twin — every link materialized up front. Observationally
-    /// identical; kept for the lazy-vs-eager differential proptests.
-    pub fn eager(self) -> Self {
-        LinkTable {
-            links: self.links.eager(),
-            ..self
-        }
-    }
-
     /// Pages of link state currently materialized (memory diagnostics).
-    pub fn materialized_pages(&self) -> usize {
+    pub(crate) fn materialized_pages(&self) -> usize {
         self.links.materialized_pages()
-    }
-
-    /// One directed link's state — what the differential tests compare.
-    pub fn link(&self, l: &LinkId) -> Link {
-        *self.links.get(Self::idx(l))
     }
 
     #[inline]
@@ -81,7 +67,7 @@ impl LinkTable {
     ///
     /// `bw_cap_gbs` lets the caller clamp throughput below link rate (e.g.
     /// the FMA unit's streaming limit).
-    pub fn reserve(
+    pub(crate) fn reserve(
         &mut self,
         earliest: Time,
         route: Walk,
@@ -106,21 +92,33 @@ impl LinkTable {
 
     /// Total bytes ever carried over all links (diagnostics). Untouched
     /// links carried 0 bytes, so summing only materialized pages is exact.
-    pub fn total_bytes(&self) -> u64 {
+    pub(crate) fn total_bytes(&self) -> u64 {
         self.carried().sum()
-    }
-
-    /// Max bytes carried by any single link (hot-spot diagnostics). The
-    /// lazy default (0) is also the dense floor, so skipping untouched
-    /// pages cannot change the max.
-    pub fn hottest_link_bytes(&self) -> u64 {
-        self.carried().max().unwrap_or(0)
     }
 
     /// Bytes carried by every materialized link.
     fn carried(&self) -> impl Iterator<Item = u64> + '_ {
         let pages = self.links.iter_pages();
         pages.flat_map(|(_, p)| p.iter().map(|l| l.bytes_carried))
+    }
+}
+
+/// The lazy-vs-eager reference model the differential proptests compare
+/// against.
+#[cfg(test)]
+impl LinkTable {
+    /// Eager twin — every link materialized up front. Observationally
+    /// identical; the lazy-vs-eager differential proptests compare against it.
+    pub(crate) fn eager(self) -> Self {
+        LinkTable {
+            links: self.links.eager(),
+            ..self
+        }
+    }
+
+    /// One directed link's state — what the differential tests compare.
+    pub(crate) fn link(&self, l: &LinkId) -> Link {
+        *self.links.get(Self::idx(l))
     }
 }
 
@@ -201,6 +199,5 @@ mod tests {
         l.reserve(0, route, 500, f64::INFINITY);
         l.reserve(0, route, 500, f64::INFINITY);
         assert_eq!(l.total_bytes(), 500 * 2 * route.len() as u64);
-        assert_eq!(l.hottest_link_bytes(), 1000);
     }
 }

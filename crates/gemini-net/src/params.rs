@@ -42,13 +42,13 @@ pub struct GeminiParams {
 
     // ---- links / routing ----
     /// Per-hop router traversal latency (ns).
-    pub hop_latency: Time,
+    pub(crate) hop_latency: Time,
     /// Per-link bandwidth, GB/s (1e9 bytes per second).
-    pub link_bw_gbs: f64,
+    pub(crate) link_bw_gbs: f64,
     /// Fixed injection latency from NIC to first router (ns).
-    pub injection_latency: Time,
+    pub(crate) injection_latency: Time,
     /// Fixed ejection latency from last router into the destination NIC (ns).
-    pub ejection_latency: Time,
+    pub(crate) ejection_latency: Time,
 
     // ---- SMSG ----
     /// SMSG sender CPU overhead per message (ns): building the header and
@@ -56,78 +56,76 @@ pub struct GeminiParams {
     pub smsg_send_cpu: Time,
     /// SMSG receiver CPU overhead to dequeue one message from the mailbox,
     /// excluding the payload copy (ns).
-    pub smsg_recv_cpu: Time,
+    pub(crate) smsg_recv_cpu: Time,
     /// Per-byte CPU cost of the receiver copy out of the mailbox (ns/byte).
-    pub smsg_copy_ns_per_byte: f64,
+    pub(crate) smsg_copy_ns_per_byte: f64,
     /// NIC-side fixed latency for an SMSG (tx + rx hardware path), ns.
-    pub smsg_nic_latency: Time,
+    pub(crate) smsg_nic_latency: Time,
     /// Mailbox credits per peer-to-peer connection (messages in flight).
     pub smsg_credits: u32,
     /// Base SMSG maximum message size (bytes) for small jobs. The effective
     /// limit shrinks as the job grows (see [`GeminiParams::smsg_max_size`]).
-    pub smsg_max_size_base: u32,
+    pub(crate) smsg_max_size_base: u32,
 
     // ---- FMA ----
     /// Fixed CPU cost to start an FMA transaction (ns).
-    pub fma_post_cpu: Time,
+    pub(crate) fma_post_cpu: Time,
     /// FMA window chunk size (bytes); the CPU stores the payload through
     /// the window in chunks.
-    pub fma_chunk_bytes: u32,
+    pub(crate) fma_chunk_bytes: u32,
     /// CPU cost per FMA chunk (ns). This is what makes FMA lose to BTE for
     /// large transfers: the processor stays involved.
-    pub fma_chunk_cpu: Time,
+    pub(crate) fma_chunk_cpu: Time,
     /// NIC-side fixed latency for an FMA transaction (ns).
-    pub fma_nic_latency: Time,
+    pub(crate) fma_nic_latency: Time,
     /// Effective FMA streaming bandwidth cap, GB/s.
-    pub fma_bw_gbs: f64,
-    /// Largest transfer FMA is allowed to carry (hardware descriptor limit).
-    pub fma_max_bytes: u64,
+    pub(crate) fma_bw_gbs: f64,
 
     // ---- BTE ----
     /// CPU cost to build + post a BTE descriptor (ns).
-    pub bte_post_cpu: Time,
+    pub(crate) bte_post_cpu: Time,
     /// Fixed NIC latency to launch a BTE transaction (DMA engine start), ns.
-    pub bte_startup: Time,
+    pub(crate) bte_startup: Time,
     /// Effective BTE streaming bandwidth cap, GB/s.
-    pub bte_bw_gbs: f64,
+    pub(crate) bte_bw_gbs: f64,
 
     /// Transfers at or below this size do not occupy the NIC transfer
     /// engines exclusively: Gemini moves data in small chunks/packets, so
     /// short messages interleave with bulk transfers instead of queueing
     /// behind whole-message windows. Larger transfers contend for engine
     /// bandwidth as whole windows.
-    pub engine_gate_min_bytes: u64,
+    pub(crate) engine_gate_min_bytes: u64,
 
     // ---- GET extra cost ----
     /// Extra round-trip a GET pays: the request must travel to the remote
     /// NIC before data flows back (ns, in addition to routed path time).
-    pub get_request_overhead: Time,
+    pub(crate) get_request_overhead: Time,
 
     // ---- memory ----
     /// malloc: base cost (ns) and per-4KiB-page cost (first touch), ns.
     pub malloc_base: Time,
-    pub malloc_per_page: Time,
+    pub(crate) malloc_per_page: Time,
     /// Memory registration with the NIC (GNI_MemRegister): base + per page.
-    pub reg_base: Time,
-    pub reg_per_page: Time,
+    pub(crate) reg_base: Time,
+    pub(crate) reg_per_page: Time,
     /// Deregistration (GNI_MemDeregister): base + per page.
-    pub dereg_base: Time,
-    pub dereg_per_page: Time,
+    pub(crate) dereg_base: Time,
+    pub(crate) dereg_per_page: Time,
     /// Intra-node memcpy bandwidth, GB/s (single core, user space).
-    pub memcpy_bw_gbs: f64,
+    pub(crate) memcpy_bw_gbs: f64,
     /// Fixed cost of any memcpy call (ns).
-    pub memcpy_base: Time,
+    pub(crate) memcpy_base: Time,
 
     // ---- MSGQ ----
     /// Extra per-message CPU cost of the shared message queue relative to
     /// SMSG (demultiplexing through the per-node queue).
-    pub msgq_extra_cpu: Time,
+    pub(crate) msgq_extra_cpu: Time,
     /// Extra NIC-side latency of MSGQ delivery.
-    pub msgq_extra_latency: Time,
+    pub(crate) msgq_extra_latency: Time,
     /// Per-node MSGQ buffer (shared by all peers).
-    pub msgq_bytes_per_node: u64,
+    pub(crate) msgq_bytes_per_node: u64,
     /// MSGQ shared credits per node (messages in flight to one node).
-    pub msgq_credits: u32,
+    pub(crate) msgq_credits: u32,
 
     // ---- CQ ----
     /// CPU cost of one GNI_CqGetEvent poll (ns), hit or miss.
@@ -164,7 +162,6 @@ impl GeminiParams {
             fma_chunk_cpu: 10,
             fma_nic_latency: 450,
             fma_bw_gbs: 4.5,
-            fma_max_bytes: 1 << 20,
 
             bte_post_cpu: 350,
             bte_startup: 1600,
@@ -245,7 +242,7 @@ impl GeminiParams {
     }
 
     /// Number of 4 KiB pages spanned by `bytes`.
-    pub fn pages(bytes: u64) -> u64 {
+    pub(crate) fn pages(bytes: u64) -> u64 {
         bytes.div_ceil(PAGE)
     }
 

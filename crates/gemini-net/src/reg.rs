@@ -28,7 +28,7 @@ pub struct MemHandle(pub u64);
 /// decide whether that is a recoverable condition or a protocol bug.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeregError {
-    pub handle: MemHandle,
+    pub(crate) handle: MemHandle,
 }
 
 /// A node's registration table.
@@ -91,15 +91,15 @@ impl RegTable {
 /// in the paper's Fig. 9(a).
 #[derive(Debug)]
 pub struct RegCache {
-    /// Keyed `(addr, len)`. A `BTreeMap` (not `HashMap`): `invalidate`
-    /// iterates the keys, and iteration order must be deterministic for
-    /// bit-for-bit replay (enforced workspace-wide by `clippy.toml`).
+    /// Keyed `(addr, len)`. A `BTreeMap` (not `HashMap`): any iteration
+    /// over the keys must be deterministic for bit-for-bit replay
+    /// (enforced workspace-wide by `clippy.toml`).
     entries: BTreeMap<(Addr, u64), MemHandle>,
     lru: Vec<(Addr, u64)>,
     capacity: usize,
-    pub lookup_cost: Time,
+    pub(crate) lookup_cost: Time,
     pub hits: u64,
-    pub misses: u64,
+    pub(crate) misses: u64,
 }
 
 impl RegCache {
@@ -147,26 +147,6 @@ impl RegCache {
         self.entries.insert(key, h);
         self.lru.push(key);
         (h, cost)
-    }
-
-    /// Invalidate a buffer (e.g. freed memory), paying deregistration if
-    /// cached. Returns the cost.
-    pub fn invalidate(&mut self, p: &GeminiParams, table: &mut RegTable, addr: Addr) -> Time {
-        let keys: Vec<(Addr, u64)> = self
-            .entries
-            .keys()
-            .filter(|(a, _)| *a == addr)
-            .copied()
-            .collect();
-        let mut cost = 0;
-        for key in keys {
-            let h = self.entries.remove(&key).unwrap();
-            if let Some(pos) = self.lru.iter().position(|k| *k == key) {
-                self.lru.remove(pos);
-            }
-            cost += table.deregister(p, h).unwrap_or(0);
-        }
-        cost
     }
 }
 
@@ -289,20 +269,5 @@ mod tests {
             );
         }
         assert_eq!(t.total_deregistrations, evicted.len() as u64);
-    }
-
-    #[test]
-    fn invalidate_removes_all_lengths() {
-        let p = p();
-        let mut t = RegTable::new();
-        let mut c = RegCache::new(8, 0);
-        c.acquire(&p, &mut t, Addr(5), 4096);
-        c.acquire(&p, &mut t, Addr(5), 8192);
-        let cost = c.invalidate(&p, &mut t, Addr(5));
-        assert!(cost > 0);
-        assert_eq!(t.registered_bytes(), 0);
-        let before = c.misses;
-        c.acquire(&p, &mut t, Addr(5), 4096);
-        assert_eq!(c.misses, before + 1);
     }
 }

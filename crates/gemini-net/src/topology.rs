@@ -14,7 +14,7 @@ use std::fmt;
 /// Node index in `0..num_nodes`.
 pub type NodeId = u32;
 
-/// Why a torus (or the PE space laid over it) cannot be constructed.
+/// Why a torus cannot be constructed.
 ///
 /// `NodeId`/PE ids are `u32`; dimension products are computed in `u64`
 /// internally and rejected here instead of wrapping silently.
@@ -24,12 +24,6 @@ pub enum TopologyError {
     EmptyDim { dims: (u32, u32, u32) },
     /// `x * y * z` does not fit a `u32` node id.
     NodeOverflow { dims: (u32, u32, u32), nodes: u64 },
-    /// `num_nodes * cores_per_node` does not fit a `u32` PE id.
-    PeOverflow {
-        nodes: u32,
-        cores_per_node: u32,
-        pes: u64,
-    },
 }
 
 impl fmt::Display for TopologyError {
@@ -42,14 +36,6 @@ impl fmt::Display for TopologyError {
                 f,
                 "torus {dims:?} has {nodes} nodes, exceeding the u32 NodeId space"
             ),
-            TopologyError::PeOverflow {
-                nodes,
-                cores_per_node,
-                pes,
-            } => write!(
-                f,
-                "{nodes} nodes x {cores_per_node} cores = {pes} PEs, exceeding the u32 PE-id space"
-            ),
         }
     }
 }
@@ -60,22 +46,22 @@ impl std::error::Error for TopologyError {}
 /// (+1 or -1 step around the ring).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct LinkId {
-    pub from: NodeId,
-    pub dim: u8,
-    pub plus: bool,
+    pub(crate) from: NodeId,
+    pub(crate) dim: u8,
+    pub(crate) plus: bool,
 }
 
 /// The torus: dimensions and coordinate conversion.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Torus {
-    pub dims: (u32, u32, u32),
+    pub(crate) dims: (u32, u32, u32),
 }
 
 impl Torus {
     /// Validated constructor: every dim positive and `x*y*z` within the
     /// `u32` NodeId space (the product is taken in `u64` so large dims are
     /// rejected instead of wrapping).
-    pub fn try_new(dims: (u32, u32, u32)) -> Result<Self, TopologyError> {
+    pub(crate) fn try_new(dims: (u32, u32, u32)) -> Result<Self, TopologyError> {
         if dims.0 == 0 || dims.1 == 0 || dims.2 == 0 {
             return Err(TopologyError::EmptyDim { dims });
         }
@@ -104,23 +90,8 @@ impl Torus {
         n as u32
     }
 
-    /// Total PE count for `cores_per_node` cores laid over this torus,
-    /// rejecting products that exceed the `u32` PE-id space.
-    pub fn num_pes(&self, cores_per_node: u32) -> Result<u32, TopologyError> {
-        let nodes = self.num_nodes();
-        let pes = nodes as u64 * cores_per_node as u64;
-        if pes > u32::MAX as u64 {
-            return Err(TopologyError::PeOverflow {
-                nodes,
-                cores_per_node,
-                pes,
-            });
-        }
-        Ok(pes as u32)
-    }
-
     /// Node id -> (x, y, z) coordinates.
-    pub fn coords(&self, n: NodeId) -> (u32, u32, u32) {
+    pub(crate) fn coords(&self, n: NodeId) -> (u32, u32, u32) {
         debug_assert!(n < self.num_nodes());
         let plane = self.dims.0 as u64 * self.dims.1 as u64;
         let x = n % self.dims.0;
@@ -157,7 +128,7 @@ impl Torus {
 
     /// The dimension-ordered route from `a` to `b`, walked one directed
     /// link at a time without building it. Empty when `a == b`.
-    pub fn walk(&self, a: NodeId, b: NodeId) -> Walk {
+    pub(crate) fn walk(&self, a: NodeId, b: NodeId) -> Walk {
         let (ca, cb) = (self.coords(a), self.coords(b));
         let dims = [self.dims.0, self.dims.1, self.dims.2];
         let (at, to) = ([ca.0, ca.1, ca.2], [cb.0, cb.1, cb.2]);
@@ -346,24 +317,6 @@ mod tests {
         for n in [0, 1, t.num_nodes() - 1, t.num_nodes() / 2] {
             assert_eq!(t.node_at(t.coords(n)), n);
         }
-    }
-
-    #[test]
-    fn pe_space_overflow_is_typed_error() {
-        let t = Torus::try_new((1024, 1024, 1024)).unwrap(); // 2^30 nodes
-        assert_eq!(t.num_pes(1).unwrap(), 1 << 30);
-        // 2^30 * 4 = 2^32 overflows the PE-id space by exactly one:
-        assert!(matches!(
-            t.num_pes(4),
-            Err(TopologyError::PeOverflow { pes, .. }) if pes == 1u64 << 32
-        ));
-        assert!(matches!(
-            t.num_pes(24),
-            Err(TopologyError::PeOverflow { .. })
-        ));
-        // Hopper itself is comfortably in range.
-        let hopper = Torus::try_new((16, 21, 19)).unwrap();
-        assert_eq!(hopper.num_pes(24).unwrap(), 16 * 21 * 19 * 24);
     }
 
     #[test]

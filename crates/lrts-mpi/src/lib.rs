@@ -34,12 +34,12 @@ enum Ev {
 }
 
 #[derive(Debug, Default, Clone)]
-pub struct MpiLayerStats {
-    pub msgs: u64,
-    pub bytes: u64,
-    pub iprobe_calls: u64,
+pub(crate) struct MpiLayerStats {
+    pub(crate) msgs: u64,
+    pub(crate) bytes: u64,
+    pub(crate) iprobe_calls: u64,
     /// Time the progress engine spent inside blocking receives.
-    pub blocked_ns: Time,
+    pub(crate) blocked_ns: Time,
 }
 
 /// Materialization grain for per-PE poll state (small: sparse jobs
@@ -53,7 +53,7 @@ pub struct MpiLayer {
     /// Earliest armed Poll per PE (coalescing; u64::MAX = none). Paged
     /// lazily: the disarmed state IS the default, so idle PEs cost nothing.
     poll_armed: LazyVec<Time, POLL_PAGE>,
-    pub stats: MpiLayerStats,
+    pub(crate) stats: MpiLayerStats,
 }
 
 impl MpiLayer {

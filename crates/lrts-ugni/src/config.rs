@@ -42,9 +42,6 @@ pub struct UgniConfig {
     pub use_mempool: bool,
     /// Intra-node strategy (§IV-C).
     pub intranode: IntraNode,
-    /// FMA below/at this size, BTE above (paper §II-A: crossover between
-    /// 2048 and 8192 bytes).
-    pub fma_bte_threshold: u64,
     /// Fixed pxshm handshake overhead per message per side (lock/fence +
     /// notify), ns.
     pub shm_overhead: Time,
@@ -68,7 +65,6 @@ impl UgniConfig {
             small_path: SmallPath::Smsg,
             use_mempool: true,
             intranode: IntraNode::PxshmSingleCopy,
-            fma_bte_threshold: 4096,
             shm_overhead: 250,
             shm_notice: 400,
             smp: false,
@@ -83,11 +79,6 @@ impl UgniConfig {
             intranode: IntraNode::NetworkLoopback,
             ..Self::optimized()
         }
-    }
-
-    pub fn with_params(mut self, params: GeminiParams) -> Self {
-        self.params = params;
-        self
     }
 
     pub fn with_mempool(mut self, on: bool) -> Self {
@@ -128,7 +119,6 @@ mod tests {
         assert!(opt.use_mempool && !ini.use_mempool);
         assert_eq!(opt.intranode, IntraNode::PxshmSingleCopy);
         assert_eq!(ini.intranode, IntraNode::NetworkLoopback);
-        assert_eq!(opt.fma_bte_threshold, ini.fma_bte_threshold);
     }
 
     #[test]

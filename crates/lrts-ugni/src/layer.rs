@@ -24,12 +24,12 @@ use bytes::{BufMut, Bytes, BytesMut};
 use charm_rt::cluster::MachineCtx;
 use charm_rt::lrts::{MachineLayer, PersistentHandle};
 use charm_rt::msg::PeId;
-use gemini_net::{Addr, MemHandle, RdmaOp};
+use gemini_net::{Addr, Mechanism, MemHandle, RdmaOp};
 use mempool::{Block, MemPool};
 use sim_core::{DetHashMap, DetHashSet, LazyVec, Time};
 use std::any::Any;
 use std::collections::VecDeque;
-use ugni::{CqEvent, CqHandle, EpHandle, Gni, GniError, PostDescriptor};
+use ugni::{CqEvent, CqHandle, EpHandle, Gni, GniError, GniResult, PostDescriptor, PostOk};
 
 // With the `verify` feature every uGNI call goes through the CheckedGni
 // contract verifier; signatures are identical, so only the stored type
@@ -246,28 +246,28 @@ pub struct UgniStats {
     pub persistent_msgs: u64,
     pub shm_msgs: u64,
     pub credit_retries: u64,
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// SMP mode: protocol CPU time absorbed by the per-node comm threads
     /// instead of worker PEs.
-    pub comm_thread_ns: Time,
+    pub(crate) comm_thread_ns: Time,
     /// Small-path sends that failed in the fabric and were re-sent.
     pub send_faults: u64,
     /// FMA/BTE transactions that failed and were re-posted.
     pub rdma_faults: u64,
     /// CQ overruns recovered via resync.
-    pub cq_resyncs: u64,
+    pub(crate) cq_resyncs: u64,
     /// Direct-path registrations that hit NIC resource exhaustion and fell
     /// back to the pre-registered pool.
-    pub reg_fallbacks: u64,
+    pub(crate) reg_fallbacks: u64,
     /// Duplicate small-path messages suppressed by the receiver (resends
     /// after a corrupted-completion delivery).
     pub dup_drops: u64,
     /// Sends and re-posts abandoned because the peer's node is inside a
     /// crash window it never leaves (retrying forever would wedge the
     /// connection; the FT layer above re-drives delivery after recovery).
-    pub dead_peer_drops: u64,
+    pub(crate) dead_peer_drops: u64,
     /// Total CPU time charged as fault recovery.
-    pub recovery_ns: Time,
+    pub(crate) recovery_ns: Time,
 }
 
 /// Materialization grain for per-PE records (40 B per PE here; a sparse
@@ -415,6 +415,20 @@ impl UgniLayer {
 
     fn gni_mut(&mut self) -> &mut LGni {
         live(&mut self.gni)
+    }
+
+    /// Post an RDMA transfer on the mechanism the fabric model prefers for
+    /// its size: FMA up to the paper's crossover, BTE above it.
+    fn post_transfer(
+        &mut self,
+        now: Time,
+        ep: EpHandle,
+        desc: PostDescriptor,
+    ) -> GniResult<PostOk> {
+        match self.cfg.params.preferred_mechanism(desc.bytes) {
+            Mechanism::Fma => self.gni_mut().post_fma(now, ep, desc),
+            Mechanism::Bte => self.gni_mut().post_rdma(now, ep, desc),
+        }
     }
 
     /// The connection `src_pe -> dst_pe` and its endpoint, bound on
@@ -727,13 +741,9 @@ impl UgniLayer {
             data: None,
             user_id: xid,
         };
-        let use_fma = bytes <= self.cfg.fma_bte_threshold && bytes <= self.cfg.params.fma_max_bytes;
-        let ok = if use_fma {
-            self.gni_mut().post_fma(now, ep, desc)
-        } else {
-            self.gni_mut().post_rdma(now, ep, desc)
-        }
-        .expect("rendezvous GET rejected");
+        let ok = self
+            .post_transfer(now, ep, desc)
+            .expect("rendezvous GET rejected");
         if backoff > 0 {
             // This is a re-post after a fabric fault: the CPU is recovery
             // work, not steady-state protocol overhead.
@@ -901,12 +911,7 @@ impl UgniLayer {
             user_id: xid,
         };
         let now = ctx.now();
-        let use_fma = bytes <= self.cfg.fma_bte_threshold && bytes <= self.cfg.params.fma_max_bytes;
-        let ok = match if use_fma {
-            self.gni_mut().post_fma(now, ep, desc)
-        } else {
-            self.gni_mut().post_rdma(now, ep, desc)
-        } {
+        let ok = match self.post_transfer(now, ep, desc) {
             Ok(ok) => ok,
             Err(_) => {
                 // The NIC rejected the re-post (e.g. transiently invalid
@@ -1259,13 +1264,9 @@ impl MachineLayer for UgniLayer {
             user_id: xid,
         };
         let now = ctx.now();
-        let use_fma = bytes <= self.cfg.fma_bte_threshold && bytes <= self.cfg.params.fma_max_bytes;
-        let ok = if use_fma {
-            self.gni_mut().post_fma(now, ep, desc)
-        } else {
-            self.gni_mut().post_rdma(now, ep, desc)
-        }
-        .expect("persistent PUT rejected");
+        let ok = self
+            .post_transfer(now, ep, desc)
+            .expect("persistent PUT rejected");
         self.charge_comm(ctx, src_pe, ok.cpu);
         if self.chaos {
             // Reap the completion from the CQ so a PostError can trigger a

@@ -4,8 +4,8 @@
 //! POSIX-shared-memory intra-node delivery. See [`layer`] for the protocol
 //! walk-through and [`config::UgniConfig`] for the ablation switches.
 
-pub mod config;
-pub mod layer;
+pub(crate) mod config;
+pub(crate) mod layer;
 
 pub use config::{IntraNode, SmallPath, UgniConfig};
 pub use layer::{UgniLayer, UgniStats};
@@ -406,7 +406,10 @@ mod tests {
         // Blast many small messages over one connection to exhaust credits.
         let mut params = GeminiParams::hopper();
         params.smsg_credits = 2;
-        let cfg = UgniConfig::optimized().with_params(params);
+        let cfg = UgniConfig {
+            params,
+            ..UgniConfig::optimized()
+        };
         let mut c = cluster_with(cfg, 2, 1);
         c.init_user(|_| 0u64);
         let n = 64;
@@ -462,7 +465,7 @@ mod tests {
     }
 
     /// PE 0 blasts `n` small messages at PE 1 under the given config; the
-    /// run drains to quiescence and returns (delivered count, end time,
+    /// run drains its event queue and returns (delivered count, end time,
     /// stats debug string).
     fn run_small_blast(cfg: UgniConfig, n: u64, bytes: usize) -> (u64, sim_core::Time, String) {
         let mut c = cluster_with(cfg, 2, 1);

@@ -34,7 +34,7 @@ pub struct ObjPoolStats {
     /// `get` that had to construct a fresh object.
     pub misses: u64,
     /// Objects dropped on `put` because the pool was at capacity.
-    pub shed: u64,
+    pub(crate) shed: u64,
 }
 
 /// A bounded free-list pool of host objects.
@@ -84,11 +84,6 @@ impl<T: Default + Reset> ObjPool<T> {
         t.reset();
         self.free.push(t);
     }
-
-    /// Idle objects currently retained.
-    pub fn retained(&self) -> usize {
-        self.free.len()
-    }
 }
 
 #[cfg(test)]
@@ -116,7 +111,7 @@ mod tests {
         p.put(a);
         p.put(b);
         p.put(c);
-        assert_eq!(p.retained(), 2);
+        assert_eq!(p.free.len(), 2);
         assert_eq!(p.stats.shed, 1);
     }
 }

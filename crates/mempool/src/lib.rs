@@ -18,13 +18,13 @@
 use gemini_net::{Addr, GeminiParams, MemHandle, RegTable};
 use sim_core::Time;
 
-pub mod host;
+pub(crate) mod host;
 pub use host::{ObjPool, ObjPoolStats, Reset};
 
 /// Smallest block the pool hands out.
-pub const MIN_CLASS_SHIFT: u32 = 6; // 64 B
+pub(crate) const MIN_CLASS_SHIFT: u32 = 6; // 64 B
 /// Largest pooled block; bigger requests fall back to direct registration.
-pub const MAX_CLASS_SHIFT: u32 = 23; // 8 MiB
+pub(crate) const MAX_CLASS_SHIFT: u32 = 23; // 8 MiB
 
 const NUM_CLASSES: usize = (MAX_CLASS_SHIFT - MIN_CLASS_SHIFT + 1) as usize;
 
@@ -34,7 +34,7 @@ pub struct Block {
     pub addr: Addr,
     pub handle: MemHandle,
     /// Usable size of the block (the full size class).
-    pub size: u64,
+    pub(crate) size: u64,
     /// Index of the size class, or `DIRECT` for fallback blocks.
     class: u32,
 }
@@ -88,18 +88,18 @@ impl FreeList {
 
 impl Block {
     /// True when this block bypassed the pool (oversize request).
-    pub fn is_direct(&self) -> bool {
+    pub(crate) fn is_direct(&self) -> bool {
         self.class == DIRECT
     }
 }
 
 /// Cost knobs of the pool itself (virtual ns).
 #[derive(Debug, Clone)]
-pub struct PoolCosts {
+pub(crate) struct PoolCosts {
     /// Free-list hit: pop + header fixup.
-    pub alloc_hit: Time,
+    pub(crate) alloc_hit: Time,
     /// Returning a block to its free list.
-    pub free: Time,
+    pub(crate) free: Time,
 }
 
 impl Default for PoolCosts {
@@ -112,12 +112,12 @@ impl Default for PoolCosts {
 }
 
 #[derive(Debug, Default, Clone)]
-pub struct PoolStats {
-    pub allocs: u64,
-    pub frees: u64,
-    pub expansions: u64,
-    pub direct_allocs: u64,
-    pub slab_bytes: u64,
+pub(crate) struct PoolStats {
+    pub(crate) allocs: u64,
+    pub(crate) frees: u64,
+    pub(crate) expansions: u64,
+    pub(crate) direct_allocs: u64,
+    pub(crate) slab_bytes: u64,
 }
 
 /// The per-node message memory pool.
@@ -127,7 +127,7 @@ pub struct MemPool {
     next_addr: u64,
     slab_min_bytes: u64,
     costs: PoolCosts,
-    pub stats: PoolStats,
+    pub(crate) stats: PoolStats,
     #[cfg(debug_assertions)]
     outstanding: sim_core::DetHashSet<u64>,
 }
@@ -139,7 +139,7 @@ impl MemPool {
         Self::with_costs(addr_base, PoolCosts::default())
     }
 
-    pub fn with_costs(addr_base: u64, costs: PoolCosts) -> Self {
+    pub(crate) fn with_costs(addr_base: u64, costs: PoolCosts) -> Self {
         MemPool {
             free: std::array::from_fn(|_| FreeList::default()),
             next_addr: addr_base,
@@ -255,11 +255,6 @@ impl MemPool {
         let aligned = bytes.div_ceil(gemini_net::PAGE) * gemini_net::PAGE;
         self.next_addr += aligned.max(gemini_net::PAGE);
         a
-    }
-
-    /// Bytes currently pinned by the pool.
-    pub fn pinned_bytes(&self) -> u64 {
-        self.stats.slab_bytes
     }
 }
 
@@ -383,7 +378,7 @@ mod tests {
         pool.alloc(&p, &mut reg, 100);
         pool.alloc(&p, &mut reg, 100_000);
         assert_eq!(pool.stats.expansions, 2);
-        assert!(pool.pinned_bytes() >= 2 * 256 * 1024 - 256 * 1024 / 2);
+        assert!(pool.stats.slab_bytes >= 2 * 256 * 1024 - 256 * 1024 / 2);
     }
 }
 
@@ -496,7 +491,7 @@ mod proptests {
             }
             prop_assert_eq!(pool.stats.allocs, pool.stats.frees);
             prop_assert_eq!(reg.total_deregistrations, 0, "pool must keep memory pinned");
-            prop_assert!(reg.registered_bytes() >= pool.pinned_bytes());
+            prop_assert!(reg.registered_bytes() >= pool.stats.slab_bytes);
             let bound: u64 = peak_per_class.values().sum();
             prop_assert!(
                 pool.stats.expansions <= bound.max(1),

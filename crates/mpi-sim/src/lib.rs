@@ -44,8 +44,8 @@ const RETRY_BACKOFF0: Time = 1_000;
 /// Backoff cap: keeps the retry cadence bounded under long outages.
 const RETRY_BACKOFF_MAX: Time = 65_536;
 
-pub type Rank = u32;
-pub type Tag = i32;
+pub(crate) type Rank = u32;
+pub(crate) type Tag = i32;
 
 const TAG_EAGER: u8 = 10;
 const TAG_PUT_NOTIFY: u8 = 11;
@@ -134,7 +134,7 @@ impl Unexp {
 pub struct ProbeHit {
     pub src: Rank,
     pub tag: Tag,
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// True when receiving this message will block the core for a
     /// rendezvous transfer (the paper's Fig. 10 mechanism).
     pub is_rendezvous: bool,
@@ -148,8 +148,6 @@ pub struct RecvOutcome {
     /// until then (for eager this is just the copy; for rendezvous it spans
     /// the whole GET).
     pub done_at: Time,
-    pub src: Rank,
-    pub tag: Tag,
 }
 
 /// CPU + wake side effects of an operation, for the embedding layer to
@@ -173,7 +171,7 @@ pub struct MpiStats {
     /// Transfers re-driven after a fabric transaction error.
     pub send_retries: u64,
     /// CQ overrun recoveries performed.
-    pub cq_resyncs: u64,
+    pub(crate) cq_resyncs: u64,
 }
 
 /// What MPI keeps per rank.
@@ -260,11 +258,7 @@ impl MpiSim {
         None
     }
 
-    pub fn config(&self) -> &MpiConfig {
-        &self.cfg
-    }
-
-    pub fn node_of(&self, rank: Rank) -> NodeId {
+    pub(crate) fn node_of(&self, rank: Rank) -> NodeId {
         rank / self.cores_per_node
     }
 
@@ -542,7 +536,7 @@ impl MpiSim {
     /// Drain NIC-level arrivals for `rank`. Headers were enqueued at send
     /// time (callers must only probe at/after the corresponding wake), so
     /// this consumes mailbox entries and returns the CPU spent.
-    pub fn progress(&mut self, now: Time, rank: Rank) -> Time {
+    pub(crate) fn progress(&mut self, now: Time, rank: Rank) -> Time {
         let node = self.node_of(rank);
         let mut cpu = 0;
         while let Ok(rx) = self.gni.smsg_get_next_w_tag(node, rank, now + cpu) {
@@ -625,24 +619,22 @@ impl MpiSim {
         // Matching re-scans the unexpected list up to the hit.
         let base = now + self.cfg.call_overhead + (idx as Time + 1) * self.cfg.match_scan_per_entry;
         match u {
-            Unexp::Eager { src, tag, data } | Unexp::Shm { src, tag, data } => {
+            Unexp::Eager { data, .. } | Unexp::Shm { data, .. } => {
                 // Copy out of MPI internal (or shared) memory into the user
                 // buffer.
                 let done = base + self.cfg.params.memcpy_cost(data.len() as u64);
                 Some(RecvOutcome {
                     data,
                     done_at: done,
-                    src,
-                    tag,
                 })
             }
             Unexp::Rts {
                 src,
-                tag,
                 bytes,
                 xid,
                 handle,
                 addr,
+                ..
             } => {
                 // Register the landing buffer, post the GET, block to done.
                 let node = self.node_of(rank);
@@ -713,16 +705,9 @@ impl MpiSim {
                 Some(RecvOutcome {
                     data,
                     done_at: done,
-                    src,
-                    tag,
                 })
             }
         }
-    }
-
-    /// Pending unmatched messages for `rank` (diagnostics).
-    pub fn unexpected_len(&self, rank: Rank) -> usize {
-        self.ranks[rank as usize].unexpected.len()
     }
 
     /// A fresh application-buffer identity on `rank`'s node.
@@ -852,7 +837,7 @@ mod tests {
             assert_eq!(out.data, data);
             t = out.done_at + 1_000;
         }
-        assert_eq!(m.unexpected_len(1), 0);
+        assert!(m.ranks[1].unexpected.is_empty());
         assert!(m.staged.is_empty(), "no rendezvous send is in flight");
         m
     }
@@ -896,7 +881,7 @@ mod tests {
         // The buffer is free for the same-buffer pingpong to stage again.
         let f3 = m.isend(second.done_at, 0, 1, 3, data.clone(), sbuf);
         let third = m.recv(f3.wakes[0].1, 1, None, None, r1).unwrap();
-        assert_eq!((third.tag, third.data), (3, data));
+        assert_eq!(third.data, data);
         assert_eq!(m.gni().contents_len(), 0);
     }
 
@@ -922,7 +907,6 @@ mod tests {
         let rbuf = m.fresh_buf(1);
         let out = m.recv(t, 1, None, Some(200), rbuf).unwrap();
         assert_eq!(&out.data[..], b"b");
-        assert_eq!(out.src, 2);
         let out = m.recv(t, 1, Some(0), None, rbuf).unwrap();
         assert_eq!(&out.data[..], b"a");
         assert!(m.recv(t, 1, None, None, rbuf).is_none());

@@ -100,7 +100,7 @@ impl Hasher for DetHasher {
     }
 }
 
-pub type DetBuildHasher = BuildHasherDefault<DetHasher>;
+pub(crate) type DetBuildHasher = BuildHasherDefault<DetHasher>;
 pub type DetHashMap<K, V> = HashMap<K, V, DetBuildHasher>;
 pub type DetHashSet<K> = HashSet<K, DetBuildHasher>;
 

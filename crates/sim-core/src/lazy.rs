@@ -24,7 +24,7 @@ use std::ops::Range;
 /// allocation unit: big enough to amortize the `Box` header, small enough
 /// that a sparse traffic pattern touching a handful of nodes stays within
 /// a few pages.
-pub const PAGE_LEN: usize = 1024;
+pub(crate) const PAGE_LEN: usize = 1024;
 
 /// A fixed-length vector built entry by entry from `fresh(i)`, allocated
 /// in pages on first mutable touch. `PAGE` is the entries-per-page grain:

@@ -490,7 +490,7 @@ mod tests {
     #[test]
     fn run_pool_reuses_the_pool_across_invocations() {
         // Two back-to-back pooled runs from the same thread must land on
-        // the same persistent pool (same creation stamp).
+        // the same persistent pool (same worker threads).
         let run = || {
             let mut rounds = 0;
             run_pool(
@@ -504,9 +504,10 @@ mod tests {
             )
         };
         run();
-        let stamp_a = crate::sync::with_pool(2, |p| p.stamp());
+        // Thread ids are never reused: the same id is the same worker.
+        let worker = || crate::sync::with_pool(2, |p| p.handles[0].thread().id());
+        let before = worker();
         run();
-        let stamp_b = crate::sync::with_pool(2, |p| p.stamp());
-        assert_eq!(stamp_a, stamp_b, "pool must persist across run_pool calls");
+        assert_eq!(worker(), before, "pool must persist across run_pool calls");
     }
 }

@@ -73,14 +73,6 @@ impl DetRng {
         let x = (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha);
         x.clamp(lo, hi)
     }
-
-    /// Fisher-Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -142,16 +134,5 @@ mod tests {
         // Heavy tail: most samples small, mean well above median region.
         assert!(below_10 as f64 / n as f64 > 0.7, "tail not heavy enough");
         assert!(mean > 3.0, "mean {mean} unexpectedly small");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = DetRng::seed(5);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>(), "astronomically unlikely");
     }
 }

@@ -7,7 +7,7 @@
 /// One named curve for a figure: x values with one y per x.
 #[derive(Debug, Clone)]
 pub struct Series {
-    pub name: String,
+    pub(crate) name: String,
     pub points: Vec<(f64, f64)>,
 }
 
@@ -27,9 +27,9 @@ impl Series {
 /// A figure: several series over a common x-axis, rendered as a text table.
 #[derive(Debug, Clone)]
 pub struct Figure {
-    pub title: String,
-    pub x_label: String,
-    pub y_label: String,
+    pub(crate) title: String,
+    pub(crate) x_label: String,
+    pub(crate) y_label: String,
     pub series: Vec<Series>,
 }
 

@@ -58,7 +58,7 @@ fn hardware_threads() -> usize {
 /// else spins up to the budget and then blocks on the condvar. The
 /// generation counter only grows, so a stale wakeup can never release a
 /// waiter early.
-pub struct AdaptiveBarrier {
+pub(crate) struct AdaptiveBarrier {
     n: usize,
     spin: u32,
     /// Monotone arrival tickets; `ticket / n` is the round index.
@@ -82,7 +82,7 @@ pub struct AdaptiveBarrier {
 }
 
 impl AdaptiveBarrier {
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         assert!(n > 0, "barrier needs at least one participant");
         // Oversubscribed: spinning only delays the peer we are waiting
         // for, so park immediately.
@@ -105,7 +105,7 @@ impl AdaptiveBarrier {
 
     /// Block until all `n` participants of the current round have
     /// arrived.
-    pub fn wait(&self) {
+    pub(crate) fn wait(&self) {
         let ticket = self.tickets.fetch_add(1, Ordering::AcqRel);
         let round = ticket / self.n;
         if (ticket + 1).is_multiple_of(self.n) {
@@ -149,7 +149,7 @@ impl AdaptiveBarrier {
 
     /// Cumulative nanoseconds participants have spent waiting at this
     /// barrier (excludes each round's releaser, who never waits).
-    pub fn wait_ns(&self) -> u64 {
+    pub(crate) fn wait_ns(&self) -> u64 {
         self.wait_ns.load(Ordering::Relaxed)
     }
 }
@@ -183,13 +183,8 @@ struct PoolShared {
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     workers: usize,
-    stamp: u64,
-    handles: Vec<std::thread::JoinHandle<()>>,
+    pub(crate) handles: Vec<std::thread::JoinHandle<()>>,
 }
-
-/// Monotone pool-creation stamp; lets tests (and diagnostics) verify
-/// that consecutive runs reused one pool instead of respawning.
-static POOL_STAMP: AtomicU64 = AtomicU64::new(0);
 
 impl WorkerPool {
     pub fn new(workers: usize) -> Self {
@@ -211,18 +206,12 @@ impl WorkerPool {
         WorkerPool {
             shared,
             workers,
-            stamp: POOL_STAMP.fetch_add(1, Ordering::Relaxed),
             handles,
         }
     }
 
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Creation stamp: equal stamps mean the same spawned pool.
-    pub fn stamp(&self) -> u64 {
-        self.stamp
     }
 
     /// Run one round: every worker `w` executes `job(w)` once; returns
@@ -244,7 +233,7 @@ impl WorkerPool {
 
     /// Cumulative barrier-wait nanoseconds across all participants. Take
     /// a snapshot before a session and subtract to get per-run overhead.
-    pub fn wait_ns(&self) -> u64 {
+    pub(crate) fn wait_ns(&self) -> u64 {
         self.shared.barrier.wait_ns()
     }
 }
@@ -294,7 +283,7 @@ std::thread_local! {
 /// `f` (and put back afterwards), so a reentrant call — a simulated
 /// handler driving a nested cluster — simply builds a temporary pool
 /// instead of panicking on a `RefCell` borrow.
-pub fn with_pool<R>(workers: usize, f: impl FnOnce(&WorkerPool) -> R) -> R {
+pub(crate) fn with_pool<R>(workers: usize, f: impl FnOnce(&WorkerPool) -> R) -> R {
     let pool = POOL
         .with(|cell| {
             let mut slot = cell.borrow_mut();
@@ -370,10 +359,11 @@ mod tests {
 
     #[test]
     fn with_pool_reuses_and_resizes() {
-        let first = with_pool(2, |p| p.stamp());
-        let again = with_pool(2, |p| p.stamp());
+        // Thread ids are never reused: the same id is the same worker.
+        let first = with_pool(2, |p| p.handles[0].thread().id());
+        let again = with_pool(2, |p| p.handles[0].thread().id());
         assert_eq!(first, again, "same worker count must reuse the pool");
-        let resized = with_pool(3, |p| (p.stamp(), p.workers()));
+        let resized = with_pool(3, |p| (p.handles[0].thread().id(), p.workers()));
         assert_ne!(resized.0, first, "resize must build a fresh pool");
         assert_eq!(resized.1, 3);
     }

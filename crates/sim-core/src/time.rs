@@ -5,33 +5,6 @@
 /// Absolute virtual time in nanoseconds.
 pub type Time = u64;
 
-/// Zero time; the simulation epoch.
-pub const ZERO: Time = 0;
-
-/// Build a duration of `n` nanoseconds (identity; for symmetry).
-#[inline]
-pub const fn ns(n: u64) -> Time {
-    n
-}
-
-/// Build a duration of `n` microseconds.
-#[inline]
-pub const fn us(n: u64) -> Time {
-    n * 1_000
-}
-
-/// Build a duration of `n` milliseconds.
-#[inline]
-pub const fn ms(n: u64) -> Time {
-    n * 1_000_000
-}
-
-/// Build a duration of `n` seconds.
-#[inline]
-pub const fn secs(n: u64) -> Time {
-    n * 1_000_000_000
-}
-
 /// Convert a time (or duration) to fractional microseconds.
 #[inline]
 pub fn to_us(t: Time) -> f64 {
@@ -81,18 +54,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn unit_constructors_compose() {
-        assert_eq!(us(1), 1_000);
-        assert_eq!(ms(1), us(1_000));
-        assert_eq!(secs(1), ms(1_000));
-        assert_eq!(ns(7), 7);
-    }
-
-    #[test]
     fn conversions_round_trip() {
-        assert_eq!(to_us(us(5)), 5.0);
-        assert_eq!(to_ms(ms(5)), 5.0);
-        assert_eq!(to_secs(secs(5)), 5.0);
+        assert_eq!(to_us(5_000), 5.0);
+        assert_eq!(to_ms(5_000_000), 5.0);
+        assert_eq!(to_secs(5_000_000_000), 5.0);
     }
 
     #[test]
@@ -107,8 +72,8 @@ mod tests {
     #[test]
     fn fmt_picks_sane_units() {
         assert_eq!(fmt(12), "12ns");
-        assert_eq!(fmt(us(3) + 500), "3.50us");
-        assert_eq!(fmt(ms(2)), "2.000ms");
-        assert_eq!(fmt(secs(1)), "1.000s");
+        assert_eq!(fmt(3_500), "3.50us");
+        assert_eq!(fmt(2_000_000), "2.000ms");
+        assert_eq!(fmt(1_000_000_000), "1.000s");
     }
 }

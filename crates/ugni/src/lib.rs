@@ -17,7 +17,7 @@
 //!   its payload into remote memory. This models RDMA data movement without
 //!   a real address space.
 
-pub mod types;
+pub(crate) mod types;
 
 use bytes::Bytes;
 use gemini_net::{
@@ -71,7 +71,7 @@ pub struct Gni {
     /// One-shot latch for `FaultPlan::force_cq_overrun_at`.
     forced_overrun_done: bool,
     /// Lifetime count of CQ overrun episodes.
-    pub cq_overruns: u64,
+    pub(crate) cq_overruns: u64,
 }
 
 impl Gni {
@@ -109,7 +109,7 @@ impl Gni {
         &mut self.fabric
     }
 
-    pub fn job_nodes(&self) -> u32 {
+    pub(crate) fn job_nodes(&self) -> u32 {
         self.fabric.job_nodes()
     }
 

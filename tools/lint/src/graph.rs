@@ -41,13 +41,13 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// Marker on (or immediately above) a `fn` declaration: this function
 /// must only run in the serial phase of the windowed driver; the
 /// `worker-purity` rule forbids reaching it from a worker.
-pub const SERIAL_ONLY_MARKER: &str = "serial-only:";
+pub(crate) const SERIAL_ONLY_MARKER: &str = "serial-only:";
 
 /// Line escape for `worker-purity` findings.
-pub const WORKER_OK_MARKER: &str = "worker-ok:";
+pub(crate) const WORKER_OK_MARKER: &str = "worker-ok:";
 
 /// Line escape for `charge-coverage` findings.
-pub const CHARGE_OK_MARKER: &str = "charge-ok:";
+pub(crate) const CHARGE_OK_MARKER: &str = "charge-ok:";
 
 /// Worker entry points by function name: the worker's window loop, the
 /// two event-kernel functions it executes `Deliver`/`PeRun` events with
@@ -83,33 +83,32 @@ const PANIC_MACROS: &[&str] = &[
 ];
 
 /// One scanned source file.
-pub struct FileSrc {
-    pub crate_dir: String,
-    pub path: String,
-    pub raw: Vec<String>,
-    pub clean: Vec<String>,
+pub(crate) struct FileSrc {
+    pub(crate) path: String,
+    pub(crate) raw: Vec<String>,
+    pub(crate) clean: Vec<String>,
 }
 
 /// One parsed function (or trait default method).
-pub struct FnInfo {
-    pub name: String,
+pub(crate) struct FnInfo {
+    pub(crate) name: String,
     /// Enclosing impl type (`impl T`, `impl Tr for T` → `T`); None for
     /// free functions and trait-block defaults.
-    pub type_name: Option<String>,
+    pub(crate) type_name: Option<String>,
     /// Trait being implemented (`impl Tr for T` → `Tr`) or defined
     /// (trait-block defaults).
-    pub trait_name: Option<String>,
-    pub has_self: bool,
-    pub serial_only: bool,
-    pub file: usize,
+    pub(crate) trait_name: Option<String>,
+    pub(crate) has_self: bool,
+    pub(crate) serial_only: bool,
+    pub(crate) file: usize,
     /// 0-based span of the whole item, signature included.
-    pub start: usize,
-    pub end: usize,
+    pub(crate) start: usize,
+    pub(crate) end: usize,
 }
 
 impl FnInfo {
     /// `Type::name` or `name`.
-    pub fn qual_name(&self) -> String {
+    pub(crate) fn qual_name(&self) -> String {
         match &self.type_name {
             Some(t) => format!("{t}::{}", self.name),
             None => self.name.clone(),
@@ -118,22 +117,22 @@ impl FnInfo {
 }
 
 /// A call site inside a function body.
-pub struct CallSite {
-    pub name: String,
+pub(crate) struct CallSite {
+    pub(crate) name: String,
     /// 0-based line index in the containing file.
-    pub line: usize,
+    pub(crate) line: usize,
     /// Resolved workspace callees (fn ids), deduped and sorted.
-    pub targets: Vec<usize>,
+    pub(crate) targets: Vec<usize>,
 }
 
 pub struct Graph {
-    pub files: Vec<FileSrc>,
-    pub fns: Vec<FnInfo>,
+    pub(crate) files: Vec<FileSrc>,
+    pub(crate) fns: Vec<FnInfo>,
     /// Indexed by fn id.
-    pub calls: Vec<Vec<CallSite>>,
+    pub(crate) calls: Vec<Vec<CallSite>>,
     /// Names of `static` items (including `thread_local!` cells) declared
     /// in the scanned crates.
-    pub statics: Vec<String>,
+    pub(crate) statics: Vec<String>,
 }
 
 /// Impl/trait block context while scanning a file.
@@ -461,7 +460,7 @@ impl Graph {
         let mut statics: BTreeSet<String> = BTreeSet::new();
         let mut fn_blocks: Vec<(usize, usize)> = Vec::new(); // (fn id, file)
 
-        for (crate_dir, path, text) in sources {
+        for (_, path, text) in sources {
             let clean_text = sanitize(text);
             let clean: Vec<String> = clean_text.lines().map(|l| l.to_string()).collect();
             let raw: Vec<String> = text.lines().map(|l| l.to_string()).collect();
@@ -559,7 +558,6 @@ impl Graph {
             }
 
             files.push(FileSrc {
-                crate_dir: crate_dir.clone(),
                 path: path.clone(),
                 raw,
                 clean,
@@ -700,7 +698,7 @@ impl Graph {
     }
 
     /// `Type::name (file:line)` display label for witness chains.
-    pub fn label(&self, id: usize) -> String {
+    pub(crate) fn label(&self, id: usize) -> String {
         let f = &self.fns[id];
         format!(
             "{} ({}:{})",

@@ -40,11 +40,19 @@
 //!   storage is one mechanism, `sim_core::LazyVec`, built from a per-index
 //!   constructor; a hand-rolled copy beside it is a second grain, layout
 //!   and first-touch cost to keep in step. No escape.
+//! * **stale-escape** — an escape marker (`copy-ok:`, `worker-ok:`,
+//!   `panic-ok:`, `charge-ok:`) in a `//` comment that suppresses no
+//!   finding of its rule: the code it excused has changed, and the marker
+//!   would silently excuse whatever lands there next. Found by linting
+//!   once more with every marker disarmed. A marker quoted in inline code
+//!   or inside a string literal documents the escape instead of using it,
+//!   and does not count.
 //!
 //! `#[cfg(test)]` regions are exempt from all rules. The exemption is
 //! brace-accurate: it covers exactly the item (module, fn, impl) the
 //! attribute is attached to, not "everything to the end of the file".
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -52,7 +60,7 @@ pub mod graph;
 
 /// Directory names (under `crates/`) of the deterministic simulation
 /// crates: everything that executes during a simulated run.
-pub const SIM_CRATES: &[&str] = &[
+pub(crate) const SIM_CRATES: &[&str] = &[
     "sim-core",
     "gemini-net",
     "ugni",
@@ -64,7 +72,7 @@ pub const SIM_CRATES: &[&str] = &[
 /// Function-name fragments that mark fault-recovery code paths. Matched
 /// against `_`-separated name segments (`repost_after_error` matches
 /// `repost`; `sender_loop` does not match `send`).
-pub const RECOVERY_KEYWORDS: &[&str] = &[
+pub(crate) const RECOVERY_KEYWORDS: &[&str] = &[
     "retry",
     "resync",
     "repost",
@@ -78,7 +86,7 @@ pub const RECOVERY_KEYWORDS: &[&str] = &[
 
 /// Function-name fragments that mark per-message hot paths: code that
 /// runs once per simulated message and must not copy payload bytes.
-pub const HOT_PATH_KEYWORDS: &[&str] = &[
+pub(crate) const HOT_PATH_KEYWORDS: &[&str] = &[
     "send", "deliver", "recv", "post", "progress", "drain", "flush",
 ];
 
@@ -88,7 +96,7 @@ pub const HOT_PATH_KEYWORDS: &[&str] = &[
 /// allocating — a payload copy there silently undoes the optimization.
 /// The rest of `core` (registration, config, reporting) is setup code
 /// where copies are fine, so the full sim-crate keyword list stays off.
-pub const CORE_HOT_PATH_KEYWORDS: &[&str] = &["flush", "drain"];
+pub(crate) const CORE_HOT_PATH_KEYWORDS: &[&str] = &["flush", "drain"];
 
 /// Segments that turn a matched keyword into a *counter/reporting* name
 /// rather than a hot-path verb: `send_count`, `recv_stats` and friends
@@ -106,11 +114,19 @@ const COPY_PATTERNS: &[&str] = &[
 ];
 
 /// Marker comment that exempts one line from `hot-path-copy`.
-pub const COPY_OK_MARKER: &str = "copy-ok:";
+pub(crate) const COPY_OK_MARKER: &str = "copy-ok:";
 
 /// Marker comment that exempts one line from the graph pass's
 /// `recovery-panic-freedom`.
-pub const PANIC_OK_MARKER: &str = "panic-ok:";
+pub(crate) const PANIC_OK_MARKER: &str = "panic-ok:";
+
+/// Every escape marker with the rule it silences (see `stale-escape`).
+const ESCAPES: &[(&str, &str)] = &[
+    (COPY_OK_MARKER, "hot-path-copy"),
+    (graph::WORKER_OK_MARKER, "worker-purity"),
+    (PANIC_OK_MARKER, "recovery-panic-freedom"),
+    (graph::CHARGE_OK_MARKER, "charge-coverage"),
+];
 
 /// Threading/synchronization constructs `worker-purity` rejects in
 /// worker-reachable code outside the parallel driver. The
@@ -143,11 +159,12 @@ const LAZY_FILE: &str = "sim-core/src/lazy.rs";
 /// legitimate: the conservative parallel driver and its sync layer (the
 /// adaptive barrier + persistent worker pool). `worker-purity` does not
 /// look for thread primitives inside them.
-pub const PARALLEL_DRIVER_FILES: &[&str] = &["sim-core/src/parallel.rs", "sim-core/src/sync.rs"];
+pub(crate) const PARALLEL_DRIVER_FILES: &[&str] =
+    &["sim-core/src/parallel.rs", "sim-core/src/sync.rs"];
 
 /// Whether `path` is one of the sanctioned concurrency files
 /// ([`PARALLEL_DRIVER_FILES`]).
-pub fn is_parallel_driver_file(path: &str) -> bool {
+pub(crate) fn is_parallel_driver_file(path: &str) -> bool {
     let p = path.replace('\\', "/");
     PARALLEL_DRIVER_FILES.iter().any(|f| p.ends_with(f))
 }
@@ -155,7 +172,7 @@ pub fn is_parallel_driver_file(path: &str) -> bool {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     pub rule: &'static str,
-    pub file: String,
+    pub(crate) file: String,
     /// 1-based line number.
     pub line: usize,
     pub msg: String,
@@ -165,7 +182,7 @@ pub struct Finding {
 }
 
 impl Finding {
-    pub fn new(rule: &'static str, file: &str, line: usize, msg: String) -> Self {
+    pub(crate) fn new(rule: &'static str, file: &str, line: usize, msg: String) -> Self {
         Finding {
             rule,
             file: file.to_string(),
@@ -231,16 +248,29 @@ pub fn report_json(findings: &[Finding]) -> String {
 /// structure, so later passes can match tokens and count braces without
 /// being fooled by `"}"` or `// HashMap.iter()`.
 pub(crate) fn sanitize(src: &str) -> String {
+    scan(src).0
+}
+
+/// [`sanitize`]'s output plus every `//` comment's text with its 0-based
+/// line.
+fn scan(src: &str) -> (String, Vec<(usize, String)>) {
     let b: Vec<char> = src.chars().collect();
     let mut out = String::with_capacity(src.len());
+    let mut comments = Vec::new();
+    // Lines of `out` counted so far, up to byte `counted`.
+    let (mut line, mut counted) = (0, 0);
     let mut i = 0;
     while i < b.len() {
         let c = b[i];
         match c {
             '/' if i + 1 < b.len() && b[i + 1] == '/' => {
+                let start = i;
                 while i < b.len() && b[i] != '\n' {
                     i += 1;
                 }
+                line += out[counted..].matches('\n').count();
+                counted = out.len();
+                comments.push((line, b[start..i].iter().collect()));
             }
             '/' if i + 1 < b.len() && b[i + 1] == '*' => {
                 let mut depth = 1;
@@ -339,7 +369,7 @@ pub(crate) fn sanitize(src: &str) -> String {
             }
         }
     }
-    out
+    (out, comments)
 }
 
 pub(crate) fn is_ident_char(c: char) -> bool {
@@ -350,7 +380,7 @@ pub(crate) fn is_ident_char(c: char) -> bool {
 /// segment? Substrings never match (`sender` vs `send`, `resend` vs
 /// `send`), and a keyword segment directly followed by a counter noun
 /// (`send_count`) is treated as accounting, not a hot-path verb.
-pub fn name_has_keyword(name: &str, kw: &str) -> bool {
+pub(crate) fn name_has_keyword(name: &str, kw: &str) -> bool {
     let segs: Vec<&str> = name.split('_').collect();
     segs.iter().enumerate().any(|(i, s)| {
         *s == kw
@@ -646,14 +676,70 @@ pub fn workspace_sources(root: &Path) -> Vec<(String, String, String)> {
     out
 }
 
-/// Run the lexical pass and the call-graph pass over the workspace.
+/// Run the lexical pass, the call-graph pass and `stale-escape` over the
+/// workspace.
 pub fn lint_workspace(root: &Path) -> Vec<Finding> {
     let sources = workspace_sources(root);
+    let mut out = lint_sources(&sources);
+    out.extend(stale_escapes(&sources, &out));
+    out
+}
+
+/// The lexical and the call-graph pass over `(crate_dir, path, text)`
+/// sources.
+pub fn lint_sources(sources: &[(String, String, String)]) -> Vec<Finding> {
     let mut out = Vec::new();
-    for (dir, rel, text) in &sources {
+    for (dir, rel, text) in sources {
         out.extend(lint_source(dir, rel, text));
     }
-    out.extend(graph::analyze(&sources));
+    out.extend(graph::analyze(sources));
+    out
+}
+
+/// `stale-escape`: every escape marker in a `//` comment of `sources`
+/// that suppresses none of its rule's findings. `findings` is what
+/// [`lint_sources`] reports on `sources`; a marker is live when linting
+/// with every marker disarmed adds a finding of its rule on the marker's
+/// line or the next one (the graph rules honour a marker on the line
+/// above).
+pub fn stale_escapes(sources: &[(String, String, String)], findings: &[Finding]) -> Vec<Finding> {
+    let disarmed: Vec<(String, String, String)> = sources
+        .iter()
+        .map(|(dir, rel, text)| {
+            let text = ESCAPES.iter().fold(text.clone(), |t, (m, _)| {
+                t.replace(m, &m.replace("-ok:", "-no:"))
+            });
+            (dir.clone(), rel.clone(), text)
+        })
+        .collect();
+    let at = |f: &Finding| (f.rule, f.file.clone(), f.line);
+    let armed: BTreeSet<_> = findings.iter().map(at).collect();
+    let bare = lint_sources(&disarmed);
+    let suppressed: BTreeSet<_> = bare.iter().map(at).filter(|k| !armed.contains(k)).collect();
+    let mut out = Vec::new();
+    for (_, rel, text) in sources {
+        for (idx, comment) in scan(text).1 {
+            for &(marker, rule) in ESCAPES {
+                let Some(pos) = comment.find(marker) else {
+                    continue;
+                };
+                // Quoted in inline code: documentation of the escape.
+                if comment[..pos].matches('`').count() % 2 == 1 {
+                    continue;
+                }
+                let live = |line| suppressed.contains(&(rule, rel.clone(), line));
+                if live(idx + 1) || live(idx + 2) {
+                    continue;
+                }
+                out.push(Finding::new(
+                    "stale-escape",
+                    rel,
+                    idx + 1,
+                    format!("`{marker}` suppresses no `{rule}` finding: delete it"),
+                ));
+            }
+        }
+    }
     out
 }
 
@@ -687,6 +773,10 @@ pub fn rule_descriptions() -> Vec<(&'static str, &'static str)> {
             "charge-coverage",
             "[graph] every MachineLayer path that sends or delivers must record a Kind::* \
              charge (escape: charge-ok:)",
+        ),
+        (
+            "stale-escape",
+            "an escape marker in a // comment must suppress a finding of its rule",
         ),
     ]
 }

@@ -4,7 +4,9 @@
 //! its entries fails here. The real workspace must be clean under the
 //! lexical rules; `tests/graph.rs` scans it under the full pass.
 
-use lint_pass::{lint_source, rule_descriptions, workspace_sources, Finding};
+use lint_pass::{
+    lint_source, lint_sources, rule_descriptions, stale_escapes, workspace_sources, Finding,
+};
 use std::path::{Path, PathBuf};
 
 fn fixture(name: &str) -> String {
@@ -360,8 +362,39 @@ fn retired_rules_are_not_listed() {
             "worker-purity",
             "recovery-panic-freedom",
             "charge-coverage",
+            "stale-escape",
         ]
     );
+}
+
+#[test]
+fn stale_escape_fixture_fires() {
+    let sources = [(
+        "lrts-ugni".to_string(),
+        "fixtures/stale_escape.rs".to_string(),
+        fixture("stale_escape.rs"),
+    )];
+    let found = lint_sources(&sources);
+    assert!(found.is_empty(), "both live escapes hold: {found:?}");
+    let f = stale_escapes(&sources, &found);
+    assert_eq!(rules(&f), ["stale-escape"], "findings: {f:?}");
+    // The stale `panic-ok:` and `copy-ok:` — not the live ones, and not
+    // the marker in the string literal or the one quoted in backticks.
+    let lines: Vec<usize> = f.iter().map(|x| x.line).collect();
+    assert_eq!(lines, [10, 18], "findings: {f:?}");
+    assert!(f[0].msg.contains("recovery-panic-freedom"), "{f:?}");
+    assert!(f[1].msg.contains("hot-path-copy"), "{f:?}");
+}
+
+#[test]
+fn an_escape_above_a_line_that_cannot_panic_is_stale() {
+    // The mutation the rule exists for: an escape left behind after the
+    // code it excused was rewritten.
+    let src = fixture("stale_escape.rs").replace("c.seq.unwrap()", "c.seq.unwrap_or(0)");
+    let sources = [("lrts-ugni".to_string(), "f.rs".to_string(), src)];
+    let f = stale_escapes(&sources, &lint_sources(&sources));
+    let lines: Vec<usize> = f.iter().map(|x| x.line).collect();
+    assert_eq!(lines, [8, 10, 18], "findings: {f:?}");
 }
 
 #[test]
