@@ -1,7 +1,7 @@
 //! `charm-bench`: the harness that regenerates every table and figure of
 //! the paper's evaluation (§V). Each `fig*`/`table*` function returns the
-//! same rows/series the paper reports; the binaries under `src/bin/` print
-//! them, and `src/bin/all.rs` regenerates everything in one run.
+//! same rows/series the paper reports; `src/bin/all.rs` prints all of them
+//! in one run, or the ones it is given by name.
 //!
 //! Absolute numbers come from the calibrated simulator (DESIGN.md §3) —
 //! the claim being reproduced is the *shape*: who wins, by what factor,

@@ -402,7 +402,6 @@ impl PeCtx<'_> {
             Envelope::new(self.pe(), dst, dispatch, Bytes::from(data)).with_epoch(self.epoch());
         let bytes = env.encode();
         self.stats.msgs_sent += 1;
-        self.stats.bytes_sent += bytes.len() as u64;
         self.stats.am_batches += 1;
         let src = self.pe();
         self.outbox

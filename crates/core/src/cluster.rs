@@ -203,7 +203,7 @@ impl Cluster {
     }
 
     /// Enable the per-PE Projections-style segment log (see
-    /// [`Trace::export_log`]); call before `run`.
+    /// `Trace::export_log`); call before `run`.
     pub fn enable_trace_log(&mut self) {
         self.trace.enable_log();
     }
@@ -236,7 +236,7 @@ impl Cluster {
 
     /// Run until the event queue drains, a handler calls [`PeCtx::stop`],
     /// or `max_events` is hit. With `cfg.threads > 1` this dispatches to
-    /// [`Cluster::run_parallel`]; results are bit-identical either way.
+    /// `Cluster::run_parallel`; results are bit-identical either way.
     pub fn run(&mut self) -> RunReport {
         if self.ft.is_some() {
             self.ft_bootstrap();

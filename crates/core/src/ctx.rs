@@ -230,7 +230,7 @@ impl<'a> MachineCtx<'a> {
 }
 
 /// What an application handler sees: the Converse/Charm API. Built only
-/// by [`crate::kernel::pe_run`], for the duration of one handler.
+/// by `kernel::pe_run`, for the duration of one handler.
 pub struct PeCtx<'a> {
     pub(crate) pe: PeId,
     pub(crate) start: Time,
@@ -312,7 +312,6 @@ impl PeCtx<'_> {
             .with_epoch(self.epoch)
             .encode();
         self.stats.msgs_sent += 1;
-        self.stats.bytes_sent += msg.len() as u64;
         let ev = match via {
             Some(handle) => Event::Cmd(self.pe, Cmd::SendPersistent { handle, dst, msg }),
             None if dst == self.pe => Event::Deliver(dst, msg),

@@ -126,7 +126,6 @@ pub struct ClusterStats {
     pub handlers_run: u64,
     pub msgs_sent: u64,
     pub msgs_delivered: u64,
-    pub(crate) bytes_sent: u64,
     /// Messages / bytes that actually crossed the machine layer (excludes
     /// Converse self-send loopback).
     pub net_msgs: u64,
@@ -161,7 +160,6 @@ impl ClusterStats {
         self.handlers_run += o.handlers_run;
         self.msgs_sent += o.msgs_sent;
         self.msgs_delivered += o.msgs_delivered;
-        self.bytes_sent += o.bytes_sent;
         self.net_msgs += o.net_msgs;
         self.net_bytes += o.net_bytes;
         self.ft_dead_drops += o.ft_dead_drops;

@@ -2,7 +2,7 @@
 //!
 //! A whole-machine job at Hopper scale (153,216 PEs) or beyond must not
 //! pay O(num_pes) heap structures at construction: the driver's per-PE
-//! [`PeState`] — scheduler queue, parked machine events, deterministic
+//! `PeState` — scheduler queue, parked machine events, deterministic
 //! RNG — lives in a [`LazyVec`] paged at [`PE_PAGE_LEN`]
 //! PEs, built page by page the first time a PE is actually touched.
 //! Reads through `&self` of an untouched PE see the table's shared
@@ -16,7 +16,7 @@
 //! 16 × 160 B = 2.5 KiB.
 //!
 //! Correctness hinges on materialization being *pure*: a fresh
-//! [`PeState`] is a function of `(seed, pe)` only (the RNG is
+//! `PeState` is a function of `(seed, pe)` only (the RNG is
 //! `DetRng::derive(seed, pe)`, every container starts empty), so whether
 //! a PE is materialized at construction or on first touch is
 //! unobservable, which is what keeps every pinned virtual time

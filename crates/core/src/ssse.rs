@@ -1,4 +1,4 @@
-//! A minimal ParSSSE-style state-space search engine (paper [19],
+//! A minimal ParSSSE-style state-space search engine (paper \[19\],
 //! used by the N-Queens evaluation in §V-C).
 //!
 //! Tasks are self-contained payloads. Spawning a task sends it to a

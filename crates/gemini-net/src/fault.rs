@@ -19,7 +19,7 @@ use sim_core::Time;
 /// A scheduled outage of one directed torus link.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LinkDownWindow {
-    /// Node owning the link (matches [`LinkId::from`]).
+    /// Node owning the link (matches `LinkId::from`).
     pub node: NodeId,
     /// Torus dimension of the link (0 = x, 1 = y, 2 = z).
     pub dim: u8,

@@ -4,13 +4,13 @@
 //! ASIC (see DESIGN.md §1). It models:
 //!
 //! * the **3D torus** with dimension-ordered routing and per-link
-//!   bandwidth contention ([`topology`], [`links`]);
+//!   bandwidth contention (`topology`, `links`);
 //! * the **NIC**: SMSG mailboxes with per-connection credits and a
 //!   job-size-dependent message limit, the FMA unit (low latency, CPU
 //!   participates) and the BTE engine (offloaded, higher start-up)
-//!   ([`fabric`]);
+//!   ([`Fabric`]);
 //! * **memory registration** and its cost, plus a uDREG-style registration
-//!   cache for the MPI baseline ([`reg`]);
+//!   cache for the MPI baseline ([`RegCache`]);
 //! * a single calibrated parameter set ([`params::GeminiParams`]).
 //!
 //! The fabric is a *timing oracle*: calls return completion timestamps and

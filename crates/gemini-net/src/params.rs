@@ -199,16 +199,6 @@ impl GeminiParams {
         p
     }
 
-    /// Total node count of the torus.
-    pub fn num_nodes(&self) -> u32 {
-        self.torus_dims.0 * self.torus_dims.1 * self.torus_dims.2
-    }
-
-    /// Total PE count.
-    pub fn num_pes(&self) -> u32 {
-        self.num_nodes() * self.cores_per_node
-    }
-
     /// Effective SMSG maximum message size for a job of `job_nodes` nodes.
     ///
     /// The paper (§III-C): "By default, the maximum SMSG message size is
@@ -304,12 +294,13 @@ impl Default for GeminiParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Torus;
 
     #[test]
     fn hopper_counts() {
         let p = GeminiParams::hopper();
-        assert_eq!(p.num_nodes(), 17 * 8 * 24);
-        assert_eq!(p.num_pes(), p.num_nodes() * 24);
+        assert_eq!(Torus::new(p.torus_dims).num_nodes(), 17 * 8 * 24);
+        assert_eq!(p.cores_per_node, 24);
     }
 
     #[test]
@@ -381,7 +372,7 @@ mod tests {
     #[test]
     fn test_small_is_small() {
         let p = GeminiParams::test_small();
-        assert_eq!(p.num_nodes(), 8);
-        assert_eq!(p.num_pes(), 32);
+        assert_eq!(Torus::new(p.torus_dims).num_nodes(), 8);
+        assert_eq!(p.cores_per_node, 4);
     }
 }

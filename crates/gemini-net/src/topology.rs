@@ -144,7 +144,7 @@ impl Torus {
     }
 
     /// The dimension-ordered route from `a` to `b` as a list of directed
-    /// links: [`Torus::walk`], collected.
+    /// links: `Torus::walk`, collected.
     pub fn route(&self, a: NodeId, b: NodeId) -> Vec<LinkId> {
         self.walk(a, b).collect()
     }

@@ -35,8 +35,6 @@ enum Ev {
 
 #[derive(Debug, Default, Clone)]
 pub(crate) struct MpiLayerStats {
-    pub(crate) msgs: u64,
-    pub(crate) bytes: u64,
     pub(crate) iprobe_calls: u64,
     /// Time the progress engine spent inside blocking receives.
     pub(crate) blocked_ns: Time,
@@ -106,8 +104,6 @@ impl MachineLayer for MpiLayer {
 
     fn sync_send(&mut self, ctx: &mut MachineCtx, src_pe: PeId, dst_pe: PeId, msg: Bytes) {
         debug_assert_ne!(src_pe, dst_pe, "self-sends bypass the machine layer");
-        self.stats.msgs += 1;
-        self.stats.bytes += msg.len() as u64;
         ctx.count_send(msg.len() as u64);
         // "If CHARM++ is implemented on MPI, an extra memory copy between
         // CHARM++ and MPI memory space may be needed" (paper §I) — charged

@@ -3,7 +3,6 @@
 //! 8b, 8c) can be regenerated from the same code.
 
 use gemini_net::GeminiParams;
-use sim_core::Time;
 
 /// Which small-message facility to use (paper §II-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,19 +41,11 @@ pub struct UgniConfig {
     pub use_mempool: bool,
     /// Intra-node strategy (§IV-C).
     pub intranode: IntraNode,
-    /// Fixed pxshm handshake overhead per message per side (lock/fence +
-    /// notify), ns.
-    pub shm_overhead: Time,
-    /// Latency until the receiver's progress engine notices a shared-memory
-    /// message, ns.
-    pub shm_notice: Time,
     /// SMP mode (paper §VII future work): one communication thread per
     /// node runs the progress engine, so protocol processing neither
     /// consumes worker-PE time nor waits for busy workers, and intra-node
     /// messages pass by pointer within the shared address space.
     pub smp: bool,
-    /// Worker -> comm-thread handoff cost per message in SMP mode (ns).
-    pub smp_handoff: Time,
 }
 
 impl UgniConfig {
@@ -65,10 +56,7 @@ impl UgniConfig {
             small_path: SmallPath::Smsg,
             use_mempool: true,
             intranode: IntraNode::PxshmSingleCopy,
-            shm_overhead: 250,
-            shm_notice: 400,
             smp: false,
-            smp_handoff: 120,
         }
     }
 

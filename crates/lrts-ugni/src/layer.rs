@@ -24,12 +24,15 @@ use bytes::{BufMut, Bytes, BytesMut};
 use charm_rt::cluster::MachineCtx;
 use charm_rt::lrts::{MachineLayer, PersistentHandle};
 use charm_rt::msg::PeId;
-use gemini_net::{Addr, Mechanism, MemHandle, RdmaOp};
+use gemini_net::{Addr, FaultPlan, Mechanism, MemHandle, NodeId, RdmaOp};
 use mempool::{Block, MemPool};
 use sim_core::{DetHashMap, DetHashSet, LazyVec, Time};
 use std::any::Any;
 use std::collections::VecDeque;
-use ugni::{CqEvent, CqHandle, EpHandle, Gni, GniError, GniResult, PostDescriptor, PostOk};
+use ugni::{
+    next_backoff, CqEvent, CqHandle, EpHandle, Gni, GniError, GniResult, PostDescriptor, PostOk,
+    RdvFrame, XidFrame,
+};
 
 // With the `verify` feature every uGNI call goes through the CheckedGni
 // contract verifier; signatures are identical, so only the stored type
@@ -44,17 +47,24 @@ const TAG_INIT: u8 = 1;
 const TAG_ACK: u8 = 2;
 const TAG_PERSIST: u8 = 3;
 
-/// First retry delay after a fabric transaction error, virtual ns.
-const RETRY_BACKOFF0: Time = 1_000;
-/// Exponential backoff cap.
-const RETRY_BACKOFF_MAX: Time = 65_536;
+/// Fixed pxshm handshake overhead per message per side (lock/fence +
+/// notify), ns.
+const SHM_OVERHEAD: Time = 250;
+/// Latency until the receiver's progress engine notices a shared-memory
+/// message, ns.
+const SHM_NOTICE: Time = 400;
+/// Worker -> comm-thread handoff cost per message in SMP mode, ns.
+const SMP_HANDOFF: Time = 120;
 
-fn next_backoff(b: Time) -> Time {
-    if b == 0 {
-        RETRY_BACKOFF0
-    } else {
-        (b * 2).min(RETRY_BACKOFF_MAX)
-    }
+/// When to try a failed transfer toward `peer_node` again: `from` plus
+/// the next backoff, which is stored in `backoff`. `None` when the node
+/// is down for good by then: retrying forever would wedge the transfer,
+/// so the caller abandons it (with FT on, rollback-replay re-drives the
+/// message for whichever PE adopts the peer's work).
+fn retry_at(fault: &FaultPlan, peer_node: NodeId, backoff: &mut Time, from: Time) -> Option<Time> {
+    *backoff = next_backoff(*backoff);
+    let at = from + *backoff;
+    (!fault.node_dead_forever(peer_node, at)).then_some(at)
 }
 
 /// Bytes of the per-message sequence header prepended on the small path
@@ -78,7 +88,8 @@ enum Ev {
     StartRendezvous { xid: u64 },
     /// Receiver-side landing buffer ready; post the GET.
     PostGet { xid: u64 },
-    /// A persistent PUT completed locally; notify the receiver.
+    /// A persistent PUT completed locally (fault-free runs); notify the
+    /// receiver.
     PersistPutDone { xid: u64 },
     /// A persistent PUT failed in the fabric; post it again (chaos mode).
     RepostPut { xid: u64 },
@@ -126,13 +137,18 @@ struct PendingRecv {
     backoff: Time,
 }
 
-/// An in-flight persistent PUT being tracked for fabric-error recovery
-/// (chaos mode only; fault-free runs use the direct `PersistPutDone` path).
-struct PendingPut {
+/// A persistent PUT, from its post until the receiver takes the payload.
+struct InflightPut {
     handle: PersistentHandle,
     src_pe: PeId,
     dst_pe: PeId,
-    bytes: u64,
+    data: Bytes,
+    /// The completion is still to be reaped from the CQ, where a
+    /// `PostError` re-posts the PUT (chaos mode). False once the receiver
+    /// is notified, and from the start in fault-free runs, where the
+    /// direct `PersistPutDone` event notifies.
+    on_cq: bool,
+    /// Current retry backoff; nonzero once the PUT has faulted.
     backoff: Time,
 }
 
@@ -239,6 +255,22 @@ struct PersistChan {
     local: Buf,
 }
 
+impl PersistChan {
+    /// The PUT of `data` from the send buffer into the receive buffer.
+    fn put(&self, xid: u64, data: Bytes) -> PostDescriptor {
+        PostDescriptor {
+            op: RdmaOp::Put,
+            local_mem: self.local.handle(),
+            local_addr: self.local.addr(),
+            remote_mem: self.remote.handle(),
+            remote_addr: self.remote.addr(),
+            bytes: data.len() as u64,
+            data: Some(data),
+            user_id: xid,
+        }
+    }
+}
+
 #[derive(Debug, Default, Clone)]
 pub struct UgniStats {
     pub small_msgs: u64,
@@ -246,10 +278,6 @@ pub struct UgniStats {
     pub persistent_msgs: u64,
     pub shm_msgs: u64,
     pub credit_retries: u64,
-    pub(crate) bytes: u64,
-    /// SMP mode: protocol CPU time absorbed by the per-node comm threads
-    /// instead of worker PEs.
-    pub(crate) comm_thread_ns: Time,
     /// Small-path sends that failed in the fabric and were re-sent.
     pub send_faults: u64,
     /// FMA/BTE transactions that failed and were re-posted.
@@ -262,10 +290,6 @@ pub struct UgniStats {
     /// Duplicate small-path messages suppressed by the receiver (resends
     /// after a corrupted-completion delivery).
     pub dup_drops: u64,
-    /// Sends and re-posts abandoned because the peer's node is inside a
-    /// crash window it never leaves (retrying forever would wedge the
-    /// connection; the FT layer above re-drives delivery after recovery).
-    pub(crate) dead_peer_drops: u64,
     /// Total CPU time charged as fault recovery.
     pub(crate) recovery_ns: Time,
 }
@@ -287,10 +311,7 @@ pub struct UgniLayer {
     sends: DetHashMap<u64, PendingSend>,
     recvs: DetHashMap<u64, PendingRecv>,
     persists: DetHashMap<PersistentHandle, PersistChan>,
-    /// In-flight persistent payloads keyed by xid.
-    persist_data: DetHashMap<u64, (Bytes, PeId)>,
-    /// Persistent PUTs awaiting a CQ completion (chaos mode only).
-    persist_pending: DetHashMap<u64, PendingPut>,
+    puts: DetHashMap<u64, InflightPut>,
     /// True when the configured fault plan can inject anything. All
     /// recovery bookkeeping that would perturb timing (sequence headers,
     /// CQ-reaped PUT completions) is gated on this so fault-free runs stay
@@ -313,8 +334,7 @@ impl UgniLayer {
             sends: DetHashMap::default(),
             recvs: DetHashMap::default(),
             persists: DetHashMap::default(),
-            persist_data: DetHashMap::default(),
-            persist_pending: DetHashMap::default(),
+            puts: DetHashMap::default(),
             chaos,
             comm_busy: Vec::new(),
             next_xid: 0,
@@ -322,20 +342,9 @@ impl UgniLayer {
         }
     }
 
-    /// Charge `ns` of protocol processing for `pe`'s traffic. In non-SMP
-    /// mode this is worker-PE overhead (the progress engine runs inside
-    /// the process); in SMP mode the per-node comm thread absorbs it.
-    /// Returns the time at which the processing completes.
+    /// Charge `ns` of protocol processing for `pe`'s traffic.
     fn charge_comm(&mut self, ctx: &mut MachineCtx, pe: PeId, ns: Time) -> Time {
-        if !self.cfg.smp {
-            ctx.charge_overhead(pe, ns);
-            return ctx.pe_free_at(pe).max(ctx.now());
-        }
-        let node = ctx.node_of(pe) as usize;
-        let start = self.comm_busy[node].max(ctx.now());
-        self.comm_busy[node] = start + ns;
-        self.stats.comm_thread_ns += ns;
-        start + ns
+        self.charge(ctx, pe, ns, false)
     }
 
     /// Like [`UgniLayer::charge_comm`] but accounted as fault recovery:
@@ -343,15 +352,26 @@ impl UgniLayer {
     /// recovery category instead of ordinary overhead.
     fn charge_rec(&mut self, ctx: &mut MachineCtx, pe: PeId, ns: Time) -> Time {
         self.stats.recovery_ns += ns;
-        if !self.cfg.smp {
-            ctx.charge_recovery(pe, ns);
-            return ctx.pe_free_at(pe).max(ctx.now());
+        self.charge(ctx, pe, ns, true)
+    }
+
+    /// In non-SMP mode protocol work is worker-PE time (the progress
+    /// engine runs inside the process), traced as `recovery` or overhead;
+    /// in SMP mode the per-node comm thread absorbs it. Returns the time
+    /// at which the processing completes.
+    fn charge(&mut self, ctx: &mut MachineCtx, pe: PeId, ns: Time, recovery: bool) -> Time {
+        if self.cfg.smp {
+            let node = ctx.node_of(pe) as usize;
+            let start = self.comm_busy[node].max(ctx.now());
+            self.comm_busy[node] = start + ns;
+            return start + ns;
         }
-        let node = ctx.node_of(pe) as usize;
-        let start = self.comm_busy[node].max(ctx.now());
-        self.comm_busy[node] = start + ns;
-        self.stats.comm_thread_ns += ns;
-        start + ns
+        if recovery {
+            ctx.charge_recovery(pe, ns);
+        } else {
+            ctx.charge_overhead(pe, ns);
+        }
+        ctx.pe_free_at(pe).max(ctx.now())
     }
 
     /// Schedule a progress poll for `pe`'s traffic, coalescing with any
@@ -560,7 +580,7 @@ impl UgniLayer {
         &mut self,
         ctx: &mut MachineCtx,
         (src_pe, dst_pe): (PeId, PeId),
-        (ep, backoff): (EpHandle, Time),
+        (ep, mut backoff): (EpHandle, Time),
         (tag, data): (u8, Bytes),
         now: Time,
         front: bool,
@@ -599,24 +619,14 @@ impl UgniLayer {
                 if let Some(t) = delivered_at {
                     self.schedule_poll(ctx, t, dst_pe, poll());
                 }
-                let backoff = next_backoff(backoff);
-                let at = error_at.max(now) + backoff;
-                if self
-                    .cfg
-                    .params
-                    .fault
-                    .node_dead_forever(ctx.node_of(dst_pe), at)
-                {
-                    // The peer is gone and never coming back: retrying
-                    // forever would wedge the connection. Give up; with FT
-                    // enabled the rollback-replay path regenerates the
-                    // message for whichever PE adopts the destination.
-                    self.stats.dead_peer_drops += 1;
+                let fault = &self.cfg.params.fault;
+                let peer_node = ctx.node_of(dst_pe);
+                if let Some(at) = retry_at(fault, peer_node, &mut backoff, error_at.max(now)) {
+                    self.park_and_arm(ctx, (src_pe, dst_pe), backoff, (tag, data), at, front);
+                } else {
                     let conn = self.conns.entry((src_pe, dst_pe)).or_default();
                     conn.backlog.backoff = backoff;
-                    return false;
                 }
-                self.park_and_arm(ctx, (src_pe, dst_pe), backoff, (tag, data), at, front);
                 false
             }
             // panic-ok: non-credit smsg errors are protocol bugs, not faults
@@ -674,23 +684,25 @@ impl UgniLayer {
         };
         // INIT_TAG control message: xid, size, memory handle + address of
         // the sender buffer (paper Fig. 5).
-        let mut b = BytesMut::with_capacity(33);
-        b.put_u8(TAG_INIT);
-        b.put_u64(xid);
-        b.put_u64(bytes);
-        b.put_u64(handle.0);
-        b.put_u64(addr.0);
+        let init = RdvFrame {
+            xid,
+            bytes,
+            handle,
+            addr,
+        };
         // The SR event fires exactly when this message's buffer prep is
         // done, so the control message departs now.
         let at = ctx.now();
-        self.smsg(ctx, src_pe, dst_pe, TAG_INIT, b.freeze(), at);
+        self.smsg(ctx, src_pe, dst_pe, TAG_INIT, init.encode(TAG_INIT), at);
     }
 
     fn handle_init(&mut self, ctx: &mut MachineCtx, dst_pe: PeId, src_pe: PeId, ctrl: &Bytes) {
-        let xid = u64::from_be_bytes(ctrl[1..9].try_into().unwrap());
-        let bytes = u64::from_be_bytes(ctrl[9..17].try_into().unwrap());
-        let handle = MemHandle(u64::from_be_bytes(ctrl[17..25].try_into().unwrap()));
-        let addr = Addr(u64::from_be_bytes(ctrl[25..33].try_into().unwrap()));
+        let RdvFrame {
+            xid,
+            bytes,
+            handle,
+            addr,
+        } = RdvFrame::decode(ctrl).expect("malformed INIT frame");
         // Allocate the landing buffer (T_malloc + T_register, or the pool).
         let (buf, cost) = self.alloc_buf(ctx, dst_pe, bytes);
         let ready = self.charge_comm(ctx, dst_pe, cost);
@@ -765,11 +777,9 @@ impl UgniLayer {
                     self.charge_comm(ctx, pe, poll_cost);
                     match op {
                         RdmaOp::Get => self.get_done(ctx, user_id, data),
-                        // Persistent PUT completions are normally consumed
-                        // by the PersistPutDone event and this is a no-op;
-                        // under chaos the pending table is authoritative
-                        // because the PUT may have been re-posted.
-                        RdmaOp::Put => self.put_done(ctx, pe, user_id),
+                        // Only chaos mode reaps persistent PUTs here: the
+                        // PUT may have been re-posted.
+                        RdmaOp::Put => self.put_done(ctx, pe, user_id, true),
                     }
                 }
                 Ok(CqEvent::SmsgRx { .. }) => {
@@ -803,133 +813,85 @@ impl UgniLayer {
     }
 
     /// A fabric-failed FMA/BTE transaction: schedule a re-post with capped
-    /// exponential backoff in virtual time.
+    /// exponential backoff in virtual time, or abandon the transfer when
+    /// its peer is down for good.
     fn repost_after_error(&mut self, ctx: &mut MachineCtx, pe: PeId, xid: u64, op: RdmaOp) {
         // A fault for a transfer no longer tracked (already completed or
         // cancelled) is stale; recovery absorbs it rather than aborting.
-        match op {
-            RdmaOp::Get => {
-                let Some(r) = self.recvs.get_mut(&xid) else {
-                    return;
-                };
-                r.backoff = next_backoff(r.backoff);
-                let at = ctx.now() + r.backoff;
-                // The GET pulls from the sender's memory: a sender node
-                // that is down for good can never serve it. Abandon the
-                // transfer instead of re-posting forever.
-                let peer = r.src_pe;
-                if self
-                    .cfg
-                    .params
-                    .fault
-                    .node_dead_forever(ctx.node_of(peer), at)
-                {
-                    self.stats.dead_peer_drops += 1;
+        // A GET pulls from the sender's memory, a PUT pushes into the
+        // receiver's: the peer is the node that must stay up.
+        let tracked = match op {
+            RdmaOp::Get => self.recvs.get_mut(&xid).map(|r| (r.src_pe, &mut r.backoff)),
+            RdmaOp::Put => self
+                .puts
+                .get_mut(&xid)
+                .filter(|p| p.on_cq)
+                .map(|p| (p.dst_pe, &mut p.backoff)),
+        };
+        let Some((peer, backoff)) = tracked else {
+            return;
+        };
+        let fault = &self.cfg.params.fault;
+        let Some(at) = retry_at(fault, ctx.node_of(peer), backoff, ctx.now()) else {
+            match op {
+                RdmaOp::Get => {
                     self.recvs.remove(&xid);
-                    return;
                 }
-                ctx.schedule_nodefer(at, pe, Box::new(Ev::PostGet { xid }));
-            }
-            RdmaOp::Put => {
-                let Some(p) = self.persist_pending.get_mut(&xid) else {
-                    return;
-                };
-                p.backoff = next_backoff(p.backoff);
-                let at = ctx.now() + p.backoff;
-                let peer = p.dst_pe;
-                if self
-                    .cfg
-                    .params
-                    .fault
-                    .node_dead_forever(ctx.node_of(peer), at)
-                {
-                    self.stats.dead_peer_drops += 1;
-                    self.persist_pending.remove(&xid);
-                    self.persist_data.remove(&xid);
-                    return;
+                RdmaOp::Put => {
+                    self.puts.remove(&xid);
                 }
-                ctx.schedule_nodefer(at, pe, Box::new(Ev::RepostPut { xid }));
             }
-        }
+            return;
+        };
+        let repost = match op {
+            RdmaOp::Get => Ev::PostGet { xid },
+            RdmaOp::Put => Ev::RepostPut { xid },
+        };
+        ctx.schedule_nodefer(at, pe, Box::new(repost));
     }
 
-    /// A persistent PUT completed on the CQ. No-op in fault-free runs (the
-    /// direct PersistPutDone event already notified); in chaos mode this is
-    /// where the receiver-side notification is finally sent.
-    fn put_done(&mut self, ctx: &mut MachineCtx, pe: PeId, xid: u64) {
-        if self.persist_pending.remove(&xid).is_none() {
+    /// A persistent PUT completed: from the direct event (fault-free runs,
+    /// `reaped` false) or reaped from the CQ (chaos mode). Notify the
+    /// receiver with one `PERSISTENT_TAG` SMSG (paper Fig. 7a), once: a CQ
+    /// completion of a PUT the direct event notifies, or of one no longer
+    /// tracked, is a no-op.
+    fn put_done(&mut self, ctx: &mut MachineCtx, pe: PeId, xid: u64, reaped: bool) {
+        let Some(p) = self.puts.get_mut(&xid).filter(|p| p.on_cq == reaped) else {
             return;
-        }
-        let dst_pe = self
-            .persist_data
-            .get(&xid)
-            .expect("persist PUT done without data")
-            .1;
-        let mut b = BytesMut::with_capacity(9);
-        b.put_u8(TAG_PERSIST);
-        b.put_u64(xid);
+        };
+        p.on_cq = false;
+        let dst_pe = p.dst_pe;
         let at = ctx.now();
-        self.smsg(ctx, pe, dst_pe, TAG_PERSIST, b.freeze(), at);
+        let notify = XidFrame { xid }.encode(TAG_PERSIST);
+        self.smsg(ctx, pe, dst_pe, TAG_PERSIST, notify, at);
     }
 
     /// Re-post a fabric-failed persistent PUT (chaos mode). The payload is
-    /// still held in `persist_data`, the channel buffers are permanent, so
+    /// still held in its record and the channel buffers are permanent, so
     /// the descriptor can be rebuilt exactly.
     fn repost_put(&mut self, ctx: &mut MachineCtx, xid: u64) {
         // Stale re-post (transfer completed meanwhile): absorb, don't abort.
-        let Some((handle, src_pe, dst_pe, bytes)) = self
-            .persist_pending
-            .get(&xid)
-            .map(|p| (p.handle, p.src_pe, p.dst_pe, p.bytes))
-        else {
+        let Some(p) = self.puts.get(&xid).filter(|p| p.on_cq) else {
             return;
         };
-        let Some((local_mem, local_addr, remote_mem, remote_addr)) =
-            self.persists.get(&handle).map(|chan| {
-                (
-                    chan.local.handle(),
-                    chan.local.addr(),
-                    chan.remote.handle(),
-                    chan.remote.addr(),
-                )
-            })
-        else {
+        let (src_pe, dst_pe) = (p.src_pe, p.dst_pe);
+        let Some(chan) = self.persists.get(&p.handle) else {
             return;
         };
-        let Some(data) = self.persist_data.get(&xid).map(|d| d.0.clone()) else {
-            return;
-        };
+        let desc = chan.put(xid, p.data.clone());
         let (ep, _) = self.conn(ctx, src_pe, dst_pe);
-        let desc = PostDescriptor {
-            op: RdmaOp::Put,
-            local_mem,
-            local_addr,
-            remote_mem,
-            remote_addr,
-            bytes,
-            data: Some(data),
-            user_id: xid,
-        };
-        let now = ctx.now();
-        let ok = match self.post_transfer(now, ep, desc) {
-            Ok(ok) => ok,
+        match self.post_transfer(ctx.now(), ep, desc) {
+            Ok(ok) => {
+                self.charge_rec(ctx, src_pe, ok.cpu);
+                self.schedule_poll(ctx, ok.local_cq_at, src_pe, Ev::PollCq);
+            }
             Err(_) => {
                 // The NIC rejected the re-post (e.g. transiently invalid
                 // handle); back off and try again instead of panicking.
-                let backoff = {
-                    let Some(p) = self.persist_pending.get_mut(&xid) else {
-                        return;
-                    };
-                    p.backoff = next_backoff(p.backoff);
-                    p.backoff
-                };
                 self.stats.rdma_faults += 1;
-                ctx.schedule_nodefer(now + backoff, src_pe, Box::new(Ev::RepostPut { xid }));
-                return;
+                self.repost_after_error(ctx, src_pe, xid, RdmaOp::Put);
             }
-        };
-        self.charge_rec(ctx, src_pe, ok.cpu);
-        self.schedule_poll(ctx, ok.local_cq_at, src_pe, Ev::PollCq);
+        }
     }
 
     fn get_done(&mut self, ctx: &mut MachineCtx, xid: u64, data: Option<Bytes>) {
@@ -937,11 +899,9 @@ impl UgniLayer {
         let data = data.expect("GET completed without data — sender buffer missing");
         debug_assert_eq!(data.len() as u64, r.bytes);
         // ACK so the sender can free (paper Fig. 5).
-        let mut b = BytesMut::with_capacity(9);
-        b.put_u8(TAG_ACK);
-        b.put_u64(xid);
+        let ack = XidFrame { xid }.encode(TAG_ACK);
         let at = ctx.pe_free_at(r.dst_pe).max(ctx.now());
-        self.smsg(ctx, r.dst_pe, r.src_pe, TAG_ACK, b.freeze(), at);
+        self.smsg(ctx, r.dst_pe, r.src_pe, TAG_ACK, ack, at);
         // Hand the buffer to Converse (no copy — the runtime owns it).
         ctx.deliver_now(r.dst_pe, data);
         // The app consumes the message; return the landing buffer.
@@ -950,7 +910,7 @@ impl UgniLayer {
     }
 
     fn handle_ack(&mut self, ctx: &mut MachineCtx, ctrl: &Bytes) {
-        let xid = u64::from_be_bytes(ctrl[1..9].try_into().unwrap());
+        let xid = XidFrame::decode(ctrl).expect("malformed ACK frame").xid;
         let p = self.sends.remove(&xid).expect("ACK for unknown xid");
         let cost = self.free_buf(ctx, p.src_pe, p.buf);
         self.charge_comm(ctx, p.src_pe, cost);
@@ -1008,7 +968,7 @@ impl UgniLayer {
         // corrupted completion delivers the payload AND makes the sender
         // re-send — dedup restores exactly-once delivery).
         let data = if self.chaos {
-            let seq = u64::from_be_bytes(rx.data[..SEQ_HDR].try_into().unwrap());
+            let seq = u64::from_be_bytes(*rx.data.first_chunk().expect("unsequenced message"));
             let conn = self.conns.entry((rx.from, pe)).or_default();
             if !conn.seq_seen.insert(seq) {
                 self.stats.dup_drops += 1;
@@ -1044,13 +1004,15 @@ impl UgniLayer {
             }
             TAG_ACK => self.handle_ack(ctx, &data),
             TAG_PERSIST => {
-                let xid = u64::from_be_bytes(data[1..9].try_into().unwrap());
-                let (data, dst_pe) = self
-                    .persist_data
+                let xid = XidFrame::decode(&data)
+                    .expect("malformed PERSIST frame")
+                    .xid;
+                let put = self
+                    .puts
                     .remove(&xid)
                     .expect("persistent notify without data");
-                debug_assert_eq!(dst_pe, pe);
-                ctx.deliver_at(ctx.now(), pe, data);
+                debug_assert_eq!(put.dst_pe, pe);
+                ctx.deliver_at(ctx.now(), pe, put.data);
             }
             t => panic!("unknown small-path tag {t}"),
         }
@@ -1061,9 +1023,9 @@ impl UgniLayer {
         let params = &self.cfg.params;
         let copy = params.memcpy_cost(msg.len() as u64);
         // Sender: lock/allocate a region in the shared segment + copy in.
-        ctx.charge_overhead(src_pe, self.cfg.shm_overhead + copy);
+        ctx.charge_overhead(src_pe, SHM_OVERHEAD + copy);
         let copy_out = self.cfg.intranode == IntraNode::PxshmDoubleCopy;
-        let at = ctx.now() + self.cfg.shm_overhead + copy + self.cfg.shm_notice;
+        let at = ctx.now() + SHM_OVERHEAD + copy + SHM_NOTICE;
         ctx.schedule(
             at,
             dst_pe,
@@ -1100,15 +1062,14 @@ impl MachineLayer for UgniLayer {
 
     fn sync_send(&mut self, ctx: &mut MachineCtx, src_pe: PeId, dst_pe: PeId, msg: Bytes) {
         debug_assert_ne!(src_pe, dst_pe, "self-sends bypass the machine layer");
-        self.stats.bytes += msg.len() as u64;
         ctx.count_send(msg.len() as u64);
 
         let same_node = ctx.node_of(src_pe) == ctx.node_of(dst_pe);
         if same_node && self.cfg.smp {
             // SMP: workers share the address space — pass the pointer.
             self.stats.shm_msgs += 1;
-            ctx.charge_overhead(src_pe, self.cfg.smp_handoff);
-            ctx.deliver_at(ctx.now() + self.cfg.smp_handoff, dst_pe, msg);
+            ctx.charge_overhead(src_pe, SMP_HANDOFF);
+            ctx.deliver_at(ctx.now() + SMP_HANDOFF, dst_pe, msg);
             return;
         }
         if same_node && self.cfg.intranode != IntraNode::NetworkLoopback {
@@ -1117,7 +1078,7 @@ impl MachineLayer for UgniLayer {
         }
         if self.cfg.smp {
             // Worker hands the message to the node's comm thread.
-            ctx.charge_overhead(src_pe, self.cfg.smp_handoff);
+            ctx.charge_overhead(src_pe, SMP_HANDOFF);
         }
 
         // Chaos mode frames small messages with a sequence header; keep
@@ -1172,20 +1133,9 @@ impl MachineLayer for UgniLayer {
             Ev::StartRendezvous { xid } => self.rendezvous_start(ctx, xid),
             Ev::PostGet { xid } => self.post_get(ctx, xid),
             Ev::RepostPut { xid } => self.repost_put(ctx, xid),
-            Ev::PersistPutDone { xid } => {
-                let dst_pe = self
-                    .persist_data
-                    .get(&xid)
-                    .expect("persist PUT done without data")
-                    .1;
-                let mut b = BytesMut::with_capacity(9);
-                b.put_u8(TAG_PERSIST);
-                b.put_u64(xid);
-                let at = ctx.now();
-                self.smsg(ctx, pe, dst_pe, TAG_PERSIST, b.freeze(), at);
-            }
+            Ev::PersistPutDone { xid } => self.put_done(ctx, pe, xid, false),
             Ev::ShmArrive { data, copy_out } => {
-                let mut cost = self.cfg.shm_overhead;
+                let mut cost = SHM_OVERHEAD;
                 if copy_out {
                     cost += self.cfg.params.memcpy_cost(data.len() as u64);
                 }
@@ -1236,52 +1186,37 @@ impl MachineLayer for UgniLayer {
         };
         assert!(msg.len() as u64 <= chan.max_bytes, "persistent overflow");
         assert_eq!((chan.src_pe, chan.dst_pe), (src_pe, dst_pe));
-        let bytes = msg.len() as u64;
-        let local_mem = chan.local.handle();
-        let local_addr = chan.local.addr();
-        let remote_mem = chan.remote.handle();
-        let remote_addr = chan.remote.addr();
         self.stats.persistent_msgs += 1;
-        self.stats.bytes += bytes;
-        ctx.count_send(bytes);
+        ctx.count_send(msg.len() as u64);
 
         let xid = self.next_xid;
         self.next_xid += 1;
-        self.persist_data.insert(xid, (msg.clone(), dst_pe));
-
         // "the sender can directly put its message data into the
         // persistent buffer" — no malloc, no registration, no control
         // message (paper §IV-A).
+        let desc = chan.put(xid, msg.clone());
         let (ep, _) = self.conn(ctx, src_pe, dst_pe);
-        let desc = PostDescriptor {
-            op: RdmaOp::Put,
-            local_mem,
-            local_addr,
-            remote_mem,
-            remote_addr,
-            bytes,
-            data: Some(msg),
-            user_id: xid,
-        };
         let now = ctx.now();
         let ok = self
             .post_transfer(now, ep, desc)
             .expect("persistent PUT rejected");
         self.charge_comm(ctx, src_pe, ok.cpu);
-        if self.chaos {
-            // Reap the completion from the CQ so a PostError can trigger a
-            // re-post; the fault-free direct event would wrongly notify
-            // the receiver of a PUT that never landed.
-            self.persist_pending.insert(
-                xid,
-                PendingPut {
-                    handle,
-                    src_pe,
-                    dst_pe,
-                    bytes,
-                    backoff: 0,
-                },
-            );
+        // Chaos mode reaps the completion from the CQ so a PostError can
+        // trigger a re-post; the fault-free direct event would wrongly
+        // notify the receiver of a PUT that never landed.
+        let on_cq = self.chaos;
+        self.puts.insert(
+            xid,
+            InflightPut {
+                handle,
+                src_pe,
+                dst_pe,
+                data: msg,
+                on_cq,
+                backoff: 0,
+            },
+        );
+        if on_cq {
             self.schedule_poll(ctx, ok.local_cq_at, src_pe, Ev::PollCq);
         } else {
             ctx.schedule_nodefer(ok.local_cq_at, src_pe, Box::new(Ev::PersistPutDone { xid }));
@@ -1289,7 +1224,6 @@ impl MachineLayer for UgniLayer {
     }
 
     #[expect(
-        clippy::disallowed_methods,
         clippy::iter_over_hash_type,
         reason = "each entry is reset or removed on its own; no order reaches the run"
     )]
@@ -1317,16 +1251,8 @@ impl MachineLayer for UgniLayer {
         }
         self.sends.retain(|_, p| p.src_pe / cores != node);
         self.recvs.retain(|_, r| r.dst_pe / cores != node);
-        let dead_puts: Vec<u64> = self
-            .persist_pending
-            .iter()
-            .filter(|(_, p)| p.src_pe / cores == node)
-            .map(|(xid, _)| *xid)
-            .collect();
-        for xid in dead_puts {
-            self.persist_pending.remove(&xid);
-            self.persist_data.remove(&xid);
-        }
+        self.puts
+            .retain(|_, p| !(p.on_cq && p.src_pe / cores == node));
     }
 }
 

@@ -1,7 +1,7 @@
 //! `lrts-ugni`: the paper's uGNI-based machine layer for the Charm-like
 //! runtime — SMSG small-message path, GET-based rendezvous for large
 //! messages, the pre-registered memory pool, persistent messages, and
-//! POSIX-shared-memory intra-node delivery. See [`layer`] for the protocol
+//! POSIX-shared-memory intra-node delivery. See `layer.rs` for the protocol
 //! walk-through and [`config::UgniConfig`] for the ablation switches.
 
 pub(crate) mod config;

@@ -1,5 +1,5 @@
 //! `mpi-sim`: an MPI point-to-point subset implemented **on the simulated
-//! uGNI**, standing in for Cray MPI (MPICH2 Nemesis over uGNI [17]) as the
+//! uGNI**, standing in for Cray MPI (MPICH2 Nemesis over uGNI \[17\]) as the
 //! paper's baseline.
 //!
 //! The structural behaviors the paper attributes to MPI are all here:
@@ -25,11 +25,14 @@
 //! returns CPU cost plus wake hints; there are no threads.
 
 use bytes::Bytes;
-use gemini_net::{Addr, FaultKind, GeminiParams, NodeId, RdmaOp, RegCache};
+use gemini_net::{Addr, FaultKind, GeminiParams, Mechanism, MemHandle, NodeId, RdmaOp, RegCache};
 use sim_core::{DetHashMap, Time};
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
-use ugni::{CqEvent, CqHandle, EpHandle, Gni, GniError, PostDescriptor, SmsgSendOk};
+use ugni::{
+    next_backoff, CqEvent, CqHandle, EpHandle, Gni, GniError, PostDescriptor, PostOk, RdvFrame,
+    SmsgSendOk, XidFrame,
+};
 
 // With the `verify` feature every uGNI call goes through the CheckedGni
 // contract verifier (identical signatures; derefs to Gni for reads).
@@ -37,12 +40,6 @@ use ugni::{CqEvent, CqHandle, EpHandle, Gni, GniError, PostDescriptor, SmsgSendO
 use ugni::Gni as LGni;
 #[cfg(feature = "verify")]
 use ugni_verify::CheckedGni as LGni;
-
-/// Initial blocking-retry backoff after a fabric transaction error (the
-/// library spins, so this is virtual CPU time), doubled per attempt.
-const RETRY_BACKOFF0: Time = 1_000;
-/// Backoff cap: keeps the retry cadence bounded under long outages.
-const RETRY_BACKOFF_MAX: Time = 65_536;
 
 pub(crate) type Rank = u32;
 pub(crate) type Tag = i32;
@@ -52,28 +49,29 @@ const TAG_PUT_NOTIFY: u8 = 11;
 const TAG_RTS: u8 = 12;
 const TAG_DONE: u8 = 13;
 
+/// Per-call library overhead (argument checking, request bookkeeping).
+const CALL_OVERHEAD: Time = 120;
+/// uDREG cache capacity (registrations kept per rank).
+const UDREG_CAPACITY: usize = 64;
+/// uDREG lookup cost per rendezvous operation.
+const UDREG_LOOKUP: Time = 60;
+/// Intra-node: below this, double-copy shm; at/above, XPMEM single copy.
+const XPMEM_THRESHOLD: u64 = 16 * 1024;
+/// Extra synchronization cost of an XPMEM single-copy transfer.
+const XPMEM_SYNC: Time = 3_000;
+/// Shared-memory notice latency (receiver polling period).
+const SHM_NOTICE: Time = 400;
+/// Per-entry cost of scanning the unexpected-message queue (MPICH keeps
+/// it as a linear list; under fine-grain message storms this is the
+/// paper's "prolonged MPI_Iprobe").
+const MATCH_SCAN_PER_ENTRY: Time = 90;
+
 /// Configuration of the MPI model.
 #[derive(Debug, Clone)]
 pub struct MpiConfig {
     pub params: GeminiParams,
     /// Eager/rendezvous switch (Cray MPI default order of magnitude: 8 KiB).
     pub rndv_threshold: u64,
-    /// Per-call library overhead (argument checking, request bookkeeping).
-    pub call_overhead: Time,
-    /// uDREG cache capacity (registrations kept per rank).
-    pub udreg_capacity: usize,
-    /// uDREG lookup cost per rendezvous operation.
-    pub udreg_lookup: Time,
-    /// Intra-node: below this, double-copy shm; at/above, XPMEM single copy.
-    pub xpmem_threshold: u64,
-    /// Extra synchronization cost of an XPMEM single-copy transfer.
-    pub xpmem_sync: Time,
-    /// Shared-memory notice latency (receiver polling period).
-    pub shm_notice: Time,
-    /// Per-entry cost of scanning the unexpected-message queue (MPICH
-    /// keeps it as a linear list; under fine-grain message storms this is
-    /// the paper's "prolonged MPI_Iprobe").
-    pub match_scan_per_entry: Time,
 }
 
 impl Default for MpiConfig {
@@ -81,13 +79,6 @@ impl Default for MpiConfig {
         MpiConfig {
             params: GeminiParams::hopper(),
             rndv_threshold: 8192,
-            call_overhead: 120,
-            udreg_capacity: 64,
-            udreg_lookup: 60,
-            xpmem_threshold: 16 * 1024,
-            xpmem_sync: 3_000,
-            shm_notice: 400,
-            match_scan_per_entry: 90,
         }
     }
 }
@@ -107,7 +98,7 @@ enum Unexp {
         tag: Tag,
         bytes: u64,
         xid: u64,
-        handle: gemini_net::MemHandle,
+        handle: MemHandle,
         addr: Addr,
     },
 }
@@ -185,7 +176,7 @@ struct RankState {
     unexpected: VecDeque<(Time, Unexp)>,
     /// Pre-registered internal eager buffer.
     eager_addr: Addr,
-    eager_handle: gemini_net::MemHandle,
+    eager_handle: MemHandle,
 }
 
 /// The per-job MPI instance.
@@ -224,7 +215,7 @@ impl MpiSim {
             states.push(RankState {
                 cq,
                 cq_polled: 0,
-                udreg: RegCache::new(cfg.udreg_capacity, cfg.udreg_lookup),
+                udreg: RegCache::new(UDREG_CAPACITY, UDREG_LOOKUP),
                 unexpected: VecDeque::new(),
                 eager_addr: a,
                 eager_handle: h,
@@ -287,7 +278,7 @@ impl MpiSim {
         tag: u8,
         data: Bytes,
     ) -> (SmsgSendOk, Time) {
-        let mut backoff = RETRY_BACKOFF0;
+        let mut backoff = 0;
         loop {
             match self.gni.smsg_send_w_tag(at, ep, tag, data.clone()) {
                 Ok(ok) => return (ok, at + ok.cpu),
@@ -297,8 +288,8 @@ impl MpiSim {
                     // backoff. A corrupted completion already delivered the
                     // payload — the duplicate is discarded at drain time.
                     self.stats.send_retries += 1;
+                    backoff = next_backoff(backoff);
                     at = error_at.max(at + cpu) + backoff;
-                    backoff = (backoff * 2).min(RETRY_BACKOFF_MAX);
                 }
                 Err(e) => panic!("SMSG send failed unrecoverably: {e:?}"),
             }
@@ -370,6 +361,53 @@ impl MpiSim {
         }
     }
 
+    /// Post `desc` on `mech` from `rank` at `at` and spin on the CQ until
+    /// it completes, re-posting after each fabric failure once its error
+    /// surfaces, with capped exponential backoff (the library blocks, so
+    /// the wait is CPU time). Returns when the successful post was issued,
+    /// its result and any GET payload.
+    fn post_blocking(
+        &mut self,
+        rank: Rank,
+        mut at: Time,
+        ep: EpHandle,
+        mech: Mechanism,
+        desc: PostDescriptor,
+    ) -> (Time, PostOk, Option<Bytes>) {
+        let mut backoff = 0;
+        loop {
+            let posted = match mech {
+                Mechanism::Fma => self.gni.post_fma(at, ep, desc.clone()),
+                Mechanism::Bte => self.gni.post_rdma(at, ep, desc.clone()),
+            }
+            .expect("MPI transfer rejected");
+            match self.reap_post(rank, desc.user_id, posted.local_cq_at) {
+                Ok((_, data)) => return (at, posted, data),
+                Err((_kind, err_at)) => {
+                    self.stats.send_retries += 1;
+                    backoff = next_backoff(backoff);
+                    at = err_at.max(at + posted.cpu) + backoff;
+                }
+            }
+        }
+    }
+
+    /// Register `buf` on `rank`'s node through its uDREG cache, counting
+    /// the hit or miss. Returns the handle and the CPU cost.
+    fn udreg_acquire(&mut self, rank: Rank, buf: Addr, bytes: u64) -> (MemHandle, Time) {
+        let node = self.node_of(rank);
+        let cache = &mut self.ranks[rank as usize].udreg;
+        let table = self.gni.fabric_mut().reg_table(node);
+        let before = cache.hits;
+        let r = cache.acquire(&self.cfg.params, table, buf, bytes);
+        if cache.hits > before {
+            self.stats.udreg_hits += 1;
+        } else {
+            self.stats.udreg_misses += 1;
+        }
+        r
+    }
+
     /// `MPI_Isend` (the send-side request always completes locally in this
     /// model; rendezvous data is held until the receiver pulls it).
     /// `buf` identifies the application buffer for uDREG purposes — pass
@@ -384,7 +422,7 @@ impl MpiSim {
         buf: Addr,
     ) -> Effects {
         let mut fx = Effects {
-            cpu: self.cfg.call_overhead,
+            cpu: CALL_OVERHEAD,
             wakes: Vec::new(),
         };
         let bytes = data.len() as u64;
@@ -392,16 +430,12 @@ impl MpiSim {
         // Intra-node path.
         if self.node_of(src) == self.node_of(dst) && src != dst {
             self.stats.shm_msgs += 1;
-            let single = bytes >= self.cfg.xpmem_threshold;
-            let (send_cost, visible) = if single {
+            let (send_cost, visible) = if bytes >= XPMEM_THRESHOLD {
                 // XPMEM: map + hand off, no sender copy, extra sync.
-                (
-                    self.cfg.xpmem_sync,
-                    now + self.cfg.xpmem_sync + self.cfg.shm_notice,
-                )
+                (XPMEM_SYNC, now + XPMEM_SYNC + SHM_NOTICE)
             } else {
                 let c = self.cfg.params.memcpy_cost(bytes);
-                (c, now + c + self.cfg.shm_notice)
+                (c, now + c + SHM_NOTICE)
             };
             fx.cpu += send_cost;
             self.ranks[dst as usize]
@@ -449,38 +483,19 @@ impl MpiSim {
                 data: Some(data.clone()),
                 user_id: xid,
             };
-            // Post the PUT; a failed transaction is re-posted after its
-            // error surfaces on the CQ, with capped exponential backoff.
-            let mut attempt_at = now + fx.cpu;
-            let mut backoff = RETRY_BACKOFF0;
-            let ok = loop {
-                let posted = if bytes <= 4096 {
-                    self.gni.post_fma(attempt_at, ep, desc.clone())
-                } else {
-                    self.gni.post_rdma(attempt_at, ep, desc.clone())
-                }
-                .expect("eager PUT rejected");
-                // Drain our own CQ entry eagerly (send request completion).
-                match self.reap_post(src, xid, posted.local_cq_at) {
-                    Ok(_) => break posted,
-                    Err((_kind, err_at)) => {
-                        self.stats.send_retries += 1;
-                        attempt_at = err_at.max(attempt_at + posted.cpu) + backoff;
-                        backoff = (backoff * 2).min(RETRY_BACKOFF_MAX);
-                    }
-                }
-            };
-            fx.cpu = (attempt_at - now) + ok.cpu;
+            // Post the PUT and drain our own CQ entry eagerly (send request
+            // completion).
+            let mech = self.cfg.params.preferred_mechanism(bytes);
+            let (posted_at, ok, _) = self.post_blocking(src, now + fx.cpu, ep, mech, desc);
+            fx.cpu = (posted_at - now) + ok.cpu;
             let visible_guess = ok.data_at.max(now + fx.cpu);
             self.ranks[dst as usize]
                 .unexpected
                 .push_back((visible_guess, Unexp::Eager { src, tag, data }));
             // Notify once the data is visible.
-            let mut hdr = Vec::with_capacity(9);
-            hdr.push(TAG_PUT_NOTIFY);
-            hdr.extend_from_slice(&xid.to_be_bytes());
+            let notify = XidFrame { xid }.encode(TAG_PUT_NOTIFY);
             let notify_at = ok.data_at.max(now + fx.cpu);
-            let (n, _) = self.smsg_send_blocking(notify_at, ep, TAG_PUT_NOTIFY, Bytes::from(hdr));
+            let (n, _) = self.smsg_send_blocking(notify_at, ep, TAG_PUT_NOTIFY, notify);
             // The receiver learns of the message via the notify.
             if let Some(back) = self.ranks[dst as usize].unexpected.back_mut() {
                 back.0 = back.0.max(n.deliver_at);
@@ -492,31 +507,21 @@ impl MpiSim {
         // Rendezvous: register the user buffer (uDREG) and send RTS.
         self.stats.rndv_msgs += 1;
         let src_node = self.node_of(src);
-        let (handle, reg_cost) = {
-            let cache = &mut self.ranks[src as usize].udreg;
-            let table = self.gni.fabric_mut().reg_table(src_node);
-            let before = cache.hits;
-            let r = cache.acquire(&self.cfg.params, table, buf, bytes);
-            if cache.hits > before {
-                self.stats.udreg_hits += 1;
-            } else {
-                self.stats.udreg_misses += 1;
-            }
-            r
-        };
+        let (handle, reg_cost) = self.udreg_acquire(src, buf, bytes);
         fx.cpu += reg_cost;
         self.gni.mem_write(src_node, buf, data);
         *self.staged.entry((src_node, buf)).or_insert(0) += 1;
         let xid = self.next_xid;
         self.next_xid += 1;
-        let mut hdr = Vec::with_capacity(33);
-        hdr.push(TAG_RTS);
-        hdr.extend_from_slice(&xid.to_be_bytes());
-        hdr.extend_from_slice(&bytes.to_be_bytes());
-        hdr.extend_from_slice(&handle.0.to_be_bytes());
-        hdr.extend_from_slice(&buf.0.to_be_bytes());
+        let rts = RdvFrame {
+            xid,
+            bytes,
+            handle,
+            addr: buf,
+        }
+        .encode(TAG_RTS);
         let ep = self.ep(src, dst);
-        let (ok, end) = self.smsg_send_blocking(now + fx.cpu, ep, TAG_RTS, Bytes::from(hdr));
+        let (ok, end) = self.smsg_send_blocking(now + fx.cpu, ep, TAG_RTS, rts);
         fx.cpu = end - now;
         self.ranks[dst as usize].unexpected.push_back((
             ok.deliver_at,
@@ -554,7 +559,7 @@ impl MpiSim {
         src: Option<Rank>,
         tag: Option<Tag>,
     ) -> (Option<ProbeHit>, Time) {
-        let mut cpu = self.cfg.call_overhead + self.progress(now, rank);
+        let mut cpu = CALL_OVERHEAD + self.progress(now, rank);
         let queue = &self.ranks[rank as usize].unexpected;
         let found = self.match_unexpected(now, rank, src, tag);
         let hit = found.map(|i| {
@@ -570,7 +575,7 @@ impl MpiSim {
         // Linear scan of the unexpected queue, up to the match (or its
         // full length on a miss).
         let scanned = found.map_or(queue.len(), |i| i + 1);
-        cpu += 40 + scanned as Time * self.cfg.match_scan_per_entry;
+        cpu += 40 + scanned as Time * MATCH_SCAN_PER_ENTRY;
         (hit, cpu)
     }
 
@@ -617,7 +622,7 @@ impl MpiSim {
         let idx = self.match_unexpected(now, rank, src, tag)?;
         let (_, u) = self.ranks[rank as usize].unexpected.remove(idx).unwrap();
         // Matching re-scans the unexpected list up to the hit.
-        let base = now + self.cfg.call_overhead + (idx as Time + 1) * self.cfg.match_scan_per_entry;
+        let base = now + CALL_OVERHEAD + (idx as Time + 1) * MATCH_SCAN_PER_ENTRY;
         match u {
             Unexp::Eager { data, .. } | Unexp::Shm { data, .. } => {
                 // Copy out of MPI internal (or shared) memory into the user
@@ -638,19 +643,7 @@ impl MpiSim {
             } => {
                 // Register the landing buffer, post the GET, block to done.
                 let node = self.node_of(rank);
-                let (rh, reg_cost) = {
-                    let cache = &mut self.ranks[rank as usize].udreg;
-                    let table = self.gni.fabric_mut().reg_table(node);
-                    let before = cache.hits;
-                    let r = cache.acquire(&self.cfg.params, table, recv_buf, bytes);
-                    if cache.hits > before {
-                        self.stats.udreg_hits += 1;
-                    } else {
-                        self.stats.udreg_misses += 1;
-                    }
-                    r
-                };
-                let t0 = base + reg_cost;
+                let (rh, reg_cost) = self.udreg_acquire(rank, recv_buf, bytes);
                 let ep = self.ep(rank, src);
                 let desc = PostDescriptor {
                     op: RdmaOp::Get,
@@ -664,29 +657,12 @@ impl MpiSim {
                 };
                 // Blocking: spin on the CQ until done, re-posting the GET
                 // if the fabric fails it (zero-copy pull is idempotent).
-                let mut attempt_at = t0;
-                let mut backoff = RETRY_BACKOFF0;
-                let (ok, data) = loop {
-                    let posted = self
-                        .gni
-                        .post_rdma(attempt_at, ep, desc.clone())
-                        .expect("rendezvous GET rejected");
-                    match self.reap_post(rank, xid, posted.local_cq_at) {
-                        Ok((_, d)) => break (posted, d.expect("rendezvous GET without data")),
-                        Err((_kind, err_at)) => {
-                            self.stats.send_retries += 1;
-                            attempt_at = err_at.max(attempt_at + posted.cpu) + backoff;
-                            backoff = (backoff * 2).min(RETRY_BACKOFF_MAX);
-                        }
-                    }
-                };
+                let (_, ok, data) =
+                    self.post_blocking(rank, base + reg_cost, ep, Mechanism::Bte, desc);
+                let data = data.expect("rendezvous GET without data");
                 // DONE message lets the sender's request complete.
-                let mut hdr = Vec::with_capacity(9);
-                hdr.push(TAG_DONE);
-                hdr.extend_from_slice(&xid.to_be_bytes());
-                let ep_back = self.ep(rank, src);
-                let _ =
-                    self.smsg_send_blocking(ok.local_cq_at, ep_back, TAG_DONE, Bytes::from(hdr));
+                let frame = XidFrame { xid }.encode(TAG_DONE);
+                let _ = self.smsg_send_blocking(ok.local_cq_at, ep, TAG_DONE, frame);
                 // The transfer is over and `data` owns the payload: neither
                 // the landing buffer nor the source buffer needs to hold
                 // content any longer — unless an in-flight send reads it.
@@ -700,7 +676,7 @@ impl MpiSim {
                         self.gni.mem_clear(src_node, addr);
                     }
                 }
-                let done = ok.local_cq_at + self.cfg.call_overhead;
+                let done = ok.local_cq_at + CALL_OVERHEAD;
                 self.stats.blocking_recv_ns += done.saturating_sub(now);
                 Some(RecvOutcome {
                     data,
@@ -757,6 +733,24 @@ mod tests {
         assert_eq!(m.stats.eager_msgs, 1);
         assert_eq!(m.stats.rndv_msgs, 0);
         assert!(m.gni().fabric().stats.rdma_bytes >= 4000);
+    }
+
+    #[test]
+    fn eager_put_takes_the_fabric_models_mechanism() {
+        // FMA up to the 4 KiB crossover, BTE above it; the PUT notify is
+        // an SMSG, not a transaction.
+        for (bytes, fma, bte) in [(4096, 1, 0), (4097, 0, 1)] {
+            let mut m = mpi(2, 1);
+            let buf = m.fresh_buf(0);
+            m.isend(0, 0, 1, 0, Bytes::from(vec![0u8; bytes]), buf);
+            let stats = &m.gni().fabric().stats;
+            assert_eq!(m.stats.eager_msgs, 1, "{bytes} B");
+            assert_eq!(
+                (stats.fma_transactions, stats.bte_transactions),
+                (fma, bte),
+                "{bytes} B: (FMA, BTE) transactions"
+            );
+        }
     }
 
     #[test]
@@ -982,7 +976,7 @@ mod tests {
         let fx = m.isend(0, 0, 1, 0, Bytes::from(vec![0u8; 262_144]), b);
         // Single copy: sender pays sync, not a 256K memcpy.
         assert!(fx.cpu < MpiConfig::default().params.memcpy_cost(262_144));
-        assert!(fx.cpu >= MpiConfig::default().xpmem_sync);
+        assert!(fx.cpu >= XPMEM_SYNC);
     }
 
     #[test]

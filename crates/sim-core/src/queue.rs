@@ -198,7 +198,7 @@ type Key = Reverse<(Time, u64, u32)>;
 ///
 /// A pending event is stored once, in a node of the `nodes` slab, from
 /// `push` to `pop`; every tier holds node indices. Invariants, with `base`
-/// the start of the active window (a multiple of [`BUCKET_NS`]):
+/// the start of the active window (a multiple of `BUCKET_NS`):
 ///
 /// * every node is either pending (`event` is `Some`, reachable from
 ///   exactly one tier) or on the free list; `nodes.len()` is the most
@@ -458,7 +458,7 @@ impl<E> TwoLevelQueue<E> {
     /// The event the next [`pop`](Self::pop) returns if nothing is pushed
     /// before it, when that pop would take it straight off the active
     /// window's ticks; `None` when the pop would first drain `below` or
-    /// [`advance`](Self::advance) (or the queue is empty). Read-only and
+    /// `advance` (or the queue is empty). Read-only and
     /// O(1): it never moves an event between tiers. It also prefetches
     /// the node linked behind that event, so a caller that peeks once per
     /// pop finds each node already loaded.

@@ -8,7 +8,7 @@
 //! ran ~60x *slower* at `threads = 2` than at `threads = 1` that way.
 //! This module replaces both pieces:
 //!
-//! * [`AdaptiveBarrier`] spins for a short bounded budget and then parks
+//! * `AdaptiveBarrier` spins for a short bounded budget and then parks
 //!   on a condvar. When the participant count exceeds
 //!   `available_parallelism()` the spin budget drops to zero — a waiter
 //!   that cannot possibly be overtaken by a running peer goes straight

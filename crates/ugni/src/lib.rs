@@ -4,7 +4,9 @@
 //! API shape — endpoints, completion queues, memory registration, SMSG,
 //! FMA/BTE posts — implemented over the [`gemini_net`] timing model. The
 //! machine layers (`lrts-ugni`, `mpi-sim`) are written against this API
-//! exactly as the paper's machine layer is written against real uGNI.
+//! exactly as the paper's machine layer is written against real uGNI, and
+//! share its control frames ([`RdvFrame`], [`XidFrame`]) and retry pace
+//! ([`next_backoff`]).
 //!
 //! Two simulation-specific conventions:
 //!
@@ -17,6 +19,7 @@
 //!   its payload into remote memory. This models RDMA data movement without
 //!   a real address space.
 
+mod ctrl;
 pub(crate) mod types;
 
 use bytes::Bytes;
@@ -27,6 +30,7 @@ use gemini_net::{
 use sim_core::queue::HeapQueue;
 use sim_core::{DetHashMap, Time};
 
+pub use ctrl::{next_backoff, RdvFrame, XidFrame};
 pub use types::*;
 
 struct Endpoint {

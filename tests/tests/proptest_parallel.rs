@@ -15,7 +15,7 @@ use charm_apps::jacobi2d::{self, jacobi_sequential, JacobiConfig};
 use charm_apps::{kneighbor, LayerKind};
 use charm_rt::prelude::{AmConfig, ClusterCfg, ClusterStats, FtConfig};
 use common::par_cfg;
-use gemini_net::{FaultPlan, LinkDownWindow, NodeCrashWindow};
+use gemini_net::{FaultPlan, LinkDownWindow, NodeCrashWindow, Torus};
 use lrts_ugni::UgniConfig;
 use proptest::prelude::*;
 
@@ -100,6 +100,8 @@ fn make_layer(
     let mut cfg = UgniConfig::optimized();
     cfg.params.torus_dims = dims;
     cfg.params.cores_per_node = cores;
+    // `Torus::new` panics, typed, on a node count past `u32`.
+    let nodes = Torus::new(dims).num_nodes();
     let mut fault = if drop_p > 0.0 {
         FaultPlan::uniform_drop(0xBEEF, drop_p)
     } else {
@@ -107,7 +109,7 @@ fn make_layer(
     };
     if let Some((node, dim, from)) = down {
         fault.link_down.push(LinkDownWindow {
-            node: node % cfg.params.num_nodes(),
+            node: node % nodes,
             dim: dim % 3,
             plus: true,
             from_ns: from,
@@ -115,7 +117,7 @@ fn make_layer(
         });
     }
     cfg.params.fault = fault;
-    let pes = cfg.params.num_pes();
+    let pes = nodes.checked_mul(cores).expect("PE count overflows u32");
     (LayerKind::Ugni(cfg), pes)
 }
 
