@@ -33,9 +33,9 @@ pub struct EntryId(pub(crate) u16);
 /// Reduction combiner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RedOp {
-    Sum,
-    Min,
-    Max,
+    Sum = 0,
+    Min = 1,
+    Max = 2,
 }
 
 impl RedOp {
@@ -50,20 +50,12 @@ impl RedOp {
         }
     }
 
-    fn id(self) -> u8 {
-        match self {
-            RedOp::Sum => 0,
-            RedOp::Min => 1,
-            RedOp::Max => 2,
-        }
-    }
-
-    fn from_id(b: u8) -> Self {
+    fn from_id(b: u8) -> Option<Self> {
         match b {
-            0 => RedOp::Sum,
-            1 => RedOp::Min,
-            2 => RedOp::Max,
-            _ => panic!("bad reduction op {b}"),
+            0 => Some(RedOp::Sum),
+            1 => Some(RedOp::Min),
+            2 => Some(RedOp::Max),
+            _ => None,
         }
     }
 }
@@ -251,49 +243,101 @@ fn tree_children(pe: PeId, num_pes: u32) -> impl Iterator<Item = PeId> {
 const OP_ENTRY: u8 = 0;
 const OP_BCAST: u8 = 1;
 const OP_REDUCE: u8 = 2;
-/// Broadcast leg sent point-to-point from the root to one participating
-/// PE (no tree forwarding at the receiver). Used after a redistribute
-/// recovery, when the PE spanning tree may run through dead PEs.
 const OP_BCAST_DIRECT: u8 = 3;
 
-fn enc_entry(aid: ArrayId, entry: EntryId, idx: u64, user: &Bytes) -> Bytes {
-    let mut b = BytesMut::with_capacity(13 + user.len());
-    b.put_u8(OP_ENTRY);
-    b.put_u16(aid.0);
-    b.put_u16(entry.0);
-    b.put_u64(idx);
-    b.put_slice(user);
-    b.freeze()
+/// One Charm sub-message, the payload [`CHARM_HANDLER`] dispatches: an
+/// opcode byte and big-endian ids, then the user payload or, for a
+/// reduction partial, little-endian `f64`s.
+#[derive(Debug, PartialEq)]
+enum Frame {
+    /// Entry `EntryId` on element `u64` of the array (13-byte header).
+    Entry(ArrayId, EntryId, u64, Bytes),
+    /// A broadcast (5-byte header). `true` marks a leg the root sends
+    /// point-to-point to one participating PE, which does not forward it:
+    /// after a redistribute recovery the PE spanning tree may run through
+    /// dead PEs.
+    Bcast(ArrayId, EntryId, bool, Bytes),
+    /// A child PE's partial for reduction wave `u64` (12-byte header).
+    Reduce(ArrayId, u64, RedOp, Vec<f64>),
 }
 
-fn enc_bcast(aid: ArrayId, entry: EntryId, user: &Bytes) -> Bytes {
-    let mut b = BytesMut::with_capacity(5 + user.len());
-    b.put_u8(OP_BCAST);
-    b.put_u16(aid.0);
-    b.put_u16(entry.0);
-    b.put_slice(user);
-    b.freeze()
+/// Why [`Frame::decode`] refused a payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FrameError {
+    /// Shorter than its opcode's header of this many bytes.
+    Short(usize),
+    /// A reduction partial whose values are not whole `f64`s.
+    Ragged,
+    BadOpcode(u8),
+    BadRedOp(u8),
 }
 
-fn enc_bcast_direct(aid: ArrayId, entry: EntryId, user: &Bytes) -> Bytes {
-    let mut b = BytesMut::with_capacity(5 + user.len());
-    b.put_u8(OP_BCAST_DIRECT);
-    b.put_u16(aid.0);
-    b.put_u16(entry.0);
-    b.put_slice(user);
-    b.freeze()
+/// The first `N` bytes of `p`, or [`FrameError::Short`].
+fn head<const N: usize>(p: &[u8]) -> Result<[u8; N], FrameError> {
+    p.first_chunk().copied().ok_or(FrameError::Short(N))
 }
 
-fn enc_reduce(aid: ArrayId, wave: u64, op: RedOp, vals: &[f64]) -> Bytes {
-    let mut b = BytesMut::with_capacity(14 + vals.len() * 8);
-    b.put_u8(OP_REDUCE);
-    b.put_u16(aid.0);
-    b.put_u64(wave);
-    b.put_u8(op.id());
-    for v in vals {
-        b.put_f64_le(*v);
+impl Frame {
+    fn encode(&self) -> Bytes {
+        let mut b;
+        match self {
+            Frame::Entry(aid, eid, idx, user) => {
+                b = BytesMut::with_capacity(13 + user.len());
+                b.put_u8(OP_ENTRY);
+                b.put_u16(aid.0);
+                b.put_u16(eid.0);
+                b.put_u64(*idx);
+                b.put_slice(user);
+            }
+            Frame::Bcast(aid, eid, direct, user) => {
+                b = BytesMut::with_capacity(5 + user.len());
+                b.put_u8(if *direct { OP_BCAST_DIRECT } else { OP_BCAST });
+                b.put_u16(aid.0);
+                b.put_u16(eid.0);
+                b.put_slice(user);
+            }
+            Frame::Reduce(aid, wave, op, vals) => {
+                b = BytesMut::with_capacity(14 + vals.len() * 8);
+                b.put_u8(OP_REDUCE);
+                b.put_u16(aid.0);
+                b.put_u64(*wave);
+                b.put_u8(*op as u8);
+                for v in vals {
+                    b.put_f64_le(*v);
+                }
+            }
+        }
+        b.freeze()
     }
-    b.freeze()
+
+    /// The frame `p` holds; a user payload is a slice of `p`, not a copy.
+    fn decode(p: &Bytes) -> Result<Frame, FrameError> {
+        let id = |hi, lo| u16::from_be_bytes([hi, lo]);
+        match head(p)? {
+            [OP_ENTRY] => {
+                let [_, a0, a1, e0, e1, idx @ ..] = head::<13>(p)?;
+                let (aid, eid) = (ArrayId(id(a0, a1)), EntryId(id(e0, e1)));
+                let idx = u64::from_be_bytes(idx);
+                Ok(Frame::Entry(aid, eid, idx, p.slice(13..)))
+            }
+            [op @ (OP_BCAST | OP_BCAST_DIRECT)] => {
+                let [_, a0, a1, e0, e1] = head(p)?;
+                let (aid, eid) = (ArrayId(id(a0, a1)), EntryId(id(e0, e1)));
+                Ok(Frame::Bcast(aid, eid, op == OP_BCAST_DIRECT, p.slice(5..)))
+            }
+            [OP_REDUCE] => {
+                let [_, a0, a1, wave @ .., op] = head::<12>(p)?;
+                let op = RedOp::from_id(op).ok_or(FrameError::BadRedOp(op))?;
+                let (vals, []) = p[12..].as_chunks() else {
+                    return Err(FrameError::Ragged);
+                };
+                let vals = vals.iter().map(|v| f64::from_le_bytes(*v)).collect();
+                let (aid, wave) = (ArrayId(id(a0, a1)), u64::from_be_bytes(wave));
+                Ok(Frame::Reduce(aid, wave, op, vals))
+            }
+            [op] => Err(FrameError::BadOpcode(op)),
+        }
+    }
 }
 
 impl Cluster {
@@ -358,7 +402,8 @@ impl Cluster {
         payload: Bytes,
     ) {
         let pe = self.charm.route.get(home_pe(idx, self.cfg.num_pes));
-        self.inject(at, pe, CHARM_HANDLER, enc_entry(aid, entry, idx, &payload));
+        let frame = Frame::Entry(aid, entry, idx, payload);
+        self.inject(at, pe, CHARM_HANDLER, frame.encode());
     }
 
     /// Inject a broadcast from outside the simulation.
@@ -369,7 +414,8 @@ impl Cluster {
         entry: EntryId,
         payload: Bytes,
     ) {
-        self.inject(at, 0, CHARM_HANDLER, enc_bcast(aid, entry, &payload));
+        let frame = Frame::Bcast(aid, entry, false, payload);
+        self.inject(at, 0, CHARM_HANDLER, frame.encode());
     }
 
     /// Read an element's state after a run.
@@ -391,14 +437,16 @@ impl PeCtx<'_> {
     /// Asynchronous entry-method invocation on element `idx` of `aid`.
     pub fn charm_send(&mut self, aid: ArrayId, idx: u64, entry: EntryId, payload: Bytes) {
         let pe = self.charm_reg.route.get(home_pe(idx, self.num_pes()));
-        self.send(pe, CHARM_HANDLER, enc_entry(aid, entry, idx, &payload));
+        let frame = Frame::Entry(aid, entry, idx, payload);
+        self.send(pe, CHARM_HANDLER, frame.encode());
     }
 
     /// Broadcast an entry-method invocation to every element of `aid`
     /// (spanning tree over PEs, then local fan-out).
     pub fn charm_broadcast(&mut self, aid: ArrayId, entry: EntryId, payload: Bytes) {
         // Route to the tree root; it forwards.
-        self.send(0, CHARM_HANDLER, enc_bcast(aid, entry, &payload));
+        let frame = Frame::Bcast(aid, entry, false, payload);
+        self.send(0, CHARM_HANDLER, frame.encode());
     }
 
     /// Contribute this element's share of the current reduction wave.
@@ -489,64 +537,40 @@ fn red_accumulate(
             ctx.send(target, handler, b.freeze());
         }
         Some(parent) => {
-            ctx.send(parent, CHARM_HANDLER, enc_reduce(aid, wave, op, &acc));
+            let frame = Frame::Reduce(aid, wave, op, acc);
+            ctx.send(parent, CHARM_HANDLER, frame.encode());
         }
     }
 }
 
 /// The Converse handler behind [`CHARM_HANDLER`].
 pub(crate) fn dispatch(ctx: &mut PeCtx, env: Envelope) {
-    let p = &env.payload;
-    match p[0] {
-        OP_ENTRY => {
-            let aid = ArrayId(u16::from_be_bytes([p[1], p[2]]));
-            let eid = EntryId(u16::from_be_bytes([p[3], p[4]]));
-            let idx = u64::from_be_bytes(p[5..13].try_into().unwrap());
-            let user = env.payload.slice(13..);
-            invoke_entry(ctx, aid, eid, idx, user);
-        }
-        OP_BCAST => {
-            let aid = ArrayId(u16::from_be_bytes([p[1], p[2]]));
-            let eid = EntryId(u16::from_be_bytes([p[3], p[4]]));
-            let user = env.payload.slice(5..);
-            if ctx.charm_reg.relocated {
+    let frame = Frame::decode(&env.payload);
+    match frame.unwrap_or_else(|e| panic!("malformed charm frame: {e:?}")) {
+        Frame::Entry(aid, eid, idx, user) => invoke_entry(ctx, aid, eid, idx, user),
+        Frame::Bcast(aid, eid, direct, user) => {
+            // A root's point-to-point leg (`direct`) is not forwarded.
+            if !direct && ctx.charm_reg.relocated {
                 // After a redistribute recovery the PE spanning tree may
                 // run through dead PEs: fan out directly to every
                 // participating PE instead.
                 let me = ctx.pe();
                 let parts = ctx.charm_reg.arrays[aid.0 as usize].participants.clone();
-                let direct = enc_bcast_direct(aid, eid, &user);
+                let leg = Frame::Bcast(aid, eid, true, user.clone()).encode();
                 for pe in parts {
                     if pe != me {
-                        ctx.send(pe, CHARM_HANDLER, direct.clone());
+                        ctx.send(pe, CHARM_HANDLER, leg.clone());
                     }
                 }
-            } else {
+            } else if !direct {
                 // Forward down the PE spanning tree.
-                let pe = ctx.pe();
-                let num_pes = ctx.num_pes();
-                for child in tree_children(pe, num_pes) {
+                for child in tree_children(ctx.pe(), ctx.num_pes()) {
                     ctx.send(child, CHARM_HANDLER, env.payload.clone());
                 }
             }
             bcast_local(ctx, aid, eid, user);
         }
-        OP_BCAST_DIRECT => {
-            let aid = ArrayId(u16::from_be_bytes([p[1], p[2]]));
-            let eid = EntryId(u16::from_be_bytes([p[3], p[4]]));
-            let user = env.payload.slice(5..);
-            bcast_local(ctx, aid, eid, user);
-        }
-        OP_REDUCE => {
-            let aid = ArrayId(u16::from_be_bytes([p[1], p[2]]));
-            let wave = u64::from_be_bytes(p[3..11].try_into().unwrap());
-            let op = RedOp::from_id(p[11]);
-            let vals: Vec<f64> = (0..(p.len() - 12) / 8)
-                .map(|i| f64::from_le_bytes(p[12 + i * 8..20 + i * 8].try_into().unwrap()))
-                .collect();
-            red_accumulate(ctx, aid, wave, op, &vals, false);
-        }
-        op => panic!("bad charm opcode {op}"),
+        Frame::Reduce(aid, wave, op, vals) => red_accumulate(ctx, aid, wave, op, &vals, false),
     }
 }
 
@@ -605,6 +629,51 @@ mod tests {
 
     fn cluster(pes: u32) -> Cluster {
         Cluster::new(ClusterCfg::new(pes, 4), Box::new(IdealLayer::new(1000)))
+    }
+
+    #[test]
+    fn frames_round_trip_at_their_wire_sizes() {
+        let (aid, eid, user) = (ArrayId(0x0102), EntryId(0x0304), Bytes::from_static(b"hi"));
+        let frames = [
+            Frame::Entry(aid, eid, 0x0506_0708_090a_0b0c, user.clone()),
+            Frame::Bcast(aid, eid, false, user.clone()),
+            Frame::Bcast(aid, eid, true, user),
+            Frame::Reduce(aid, 9, RedOp::Max, vec![1.5, -2.0]),
+        ];
+        let wire: Vec<Bytes> = frames.iter().map(Frame::encode).collect();
+        let sizes: Vec<usize> = wire.iter().map(Bytes::len).collect();
+        assert_eq!(sizes, [13 + 2, 5 + 2, 5 + 2, 12 + 16]);
+        let ops: Vec<u8> = wire.iter().map(|w| w[0]).collect();
+        assert_eq!(ops, [OP_ENTRY, OP_BCAST, OP_BCAST_DIRECT, OP_REDUCE]);
+        assert_eq!(
+            &wire[0][1..13],
+            b"\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c"
+        );
+        assert_eq!(
+            &wire[3][11..20],
+            b"\x02\0\0\0\0\0\0\xf8\x3f",
+            "op, then 1.5 LE"
+        );
+        for (f, w) in frames.iter().zip(&wire) {
+            assert_eq!(Frame::decode(w).as_ref(), Ok(f));
+        }
+    }
+
+    #[test]
+    fn short_and_malformed_frames_are_refused_by_name() {
+        let entry = Frame::Entry(ArrayId(1), EntryId(2), 3, Bytes::new()).encode();
+        for cut in 1..13 {
+            let short = Frame::decode(&entry.slice(..cut));
+            assert_eq!(short, Err(FrameError::Short(13)), "{cut} B");
+        }
+        let decode = |b: &'static [u8]| Frame::decode(&Bytes::from_static(b));
+        assert_eq!(decode(b""), Err(FrameError::Short(1)));
+        assert_eq!(decode(b"\x03\0\0\0"), Err(FrameError::Short(5)));
+        assert_eq!(decode(&[2; 11]), Err(FrameError::Short(12)));
+        assert_eq!(decode(&[2; 15]), Err(FrameError::Ragged));
+        let bad_op = b"\x02\0\0\0\0\0\0\0\0\0\0\x07";
+        assert_eq!(decode(bad_op), Err(FrameError::BadRedOp(7)));
+        assert_eq!(decode(b"\x07"), Err(FrameError::BadOpcode(7)));
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::any::Any;
 use std::sync::Arc;
 
 pub use crate::config::{take_sync_overhead_ns, ClusterCfg};
-pub use crate::ctx::{MachineCtx, PeCtx};
+pub use crate::ctx::{Charge, MachineCtx, PeCtx};
 pub use crate::kernel::{ClusterStats, Cmd, Event};
 
 /// Result of [`Cluster::run`].

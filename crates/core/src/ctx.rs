@@ -162,16 +162,10 @@ impl<'a> MachineCtx<'a> {
         self.pe_state_mut(pe).busy_until
     }
 
-    /// Hand a fully received, decoded-ready message to a PE's scheduler,
-    /// effective immediately.
+    /// Hand a fully received, decoded-ready message to a PE's scheduler at
+    /// `at` (now, or later when a modeled copy completes first).
     // serial-only: applies an effect
-    pub fn deliver_now(&mut self, pe: PeId, msg: Bytes) {
-        self.push_event(self.now, Event::Deliver(pe, msg));
-    }
-
-    /// Deliver at a future instant (e.g. after a modeled copy completes).
-    // serial-only: applies an effect
-    pub fn deliver_at(&mut self, at: Time, pe: PeId, msg: Bytes) {
+    pub fn deliver(&mut self, at: Time, pe: PeId, msg: Bytes) {
         self.push_event(at, Event::Deliver(pe, msg));
     }
 
@@ -192,41 +186,37 @@ impl<'a> MachineCtx<'a> {
         self.push_event(at, Event::MachineNow(pe, ev));
     }
 
-    /// Extend `pe`'s busy window by `ns` starting no earlier than now, and
-    /// record the segment under `kind`.
+    /// Charge `pe` for CPU work starting no earlier than now: extend its
+    /// busy window and record the segment under the charge's trace
+    /// category. Returns when the PE finishes the work.
     // serial-only: writes trace + busy windows
-    fn extend_busy(&mut self, pe: PeId, ns: Time, kind: Kind) {
-        if ns == 0 {
-            return;
-        }
+    pub fn charge(&mut self, pe: PeId, charge: Charge) -> Time {
+        let (ns, kind) = match charge {
+            Charge::Overhead(ns) => (ns, Kind::Overhead),
+            Charge::Recovery(ns) => (ns, Kind::Recovery),
+        };
         let now = self.now;
         let st = self.pe_state_mut(pe);
         let start = st.busy_until.max(now);
+        if ns == 0 {
+            return start;
+        }
         st.busy_until = start + ns;
         self.trace.record(pe, start, ns, kind);
+        start + ns
     }
+}
 
-    /// Charge `ns` of protocol-processing time to `pe`, starting no earlier
-    /// than now. Extends the PE's busy window and records overhead.
-    // serial-only: writes trace + busy windows
-    pub fn charge_overhead(&mut self, pe: PeId, ns: Time) {
-        self.extend_busy(pe, ns, Kind::Overhead);
-    }
-
-    /// Charge `ns` of fault-recovery time to `pe` (retries, CQ resyncs,
-    /// registration fallbacks). Same busy-window semantics as
-    /// [`MachineCtx::charge_overhead`], accounted separately in the trace.
-    // serial-only: writes trace + busy windows
-    pub fn charge_recovery(&mut self, pe: PeId, ns: Time) {
-        self.extend_busy(pe, ns, Kind::Recovery);
-    }
-
-    /// Count a message the machine layer actually put on the wire.
-    // serial-only: writes shared stats
-    pub fn count_send(&mut self, bytes: u64) {
-        self.stats.net_msgs += 1;
-        self.stats.net_bytes += bytes;
-    }
+/// CPU time a machine layer burns on a PE (paper Eq. 1's per-message
+/// terms), by the trace category it lands in: the overhead bucket of the
+/// Fig. 12 time profile, or fault recovery.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Charge {
+    /// Protocol processing: copies, allocation, registration, SMSG and
+    /// RDMA calls, polls.
+    Overhead(Time),
+    /// Fault-recovery work: retries, CQ resyncs, registration fallbacks.
+    Recovery(Time),
 }
 
 /// What an application handler sees: the Converse/Charm API. Built only

@@ -506,6 +506,11 @@ pub(crate) fn layer_event(layer: &mut dyn MachineLayer, ctx: &mut MachineCtx, ev
         }
         Event::Cmd(pe, cmd) => {
             ctx.set_cmd_origin(pe);
+            // Each send handed to the layer is one message on the wire.
+            if let Cmd::Send { msg, .. } | Cmd::SendPersistent { msg, .. } = &cmd {
+                ctx.stats.net_msgs += 1;
+                ctx.stats.net_bytes += msg.len() as u64;
+            }
             match cmd {
                 Cmd::Send { dst, msg } => layer.sync_send(ctx, pe, dst, msg),
                 Cmd::CreatePersistent {

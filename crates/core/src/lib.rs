@@ -64,7 +64,8 @@ pub mod prelude {
     pub use crate::am::{AmConfig, AmData, AmId};
     pub use crate::charm::{ArrayId, EntryId, RedOp, CHARM_HANDLER};
     pub use crate::cluster::{
-        take_sync_overhead_ns, Cluster, ClusterCfg, ClusterStats, MachineCtx, PeCtx, RunReport,
+        take_sync_overhead_ns, Charge, Cluster, ClusterCfg, ClusterStats, MachineCtx, PeCtx,
+        RunReport,
     };
     pub use crate::ft::{Checkpoint, FtConfig, FtReport};
     pub use crate::ideal::IdealLayer;

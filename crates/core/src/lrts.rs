@@ -15,10 +15,11 @@
 //! A machine layer is a state machine: `sync_send` starts a protocol,
 //! `on_event` advances it when the simulated NIC raises completions, and
 //! delivery back into the Converse scheduler happens through
-//! [`crate::cluster::MachineCtx::deliver_now`]. All CPU time a layer burns
-//! must be charged via [`crate::cluster::MachineCtx::charge_overhead`] so it
-//! shows up as runtime overhead in traces (the black part of the paper's
-//! Fig. 12).
+//! [`crate::cluster::MachineCtx::deliver`]. All CPU time a layer burns
+//! must be charged via [`crate::cluster::MachineCtx::charge`] so it shows
+//! up in traces by its [`crate::cluster::Charge`] category (overhead is the
+//! black part of the paper's Fig. 12). The runtime counts every message
+//! a layer is handed as one network send.
 
 use crate::cluster::MachineCtx;
 use crate::msg::PeId;

@@ -15,7 +15,7 @@
 //!   engine from doing any other work".
 
 use bytes::Bytes;
-use charm_rt::cluster::MachineCtx;
+use charm_rt::cluster::{Charge, MachineCtx};
 use charm_rt::lrts::MachineLayer;
 use charm_rt::msg::PeId;
 use mpi_sim::{MpiConfig, MpiSim};
@@ -104,12 +104,12 @@ impl MachineLayer for MpiLayer {
 
     fn sync_send(&mut self, ctx: &mut MachineCtx, src_pe: PeId, dst_pe: PeId, msg: Bytes) {
         debug_assert_ne!(src_pe, dst_pe, "self-sends bypass the machine layer");
-        ctx.count_send(msg.len() as u64);
         // "If CHARM++ is implemented on MPI, an extra memory copy between
         // CHARM++ and MPI memory space may be needed" (paper §I) — charged
         // here for eager-sized messages.
         if (msg.len() as u64) < self.cfg.rndv_threshold {
-            ctx.charge_overhead(src_pe, self.cfg.params.memcpy_cost(msg.len() as u64));
+            let copy = self.cfg.params.memcpy_cost(msg.len() as u64);
+            ctx.charge(src_pe, Charge::Overhead(copy));
         }
         // The send hits MPI once the PE's charged work is done.
         let now = ctx.pe_free_at(src_pe).max(ctx.now());
@@ -117,7 +117,7 @@ impl MachineLayer for MpiLayer {
         // fresh buffer as far as MPI's registration cache can tell.
         let buf = self.mpi_mut().fresh_buf(src_pe);
         let fx = self.mpi_mut().isend(now, src_pe, dst_pe, 0, msg, buf);
-        ctx.charge_overhead(src_pe, fx.cpu);
+        ctx.charge(src_pe, Charge::Overhead(fx.cpu));
         for (rank, at) in fx.wakes {
             let at = at.max(now);
             // One in-flight Poll per PE: the Iprobe loop drains everything
@@ -141,7 +141,7 @@ impl MachineLayer for MpiLayer {
                     let t = ctx.pe_free_at(pe).max(ctx.now());
                     let (hit, probe_cpu) = self.mpi_mut().iprobe(t, pe, None, None);
                     self.stats.iprobe_calls += 1;
-                    ctx.charge_overhead(pe, probe_cpu);
+                    ctx.charge(pe, Charge::Overhead(probe_cpu));
                     let Some(hit) = hit else {
                         // Re-arm for messages not yet visible at the time
                         // the probe ran (anything that became visible while
@@ -158,7 +158,8 @@ impl MachineLayer for MpiLayer {
                     };
                     // Prolonged probing: the Charm-on-MPI progress engine
                     // makes several library calls per message.
-                    ctx.charge_overhead(pe, probe_cpu * EXTRA_PROBES_PER_MSG as Time);
+                    let extra = probe_cpu * EXTRA_PROBES_PER_MSG as Time;
+                    ctx.charge(pe, Charge::Overhead(extra));
                     self.stats.iprobe_calls += EXTRA_PROBES_PER_MSG as u64;
                     let t = ctx.pe_free_at(pe).max(ctx.now());
                     let rbuf = self.mpi_mut().fresh_buf(pe);
@@ -172,8 +173,8 @@ impl MachineLayer for MpiLayer {
                     if hit.is_rendezvous {
                         self.stats.blocked_ns += window;
                     }
-                    ctx.charge_overhead(pe, window);
-                    ctx.deliver_at(out.done_at.max(ctx.now()), pe, out.data);
+                    ctx.charge(pe, Charge::Overhead(window));
+                    ctx.deliver(out.done_at.max(ctx.now()), pe, out.data);
                 }
             }
         }

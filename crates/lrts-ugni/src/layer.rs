@@ -21,7 +21,7 @@
 
 use crate::config::{IntraNode, SmallPath, UgniConfig};
 use bytes::{BufMut, Bytes, BytesMut};
-use charm_rt::cluster::MachineCtx;
+use charm_rt::cluster::{Charge, MachineCtx};
 use charm_rt::lrts::{MachineLayer, PersistentHandle};
 use charm_rt::msg::PeId;
 use gemini_net::{Addr, FaultPlan, Mechanism, MemHandle, NodeId, RdmaOp};
@@ -342,36 +342,23 @@ impl UgniLayer {
         }
     }
 
-    /// Charge `ns` of protocol processing for `pe`'s traffic.
-    fn charge_comm(&mut self, ctx: &mut MachineCtx, pe: PeId, ns: Time) -> Time {
-        self.charge(ctx, pe, ns, false)
-    }
-
-    /// Like [`UgniLayer::charge_comm`] but accounted as fault recovery:
-    /// retries, CQ resyncs, and registration fallbacks land in the trace's
-    /// recovery category instead of ordinary overhead.
-    fn charge_rec(&mut self, ctx: &mut MachineCtx, pe: PeId, ns: Time) -> Time {
-        self.stats.recovery_ns += ns;
-        self.charge(ctx, pe, ns, true)
-    }
-
-    /// In non-SMP mode protocol work is worker-PE time (the progress
-    /// engine runs inside the process), traced as `recovery` or overhead;
-    /// in SMP mode the per-node comm thread absorbs it. Returns the time
-    /// at which the processing completes.
-    fn charge(&mut self, ctx: &mut MachineCtx, pe: PeId, ns: Time, recovery: bool) -> Time {
+    /// Charge protocol work for `pe`'s traffic; returns when it is done.
+    /// In non-SMP mode it is worker-PE time (the progress engine runs
+    /// inside the process), traced by the charge's category; in SMP mode
+    /// the per-node comm thread absorbs it. Recovery time is also summed
+    /// into `recovery_ns`.
+    fn charge(&mut self, ctx: &mut MachineCtx, pe: PeId, charge: Charge) -> Time {
+        if let Charge::Recovery(ns) = charge {
+            self.stats.recovery_ns += ns;
+        }
         if self.cfg.smp {
+            let (Charge::Overhead(ns) | Charge::Recovery(ns)) = charge;
             let node = ctx.node_of(pe) as usize;
             let start = self.comm_busy[node].max(ctx.now());
             self.comm_busy[node] = start + ns;
             return start + ns;
         }
-        if recovery {
-            ctx.charge_recovery(pe, ns);
-        } else {
-            ctx.charge_overhead(pe, ns);
-        }
-        ctx.pe_free_at(pe).max(ctx.now())
+        ctx.charge(pe, charge)
     }
 
     /// Schedule a progress poll for `pe`'s traffic, coalescing with any
@@ -594,7 +581,7 @@ impl UgniLayer {
         let poll = || if use_msgq { Ev::PollMsgq } else { Ev::PollSmsg };
         match res {
             Ok(ok) => {
-                self.charge_comm(ctx, src_pe, ok.cpu);
+                self.charge(ctx, src_pe, Charge::Overhead(ok.cpu));
                 self.schedule_poll(ctx, ok.deliver_at, dst_pe, poll());
                 true
             }
@@ -615,7 +602,7 @@ impl UgniLayer {
                 // (corrupted completion) wake the receiver so it drains —
                 // the re-send becomes a duplicate its dedup filter drops.
                 self.stats.send_faults += 1;
-                self.charge_rec(ctx, src_pe, cpu);
+                self.charge(ctx, src_pe, Charge::Recovery(cpu));
                 if let Some(t) = delivered_at {
                     self.schedule_poll(ctx, t, dst_pe, poll());
                 }
@@ -705,7 +692,7 @@ impl UgniLayer {
         } = RdvFrame::decode(ctrl).expect("malformed INIT frame");
         // Allocate the landing buffer (T_malloc + T_register, or the pool).
         let (buf, cost) = self.alloc_buf(ctx, dst_pe, bytes);
-        let ready = self.charge_comm(ctx, dst_pe, cost);
+        let ready = self.charge(ctx, dst_pe, Charge::Overhead(cost));
         self.recvs.insert(
             xid,
             PendingRecv {
@@ -719,12 +706,7 @@ impl UgniLayer {
             },
         );
         // Post the GET once the buffer is ready (after the charge).
-        let at = if self.cfg.smp {
-            ready.max(ctx.now())
-        } else {
-            ctx.pe_free_at(dst_pe).max(ctx.now())
-        };
-        ctx.schedule_nodefer(at, dst_pe, Box::new(Ev::PostGet { xid }));
+        ctx.schedule_nodefer(ready, dst_pe, Box::new(Ev::PostGet { xid }));
     }
 
     fn post_get(&mut self, ctx: &mut MachineCtx, xid: u64) {
@@ -756,13 +738,14 @@ impl UgniLayer {
         let ok = self
             .post_transfer(now, ep, desc)
             .expect("rendezvous GET rejected");
-        if backoff > 0 {
-            // This is a re-post after a fabric fault: the CPU is recovery
-            // work, not steady-state protocol overhead.
-            self.charge_rec(ctx, dst_pe, ok.cpu);
+        // A re-post after a fabric fault is recovery work, not
+        // steady-state protocol overhead.
+        let kind = if backoff > 0 {
+            Charge::Recovery
         } else {
-            self.charge_comm(ctx, dst_pe, ok.cpu);
-        }
+            Charge::Overhead
+        };
+        self.charge(ctx, dst_pe, kind(ok.cpu));
         self.schedule_poll(ctx, ok.local_cq_at, dst_pe, Ev::PollCq);
     }
 
@@ -774,7 +757,7 @@ impl UgniLayer {
             let poll_cost = self.gni().cq_poll_cost();
             match self.gni_mut().cq_get_event(cq, now) {
                 Ok(CqEvent::PostDone { user_id, op, data }) => {
-                    self.charge_comm(ctx, pe, poll_cost);
+                    self.charge(ctx, pe, Charge::Overhead(poll_cost));
                     match op {
                         RdmaOp::Get => self.get_done(ctx, user_id, data),
                         // Only chaos mode reaps persistent PUTs here: the
@@ -787,11 +770,11 @@ impl UgniLayer {
                 }
                 Ok(CqEvent::PostError { user_id, op, .. }) => {
                     self.stats.rdma_faults += 1;
-                    self.charge_rec(ctx, pe, poll_cost);
+                    self.charge(ctx, pe, Charge::Recovery(poll_cost));
                     self.repost_after_error(ctx, pe, user_id, op);
                 }
                 Err(GniError::NotDone) => {
-                    self.charge_comm(ctx, pe, poll_cost);
+                    self.charge(ctx, pe, Charge::Overhead(poll_cost));
                     if let Some(t) = self.gni().cq_next_ready(cq) {
                         self.schedule_poll(ctx, t, pe, Ev::PollCq);
                     }
@@ -805,7 +788,7 @@ impl UgniLayer {
                         .cq_resync(cq, now)
                         .expect("cq resync on a healthy queue");
                     self.stats.cq_resyncs += 1;
-                    self.charge_rec(ctx, pe, cost);
+                    self.charge(ctx, pe, Charge::Recovery(cost));
                 }
                 Err(e) => panic!("cq poll failed: {e:?}"),
             }
@@ -835,7 +818,11 @@ impl UgniLayer {
         let Some(at) = retry_at(fault, ctx.node_of(peer), backoff, ctx.now()) else {
             match op {
                 RdmaOp::Get => {
-                    self.recvs.remove(&xid);
+                    // Nothing will land: give the landing buffer back.
+                    if let Some(r) = self.recvs.remove(&xid) {
+                        let cost = self.free_buf(ctx, r.dst_pe, r.buf);
+                        self.charge(ctx, r.dst_pe, Charge::Recovery(cost));
+                    }
                 }
                 RdmaOp::Put => {
                     self.puts.remove(&xid);
@@ -882,7 +869,7 @@ impl UgniLayer {
         let (ep, _) = self.conn(ctx, src_pe, dst_pe);
         match self.post_transfer(ctx.now(), ep, desc) {
             Ok(ok) => {
-                self.charge_rec(ctx, src_pe, ok.cpu);
+                self.charge(ctx, src_pe, Charge::Recovery(ok.cpu));
                 self.schedule_poll(ctx, ok.local_cq_at, src_pe, Ev::PollCq);
             }
             Err(_) => {
@@ -903,17 +890,17 @@ impl UgniLayer {
         let at = ctx.pe_free_at(r.dst_pe).max(ctx.now());
         self.smsg(ctx, r.dst_pe, r.src_pe, TAG_ACK, ack, at);
         // Hand the buffer to Converse (no copy — the runtime owns it).
-        ctx.deliver_now(r.dst_pe, data);
+        ctx.deliver(ctx.now(), r.dst_pe, data);
         // The app consumes the message; return the landing buffer.
         let cost = self.free_buf(ctx, r.dst_pe, r.buf);
-        self.charge_comm(ctx, r.dst_pe, cost);
+        self.charge(ctx, r.dst_pe, Charge::Overhead(cost));
     }
 
     fn handle_ack(&mut self, ctx: &mut MachineCtx, ctrl: &Bytes) {
         let xid = XidFrame::decode(ctrl).expect("malformed ACK frame").xid;
         let p = self.sends.remove(&xid).expect("ACK for unknown xid");
         let cost = self.free_buf(ctx, p.src_pe, p.buf);
-        self.charge_comm(ctx, p.src_pe, cost);
+        self.charge(ctx, p.src_pe, Charge::Overhead(cost));
     }
 
     fn drain_msgq(&mut self, ctx: &mut MachineCtx, pe: PeId) {
@@ -925,7 +912,7 @@ impl UgniLayer {
                 Ok((rx, dst_inst)) => {
                     // The drainer (worker or comm thread) pays the
                     // demultiplex cost; the message belongs to `dst_inst`.
-                    self.charge_comm(ctx, pe, rx.cpu);
+                    self.charge(ctx, pe, Charge::Overhead(rx.cpu));
                     self.process_small(ctx, dst_inst, rx);
                 }
                 Err(GniError::NotDone) => {
@@ -948,7 +935,7 @@ impl UgniLayer {
             let now = ctx.now();
             match self.gni_mut().smsg_get_next_w_tag(node, pe, now) {
                 Ok(rx) => {
-                    self.charge_comm(ctx, pe, rx.cpu);
+                    self.charge(ctx, pe, Charge::Overhead(rx.cpu));
                     self.process_small(ctx, pe, rx);
                 }
                 Err(GniError::NotDone) => {
@@ -995,8 +982,8 @@ impl UgniLayer {
                 } else {
                     self.cfg.params.malloc_cost(len) + self.cfg.params.malloc_base
                 };
-                let done = self.charge_comm(ctx, pe, cost);
-                ctx.deliver_at(done.max(ctx.now()), pe, data);
+                let done = self.charge(ctx, pe, Charge::Overhead(cost));
+                ctx.deliver(done, pe, data);
             }
             TAG_INIT => {
                 let from = rx.from;
@@ -1012,7 +999,7 @@ impl UgniLayer {
                     .remove(&xid)
                     .expect("persistent notify without data");
                 debug_assert_eq!(put.dst_pe, pe);
-                ctx.deliver_at(ctx.now(), pe, put.data);
+                ctx.deliver(ctx.now(), pe, put.data);
             }
             t => panic!("unknown small-path tag {t}"),
         }
@@ -1023,7 +1010,7 @@ impl UgniLayer {
         let params = &self.cfg.params;
         let copy = params.memcpy_cost(msg.len() as u64);
         // Sender: lock/allocate a region in the shared segment + copy in.
-        ctx.charge_overhead(src_pe, SHM_OVERHEAD + copy);
+        ctx.charge(src_pe, Charge::Overhead(SHM_OVERHEAD + copy));
         let copy_out = self.cfg.intranode == IntraNode::PxshmDoubleCopy;
         let at = ctx.now() + SHM_OVERHEAD + copy + SHM_NOTICE;
         ctx.schedule(
@@ -1062,14 +1049,12 @@ impl MachineLayer for UgniLayer {
 
     fn sync_send(&mut self, ctx: &mut MachineCtx, src_pe: PeId, dst_pe: PeId, msg: Bytes) {
         debug_assert_ne!(src_pe, dst_pe, "self-sends bypass the machine layer");
-        ctx.count_send(msg.len() as u64);
-
         let same_node = ctx.node_of(src_pe) == ctx.node_of(dst_pe);
         if same_node && self.cfg.smp {
             // SMP: workers share the address space — pass the pointer.
             self.stats.shm_msgs += 1;
-            ctx.charge_overhead(src_pe, SMP_HANDOFF);
-            ctx.deliver_at(ctx.now() + SMP_HANDOFF, dst_pe, msg);
+            ctx.charge(src_pe, Charge::Overhead(SMP_HANDOFF));
+            ctx.deliver(ctx.now() + SMP_HANDOFF, dst_pe, msg);
             return;
         }
         if same_node && self.cfg.intranode != IntraNode::NetworkLoopback {
@@ -1078,7 +1063,7 @@ impl MachineLayer for UgniLayer {
         }
         if self.cfg.smp {
             // Worker hands the message to the node's comm thread.
-            ctx.charge_overhead(src_pe, SMP_HANDOFF);
+            ctx.charge(src_pe, Charge::Overhead(SMP_HANDOFF));
         }
 
         // Chaos mode frames small messages with a sequence header; keep
@@ -1112,15 +1097,10 @@ impl MachineLayer for UgniLayer {
                 bytes,
             },
         );
-        let ready = self.charge_comm(ctx, src_pe, cost);
+        let ready = self.charge(ctx, src_pe, Charge::Overhead(cost));
         // Control message departs once the buffer is prepared (exactly
         // then: the preparation cost was just charged).
-        let at = if self.cfg.smp {
-            ready.max(ctx.now())
-        } else {
-            ctx.pe_free_at(src_pe).max(ctx.now())
-        };
-        ctx.schedule_nodefer(at, src_pe, Box::new(Ev::StartRendezvous { xid }));
+        ctx.schedule_nodefer(ready, src_pe, Box::new(Ev::StartRendezvous { xid }));
     }
 
     fn on_event(&mut self, ctx: &mut MachineCtx, pe: PeId, ev: Box<dyn Any + Send>) {
@@ -1139,8 +1119,8 @@ impl MachineLayer for UgniLayer {
                 if copy_out {
                     cost += self.cfg.params.memcpy_cost(data.len() as u64);
                 }
-                ctx.charge_overhead(pe, cost);
-                ctx.deliver_now(pe, data);
+                ctx.charge(pe, Charge::Overhead(cost));
+                ctx.deliver(ctx.now(), pe, data);
             }
         }
     }
@@ -1156,9 +1136,10 @@ impl MachineLayer for UgniLayer {
         // Both sides' persistent buffers, registered once. (The set-up
         // handshake cost is charged here; steady-state sends never pay it.)
         let (remote, rcost) = self.alloc_buf(ctx, dst_pe, max_bytes);
-        ctx.charge_overhead(dst_pe, rcost);
+        ctx.charge(dst_pe, Charge::Overhead(rcost));
         let (local, lcost) = self.alloc_buf(ctx, src_pe, max_bytes);
-        ctx.charge_overhead(src_pe, lcost + self.cfg.params.smsg_send_cpu);
+        let lcost = lcost + self.cfg.params.smsg_send_cpu;
+        ctx.charge(src_pe, Charge::Overhead(lcost));
         self.persists.insert(
             handle,
             PersistChan {
@@ -1187,8 +1168,6 @@ impl MachineLayer for UgniLayer {
         assert!(msg.len() as u64 <= chan.max_bytes, "persistent overflow");
         assert_eq!((chan.src_pe, chan.dst_pe), (src_pe, dst_pe));
         self.stats.persistent_msgs += 1;
-        ctx.count_send(msg.len() as u64);
-
         let xid = self.next_xid;
         self.next_xid += 1;
         // "the sender can directly put its message data into the
@@ -1200,7 +1179,7 @@ impl MachineLayer for UgniLayer {
         let ok = self
             .post_transfer(now, ep, desc)
             .expect("persistent PUT rejected");
-        self.charge_comm(ctx, src_pe, ok.cpu);
+        self.charge(ctx, src_pe, Charge::Overhead(ok.cpu));
         // Chaos mode reaps the completion from the CQ so a PostError can
         // trigger a re-post; the fault-free direct event would wrongly
         // notify the receiver of a PUT that never landed.

@@ -588,6 +588,44 @@ mod tests {
     }
 
     #[test]
+    fn a_persistent_burst_keeps_its_sender_busy() {
+        // The sender pays each PUT's post CPU (paper Fig. 7a), so work
+        // queued behind a burst of persistent sends starts after all of
+        // it. A ping-pong cannot see this charge: its sender idles until
+        // the pong anyway.
+        let mut c = cluster_with(UgniConfig::optimized(), 2, 1);
+        struct St {
+            handle: Option<PersistentHandle>,
+            done_at: sim_core::Time,
+        }
+        c.init_user(|_| St {
+            handle: None,
+            done_at: 0,
+        });
+        let sink = c.register_handler(|_, _| {});
+        let done = c.register_handler(|ctx, _| {
+            let now = ctx.now();
+            ctx.user::<St>().done_at = now;
+        });
+        let burst = c.register_handler(move |ctx, _| {
+            let hd = ctx.user::<St>().handle.unwrap();
+            for _ in 0..20 {
+                ctx.send_persistent(hd, 1, sink, Bytes::from(vec![9u8; 4096]));
+            }
+            ctx.send(ctx.pe(), done, Bytes::new());
+        });
+        let kick = c.register_handler(move |ctx, _| {
+            let hd = ctx.create_persistent(1, 8192);
+            ctx.user::<St>().handle = Some(hd);
+            ctx.send(ctx.pe(), burst, Bytes::new());
+        });
+        c.inject(0, 0, kick, Bytes::new());
+        c.run();
+        assert_eq!(c.layer_mut::<UgniLayer>().stats.persistent_msgs, 20);
+        assert_eq!(c.user::<St>(0).done_at, 33_070, "pinned");
+    }
+
+    #[test]
     fn link_down_window_is_survivable() {
         let mut cfg = UgniConfig::optimized();
         cfg.params.fault.link_down.push(gemini_net::LinkDownWindow {

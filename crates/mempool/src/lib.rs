@@ -225,6 +225,7 @@ impl MemPool {
         }
         #[cfg(debug_assertions)]
         {
+            // panic-ok: a double free is a caller's bookkeeping bug, not a fault
             assert!(self.outstanding.remove(&block.addr.0), "double free");
         }
         let returned = &mut self.free[block.class as usize].returned;

@@ -14,7 +14,9 @@ use charm_apps::LayerKind;
 use charm_rt::prelude::*;
 use common::{differential, par_cfg};
 use gemini_net::{FaultPlan, LinkDownWindow, NodeCrashWindow};
+use lrts_ugni::{UgniConfig, UgniLayer};
 use std::any::Any;
+use ugni_verify::Leak;
 
 /// One node-1 crash at 80us. `restart_after` picks between restart-in-
 /// place and gone-for-good (redistribute) recovery.
@@ -228,8 +230,63 @@ fn jacobi_runs_on_a_caller_wrapped_layer_with_ft() {
     assert_eq!(r.grid, plain.grid);
     assert_eq!(c.ft_report(), plain_ft);
     assert_eq!(c.ft_report().recoveries, 1);
+    let net_msgs = c.stats().net_msgs;
     let counted = c.layer_mut::<Counting>();
     assert!(counted.sends > 0, "nothing crossed the LRTS boundary");
+    assert_eq!(net_msgs, counted.sends, "the runtime counts each send once");
     // Crash onset and restart each reset the node's NIC-side state.
     assert_eq!(counted.node_faults, 2);
+}
+
+#[test]
+fn persistent_sends_count_once_on_the_channel_and_on_its_fallback() {
+    // One send rides a persistent channel; one names a handle the layer
+    // never bound and falls back to the ordinary path. Each crosses the
+    // machine layer once, with its whole envelope.
+    let mut c = LayerKind::ugni().cluster(2, 1);
+    let sink = c.register_handler(|_, _| {});
+    let payload = Bytes::from(vec![3; 200]);
+    let p = payload.clone();
+    let ping = c.register_handler(move |ctx, _| {
+        let chan = ctx.create_persistent(1, 1_024);
+        ctx.send_persistent(chan, 1, sink, p.clone());
+        ctx.send_persistent(PersistentHandle(u64::MAX), 1, sink, p.clone());
+    });
+    c.inject(0, 0, ping, Bytes::new());
+    c.run();
+    let wire = Envelope::new(0, 1, sink, payload).encode().len() as u64;
+    assert_eq!((c.stats().net_msgs, c.stats().net_bytes), (2, 2 * wire));
+    let ugni = &c.layer_mut::<UgniLayer>().stats;
+    assert_eq!((ugni.persistent_msgs, ugni.small_msgs), (1, 1));
+}
+
+#[test]
+fn an_abandoned_get_returns_its_landing_buffer() {
+    // Node 1 sends 1 MiB to node 0 and dies for good between its
+    // rendezvous announcement (~81 us, once the send buffer is registered)
+    // and node 0's GET (~165 us, once the landing buffer is): the fabric
+    // refuses the GET, the layer abandons it, and the landing buffer's
+    // direct registration on the surviving node must be released rather
+    // than held until the run ends.
+    let mut plan = FaultPlan::default();
+    plan.node_crash.push(NodeCrashWindow {
+        node: 1,
+        at_ns: 120_000,
+        restart_after_ns: None,
+    });
+    let kind = LayerKind::Ugni(UgniConfig::optimized().with_mempool(false)).with_fault(plan);
+    let mut c = kind.cluster(2, 1);
+    let sink = c.register_handler(|_, _| {});
+    let send = c.register_handler(move |ctx, _| ctx.send(0, sink, Bytes::from(vec![7; 1 << 20])));
+    c.inject(0, 1, send, Bytes::new());
+    c.run();
+    let layer = c.layer_mut::<UgniLayer>();
+    assert_eq!(layer.stats.rdma_faults, 1, "the GET was never refused");
+    let report = layer.contract_report().expect("verify feature on");
+    let held: Vec<_> = report
+        .leaks
+        .iter()
+        .filter(|l| matches!(l, Leak::Registration { node: 0, .. }))
+        .collect();
+    assert!(held.is_empty(), "landing buffer still registered: {held:?}");
 }

@@ -19,3 +19,7 @@ pub fn sync_send(b: &[u8]) -> Vec<u8> {
     let _ = n;
     b.to_vec() // copy-ok: live — the send owns its buffer
 }
+
+pub fn deliver(b: &[u8]) -> usize {
+    b.len() // coverage-ok: a retired rule's escape names no live rule
+}

@@ -46,27 +46,18 @@ pub(crate) const SERIAL_ONLY_MARKER: &str = "serial-only:";
 /// Line escape for `worker-purity` findings.
 pub(crate) const WORKER_OK_MARKER: &str = "worker-ok:";
 
-/// Line escape for `charge-coverage` findings.
-pub(crate) const CHARGE_OK_MARKER: &str = "charge-ok:";
-
-/// Worker entry points by function name: the worker's window loop, the
+/// Worker entry points by free-function name: the worker's window loop, the
 /// two event-kernel functions it executes `Deliver`/`PeRun` events with
 /// (rooted by name too, so renaming the loop cannot unroot the kernel),
 /// plus the typed-AM batch dispatcher — it is registered as a `dyn Fn`
 /// Converse handler (invisible to name resolution) but runs on workers,
 /// walking batch envelopes and invoking every constituent's typed handler.
+/// Methods of these names (`MachineCtx::deliver`) are not roots.
 const WORKER_ROOT_FNS: &[&str] = &["phase_run", "deliver", "pe_run", "am_dispatch"];
 
 /// Worker entry points by receiver type: handlers run on workers and
 /// `PeCtx` is the entire capability surface they are handed.
 const WORKER_ROOT_TYPES: &[&str] = &["PeCtx"];
-
-/// The machine-layer trait whose impl methods are `charge-coverage`
-/// roots.
-const LAYER_TRAIT: &str = "MachineLayer";
-
-/// Call-site names that model message motion: sending or delivering.
-const EFFECT_CALLS: &[&str] = &["deliver_now", "deliver_at", "count_send"];
 
 /// Panic sites for `recovery-panic-freedom`. Substring patterns; the
 /// macro forms additionally require a left identifier boundary so
@@ -118,7 +109,6 @@ impl FnInfo {
 
 /// A call site inside a function body.
 pub(crate) struct CallSite {
-    pub(crate) name: String,
     /// 0-based line index in the containing file.
     pub(crate) line: usize,
     /// Resolved workspace callees (fn ids), deduped and sorted.
@@ -664,8 +654,7 @@ impl Graph {
             }
             calls[id] = sites
                 .into_iter()
-                .map(|((line, name), targets)| CallSite {
-                    name,
+                .map(|((line, _), targets)| CallSite {
                     line,
                     targets: targets.into_iter().collect(),
                 })
@@ -863,7 +852,8 @@ fn check_worker_purity(g: &Graph, out: &mut Vec<Finding>) {
         .iter()
         .enumerate()
         .filter(|(_, f)| {
-            WORKER_ROOT_FNS.contains(&f.name.as_str())
+            let free = f.type_name.is_none() && f.trait_name.is_none();
+            free && WORKER_ROOT_FNS.contains(&f.name.as_str())
                 || f.type_name
                     .as_deref()
                     .is_some_and(|t| WORKER_ROOT_TYPES.contains(&t))
@@ -1014,104 +1004,11 @@ fn check_recovery_panics(g: &Graph, out: &mut Vec<Finding>) {
     }
 }
 
-/// charge-coverage: every `deliver_now`/`deliver_at`/`count_send` call
-/// reachable from a `MachineLayer` method must have a `charge_*` call (or
-/// a literal `Kind::` record) somewhere on a root→site corridor. Escape:
-/// `// charge-ok: <why>` on the effect line.
-fn check_charge_coverage(g: &Graph, out: &mut Vec<Finding>) {
-    let roots: Vec<usize> = g
-        .fns
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| f.trait_name.as_deref() == Some(LAYER_TRAIT))
-        .map(|(id, _)| id)
-        .collect();
-    if roots.is_empty() {
-        return;
-    }
-    let parent = g.reach(&roots);
-
-    // Does fn `id` itself record a charge?
-    let charges: BTreeSet<usize> = parent
-        .keys()
-        .copied()
-        .filter(|&id| {
-            let f = &g.fns[id];
-            if g.calls[id].iter().any(|c| c.name.starts_with("charge")) {
-                return true;
-            }
-            let file = &g.files[f.file];
-            file.clean[f.start..=f.end.min(file.clean.len() - 1)]
-                .iter()
-                .any(|l| l.contains("Kind::") && l.contains(".record("))
-        })
-        .collect();
-
-    // Reverse edges within the reached set.
-    let mut rev: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for &u in parent.keys() {
-        for site in &g.calls[u] {
-            for &v in &site.targets {
-                if parent.contains_key(&v) {
-                    rev.entry(v).or_default().push(u);
-                }
-            }
-        }
-    }
-
-    let mut seen = BTreeSet::new();
-    for &id in parent.keys() {
-        let f = &g.fns[id];
-        // A charge fn's own delivery mechanics are its business.
-        if f.name.starts_with("charge") {
-            continue;
-        }
-        let file = &g.files[f.file];
-        for site in &g.calls[id] {
-            if !EFFECT_CALLS.contains(&site.name.as_str()) {
-                continue;
-            }
-            if g.escape_at(f.file, site.line, CHARGE_OK_MARKER) {
-                continue;
-            }
-            // Corridor = every reached fn that can reach `id` (ancestors
-            // on any root→id path), plus `id` itself.
-            let mut corridor: BTreeSet<usize> = BTreeSet::new();
-            let mut stack = vec![id];
-            while let Some(u) = stack.pop() {
-                if !corridor.insert(u) {
-                    continue;
-                }
-                if let Some(preds) = rev.get(&u) {
-                    stack.extend(preds.iter().copied());
-                }
-            }
-            if corridor.iter().any(|c| charges.contains(c)) {
-                continue;
-            }
-            let mut finding = Finding::new(
-                "charge-coverage",
-                &file.path,
-                site.line + 1,
-                format!(
-                    "`{}` reachable from a MachineLayer method without any `charge_*` \
-                     (or Kind:: record) on the path — modeled time must be charged \
-                     (or `// charge-ok: <why>`)",
-                    site.name
-                ),
-            );
-            finding.chain = g.chain(&parent, id);
-            push_unique(out, &mut seen, finding);
-        }
-    }
-}
-
 /// Run all graph rules over the given sources.
 pub fn analyze(sources: &[(String, String, String)]) -> Vec<Finding> {
     let g = Graph::build(sources);
     let mut out = Vec::new();
     check_worker_purity(&g, &mut out);
     check_recovery_panics(&g, &mut out);
-    check_charge_coverage(&g, &mut out);
     out
 }

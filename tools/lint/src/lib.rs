@@ -16,14 +16,11 @@
 //!   time.
 //! * **Graph rules** ([`graph`]) parse every `fn`/`impl` in the workspace
 //!   into a call graph resolved by a conservative name+receiver heuristic
-//!   and check *transitive* properties — worker purity, recovery
-//!   panic-freedom, charge coverage — reporting witness call-chains.
+//!   and check *transitive* properties — worker purity and recovery
+//!   panic-freedom — reporting witness call-chains.
 //!
 //! Lexical rules:
 //!
-//! * **charge-category** — every `fn charge_<x>` definition in
-//!   `crates/core` must record the matching `Kind::<X>` trace category,
-//!   so cost accounting and the trace stay in sync.
 //! * **hot-path-copy** — no `.to_vec()` / `.to_owned()` /
 //!   `copy_from_slice(` / `Bytes::from(vec!` inside per-message
 //!   functions (name has a `_`-segment equal to `send`, `deliver`,
@@ -41,12 +38,13 @@
 //!   constructor; a hand-rolled copy beside it is a second grain, layout
 //!   and first-touch cost to keep in step. No escape.
 //! * **stale-escape** — an escape marker (`copy-ok:`, `worker-ok:`,
-//!   `panic-ok:`, `charge-ok:`) in a `//` comment that suppresses no
-//!   finding of its rule: the code it excused has changed, and the marker
-//!   would silently excuse whatever lands there next. Found by linting
-//!   once more with every marker disarmed. A marker quoted in inline code
-//!   or inside a string literal documents the escape instead of using it,
-//!   and does not count.
+//!   `panic-ok:`) in a `//` comment that suppresses no finding of its
+//!   rule: the code it excused has changed, and the marker would silently
+//!   excuse whatever lands there next. Found by linting once more with
+//!   every marker disarmed. Any other `<word>-ok:` marker names no live
+//!   rule (a retired rule's escape) and is flagged too. A marker quoted in
+//!   inline code or inside a string literal documents the escape instead
+//!   of using it, and does not count.
 //!
 //! `#[cfg(test)]` regions are exempt from all rules. The exemption is
 //! brace-accurate: it covers exactly the item (module, fn, impl) the
@@ -125,7 +123,6 @@ const ESCAPES: &[(&str, &str)] = &[
     (COPY_OK_MARKER, "hot-path-copy"),
     (graph::WORKER_OK_MARKER, "worker-purity"),
     (PANIC_OK_MARKER, "recovery-panic-freedom"),
-    (graph::CHARGE_OK_MARKER, "charge-coverage"),
 ];
 
 /// Threading/synchronization constructs `worker-purity` rejects in
@@ -401,21 +398,6 @@ pub(crate) fn boundary_match(line: &str, pat: &str, whole_word: bool) -> bool {
     })
 }
 
-/// CamelCase a snake_case suffix: `overhead` → `Overhead`,
-/// `cache_miss` → `CacheMiss`.
-fn camel(s: &str) -> String {
-    s.split('_')
-        .filter(|p| !p.is_empty())
-        .map(|p| {
-            let mut c = p.chars();
-            match c.next() {
-                Some(f) => f.to_ascii_uppercase().to_string() + c.as_str(),
-                None => String::new(),
-            }
-        })
-        .collect()
-}
-
 /// Function spans `(name, first_line_idx, last_line_idx)` in sanitized
 /// lines, found by brace counting from each `fn` keyword.
 fn fn_spans(lines: &[&str]) -> Vec<(String, usize, usize)> {
@@ -596,31 +578,6 @@ pub fn lint_source(crate_dir: &str, file: &str, src: &str) -> Vec<Finding> {
         }
     }
 
-    if crate_dir == "core" {
-        // charge-category
-        for (name, a, b) in fn_spans(&lines) {
-            if in_ranges(&tests, a) {
-                continue;
-            }
-            let Some(suffix) = name.strip_prefix("charge_") else {
-                continue;
-            };
-            if suffix.is_empty() {
-                continue;
-            }
-            let want = format!("Kind::{}", camel(suffix));
-            let body = lines[a..=b.min(lines.len() - 1)].join("\n");
-            if !body.contains(&want) {
-                out.push(Finding::new(
-                    "charge-category",
-                    file,
-                    a + 1,
-                    format!("`fn {name}` does not record trace category `{want}`"),
-                ));
-            }
-        }
-    }
-
     out
 }
 
@@ -697,7 +654,8 @@ pub fn lint_sources(sources: &[(String, String, String)]) -> Vec<Finding> {
 }
 
 /// `stale-escape`: every escape marker in a `//` comment of `sources`
-/// that suppresses none of its rule's findings. `findings` is what
+/// that suppresses none of its rule's findings, and every `<word>-ok:`
+/// marker that is no live rule's escape. `findings` is what
 /// [`lint_sources`] reports on `sources`; a marker is live when linting
 /// with every marker disarmed adds a finding of its rule on the marker's
 /// line or the next one (the graph rules honour a marker on the line
@@ -719,24 +677,26 @@ pub fn stale_escapes(sources: &[(String, String, String)], findings: &[Finding])
     let mut out = Vec::new();
     for (_, rel, text) in sources {
         for (idx, comment) in scan(text).1 {
-            for &(marker, rule) in ESCAPES {
-                let Some(pos) = comment.find(marker) else {
-                    continue;
-                };
+            for (end, _) in comment.match_indices("-ok:") {
+                let pos = comment[..end]
+                    .trim_end_matches(|c: char| c.is_ascii_lowercase())
+                    .len();
                 // Quoted in inline code: documentation of the escape.
-                if comment[..pos].matches('`').count() % 2 == 1 {
+                if pos == end || comment[..pos].matches('`').count() % 2 == 1 {
                     continue;
                 }
-                let live = |line| suppressed.contains(&(rule, rel.clone(), line));
-                if live(idx + 1) || live(idx + 2) {
-                    continue;
-                }
-                out.push(Finding::new(
-                    "stale-escape",
-                    rel,
-                    idx + 1,
-                    format!("`{marker}` suppresses no `{rule}` finding: delete it"),
-                ));
+                let marker = &comment[pos..end + "-ok:".len()];
+                let msg = match ESCAPES.iter().find(|(m, _)| *m == marker) {
+                    None => format!("`{marker}` is the escape of no live rule: delete it"),
+                    Some(&(_, rule)) => {
+                        let live = |line| suppressed.contains(&(rule, rel.clone(), line));
+                        if live(idx + 1) || live(idx + 2) {
+                            continue;
+                        }
+                        format!("`{marker}` suppresses no `{rule}` finding: delete it")
+                    }
+                };
+                out.push(Finding::new("stale-escape", rel, idx + 1, msg));
             }
         }
     }
@@ -746,10 +706,6 @@ pub fn stale_escapes(sources: &[(String, String, String)], findings: &[Finding])
 /// One-line descriptions of every rule, for `--list-rules`.
 pub fn rule_descriptions() -> Vec<(&'static str, &'static str)> {
     vec![
-        (
-            "charge-category",
-            "fn charge_<x> in core must record Kind::<X>",
-        ),
         (
             "hot-path-copy",
             "no payload copies in per-message fns (core: flush/drain fns only; \
@@ -770,13 +726,8 @@ pub fn rule_descriptions() -> Vec<(&'static str, &'static str)> {
              panic (escape: panic-ok:)",
         ),
         (
-            "charge-coverage",
-            "[graph] every MachineLayer path that sends or delivers must record a Kind::* \
-             charge (escape: charge-ok:)",
-        ),
-        (
             "stale-escape",
-            "an escape marker in a // comment must suppress a finding of its rule",
+            "an escape marker in a // comment must name a live rule and suppress a finding of it",
         ),
     ]
 }

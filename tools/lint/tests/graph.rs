@@ -210,46 +210,6 @@ fn recovery_panic_escapes_and_mutations_go_quiet() {
     assert!(f.is_empty(), "findings: {f:?}");
 }
 
-// ---------------------------------------------------------------- charge
-
-#[test]
-fn charge_coverage_fixture_fires() {
-    let src = fixture("graph_charge_uncovered.rs");
-    let f = analyze_src("graph_charge_uncovered.rs", &src);
-    assert_eq!(rules(&f), ["charge-coverage"], "findings: {f:?}");
-    // Only the uncharged path fires: covered_send's count_send rides the
-    // same function as charge_wire.
-    assert_eq!(f.len(), 1, "findings: {f:?}");
-    assert!(f[0].msg.contains("deliver_at"));
-
-    let chain = &f[0].chain;
-    assert!(chain[0].contains("on_event"), "chain: {chain:?}");
-    assert!(
-        chain.last().unwrap().contains("forward"),
-        "chain: {chain:?}"
-    );
-}
-
-#[test]
-fn charge_coverage_escapes_and_mutations_go_quiet() {
-    let src = fixture("graph_charge_uncovered.rs");
-
-    let escaped = src.replace(
-        "ctx.deliver_at(5);",
-        "ctx.deliver_at(5); // charge-ok: test escape",
-    );
-    let f = analyze_src("graph_charge_uncovered.rs", &escaped);
-    assert!(f.is_empty(), "findings: {f:?}");
-
-    // Charging anywhere on the corridor covers the effect.
-    let charged = src.replace(
-        "ctx.deliver_at(5);",
-        "ctx.charge_wire(1);\n        ctx.deliver_at(5);",
-    );
-    let f = analyze_src("graph_charge_uncovered.rs", &charged);
-    assert!(f.is_empty(), "findings: {f:?}");
-}
-
 // ------------------------------------------------------------ call graph
 
 #[test]

@@ -41,17 +41,6 @@ fn paged_table_fixture_fires() {
 }
 
 #[test]
-fn charge_category_fixture_fires() {
-    let src = fixture("charge_unpaired.rs");
-    let f = lint_source("core", "fixtures/charge_unpaired.rs", &src);
-    assert_eq!(rules(&f), ["charge-category"], "findings: {f:?}");
-    // charge_overhead records the wrong Kind; charge_recovery is paired.
-    assert_eq!(f.len(), 1, "findings: {f:?}");
-    assert!(f[0].msg.contains("charge_overhead"));
-    assert!(f[0].msg.contains("Kind::Overhead"));
-}
-
-#[test]
 fn hot_path_copy_fixture_fires() {
     let src = fixture("hot_path_copy.rs");
     let f = lint_source("lrts-ugni", "fixtures/hot_path_copy.rs", &src);
@@ -356,12 +345,10 @@ fn retired_rules_are_not_listed() {
     assert_eq!(
         names,
         [
-            "charge-category",
             "hot-path-copy",
             "hand-rolled-paged-table",
             "worker-purity",
             "recovery-panic-freedom",
-            "charge-coverage",
             "stale-escape",
         ]
     );
@@ -378,12 +365,14 @@ fn stale_escape_fixture_fires() {
     assert!(found.is_empty(), "both live escapes hold: {found:?}");
     let f = stale_escapes(&sources, &found);
     assert_eq!(rules(&f), ["stale-escape"], "findings: {f:?}");
-    // The stale `panic-ok:` and `copy-ok:` — not the live ones, and not
-    // the marker in the string literal or the one quoted in backticks.
+    // The stale `panic-ok:` and `copy-ok:` and the retired rule's
+    // `coverage-ok:` — not the live ones, and not the marker in the string
+    // literal or the one quoted in backticks.
     let lines: Vec<usize> = f.iter().map(|x| x.line).collect();
-    assert_eq!(lines, [10, 18], "findings: {f:?}");
+    assert_eq!(lines, [10, 18, 24], "findings: {f:?}");
     assert!(f[0].msg.contains("recovery-panic-freedom"), "{f:?}");
     assert!(f[1].msg.contains("hot-path-copy"), "{f:?}");
+    assert!(f[2].msg.contains("no live rule"), "{f:?}");
 }
 
 #[test]
@@ -394,7 +383,7 @@ fn an_escape_above_a_line_that_cannot_panic_is_stale() {
     let sources = [("lrts-ugni".to_string(), "f.rs".to_string(), src)];
     let f = stale_escapes(&sources, &lint_sources(&sources));
     let lines: Vec<usize> = f.iter().map(|x| x.line).collect();
-    assert_eq!(lines, [8, 10, 18], "findings: {f:?}");
+    assert_eq!(lines, [8, 10, 18, 24], "findings: {f:?}");
 }
 
 #[test]
