@@ -538,7 +538,6 @@ mod tests {
             hb_period: 20_000,
             hb_timeout: 150_000,
             ckpt_period: 60_000,
-            ..FtConfig::default()
         });
         let r = run_on(&mut c, &cfg);
         let ft = c.ft_report();

@@ -439,7 +439,6 @@ mod tests {
                 hb_period: 20_000,
                 hb_timeout: 150_000,
                 ckpt_period: 40_000,
-                ..FtConfig::default()
             });
             let (c0, cp, _t) = ft_rally_on(&mut c, 256, 100);
             assert_eq!(c.ft_report().recoveries, 1, "restart={restart:?}");

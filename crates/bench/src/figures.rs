@@ -531,7 +531,6 @@ pub fn crash_sweep(e: &Effort) -> Figure {
             hb_period: 20_000,
             hb_timeout: 150_000,
             ckpt_period: period,
-            ..FtConfig::default()
         });
         let r = run_on(&mut c, &cfg);
         let rep = c.ft_report();

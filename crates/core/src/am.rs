@@ -25,10 +25,10 @@
 //! pin (`tests/tests/common/pins.rs`) bit-identical.
 //!
 //! Charge discipline: the typed layer charges only `Kind::Overhead` time
-//! ([`AmConfig::per_am_send_ns`] at append, [`AmConfig::per_am_dispatch_ns`]
-//! per constituent at the receiver's sub-header walk, plus the one
-//! `send_overhead` per flushed batch); handler bodies charge their own
-//! `Kind::Busy` via [`PeCtx::charge`] exactly as raw handlers do.
+//! (`PER_AM_SEND_NS` at append, `PER_AM_DISPATCH_NS` per constituent at
+//! the receiver's sub-header walk, plus the one send overhead per flushed
+//! batch); handler bodies charge their own `Kind::Busy` via
+//! [`PeCtx::charge`] exactly as raw handlers do.
 //!
 //! Exactly-once under faults: each constituent carries the membership
 //! epoch it was appended in. The batch envelope itself is a *system*
@@ -38,7 +38,7 @@
 //! buffers on every affected PE — so a constituent AM is delivered exactly
 //! as often as its unaggregated twin would have been.
 
-use crate::cluster::{Cluster, Cmd, Event, PeCtx};
+use crate::cluster::{Cluster, PeCtx};
 use crate::msg::{Envelope, HandlerId, PeId, DEFAULT_PRIO};
 use bytes::Bytes;
 use sim_core::Time;
@@ -162,11 +162,6 @@ pub struct AmConfig {
     /// Virtual-time bound on how long an appended AM may sit buffered
     /// before the per-destination flush timer fires.
     pub flush_delay_ns: Time,
-    /// Overhead charged at append on the aggregated path, replacing the
-    /// per-message `send_overhead` (paid once per batch instead).
-    pub per_am_send_ns: Time,
-    /// Overhead charged per constituent at the receiver's batch walk.
-    pub per_am_dispatch_ns: Time,
 }
 
 impl Default for AmConfig {
@@ -175,11 +170,20 @@ impl Default for AmConfig {
             aggregation: false,
             max_batch_bytes: 1024,
             flush_delay_ns: 5_000,
-            per_am_send_ns: 30,
-            per_am_dispatch_ns: 40,
         }
     }
 }
+
+/// Overhead charged at append on the aggregated path, in place of the
+/// per-message send overhead (paid once per batch instead).
+const PER_AM_SEND_NS: Time = 30;
+
+/// Overhead charged per constituent at the receiver's batch walk.
+const PER_AM_DISPATCH_NS: Time = 40;
+
+/// Idle coalescing buffers a PE keeps for reuse; a burst beyond it frees
+/// the rest, so one cannot pin memory forever.
+const FREE_BUFS: usize = 16;
 
 /// Batch-payload op bytes: a dispatch envelope is either a batch of
 /// constituent AMs or a per-destination flush-timer tick (self-send).
@@ -208,33 +212,25 @@ pub(crate) struct AmRegistry {
 #[derive(Default)]
 struct DstBuf {
     /// Framed batch bytes (`OP_BATCH` + constituent frames); empty when
-    /// nothing is buffered (the backing `Vec` is then in the pool).
+    /// nothing is buffered (the backing `Vec` is then on the free list).
     data: Vec<u8>,
     /// Whether a flush-timer tick is already in flight for this
     /// destination (one timer per destination at a time).
     timer_armed: bool,
 }
 
-/// Per-PE AM state: destination buffers plus the host-side recycler for
-/// coalescing buffers. Lives in `PeState`, wiped with the rest of volatile
-/// PE state on crash and rollback. A purely host-memory pool — virtual
-/// time never observes it.
+/// Per-PE AM state: destination buffers plus a free list of emptied
+/// coalescing buffers. Lives in `PeCold`, wiped with the rest of volatile
+/// PE state on crash and rollback. The free list is host memory only —
+/// virtual time never observes it.
+#[derive(Default)]
 pub(crate) struct AmPe {
     /// BTreeMap so flush-all order is deterministic.
     bufs: BTreeMap<PeId, DstBuf>,
-    /// Recycles coalescing-buffer allocations (flush reclaims the sent
-    /// buffer via `Bytes::try_reclaim`, so steady-state batching does not
-    /// allocate per batch).
-    pool: mempool::ObjPool<Vec<u8>>,
-}
-
-impl Default for AmPe {
-    fn default() -> Self {
-        AmPe {
-            bufs: BTreeMap::new(),
-            pool: mempool::ObjPool::new(16),
-        }
-    }
+    /// Emptied buffers, capacity kept (flush reclaims the sent buffer via
+    /// `Bytes::try_reclaim`, so steady-state batching does not allocate
+    /// per batch). At most [`FREE_BUFS`].
+    free: Vec<Vec<u8>>,
 }
 
 impl AmPe {
@@ -243,10 +239,21 @@ impl AmPe {
     pub(crate) fn wipe(&mut self) {
         self.bufs.clear();
     }
+}
 
-    /// Host-side recycler stats of the coalescing-buffer pool.
-    pub(crate) fn pool_stats(&self) -> mempool::ObjPoolStats {
-        self.pool.stats.clone()
+/// A batch buffer holding just the `OP_BATCH` byte: a recycled one when
+/// `free` has any.
+fn fresh_batch(free: &mut Vec<Vec<u8>>) -> Vec<u8> {
+    let mut v = free.pop().unwrap_or_default();
+    v.push(OP_BATCH);
+    v
+}
+
+/// Keep an emptied buffer's allocation for the next batch.
+fn recycle(free: &mut Vec<Vec<u8>>, mut v: Vec<u8>) {
+    if free.len() < FREE_BUFS {
+        v.clear();
+        free.push(v);
     }
 }
 
@@ -294,11 +301,6 @@ impl Cluster {
         self.am.dispatch = Some(h);
         self.system_handlers.insert(h);
     }
-
-    /// Coalescing-buffer pool counters for one PE (test diagnostics).
-    pub fn am_pool_stats(&mut self, pe: PeId) -> mempool::ObjPoolStats {
-        self.pes.get_mut(pe as usize).cold_mut().am.pool_stats()
-    }
 }
 
 impl PeCtx<'_> {
@@ -314,21 +316,16 @@ impl PeCtx<'_> {
             let payload = data.into_direct();
             return self.send(dst, am.h, payload);
         }
-        let (max_batch, per_send, flush_delay) = (
-            acfg.max_batch_bytes,
-            acfg.per_am_send_ns,
-            acfg.flush_delay_ns,
-        );
+        let (max_batch, flush_delay) = (acfg.max_batch_bytes, acfg.flush_delay_ns);
 
         // Encode in place: the sub-header with a zero length, the value
         // straight behind it, then the length patched in.
         let epoch = self.epoch();
-        let AmPe { bufs, pool } = &mut self.cold().am;
+        let AmPe { bufs, free } = &mut self.cold().am;
         let buf = bufs.entry(dst).or_default();
         let fresh = buf.data.is_empty();
         if fresh {
-            buf.data = pool.get();
-            buf.data.push(OP_BATCH);
+            buf.data = fresh_batch(free);
         }
         let frame = buf.data.len();
         buf.data.extend_from_slice(&am.idx.to_le_bytes());
@@ -340,18 +337,17 @@ impl PeCtx<'_> {
             // Oversized: restore the buffer as it was, then direct send.
             buf.data.truncate(frame);
             if fresh {
-                pool.put(std::mem::take(&mut buf.data));
+                recycle(free, std::mem::take(&mut buf.data));
             }
             return self.send(dst, am.h, data.into_direct());
         }
         buf.data[frame + 2..frame + 4].copy_from_slice(&(len as u16).to_le_bytes());
 
         // Size-triggered flush, so a batch never exceeds the SMSG frame:
-        // the new frame moves alone into a fresh pooled buffer and what
-        // was buffered before it is sent.
+        // the new frame moves alone into a fresh buffer and what was
+        // buffered before it is sent.
         let full = (buf.data.len() > max_batch).then(|| {
-            let mut next = pool.get();
-            next.push(OP_BATCH);
+            let mut next = fresh_batch(free);
             next.extend_from_slice(&buf.data[frame..]);
             buf.data.truncate(frame);
             std::mem::replace(&mut buf.data, next)
@@ -364,7 +360,7 @@ impl PeCtx<'_> {
 
         // Constituent-level accounting: the batch envelope is system
         // traffic, so the stats count the AM itself here.
-        self.charged_ovh += per_send;
+        self.charged_ovh += PER_AM_SEND_NS;
         self.stats.am_agg_sent += 1;
 
         if arm {
@@ -389,30 +385,21 @@ impl PeCtx<'_> {
         self.am_flush_batch(dst, data);
     }
 
-    /// Send one framed batch as a single envelope on the dispatch handler.
-    /// Mirrors the manual half of [`PeCtx::send`] (charges, stats, outbox
-    /// routing) but reclaims the coalescing buffer through the pool
-    /// instead of dropping it.
+    /// Send one framed batch as a single envelope on the dispatch handler:
+    /// a plain send, whose payload handle comes back so the coalescing
+    /// buffer is reused instead of dropped.
     fn am_flush_batch(&mut self, dst: PeId, data: Vec<u8>) {
         debug_assert_ne!(dst, self.pe(), "self-sends never aggregate");
         let dispatch = self.am_reg.dispatch.expect("am dispatch registered");
-        self.charged_ovh += self.cfg.send_overhead;
-        let at = self.now();
-        let env =
-            Envelope::new(self.pe(), dst, dispatch, Bytes::from(data)).with_epoch(self.epoch());
-        let bytes = env.encode();
-        self.stats.msgs_sent += 1;
+        let payload = self.send_prio(dst, dispatch, Bytes::from(data), DEFAULT_PRIO);
         self.stats.am_batches += 1;
-        let src = self.pe();
-        self.outbox
-            .push((at, Event::Cmd(src, Cmd::Send { dst, msg: bytes })));
         // The flush owns the batch alone, so `encode` copied a batch of
         // up to its inline limit (1 KiB; the default `max_batch_bytes` is
         // 1024) into the wire buffer and the payload handle is the sole
         // owner again: reclaim the allocation for the next batch. A larger
         // batch rides shared behind the header, and its vector with it.
-        if let Ok(v) = env.payload.try_reclaim() {
-            self.cold().am.pool.put(v);
+        if let Ok(v) = payload.try_reclaim() {
+            recycle(&mut self.cold().am.free, v);
         }
     }
 }
@@ -467,7 +454,7 @@ pub(crate) fn am_dispatch(ctx: &mut PeCtx, env: Envelope) {
                     ctx.stats.ft_stale_drops += 1;
                     continue;
                 }
-                ctx.charged_ovh += reg.cfg.per_am_dispatch_ns;
+                ctx.charged_ovh += PER_AM_DISPATCH_NS;
                 (reg.handlers[idx as usize])(ctx, env.src_pe, env.payload.slice(a..o));
             }
         }
@@ -590,7 +577,6 @@ mod tests {
             aggregation: true,
             max_batch_bytes: 64, // 3 u64 frames (16 B each) per batch
             flush_delay_ns: 1_000_000,
-            ..AmConfig::default()
         });
         c.init_user(|_| St::default());
         let h = c.register_am::<u64>(|ctx, _, _| ctx.user::<St>().n += 1);
@@ -717,38 +703,6 @@ mod tests {
         assert_eq!(c.user::<St>(1).sum, 42, "timer flush never fired");
         assert_eq!(c.stats().am_batches, 1);
         assert!(r.end_time > 5_000, "flush waited out the timer delay");
-    }
-
-    #[test]
-    fn flush_reclaims_buffers_through_the_pool() {
-        // A small batch, and the default one: an encoder that shared a
-        // sole-owned batch instead of copying it would leave the pool
-        // nothing to reclaim.
-        for max_batch_bytes in [64, AmConfig::default().max_batch_bytes] {
-            let mut c = cluster(2);
-            c.am_config(AmConfig {
-                aggregation: true,
-                max_batch_bytes,
-                ..AmConfig::default()
-            });
-            c.init_user(|_| St::default());
-            let h = c.register_am::<u64>(|ctx, _, _| ctx.user::<St>().n += 1);
-            // 16-byte frames, enough for about twenty full batches.
-            let sends = 20 * max_batch_bytes as u64 / 16;
-            let kick = c.register_handler(move |ctx, _| {
-                for i in 0..sends {
-                    ctx.am_send(1, h, i);
-                }
-            });
-            c.inject(0, 0, kick, Bytes::new());
-            c.run();
-            assert_eq!(c.user::<St>(1).n, sends);
-            let s = c.am_pool_stats(0);
-            assert!(
-                s.hits > s.misses,
-                "steady-state batching at {max_batch_bytes} B must recycle, not allocate: {s:?}"
-            );
-        }
     }
 
     #[test]

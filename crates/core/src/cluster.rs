@@ -235,8 +235,9 @@ impl Cluster {
     }
 
     /// Run until the event queue drains, a handler calls [`PeCtx::stop`],
-    /// or `max_events` is hit. With `cfg.threads > 1` this dispatches to
-    /// `Cluster::run_parallel`; results are bit-identical either way.
+    /// or the runaway guard's event cap is hit. With `cfg.threads > 1`
+    /// this dispatches to `Cluster::run_parallel`; results are
+    /// bit-identical either way.
     pub fn run(&mut self) -> RunReport {
         if self.ft.is_some() {
             self.ft_bootstrap();
@@ -262,12 +263,7 @@ impl Cluster {
     /// The sequential engine (`threads = 1` degenerate case).
     pub(crate) fn run_seq(&mut self) -> RunReport {
         while !self.stopped {
-            if self.stats.events >= self.cfg.max_events {
-                panic!(
-                    "simulation exceeded max_events={} at t={}",
-                    self.cfg.max_events, self.now
-                );
-            }
+            kernel::check_runaway(self.stats.events, self.now);
             let Some((t, ev)) = self.events.pop() else {
                 break;
             };

@@ -27,15 +27,8 @@ pub(crate) fn add_sync_overhead_ns(ns: u64) {
 pub struct ClusterCfg {
     pub num_pes: u32,
     pub cores_per_node: u32,
-    /// Converse scheduler cost per executed handler (dequeue + dispatch).
-    pub sched_overhead: Time,
-    /// Converse-level cost of issuing one send (envelope setup), excluding
-    /// everything the machine layer charges.
-    pub send_overhead: Time,
     /// Timeline bucket width for Fig.-12-style profiles (None = totals only).
     pub trace_bucket: Option<Time>,
-    /// Safety valve for runaway simulations.
-    pub max_events: u64,
     /// Seed for all per-PE deterministic RNGs.
     pub seed: u64,
     /// Chaos knob: the fault plan active in the machine layer's fabric (the
@@ -70,10 +63,7 @@ impl ClusterCfg {
         ClusterCfg {
             num_pes,
             cores_per_node,
-            sched_overhead: 200,
-            send_overhead: 100,
             trace_bucket: None,
-            max_events: 2_000_000_000,
             seed: 0xC0FFEE,
             fault: gemini_net::FaultPlan::default(),
             threads: 1,

@@ -219,6 +219,11 @@ pub enum Charge {
     Recovery(Time),
 }
 
+/// Converse-level cost of issuing one send (envelope setup), excluding
+/// everything the machine layer charges. An aggregated AM pays it once
+/// per flushed batch.
+const SEND_OVERHEAD: Time = 100;
+
 /// What an application handler sees: the Converse/Charm API. Built only
 /// by `kernel::pe_run`, for the duration of one handler.
 pub struct PeCtx<'a> {
@@ -287,7 +292,9 @@ impl PeCtx<'_> {
     /// with priority and epoch stamps, encode, send counters, then the
     /// outbox entry leaving at `at` — Converse loopback for a plain
     /// self-send, a machine-layer command otherwise (`via` rides a
-    /// persistent channel, even to self).
+    /// persistent channel, even to self). Hands the payload handle back,
+    /// so a sender that owned the buffer alone can reclaim it once the
+    /// encode has copied it (the AM flush does).
     fn emit(
         &mut self,
         at: Time,
@@ -296,11 +303,11 @@ impl PeCtx<'_> {
         payload: Bytes,
         priority: u16,
         via: Option<PersistentHandle>,
-    ) {
-        let msg = Envelope::new(self.pe, dst, handler, payload)
+    ) -> Bytes {
+        let env = Envelope::new(self.pe, dst, handler, payload)
             .with_priority(priority)
-            .with_epoch(self.epoch)
-            .encode();
+            .with_epoch(self.epoch);
+        let msg = env.encode();
         self.stats.msgs_sent += 1;
         let ev = match via {
             Some(handle) => Event::Cmd(self.pe, Cmd::SendPersistent { handle, dst, msg }),
@@ -308,6 +315,7 @@ impl PeCtx<'_> {
             None => Event::Cmd(self.pe, Cmd::Send { dst, msg }),
         };
         self.outbox.push((at, ev));
+        env.payload
     }
 
     /// Asynchronous send: the message leaves at the current PE-local time.
@@ -319,16 +327,17 @@ impl PeCtx<'_> {
     /// Like [`PeCtx::send`] with an explicit scheduling priority: smaller
     /// values are executed first at the destination (Charm++'s prioritized
     /// messages). Network transit is unaffected — priority orders the
-    /// destination's scheduler queue.
+    /// destination's scheduler queue. Returns the payload handle (see
+    /// `emit`).
     pub(crate) fn send_prio(
         &mut self,
         dst: PeId,
         handler: HandlerId,
         payload: Bytes,
         priority: u16,
-    ) {
-        self.charged_ovh += self.cfg.send_overhead;
-        self.emit(self.now(), dst, handler, payload, priority, None);
+    ) -> Bytes {
+        self.charged_ovh += SEND_OVERHEAD;
+        self.emit(self.now(), dst, handler, payload, priority, None)
     }
 
     /// Deferred send (timer): like [`PeCtx::send_prio`] but leaving after
@@ -337,7 +346,7 @@ impl PeCtx<'_> {
     /// saturated PE's application backlog drifts by the backlog depth,
     /// which would turn scheduler pressure into false failure suspicions.
     ///
-    /// Arming a timer is not a send yet: no `send_overhead` is charged.
+    /// Arming a timer is not a send yet: no [`SEND_OVERHEAD`] is charged.
     pub(crate) fn send_after_prio(
         &mut self,
         delay: Time,
@@ -378,7 +387,7 @@ impl PeCtx<'_> {
         h: HandlerId,
         payload: Bytes,
     ) {
-        self.charged_ovh += self.cfg.send_overhead;
+        self.charged_ovh += SEND_OVERHEAD;
         self.emit(self.now(), dst, h, payload, DEFAULT_PRIO, Some(handle));
     }
 

@@ -57,14 +57,6 @@ pub struct FtConfig {
     /// Minimum spacing between checkpoints (enforced by
     /// [`crate::cluster::PeCtx::ft_maybe_checkpoint`]).
     pub ckpt_period: Time,
-    /// Fixed virtual-time cost of taking one PE's checkpoint.
-    pub ckpt_base_ns: Time,
-    /// Incremental checkpoint cost per KiB of serialized state.
-    pub ckpt_ns_per_kb: Time,
-    /// Fixed virtual-time cost of restoring one PE.
-    pub restore_base_ns: Time,
-    /// Incremental restore cost per KiB of serialized state.
-    pub restore_ns_per_kb: Time,
 }
 
 impl Default for FtConfig {
@@ -73,13 +65,18 @@ impl Default for FtConfig {
             hb_period: 10_000,
             hb_timeout: 30_000,
             ckpt_period: 50_000,
-            ckpt_base_ns: 1_000,
-            ckpt_ns_per_kb: 100,
-            restore_base_ns: 2_000,
-            restore_ns_per_kb: 200,
         }
     }
 }
+
+/// Fixed virtual-time cost of taking one PE's checkpoint.
+const CKPT_BASE_NS: Time = 1_000;
+/// Incremental checkpoint cost per KiB of serialized state.
+const CKPT_NS_PER_KB: Time = 100;
+/// Fixed virtual-time cost of restoring one PE.
+const RESTORE_BASE_NS: Time = 2_000;
+/// Incremental restore cost per KiB of serialized state.
+const RESTORE_NS_PER_KB: Time = 200;
 
 /// Post-run summary of FT activity.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -440,7 +437,7 @@ impl Cluster {
             };
             // Serialization + buddy copy is real work: charge it as its
             // own trace category so the cadence sweep can read overhead.
-            let cost = ft.cfg.ckpt_base_ns + snap.bytes.div_ceil(1024) * ft.cfg.ckpt_ns_per_kb;
+            let cost = CKPT_BASE_NS + snap.bytes.div_ceil(1024) * CKPT_NS_PER_KB;
             let start = t.max(self.pes.get(pe as usize).busy_until);
             self.trace.record(pe, start, cost, Kind::Checkpoint);
             self.pes.get_mut(pe as usize).busy_until = start + cost;
@@ -607,7 +604,7 @@ impl Cluster {
                     }
                 }
             }
-            let cost = ft.cfg.restore_base_ns + bytes.div_ceil(1024) * ft.cfg.restore_ns_per_kb;
+            let cost = RESTORE_BASE_NS + bytes.div_ceil(1024) * RESTORE_NS_PER_KB;
             let start = t.max(st.busy_until);
             self.trace.record(pe, start, cost, Kind::Recovery);
             self.pes.get_mut(pe as usize).busy_until = start + cost;

@@ -22,7 +22,7 @@
 //!
 //! [`PeState`] is laid out for the kernel's access pattern: `deliver` and
 //! `pe_run` touch one per event, and at whole-machine scale each touch is
-//! a cache miss, so it holds only what they need (160 bytes); the rest is
+//! a cache miss, so it holds only what they need (144 bytes); the rest is
 //! [`PeCold`], behind a pointer that stays `None` on PEs that never use
 //! it.
 
@@ -39,6 +39,22 @@ use sim_core::{DetRng, Time};
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
+
+/// Converse scheduler cost per executed handler (dequeue + dispatch).
+const SCHED_OVERHEAD: Time = 200;
+
+/// Safety valve for runaway simulations: no run executes more events.
+const MAX_EVENTS: u64 = 2_000_000_000;
+
+/// Panic once a run has executed [`MAX_EVENTS`] events. The sequential
+/// loop and the parallel serial frontier check it before each event.
+#[inline]
+pub(crate) fn check_runaway(events: u64, now: Time) {
+    assert!(
+        events < MAX_EVENTS,
+        "simulation exceeded max_events={MAX_EVENTS} at t={now}"
+    );
+}
 
 /// Commands from application handlers to the machine layer, executed at
 /// the PE-local virtual time they were issued (this keeps all fabric calls
@@ -187,18 +203,18 @@ pub(crate) struct PeState {
 }
 
 /// The cold part of a PE's state: what only chare arrays, AM aggregation,
-/// persistent channels and fault tolerance use. It is 368 bytes of mostly
+/// persistent channels and fault tolerance use. It is 216 bytes of mostly
 /// empty container headers, and a whole-machine message-driven run touches
 /// every [`PeState`] once per event with a working set far beyond the
-/// caches — so it lives behind one pointer and a 16-PE page is 2.5 KiB
-/// instead of 8. `PeCold::default()` is all-empty containers: a missing
+/// caches — so it lives behind one pointer and a 16-PE page is 2.3 KiB
+/// instead of 5.5. `PeCold::default()` is all-empty containers: a missing
 /// cold part and a fresh one are indistinguishable, which keeps a fresh
 /// [`PeState`] a pure function of `(seed, pe)`.
 #[derive(Default)]
 pub(crate) struct PeCold {
     pub(crate) charm: CharmPe,
-    /// Typed-AM per-PE state: destination coalescing buffers + host-side
-    /// buffer recyclers (am.rs).
+    /// Typed-AM per-PE state: destination coalescing buffers and their
+    /// free list (am.rs).
     pub(crate) am: crate::am::AmPe,
     /// Per-PE persistent-channel handle counter. Handles are namespaced by
     /// PE (`pe << 32 | local`) so allocation is identical no matter which
@@ -443,7 +459,7 @@ pub(crate) fn pe_run(
     };
     handler(&mut ctx, menv);
     let charged_app = ctx.charged_app;
-    let charged_ovh = ctx.charged_ovh + env.cfg.sched_overhead;
+    let charged_ovh = ctx.charged_ovh + SCHED_OVERHEAD;
     stats.handlers_run += 1;
 
     st.busy_until = t + charged_app + charged_ovh;
@@ -597,6 +613,7 @@ mod tests {
         // far beyond the caches at whole-machine scale: what they do not
         // need belongs in PeCold.
         assert_eq!(std::mem::size_of::<PeState>(), 144);
+        assert_eq!(std::mem::size_of::<PeCold>(), 216);
         let mut st = PeState::fresh(7, PE as u64);
         assert!(st.cold().is_none());
         st.lose_volatile();

@@ -311,7 +311,7 @@ fn exec_local(
 }
 
 /// Upper bound on events one partition executes per parallel window
-/// batch, so the `max_events` safety valve is checked (on the main
+/// batch, so the runaway guard's event cap is checked (on the main
 /// thread) with bounded overshoot.
 const PHASE_CAP: usize = 4096;
 
@@ -556,12 +556,7 @@ impl ParDriver<'_> {
 
         // ---- canonical serial frontier ----
         loop {
-            if self.stats.events >= self.env.cfg.max_events {
-                panic!(
-                    "simulation exceeded max_events={} at t={}",
-                    self.env.cfg.max_events, self.now
-                );
-            }
+            kernel::check_runaway(self.stats.events, self.now);
             let t_s = self.serial.peek_time().unwrap_or(u64::MAX);
             let t_l = parts
                 .iter()

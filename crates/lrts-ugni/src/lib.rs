@@ -626,6 +626,40 @@ mod tests {
     }
 
     #[test]
+    fn an_smp_burst_keeps_its_worker_busy() {
+        // In SMP mode the worker still pays each hand-off: a pointer pass
+        // to a same-node worker, or the pass to its comm thread for the
+        // network. Work queued behind a burst of both starts after all of
+        // it; the pinned times also hold every arrival.
+        // Per PE: messages received, and when the last one ran.
+        type Seen = (u64, sim_core::Time);
+        let mut c = cluster_with(UgniConfig::optimized().with_smp(true), 4, 2);
+        c.init_user(|_| Seen::default());
+        let sink = c.register_handler(|ctx, _| {
+            let now = ctx.now();
+            let st = ctx.user::<Seen>();
+            *st = (st.0 + 1, now);
+        });
+        let burst = c.register_handler(move |ctx, _| {
+            for _ in 0..10 {
+                ctx.send(1, sink, Bytes::from(vec![3u8; 64])); // same node
+                ctx.send(2, sink, Bytes::from(vec![3u8; 64])); // node 1
+            }
+            ctx.send(ctx.pe(), sink, Bytes::new());
+        });
+        c.inject(0, 0, burst, Bytes::new());
+        c.run();
+        assert_eq!(c.layer_mut::<UgniLayer>().stats.shm_msgs, 10);
+        assert_eq!(c.layer_mut::<UgniLayer>().stats.small_msgs, 10);
+        let at = |c: &mut Cluster, pe| *c.user::<Seen>(pe);
+        // The burst's handler ends at 2,300 ns; twenty 120 ns hand-offs
+        // follow it.
+        assert_eq!(at(&mut c, 0), (1, 4_700), "pinned");
+        assert_eq!(at(&mut c, 1), (10, 2_020), "pinned");
+        assert_eq!(at(&mut c, 2), (10, 28_497), "pinned");
+    }
+
+    #[test]
     fn link_down_window_is_survivable() {
         let mut cfg = UgniConfig::optimized();
         cfg.params.fault.link_down.push(gemini_net::LinkDownWindow {

@@ -18,9 +18,6 @@
 use gemini_net::{Addr, GeminiParams, MemHandle, RegTable};
 use sim_core::Time;
 
-pub(crate) mod host;
-pub use host::{ObjPool, ObjPoolStats, Reset};
-
 /// Smallest block the pool hands out.
 pub(crate) const MIN_CLASS_SHIFT: u32 = 6; // 64 B
 /// Largest pooled block; bigger requests fall back to direct registration.

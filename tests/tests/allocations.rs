@@ -347,3 +347,67 @@ fn one_message_across_hopper_first_touches_a_pinned_footprint() {
         "(allocations, PE pages, fabric pages, trace pages)"
     );
 }
+
+/// Heap allocations and flushed batches of `rounds` rounds of a
+/// ping-pong on 2 ideal-layer PEs: PE 0 sends PE 1 `per_round`
+/// aggregated `u64` AMs (16-byte frames) under `max_batch_bytes`, and
+/// PE 1 answers the round's last one with a plain send that starts the
+/// next round.
+fn am_rounds(max_batch_bytes: usize, per_round: u64, rounds: u64) -> (u64, u64) {
+    let mut c = LayerKind::Ideal(1_000).cluster(2, 1);
+    c.am_config(AmConfig {
+        aggregation: true,
+        max_batch_bytes,
+        ..AmConfig::default()
+    });
+    c.init_user(|_| 0u64);
+    let cell: Arc<OnceLock<HandlerId>> = Arc::new(OnceLock::new());
+    let next = cell.clone();
+    let am = c.register_am::<u64>(move |ctx, src, _| {
+        let got = ctx.user::<u64>();
+        *got += 1;
+        if *got % per_round == 0 {
+            ctx.send(src, *next.get().unwrap(), Bytes::new());
+        }
+    });
+    let round = c.register_handler(move |ctx, _| {
+        let done = ctx.user::<u64>();
+        *done += 1;
+        if *done > rounds {
+            return;
+        }
+        for i in 0..per_round {
+            ctx.am_send(1, am, i);
+        }
+    });
+    cell.set(round).unwrap();
+    c.inject(0, 0, round, Bytes::new());
+    let (n, report) = allocations(|| c.run());
+    assert_eq!(*c.user::<u64>(1), per_round * rounds, "every AM arrived");
+    (n, report.stats.am_batches)
+}
+
+#[test]
+fn a_flushed_batch_reuses_its_coalescing_buffer() {
+    // A batch of three 16-byte frames and a default one of 63.
+    for (max_batch_bytes, per_round) in [(64, 10), (1024, 200)] {
+        let (n1, b1) = am_rounds(max_batch_bytes, per_round, 100);
+        let (n2, b2) = am_rounds(max_batch_bytes, per_round, 200);
+        // Steady state: what the second hundred rounds add. Each round
+        // allocates three blocks besides its batches (the flush-timer
+        // tick's payload and envelope, and the reply).
+        let (n, batches) = (n2 - n1, b2 - b1);
+        let per_batch = (n - 3 * 100) as f64 / batches as f64;
+        println!(
+            "{max_batch_bytes} B batches: {per_batch:.3} allocations per flushed batch ({n} over {batches} batches)"
+        );
+        // Two per batch: the handle that adopts the buffer and the wire
+        // buffer the encode copies it into; queue growth spread over the
+        // run adds a few hundredths. A coalescing buffer grown afresh for
+        // every batch reads above 4.
+        assert!(
+            per_batch <= 2.03,
+            "{max_batch_bytes} B: {per_batch:.3} allocations per flushed batch"
+        );
+    }
+}

@@ -38,7 +38,6 @@ fn ft_config() -> FtConfig {
         hb_period: 20_000,
         hb_timeout: 150_000,
         ckpt_period: 60_000,
-        ..FtConfig::default()
     }
 }
 

@@ -257,7 +257,6 @@ proptest! {
                 hb_period: 20_000,
                 hb_timeout: 150_000,
                 ckpt_period: 60_000,
-                ..FtConfig::default()
             });
             let r = jacobi2d::run_on(&mut c, &JacobiConfig { n: 24, blocks: 4, iters: 12 });
             (r.time_ns, c.stats().clone(), c.ft_report(), r.residual.to_bits(), r.grid)
