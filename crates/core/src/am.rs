@@ -39,7 +39,7 @@
 //! as often as its unaggregated twin would have been.
 
 use crate::cluster::{Cluster, PeCtx};
-use crate::msg::{Envelope, HandlerId, PeId, DEFAULT_PRIO};
+use crate::msg::{Envelope, HandlerId, PeId, DEFAULT_PRIO, INLINE_WIRE};
 use bytes::Bytes;
 use sim_core::Time;
 use std::collections::BTreeMap;
@@ -227,9 +227,9 @@ struct DstBuf {
 pub(crate) struct AmPe {
     /// BTreeMap so flush-all order is deterministic.
     bufs: BTreeMap<PeId, DstBuf>,
-    /// Emptied buffers, capacity kept (flush reclaims the sent buffer via
-    /// `Bytes::try_reclaim`, so steady-state batching does not allocate
-    /// per batch). At most [`FREE_BUFS`].
+    /// Emptied buffers, capacity kept (a flush copies the batch into its
+    /// wire block and keeps the buffer, so steady-state batching does not
+    /// grow one per batch). At most [`FREE_BUFS`].
     free: Vec<Vec<u8>>,
 }
 
@@ -371,8 +371,7 @@ impl PeCtx<'_> {
             let mut tp = [OP_TIMER; 5];
             tp[1..].copy_from_slice(&dst.to_le_bytes());
             let me = self.pe();
-            let tp = Bytes::copy_from_slice(&tp);
-            self.send_after_prio(flush_delay, me, dispatch, tp, DEFAULT_PRIO);
+            self.send_after_prio(flush_delay, me, dispatch, &tp[..], DEFAULT_PRIO);
         }
     }
 
@@ -385,21 +384,21 @@ impl PeCtx<'_> {
         self.am_flush_batch(dst, data);
     }
 
-    /// Send one framed batch as a single envelope on the dispatch handler:
-    /// a plain send, whose payload handle comes back so the coalescing
-    /// buffer is reused instead of dropped.
+    /// Send one framed batch as a single envelope on the dispatch handler.
+    /// A batch up to the encode's inline limit (1 KiB; the default
+    /// `max_batch_bytes` is 1024) is copied into the wire block straight
+    /// from the coalescing buffer, which is then kept for the next batch:
+    /// one allocation per batch. A larger batch rides shared behind the
+    /// header, and its vector with it.
     fn am_flush_batch(&mut self, dst: PeId, data: Vec<u8>) {
         debug_assert_ne!(dst, self.pe(), "self-sends never aggregate");
         let dispatch = self.am_reg.dispatch.expect("am dispatch registered");
-        let payload = self.send_prio(dst, dispatch, Bytes::from(data), DEFAULT_PRIO);
         self.stats.am_batches += 1;
-        // The flush owns the batch alone, so `encode` copied a batch of
-        // up to its inline limit (1 KiB; the default `max_batch_bytes` is
-        // 1024) into the wire buffer and the payload handle is the sole
-        // owner again: reclaim the allocation for the next batch. A larger
-        // batch rides shared behind the header, and its vector with it.
-        if let Ok(v) = payload.try_reclaim() {
-            recycle(&mut self.cold().am.free, v);
+        if data.len() <= INLINE_WIRE {
+            self.send_prio(dst, dispatch, &data[..], DEFAULT_PRIO);
+            recycle(&mut self.cold().am.free, data);
+        } else {
+            self.send_prio(dst, dispatch, Bytes::from(data), DEFAULT_PRIO);
         }
     }
 }

@@ -7,7 +7,7 @@ use crate::config::ClusterCfg;
 use crate::ft::FtCore;
 use crate::kernel::{ClusterStats, Cmd, Event, PeCold, PeState};
 use crate::lrts::PersistentHandle;
-use crate::msg::{Envelope, HandlerId, PeId, DEFAULT_PRIO};
+use crate::msg::{HandlerId, Header, Payload, PeId, DEFAULT_PRIO};
 use crate::par::PartData;
 use crate::pe_table::PeTable;
 use crate::trace::{Kind, Trace};
@@ -288,26 +288,32 @@ impl PeCtx<'_> {
         self.user.downcast_mut().expect("user state type mismatch")
     }
 
-    /// The shared tail of every send flavour: envelope build
-    /// with priority and epoch stamps, encode, send counters, then the
+    /// The shared tail of every send flavour: header with priority and
+    /// epoch stamps, encode (a borrowed payload is copied into the wire
+    /// block and costs no handle of its own), send counters, then the
     /// outbox entry leaving at `at` — Converse loopback for a plain
     /// self-send, a machine-layer command otherwise (`via` rides a
-    /// persistent channel, even to self). Hands the payload handle back,
-    /// so a sender that owned the buffer alone can reclaim it once the
-    /// encode has copied it (the AM flush does).
+    /// persistent channel, even to self).
     fn emit(
         &mut self,
         at: Time,
         dst: PeId,
         handler: HandlerId,
-        payload: Bytes,
+        payload: Payload<'_>,
         priority: u16,
         via: Option<PersistentHandle>,
-    ) -> Bytes {
-        let env = Envelope::new(self.pe, dst, handler, payload)
-            .with_priority(priority)
-            .with_epoch(self.epoch);
-        let msg = env.encode();
+    ) {
+        let head = Header {
+            src_pe: self.pe,
+            dst_pe: dst,
+            handler,
+            priority,
+            epoch: self.epoch,
+        };
+        let msg = match payload {
+            Payload::Handle(payload) => head.with_payload(payload).encode(),
+            Payload::Borrowed(bytes) => head.encode_copied(bytes),
+        };
         self.stats.msgs_sent += 1;
         let ev = match via {
             Some(handle) => Event::Cmd(self.pe, Cmd::SendPersistent { handle, dst, msg }),
@@ -315,7 +321,6 @@ impl PeCtx<'_> {
             None => Event::Cmd(self.pe, Cmd::Send { dst, msg }),
         };
         self.outbox.push((at, ev));
-        env.payload
     }
 
     /// Asynchronous send: the message leaves at the current PE-local time.
@@ -327,17 +332,16 @@ impl PeCtx<'_> {
     /// Like [`PeCtx::send`] with an explicit scheduling priority: smaller
     /// values are executed first at the destination (Charm++'s prioritized
     /// messages). Network transit is unaffected — priority orders the
-    /// destination's scheduler queue. Returns the payload handle (see
-    /// `emit`).
-    pub(crate) fn send_prio(
+    /// destination's scheduler queue.
+    pub(crate) fn send_prio<'a>(
         &mut self,
         dst: PeId,
         handler: HandlerId,
-        payload: Bytes,
+        payload: impl Into<Payload<'a>>,
         priority: u16,
-    ) -> Bytes {
+    ) {
         self.charged_ovh += SEND_OVERHEAD;
-        self.emit(self.now(), dst, handler, payload, priority, None)
+        self.emit(self.now(), dst, handler, payload.into(), priority, None);
     }
 
     /// Deferred send (timer): like [`PeCtx::send_prio`] but leaving after
@@ -347,15 +351,16 @@ impl PeCtx<'_> {
     /// which would turn scheduler pressure into false failure suspicions.
     ///
     /// Arming a timer is not a send yet: no [`SEND_OVERHEAD`] is charged.
-    pub(crate) fn send_after_prio(
+    pub(crate) fn send_after_prio<'a>(
         &mut self,
         delay: Time,
         dst: PeId,
         handler: HandlerId,
-        payload: Bytes,
+        payload: impl Into<Payload<'a>>,
         priority: u16,
     ) {
-        self.emit(self.now() + delay, dst, handler, payload, priority, None);
+        let at = self.now() + delay;
+        self.emit(at, dst, handler, payload.into(), priority, None);
     }
 
     /// `LrtsCreatePersistent`: set up a persistent channel to `dst` able to
@@ -388,7 +393,8 @@ impl PeCtx<'_> {
         payload: Bytes,
     ) {
         self.charged_ovh += SEND_OVERHEAD;
-        self.emit(self.now(), dst, h, payload, DEFAULT_PRIO, Some(handle));
+        let at = self.now();
+        self.emit(at, dst, h, payload.into(), DEFAULT_PRIO, Some(handle));
     }
 
     /// Halt the whole simulation after this handler returns.

@@ -24,10 +24,10 @@ const MAGIC: u16 = 0xC4A7;
 
 /// Longest payload [`Envelope::encode`] copies into the wire block when
 /// the envelope is its only owner; the copy is assembled in a stack array
-/// of this size. It covers the AM layer's default batch (1 KiB), whose
-/// pooled vector comes back only if it was copied. A longer payload is
+/// of this size. It covers the AM layer's default batch (1 KiB), which a
+/// flush copies straight from its coalescing buffer. A longer payload is
 /// shared whoever owns it, so no `memcpy` grows with the message.
-const INLINE_WIRE: usize = 1024;
+pub(crate) const INLINE_WIRE: usize = 1024;
 
 /// Longest payload [`Envelope::encode`] always copies: no larger than what
 /// a chain stores in the block in its place (the payload's handle, the
@@ -89,9 +89,9 @@ impl Envelope {
     /// payload is no longer than `COPY_MAX` (72 B on a 64-bit target), or
     /// it is at most `INLINE_WIRE` (1 KiB) and this envelope is its only
     /// owner ([`Bytes::is_unique`]), so the original is freed with the
-    /// envelope (and an AM batch vector goes back to its pool). Otherwise
-    /// the payload is **shared**: the sender still holds it (kNeighbor's
-    /// one buffer, a multicast), or it is longer than `INLINE_WIRE`.
+    /// envelope. Otherwise the payload is **shared**: the sender still
+    /// holds it (kNeighbor's one buffer, a multicast), or it is longer
+    /// than `INLINE_WIRE`.
     /// [`Bytes::chained`] puts the header inline in one block with the
     /// counts and the payload's handle, so the wire buffer aliases the
     /// sender's allocation and the machine layers move it without ever
@@ -100,26 +100,20 @@ impl Envelope {
     pub fn encode(&self) -> Bytes {
         let n = self.payload.len();
         if n <= COPY_MAX || (n <= INLINE_WIRE && self.payload.is_unique()) {
-            let mut wire = [0u8; HEADER_BYTES + INLINE_WIRE];
-            wire[..HEADER_BYTES].copy_from_slice(&self.header());
-            wire[HEADER_BYTES..HEADER_BYTES + n].copy_from_slice(&self.payload);
-            return Bytes::copy_from_slice(&wire[..HEADER_BYTES + n]);
+            return self.head().encode_copied(&self.payload);
         }
-        Bytes::chained(&self.header(), self.payload.clone())
+        Bytes::chained(&self.head().write(n), self.payload.clone())
     }
 
-    /// The fixed header of this envelope's wire format: magic, then every
-    /// field but the payload, big-endian, zero-padded to [`HEADER_BYTES`].
-    pub(crate) fn header(&self) -> [u8; HEADER_BYTES] {
-        let mut h = [0u8; HEADER_BYTES];
-        h[0..2].copy_from_slice(&MAGIC.to_be_bytes());
-        h[2..4].copy_from_slice(&self.handler.0.to_be_bytes());
-        h[4..8].copy_from_slice(&self.src_pe.to_be_bytes());
-        h[8..12].copy_from_slice(&self.dst_pe.to_be_bytes());
-        h[12..16].copy_from_slice(&(self.payload.len() as u32).to_be_bytes());
-        h[16..18].copy_from_slice(&self.priority.to_be_bytes());
-        h[18..22].copy_from_slice(&self.epoch.to_be_bytes());
-        h
+    /// Every field but the payload.
+    fn head(&self) -> Header {
+        Header {
+            src_pe: self.src_pe,
+            dst_pe: self.dst_pe,
+            handler: self.handler,
+            priority: self.priority,
+            epoch: self.epoch,
+        }
     }
 
     /// Deserialize from the wire format, consuming the buffer: the payload
@@ -130,14 +124,7 @@ impl Envelope {
     pub fn from_wire(mut buf: Bytes) -> Envelope {
         let h = Self::peek(&buf);
         buf.advance(HEADER_BYTES);
-        Envelope {
-            src_pe: h.src_pe,
-            dst_pe: h.dst_pe,
-            handler: h.handler,
-            priority: h.priority,
-            epoch: h.epoch,
-            payload: buf,
-        }
+        h.with_payload(buf)
     }
 
     /// [`Envelope::from_wire`] for a caller that keeps its buffer.
@@ -188,7 +175,68 @@ impl std::fmt::Display for Malformed {
     }
 }
 
+/// A payload as the send tail (`PeCtx`'s `emit`) takes it.
+pub(crate) enum Payload<'a> {
+    /// A handle, which [`Envelope::encode`] copies or shares by its rule.
+    Handle(Bytes),
+    /// Bytes the sender keeps, copied behind the header into the wire
+    /// block, so they cost no handle of their own. At most `INLINE_WIRE`
+    /// long.
+    Borrowed(&'a [u8]),
+}
+
+impl From<Bytes> for Payload<'_> {
+    fn from(b: Bytes) -> Self {
+        Payload::Handle(b)
+    }
+}
+
+impl<'a> From<&'a [u8]> for Payload<'a> {
+    fn from(b: &'a [u8]) -> Self {
+        Payload::Borrowed(b)
+    }
+}
+
 impl Header {
+    /// The wire header for a payload of `len` bytes: magic, then every
+    /// field, big-endian, zero-padded to [`HEADER_BYTES`].
+    fn write(&self, len: usize) -> [u8; HEADER_BYTES] {
+        let mut h = [0u8; HEADER_BYTES];
+        h[0..2].copy_from_slice(&MAGIC.to_be_bytes());
+        h[2..4].copy_from_slice(&self.handler.0.to_be_bytes());
+        h[4..8].copy_from_slice(&self.src_pe.to_be_bytes());
+        h[8..12].copy_from_slice(&self.dst_pe.to_be_bytes());
+        h[12..16].copy_from_slice(&(len as u32).to_be_bytes());
+        h[16..18].copy_from_slice(&self.priority.to_be_bytes());
+        h[18..22].copy_from_slice(&self.epoch.to_be_bytes());
+        h
+    }
+
+    /// The copy form of [`Envelope::encode`]: this header and `payload`,
+    /// assembled in a stack array and copied into one block with the
+    /// reference counts ([`Bytes::copy_from_slice`]). Panics on a payload
+    /// longer than `INLINE_WIRE`.
+    #[inline]
+    pub(crate) fn encode_copied(&self, payload: &[u8]) -> Bytes {
+        let n = payload.len();
+        let mut wire = [0u8; HEADER_BYTES + INLINE_WIRE];
+        wire[..HEADER_BYTES].copy_from_slice(&self.write(n));
+        wire[HEADER_BYTES..HEADER_BYTES + n].copy_from_slice(payload);
+        Bytes::copy_from_slice(&wire[..HEADER_BYTES + n])
+    }
+
+    /// The envelope of this header and `payload`.
+    pub(crate) fn with_payload(self, payload: Bytes) -> Envelope {
+        Envelope {
+            src_pe: self.src_pe,
+            dst_pe: self.dst_pe,
+            handler: self.handler,
+            priority: self.priority,
+            epoch: self.epoch,
+            payload,
+        }
+    }
+
     /// The one header read: in place (a chained wire buffer is never
     /// flattened for it) and validated — length, magic, and the payload
     /// length the header announces against the buffer's.
@@ -326,7 +374,7 @@ mod tests {
             b'x', b'y', b'z',
         ];
         assert_eq!(&e.encode()[..], &golden);
-        assert_eq!(e.header(), golden[..HEADER_BYTES]);
+        assert_eq!(e.head().write(3), golden[..HEADER_BYTES]);
         // Above the inline limit the same header writer fills the chain's
         // inline head, in front of the payload; only the length differs.
         let big = Envelope {

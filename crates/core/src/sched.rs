@@ -72,6 +72,16 @@ impl SchedQueue {
         self.fifo.pop_front()
     }
 
+    /// The oldest default-priority message: what the next [`pop`] returns
+    /// unless a prioritized message outranks it. A hint for a prefetch —
+    /// nothing that behaves depends on it.
+    ///
+    /// [`pop`]: SchedQueue::pop
+    #[inline]
+    pub(crate) fn front(&self) -> Option<&Bytes> {
+        self.fifo.front()
+    }
+
     #[inline]
     pub(crate) fn is_empty(&self) -> bool {
         self.fifo.is_empty() && self.prio.as_ref().is_none_or(|p| p.heap.is_empty())
@@ -129,6 +139,33 @@ mod tests {
         assert!(q.prio.is_some());
         q.clear();
         assert!(q.prio.is_none() && q.is_empty());
+    }
+
+    #[test]
+    fn front_is_the_next_pop_unless_a_prioritized_message_outranks_it() {
+        let mut q = SchedQueue::default();
+        for tag in 0..4 {
+            q.push(DEFAULT_PRIO, wire(DEFAULT_PRIO, tag));
+        }
+        // Default priority only: `front` is what `pop` returns next.
+        while let Some(front) = q.front().map(key) {
+            assert_eq!(q.pop().as_ref().map(key), Some(front));
+        }
+        assert!(q.pop().is_none());
+
+        q.push(DEFAULT_PRIO, wire(DEFAULT_PRIO, 10));
+        q.push(5, wire(5, 11));
+        q.push(DEFAULT_PRIO + 1, wire(DEFAULT_PRIO + 1, 12));
+        // The heap's message outranks the FIFO: `pop` takes it, and
+        // `front` still names the FIFO's head — a hint, not the order.
+        assert_eq!(q.front().map(key), Some((DEFAULT_PRIO, 10)));
+        assert_eq!(q.pop().as_ref().map(key), Some((5, 11)));
+        assert_eq!(q.pop().as_ref().map(key), Some((DEFAULT_PRIO, 10)));
+        // Below the default the heap waits for an empty FIFO, which
+        // `front` shows as none.
+        assert!(q.front().is_none());
+        assert_eq!(q.pop().as_ref().map(key), Some((DEFAULT_PRIO + 1, 12)));
+        assert!(q.is_empty());
     }
 
     /// The priorities that matter: both ends, and both sides of the

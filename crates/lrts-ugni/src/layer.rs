@@ -951,21 +951,28 @@ impl UgniLayer {
 
     /// Handle one received small-path message addressed to `pe`.
     fn process_small(&mut self, ctx: &mut MachineCtx, pe: PeId, rx: ugni::SmsgRecv) {
+        // The mailbox's handle moves on by value: nothing reads the block
+        // until the scheduler dequeues it, so no reference count is
+        // touched here.
+        let ugni::SmsgRecv {
+            tag,
+            from_inst,
+            mut data,
+            ..
+        } = rx;
         // Chaos mode: strip the sequence header and drop duplicates (a
         // corrupted completion delivers the payload AND makes the sender
         // re-send — dedup restores exactly-once delivery).
-        let data = if self.chaos {
-            let seq = u64::from_be_bytes(*rx.data.first_chunk().expect("unsequenced message"));
-            let conn = self.conns.entry((rx.from, pe)).or_default();
+        if self.chaos {
+            let seq = u64::from_be_bytes(*data.first_chunk().expect("unsequenced message"));
+            let conn = self.conns.entry((from_inst, pe)).or_default();
             if !conn.seq_seen.insert(seq) {
                 self.stats.dup_drops += 1;
                 return;
             }
-            rx.data.slice(SEQ_HDR..)
-        } else {
-            rx.data.clone()
-        };
-        match rx.tag {
+            data.advance(SEQ_HDR);
+        }
+        match tag {
             TAG_SMALL => {
                 // Copy out of the mailbox into a runtime buffer. Small
                 // buffers are never registered: the pool path pays a
@@ -985,10 +992,7 @@ impl UgniLayer {
                 let done = self.charge(ctx, pe, Charge::Overhead(cost));
                 ctx.deliver(done, pe, data);
             }
-            TAG_INIT => {
-                let from = rx.from;
-                self.handle_init(ctx, pe, from, &data);
-            }
+            TAG_INIT => self.handle_init(ctx, pe, from_inst, &data),
             TAG_ACK => self.handle_ack(ctx, &data),
             TAG_PERSIST => {
                 let xid = XidFrame::decode(&data)

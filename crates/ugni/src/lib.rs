@@ -260,13 +260,13 @@ impl Gni {
         };
         match q.peek_time() {
             Some(t) if t <= now => {
-                let (_, (tag, from, data)) = q
+                let (_, (tag, from_inst, data)) = q
                     .pop()
                     .ok_or(GniError::Internal("smsg mailbox peek/pop desync"))?;
                 let cpu = self.fabric.smsg_recv_cost(data.len() as u64);
                 Ok(SmsgRecv {
                     tag,
-                    from,
+                    from_inst,
                     data,
                     cpu,
                 })
@@ -316,13 +316,13 @@ impl Gni {
         };
         match q.peek_time() {
             Some(t) if t <= now => {
-                let (_, (tag, from, dst_inst, data)) =
+                let (_, (tag, from_inst, dst_inst, data)) =
                     q.pop().ok_or(GniError::Internal("msgq peek/pop desync"))?;
                 let cpu = self.fabric.msgq_recv_cost(data.len() as u64);
                 Ok((
                     SmsgRecv {
                         tag,
-                        from,
+                        from_inst,
                         data,
                         cpu,
                     },
@@ -592,7 +592,7 @@ mod tests {
         );
         let rx = g.smsg_get_next_w_tag(1, 1, sent.deliver_at).unwrap();
         assert_eq!(rx.tag, 7);
-        assert_eq!(rx.from, 0);
+        assert_eq!(rx.from_inst, 0);
         assert_eq!(&rx.data[..], b"hello");
         assert!(rx.cpu > 0);
         // Mailbox drained.
@@ -838,7 +838,7 @@ mod tests {
         assert!(msgq.deliver_at > smsg.deliver_at);
         let (rx, dst) = g.msgq_get_next_w_tag(1, msgq.deliver_at).unwrap();
         assert_eq!(rx.tag, 4);
-        assert_eq!(rx.from, 10);
+        assert_eq!(rx.from_inst, 10);
         assert_eq!(dst, 11);
         assert_eq!(&rx.data[..], b"slow");
         assert!(matches!(

@@ -130,7 +130,10 @@ pub struct PostOk {
 #[derive(Debug, Clone)]
 pub struct SmsgRecv {
     pub tag: u8,
-    pub from: NodeId,
+    /// The sending endpoint's local instance (`ep_create_inst`'s
+    /// `local_inst`): the sender's PE under `lrts-ugni`, its rank under
+    /// `mpi-sim`. Not a node.
+    pub from_inst: u32,
     pub data: Bytes,
     /// CPU cost of the dequeue + copy out of the mailbox.
     pub cpu: Time,
